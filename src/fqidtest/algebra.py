@@ -597,12 +597,23 @@ def to_json_dict(A: Algebra) -> dict:
     }
 
 
+def _json_int(value, key: str) -> int:
+    # bool is a subclass of int, but JSON true is not a count
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ShapeMismatch(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def from_json_dict(doc: dict, name=None) -> Algebra:
     try:
         fdoc = doc["field"]
-        f = Field(int(fdoc["p"]), int(fdoc.get("k", 1)), fdoc.get("modulus"))
-        dim = int(doc["dim"])
-        bracket = bool(doc.get("bracket", False))
+        p = _json_int(fdoc["p"], "field.p")
+        k = _json_int(fdoc.get("k", 1), "field.k")
+        f = Field(p, k, fdoc.get("modulus"))
+        dim = _json_int(doc["dim"], "dim")
+        bracket = doc.get("bracket", False)
+        if not isinstance(bracket, bool):
+            raise ShapeMismatch(f"bracket must be a JSON boolean, got {bracket!r}")
         names = doc.get("basis_names")
         raw = doc["table"]
     except (KeyError, TypeError) as exc:

@@ -12,6 +12,7 @@ desk-scale parameters.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -144,6 +145,11 @@ def _poly_at(index: int, field, monomials, n: int) -> CommPoly:
     return CommPoly(field, n, dict(zip(monomials, coeffs)))
 
 
+def pool_size(workers: int, chunks: int) -> int:
+    """Processes worth starting: no more than the chunks or the CPUs."""
+    return min(workers, chunks, os.cpu_count() or 1)
+
+
 def _scan_range(payload):
     q, n, monomials, start, stop, floor_num, floor_den = payload
     field = field_of_order(q)
@@ -184,16 +190,19 @@ def exhaustive_min(
         raise SearchSpaceTooLarge(candidates, cap)
     total = candidates + 1
     num, den = floor.value.numerator, floor.value.denominator
+    payloads = [(q, n, monomials, 1, total, num, den)]
     if workers > 1:
         chunk = max(1, (total - 1) // (workers * 4) + 1)
         payloads = [
             (q, n, monomials, start, min(start + chunk, total), num, den)
             for start in range(1, total, chunk)
         ]
-        with get_context("fork").Pool(min(workers, len(payloads))) as pool:
+    size = pool_size(workers, len(payloads))
+    if size > 1:
+        with get_context("fork").Pool(size) as pool:
             results = pool.map(_scan_range, payloads)
     else:
-        results = [_scan_range((q, n, monomials, 1, total, num, den))]
+        results = [_scan_range(payload) for payload in payloads]
     best = None
     best_index = None
     violations = []

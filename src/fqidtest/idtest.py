@@ -6,6 +6,12 @@ numbers against the proven density bounds from bound.py.  Every check
 here is a theorem, so a failure is reported as TheoremViolation (an
 implementation bug), never as a finding.
 
+zero_probability counts on element indices: an element is the int in
+range(q**dim) at its position in the canonical order elements() walks, so
+0 is the zero element.  _evaluate_raw, on coordinate tuples, is the
+reference the index kernel is tested against; evaluate, the coordinate
+route and the coset, descent and block checks use it directly.
+
 A note on the threshold comparison: the verdict uses the weak form
 
     is_identity  OR  probability <= 1 - 2^{-d}.
@@ -20,6 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from multiprocessing import get_context
+from operator import itemgetter, not_
 
 from .algebra import (
     Algebra,
@@ -33,7 +40,7 @@ from .algebra import (
     vec_scale,
     vec_sub,
 )
-from .bound import floor_fraction
+from .bound import floor_fraction, pool_size
 from .commpoly import symbolic_coordinates
 from .errors import (
     DimensionMismatch,
@@ -152,6 +159,109 @@ def evaluate(Q: FreePoly, A: Algebra, args, *, commutator: bool = False):
 
 
 # ---------------------------------------------------------------------------
+# the element-index kernel
+
+class _Memo(dict):
+    """A table whose missing entries are computed by fn on first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
+    """e_Q on element indices: a function from n indices to the value's index.
+
+    Products, sums and scalar multiples are looked up in tables that the
+    reference arithmetic fills on first use, so only the entries a run
+    meets are ever computed.  Pairs are keyed a * order + b.
+    """
+    prod = _product_fn(Q, A, commutator)
+    f = A.field
+    q = f.q
+    dim = A.dim
+    order = A.order()
+
+    def decode(index):
+        out = [0] * dim
+        for slot in range(dim - 1, -1, -1):
+            index, out[slot] = divmod(index, q)
+        return tuple(out)
+
+    vec = _Memo(decode).__getitem__
+
+    def index_of(v):
+        index = 0
+        for c in v:
+            index = index * q + c
+        return index
+
+    def pair_table(op):
+        def entry(key):
+            a, b = divmod(key, order)
+            return index_of(op(vec(a), vec(b)))
+
+        return _Memo(entry)
+
+    mul = pair_table(prod)
+
+    def tree(t):
+        if isinstance(t, int):
+            return itemgetter(t - 1)
+        left, right = tree(t[0]), tree(t[1])
+        return lambda args: mul[left(args) * order + right(args)]
+
+    def chain(term):
+        # folded left, as _eval_term reads an assoc word
+        head = term[0] - 1
+        tail = [i - 1 for i in term[1:]]
+
+        def run(args):
+            acc = args[head]
+            for i in tail:
+                acc = mul[acc * order + args[i]]
+            return acc
+
+        return run
+
+    def scaled(part, c):
+        table = _Memo(lambda a: index_of(vec_scale(f, c, vec(a))))
+        return lambda args: table[part(args)]
+
+    compile_term = chain if Q.flavor is Flavor.ASSOC else tree
+    parts = []
+    for term, coeff in Q.terms.items():
+        part = compile_term(term)
+        parts.append(part if coeff == 1 else scaled(part, coeff))
+
+    if f.p == 2:
+        # coordinates add as bit fields, so vectors add as their indices' XOR
+        def e(args):
+            acc = 0
+            for part in parts:
+                acc ^= part(args)
+            return acc
+
+        return e
+
+    add = pair_table(lambda u, v: vec_add(f, u, v))
+
+    def e(args):
+        acc = 0
+        for part in parts:
+            acc = add[acc * order + part(args)]
+        return acc
+
+    return e
+
+
+# ---------------------------------------------------------------------------
 # zero probability, exact and sampled
 
 @dataclass(frozen=True)
@@ -187,50 +297,35 @@ def _threshold(degree: int) -> Fraction:
 
 
 def _count_range(payload):
-    """Count zeros of e_Q on an index range of A^n (worker-safe).
+    """Count zeros of e_Q over A^n with the first argument's index in
+    range(start, stop), walking points in canonical order (worker-safe).
 
-    Index digits are base q, n*dim of them, first coordinate of the
-    first argument most significant -- the same order elements() and
-    product() walk.
+    The zero polynomial has no arguments and its one point, the empty
+    tuple, is the range (0, 1).
     """
     Q, A, commutator, start, stop = payload
-    prod = _product_fn(Q, A, commutator)
-    q = A.field.q
-    dim = A.dim
-    n = Q.n
-    width = n * dim
-    count = 0
-    digits = [0] * width
-    for index in range(start, stop):
-        rem = index
-        for slot in range(width - 1, -1, -1):
-            rem, digits[slot] = divmod(rem, q)
-        args = tuple(tuple(digits[a * dim:(a + 1) * dim]) for a in range(n))
-        if vec_is_zero(_evaluate_raw(Q, A, args, prod)):
-            count += 1
-    return count
+    e = _kernel(Q, A, commutator)
+    if Q.n:
+        rest = [range(A.order())] * (Q.n - 1)
+        points = product(range(start, stop), *rest)
+    else:
+        points = [()] * (stop - start)
+    return sum(map(not_, map(e, points)))
 
 
 def _count_exact(Q, A, commutator, total, workers):
+    first = A.order() if Q.n else 1
     if workers > 1 and total >= 4096:
-        chunk = (total - 1) // (workers * 4) + 1
+        chunk = (first - 1) // (workers * 4) + 1
         payloads = [
-            (Q, A, commutator, start, min(start + chunk, total))
-            for start in range(0, total, chunk)
+            (Q, A, commutator, start, min(start + chunk, first))
+            for start in range(0, first, chunk)
         ]
-        with get_context("fork").Pool(workers) as pool:
-            return sum(pool.map(_count_range, payloads))
-    prod = _product_fn(Q, A, commutator)
-    if Q.n == 1:
-        points = ((v,) for v in A.elements())
-    else:
-        elems = list(A.elements())
-        points = product(elems, repeat=Q.n)
-    count = 0
-    for args in points:
-        if vec_is_zero(_evaluate_raw(Q, A, args, prod)):
-            count += 1
-    return count
+        size = pool_size(workers, len(payloads))
+        if size > 1:
+            with get_context("fork").Pool(size) as pool:
+                return sum(pool.map(_count_range, payloads))
+    return _count_range((Q, A, commutator, 0, first))
 
 
 def zero_probability(
@@ -271,17 +366,19 @@ def zero_probability(
         raise ValueError("samples must be a positive integer")
     if seed is None:
         raise ValueError("sampled mode requires a seed")
-    prod = _product_fn(Q, A, commutator)
-    rng = SplitMix64(seed)
+    e = _kernel(Q, A, commutator)
+    below = SplitMix64(seed).below
     q = A.field.q
     dim = A.dim
-    zero_count = 0
-    for _ in range(samples):
-        args = tuple(
-            tuple(rng.below(q) for _ in range(dim)) for _ in range(n)
-        )
-        if vec_is_zero(_evaluate_raw(Q, A, args, prod)):
-            zero_count += 1
+
+    def draw():
+        index = 0
+        for _ in range(dim):
+            index = index * q + below(q)
+        return index
+
+    points = (tuple(draw() for _ in range(n)) for _ in range(samples))
+    zero_count = sum(map(not_, map(e, points)))
     return EvalReport(
         zero_count=zero_count,
         total=samples,

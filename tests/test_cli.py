@@ -316,6 +316,26 @@ def test_algebra_from_file(capsys, tmp_path):
     assert doc["probability"] == "1/2"
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("bracket", "false"), ("bracket", 0), ("dim", "3"), ("dim", 3.9), ("dim", True),
+     ("p", "2"), ("k", 1.0)],
+)
+def test_algebra_file_with_wrong_json_types_is_a_usage_error(capsys, tmp_path, key, value):
+    # heisenberg(2) is a valid Lie bracket table, so a string "false" read
+    # as truthy would load silently rather than fail the axiom check
+    from fqidtest.algebra import heisenberg, to_json_dict
+
+    doc = to_json_dict(heisenberg(2))
+    (doc["field"] if key in ("p", "k") else doc)[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "dixon", "--algebra", str(path), "--poly", "x1*x2")
+    assert rc == 2
+    assert out == ""
+    assert key in err
+
+
 def test_cap_flag_and_env(capsys, monkeypatch):
     rc, _, err = run_cli(
         capsys, "check-identity",
