@@ -138,7 +138,8 @@ class Ideal:
 # the algebra itself
 
 class Algebra:
-    __slots__ = ("field", "dim", "table", "bracket", "name", "basis_names")
+    # _index_tables holds idtest's element-index tables, built on first use
+    __slots__ = ("field", "dim", "table", "bracket", "name", "basis_names", "_index_tables")
 
     def __init__(self, field, dim, table, bracket=False, name=None, basis_names=None):
         if dim < 0:
@@ -173,8 +174,18 @@ class Algebra:
             if len(basis_names) != dim:
                 raise ShapeMismatch("basis_names length differs from dimension")
         self.basis_names = basis_names
+        self._index_tables = None
         if self.bracket:
             self._validate_lie()
+
+    def __getstate__(self):
+        # the index tables hold closures, which do not pickle: a worker
+        # process builds its own
+        return (self.field, self.dim, self.table, self.bracket, self.name, self.basis_names)
+
+    def __setstate__(self, state):
+        self.field, self.dim, self.table, self.bracket, self.name, self.basis_names = state
+        self._index_tables = None
 
     def _validate_lie(self):
         f = self.field

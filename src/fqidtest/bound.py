@@ -87,10 +87,6 @@ def minimize_sequences(q: int, d: int, budget: int = SEQUENCE_BUDGET) -> Sequenc
         if best is None or value < best or (value == best and part > witness):
             best = value
             witness = part
-    if best is None:
-        # d > 0 but q - 1 parts cannot reach it only when q = 2 and ... never;
-        # partitions of d >= 1 into parts >= 1 always exist
-        raise AssertionError("unreachable")
     return SequenceMinimum(q, d, best, witness)
 
 

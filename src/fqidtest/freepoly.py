@@ -103,7 +103,7 @@ def _validate_term(term, flavor: Flavor, n: int):
 class FreePoly:
     """Formal polynomial without constant term in one of the three flavors."""
 
-    __slots__ = ("field", "flavor", "n", "terms")
+    __slots__ = ("field", "flavor", "n", "terms", "_analysis")
 
     def __init__(self, field: Field, flavor, n: int, terms):
         flavor = Flavor(flavor)
@@ -121,6 +121,7 @@ class FreePoly:
         self.flavor = flavor
         self.n = n
         self.terms = clean
+        self._analysis = None
 
     @property
     def is_zero(self) -> bool:
@@ -216,6 +217,9 @@ class FreePoly:
         return f"FreePoly({self.flavor.value}, {self.to_text()!r} over {self.field!r}, n={self.n})"
 
     def analyze(self) -> "Analysis":
+        # terms never change after construction, so the first analysis is kept
+        if self._analysis is not None:
+            return self._analysis
         if not self.terms:
             raise ZeroPolynomial("analysis")
         degrees = []
@@ -229,12 +233,13 @@ class FreePoly:
         multidegree = tuple(max(c[i] for c in counts) for i in range(self.n))
         homogeneous = len(set(degrees)) == 1
         multilinear = all(all(x == 1 for x in c) for c in counts) and self.n > 0
-        return Analysis(
+        self._analysis = Analysis(
             degree=max(degrees),
             multidegree=multidegree,
             homogeneous=homogeneous,
             multilinear=multilinear,
         )
+        return self._analysis
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,15 @@ numbers against the proven density bounds from bound.py.  Every check
 here is a theorem, so a failure is reported as TheoremViolation (an
 implementation bug), never as a finding.
 
-zero_probability counts on element indices: an element is the int in
+zero_probability, coset_identity_search and the coset and stage checks of
+multilinear_descent evaluate on element indices: an element is the int in
 range(q**dim) at its position in the canonical order elements() walks, so
 0 is the zero element.  _evaluate_raw, on coordinate tuples, is the
-reference the index kernel is tested against; evaluate, the coordinate
-route and the coset, descent and block checks use it directly.
+reference the index kernel is tested against.  The routes that
+cross-check the kernel's answers stay off it: evaluate, the block tallies
+and descent's final enumeration on the restricted algebra run
+_evaluate_raw, and functional_zero_fraction reduces coordinate
+polynomials.
 
 A note on the threshold comparison: the verdict uses the weak form
 
@@ -175,41 +179,95 @@ class _Memo(dict):
         return value
 
 
-def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
-    """e_Q on element indices: a function from n indices to the value's index.
+class _Tables:
+    """Products, sums and scalar multiples of one algebra, on element indices.
 
-    Products, sums and scalar multiples are looked up in tables that the
-    reference arithmetic fills on first use, so only the entries a run
-    meets are ever computed.  Pairs are keyed a * order + b.
+    The reference arithmetic fills an entry on first lookup, so only the
+    entries some run meets are ever computed, and each only once: the
+    tables live on the algebra as long as it does.  Pairs are keyed
+    a * order + b.
     """
-    prod = _product_fn(Q, A, commutator)
-    f = A.field
-    q = f.q
-    dim = A.dim
-    order = A.order()
 
-    def decode(index):
-        out = [0] * dim
-        for slot in range(dim - 1, -1, -1):
+    __slots__ = ("field", "dim", "order", "products", "sums", "scales")
+
+    def __init__(self, A: Algebra):
+        self.field = A.field
+        self.dim = A.dim
+        self.order = A.order()
+        self.products = {}  # commutator flag -> product table
+        self.sums = None
+        self.scales = {}  # coefficient -> table of its multiples
+
+    def vec(self, index):
+        """The coordinate tuple of an element index."""
+        q = self.field.q
+        out = [0] * self.dim
+        for slot in range(self.dim - 1, -1, -1):
             index, out[slot] = divmod(index, q)
         return tuple(out)
 
-    vec = _Memo(decode).__getitem__
-
-    def index_of(v):
+    def index(self, v):
+        """The element index of a coordinate tuple."""
+        q = self.field.q
         index = 0
         for c in v:
             index = index * q + c
         return index
 
-    def pair_table(op):
+    def _pair_table(self, op):
+        order, vec, index = self.order, self.vec, self.index
+
         def entry(key):
             a, b = divmod(key, order)
-            return index_of(op(vec(a), vec(b)))
+            return index(op(vec(a), vec(b)))
 
         return _Memo(entry)
 
-    mul = pair_table(prod)
+    def product(self, commutator, prod):
+        table = self.products.get(commutator)
+        if table is None:
+            table = self.products[commutator] = self._pair_table(prod)
+        return table
+
+    def add(self):
+        if self.sums is None:
+            f = self.field
+            self.sums = self._pair_table(lambda u, v: vec_add(f, u, v))
+        return self.sums
+
+    def scale(self, c):
+        table = self.scales.get(c)
+        if table is None:
+            f, vec, index = self.field, self.vec, self.index
+            table = self.scales[c] = _Memo(lambda a: index(vec_scale(f, c, vec(a))))
+        return table
+
+    def shift(self, a, members):
+        """The indices of a + m, one per member index m."""
+        if self.field.p == 2:
+            # coordinates add as bit fields, so vectors add as their indices' XOR
+            return [a ^ m for m in members]
+        add = self.add()
+        base = a * self.order
+        return [add[base + m] for m in members]
+
+
+def _tables(A: Algebra) -> _Tables:
+    tables = A._index_tables
+    if tables is None:
+        tables = A._index_tables = _Tables(A)
+    return tables
+
+
+def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
+    """e_Q on element indices: a function from n indices to the value's index.
+
+    Term trees compile into closures over the algebra's shared tables.
+    """
+    prod = _product_fn(Q, A, commutator)
+    tables = _tables(A)
+    order = tables.order
+    mul = tables.product(commutator, prod)
 
     def tree(t):
         if isinstance(t, int):
@@ -231,7 +289,7 @@ def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
         return run
 
     def scaled(part, c):
-        table = _Memo(lambda a: index_of(vec_scale(f, c, vec(a))))
+        table = tables.scale(c)
         return lambda args: table[part(args)]
 
     compile_term = chain if Q.flavor is Flavor.ASSOC else tree
@@ -240,7 +298,10 @@ def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
         part = compile_term(term)
         parts.append(part if coeff == 1 else scaled(part, coeff))
 
-    if f.p == 2:
+    if len(parts) == 1:
+        return parts[0]  # 0 + v = v
+
+    if A.field.p == 2:
         # coordinates add as bit fields, so vectors add as their indices' XOR
         def e(args):
             acc = 0
@@ -250,7 +311,7 @@ def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
 
         return e
 
-    add = pair_table(lambda u, v: vec_add(f, u, v))
+    add = tables.add()
 
     def e(args):
         acc = 0
@@ -516,43 +577,41 @@ def coset_identity_search(
 
     Ideals are visited largest first (ascending codimension, canonical
     order) and representative tuples in coordinate order, so output is
-    deterministic.
+    deterministic.  The cap bounds the total work, order**n points per
+    visited ideal.
     """
     from .algebra import enumerate_ideals
 
-    prod = _product_fn(Q, A, commutator)
+    e = _kernel(Q, A, commutator)
     n = Q.n
     per_ideal = A.order() ** n
     if per_ideal > cap:
+        # refused before the ideals are enumerated: the whole algebra is
+        # an ideal of codimension 0, so every search visits one such product
         raise SearchSpaceTooLarge(per_ideal, cap)
-    field = A.field
+    ideals = [ideal for ideal in enumerate_ideals(A) if ideal.codim <= max_codim]
+    total = len(ideals) * per_ideal
+    if total > cap:
+        raise SearchSpaceTooLarge(total, cap)
+    tables = _tables(A)
     witnesses = []
-    for ideal in enumerate_ideals(A):
-        if ideal.codim > max_codim:
-            continue
+    for ideal in ideals:
         reps = _canonical_reps(A, ideal)
-        members = list(ideal.elements())
-        for rep_tuple in product(reps, repeat=n):
-            vanishes = True
-            for offs in product(members, repeat=n):
-                args = tuple(
-                    vec_add(field, rep_tuple[i], offs[i]) for i in range(n)
+        members = [tables.index(m) for m in ideal.elements()]
+        # each representative's coset, as element indices, built once
+        cosets = [tables.shift(tables.index(rep), members) for rep in reps]
+        for rep_tuple, lists in zip(product(reps, repeat=n), product(cosets, repeat=n)):
+            if any(map(e, product(*lists))):
+                continue
+            trivial = ideal.rank == 0 or all(vec_is_zero(r) for r in rep_tuple)
+            witnesses.append(
+                CosetWitness(
+                    ideal=ideal,
+                    representatives=rep_tuple,
+                    codim=ideal.codim,
+                    trivial=trivial,
                 )
-                if not vec_is_zero(_evaluate_raw(Q, A, args, prod)):
-                    vanishes = False
-                    break
-            if vanishes:
-                trivial = ideal.rank == 0 or all(
-                    vec_is_zero(r) for r in rep_tuple
-                )
-                witnesses.append(
-                    CosetWitness(
-                        ideal=ideal,
-                        representatives=rep_tuple,
-                        codim=ideal.codim,
-                        trivial=trivial,
-                    )
-                )
+            )
     return witnesses
 
 
@@ -587,7 +646,7 @@ def multilinear_descent(
     by enumeration, and the final claim is recomputed independently on
     the restricted algebra.
     """
-    prod = _product_fn(Q, A, commutator)
+    e = _kernel(Q, A, commutator)
     if not Q.analyze().multilinear:
         raise NotMultilinear(Q.to_text())
     ideal = witness.ideal
@@ -596,15 +655,21 @@ def multilinear_descent(
     reps = witness.representatives
     if len(reps) != n:
         raise WitnessInvalid(f"expected {n} representatives, got {len(reps)}")
-    field = A.field
-    members = list(ideal.elements())
-
-    for offs in product(members, repeat=n):
-        args = tuple(vec_add(field, reps[i], offs[i]) for i in range(n))
-        if not vec_is_zero(_evaluate_raw(Q, A, args, prod)):
+    q = A.field.q
+    for r in reps:
+        if len(r) != A.dim or any(not 0 <= c < q for c in r):
             raise WitnessInvalid(
-                f"e_Q does not vanish on the coset product at {args!r}"
+                f"representative {r!r} is not a coordinate vector of length {A.dim}"
             )
+    tables = _tables(A)
+    members = [tables.index(m) for m in ideal.elements()]
+    rep_ids = [tables.index(r) for r in reps]
+
+    cosets = [tables.shift(r, members) for r in rep_ids]
+    bad = next(filter(e, product(*cosets)), None)
+    if bad is not None:
+        args = tuple(map(tables.vec, bad))
+        raise WitnessInvalid(f"e_Q does not vanish on the coset product at {args!r}")
 
     steps = []
     for s in range(1, n + 1):
@@ -612,13 +677,14 @@ def multilinear_descent(
         tail = ", ".join(f"a_{i}" for i in range(s + 1, n + 1))
         inside = head if not tail else f"{head}, {tail}"
         statement = f"e_Q({inside}) = 0 for all ({head}) in I^{s}"
-        for ys in product(members, repeat=s):
-            args = tuple(ys) + tuple(reps[s:])
-            if not vec_is_zero(_evaluate_raw(Q, A, args, prod)):
-                raise TheoremViolation(
-                    f"descent stage {s} failed at {args!r}",
-                    witness={"poly": Q.to_text(), "stage": s},
-                )
+        slots = [members] * s + [(r,) for r in rep_ids[s:]]
+        bad = next(filter(e, product(*slots)), None)
+        if bad is not None:
+            args = tuple(map(tables.vec, bad))
+            raise TheoremViolation(
+                f"descent stage {s} failed at {args!r}",
+                witness={"poly": Q.to_text(), "stage": s},
+            )
         steps.append(DescentStep(stage=s, statement=statement, verified=True))
 
     sub, _ = restrict(A, ideal)

@@ -1,0 +1,313 @@
+"""Coset search and descent on the element-index kernel, against the reference.
+
+reference_search and reference_descent restate both routines on coordinate
+tuples and _evaluate_raw, the way they read before the kernel; every test
+here compares the package's answers, errors and messages with theirs.
+"""
+
+import pickle
+from dataclasses import replace
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fqidtest import idtest
+from fqidtest.algebra import (
+    Algebra,
+    _check_ambient,
+    enumerate_ideals,
+    heisenberg,
+    ideal_generated,
+    matrix_algebra,
+    restrict,
+    strictly_upper_triangular_lie,
+    upper_triangular,
+    vec_add,
+    vec_is_zero,
+)
+from fqidtest.cli import battery_for
+from fqidtest.errors import (
+    NotMultilinear,
+    SearchSpaceTooLarge,
+    TheoremViolation,
+    WitnessInvalid,
+)
+from fqidtest.freepoly import Flavor, FreePoly, parse
+from fqidtest.gf import field_of_order
+from fqidtest.idtest import (
+    CosetWitness,
+    DescentCertificate,
+    DescentStep,
+    _canonical_reps,
+    _evaluate_raw,
+    _product_fn,
+    coset_identity_search,
+    multilinear_descent,
+    zero_probability,
+)
+
+F2 = field_of_order(2)
+
+
+# ---------------------------------------------------------------------------
+# the reference routines, on coordinate tuples
+
+def reference_search(Q, A, max_codim, commutator=False):
+    prod = _product_fn(Q, A, commutator)
+    n = Q.n
+    field = A.field
+    witnesses = []
+    for ideal in enumerate_ideals(A):
+        if ideal.codim > max_codim:
+            continue
+        reps = _canonical_reps(A, ideal)
+        members = list(ideal.elements())
+        for rep_tuple in product(reps, repeat=n):
+            vanishes = all(
+                vec_is_zero(
+                    _evaluate_raw(
+                        Q, A, tuple(vec_add(field, r, o) for r, o in zip(rep_tuple, offs)), prod
+                    )
+                )
+                for offs in product(members, repeat=n)
+            )
+            if vanishes:
+                trivial = ideal.rank == 0 or all(vec_is_zero(r) for r in rep_tuple)
+                witnesses.append(CosetWitness(ideal, rep_tuple, ideal.codim, trivial))
+    return witnesses
+
+
+def reference_descent(Q, A, witness, commutator=False):
+    prod = _product_fn(Q, A, commutator)
+    if not Q.analyze().multilinear:
+        raise NotMultilinear(Q.to_text())
+    ideal = witness.ideal
+    _check_ambient(A, ideal)
+    n = Q.n
+    reps = witness.representatives
+    if len(reps) != n:
+        raise WitnessInvalid(f"expected {n} representatives, got {len(reps)}")
+    field = A.field
+    members = list(ideal.elements())
+    for offs in product(members, repeat=n):
+        args = tuple(vec_add(field, reps[i], offs[i]) for i in range(n))
+        if not vec_is_zero(_evaluate_raw(Q, A, args, prod)):
+            raise WitnessInvalid(f"e_Q does not vanish on the coset product at {args!r}")
+    steps = []
+    for s in range(1, n + 1):
+        head = ", ".join(f"y_{i}" for i in range(1, s + 1))
+        tail = ", ".join(f"a_{i}" for i in range(s + 1, n + 1))
+        inside = head if not tail else f"{head}, {tail}"
+        statement = f"e_Q({inside}) = 0 for all ({head}) in I^{s}"
+        for ys in product(members, repeat=s):
+            args = tuple(ys) + tuple(reps[s:])
+            if not vec_is_zero(_evaluate_raw(Q, A, args, prod)):
+                raise TheoremViolation(f"descent stage {s} failed at {args!r}")
+        steps.append(DescentStep(stage=s, statement=statement, verified=True))
+    sub, _ = restrict(A, ideal)
+    sub_prod = _product_fn(Q, sub, commutator)
+    for args in product(list(sub.elements()), repeat=n):
+        if not vec_is_zero(_evaluate_raw(Q, sub, args, sub_prod)):
+            raise TheoremViolation("identity on the ideal fails in the restricted algebra")
+    return DescentCertificate(steps=tuple(steps), identity_on_ideal=True)
+
+
+def assert_matches_reference(Q, A, commutator=False):
+    """Witness lists agree, and so does the certificate of every witness."""
+    found = coset_identity_search(Q, A, A.dim, commutator=commutator)
+    assert found == reference_search(Q, A, A.dim, commutator), (Q.to_text(), A.table)
+    if Q.analyze().multilinear:
+        for w in found:
+            got = multilinear_descent(Q, A, w, commutator=commutator)
+            assert got == reference_descent(Q, A, w, commutator)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# differential sweeps
+
+def test_every_dimension_two_table_matches_the_reference():
+    cells = list(product(range(2), repeat=2))
+    witnesses = 0
+    for tbl in product(cells, repeat=4):
+        A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
+        for Q in battery_for(A):
+            witnesses += len(assert_matches_reference(Q, A))
+    assert witnesses > 0
+
+
+@st.composite
+def multilinear_cases(draw):
+    q = draw(st.sampled_from([2, 3, 4]))
+    F = field_of_order(q)
+    dim = draw(st.integers(1, 2 if q == 4 else 3))
+    cell = st.tuples(*[st.integers(0, q - 1)] * dim)
+    table = [[draw(cell) for _ in range(dim)] for _ in range(dim)]
+    A = Algebra(F, dim, table)
+    flavor = draw(st.sampled_from([Flavor.FREE, Flavor.ASSOC]))
+    n = draw(st.integers(1, 3 if dim == 1 else 2))
+    # multilinear terms: every variable once, in any order
+    orders = st.permutations(list(range(1, n + 1)))
+    if flavor is Flavor.ASSOC:
+        term = orders.map(tuple)
+    else:
+        term = orders.map(lambda leaves: leaves[0] if n == 1 else _left_normed(leaves))
+    terms = draw(st.dictionaries(term, st.integers(1, q - 1), min_size=1, max_size=3))
+    return FreePoly(F, flavor, n, terms), A
+
+
+def _left_normed(leaves):
+    t = leaves[0]
+    for leaf in leaves[1:]:
+        t = (t, leaf)
+    return t
+
+
+@settings(max_examples=40, deadline=None)
+@given(multilinear_cases())
+def test_random_tables_match_the_reference(case):
+    Q, A = case
+    assert_matches_reference(Q, A)
+
+
+def test_commutator_reading_matches_the_reference():
+    U = upper_triangular(2, 3)
+    Q = parse("[x1,x2] + 2*[x2,x1]", Flavor.LIE, U.field)
+    assert assert_matches_reference(Q, U, commutator=True)
+
+
+def test_bracket_table_over_gf4_matches_the_reference():
+    H = heisenberg(4)
+    Q = parse("[x1,x2]", Flavor.LIE, H.field)
+    assert assert_matches_reference(Q, H)
+
+
+# ---------------------------------------------------------------------------
+# errors and their messages
+
+def _error(fn, *args):
+    with pytest.raises((WitnessInvalid, TheoremViolation)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "A, flavor, text, generator, reps",
+    [
+        (upper_triangular(2, 2), Flavor.FREE, "x1*x2", (0, 1, 0), ((1, 0, 0), (1, 0, 0))),
+        (upper_triangular(2, 2), Flavor.FREE, "x1*x2", (0, 1, 0), ((1, 1, 1), (0, 1, 1))),
+        (heisenberg(3), Flavor.LIE, "[x1,x2]", (0, 0, 1), ((1, 0, 2), (0, 2, 1))),
+    ],
+)
+def test_forged_witness_message_is_the_reference_message(A, flavor, text, generator, reps):
+    Q = parse(text, flavor, A.field)
+    I = ideal_generated(A, [generator])
+    forged = CosetWitness(ideal=I, representatives=reps, codim=A.dim - 1, trivial=False)
+    got = _error(multilinear_descent, Q, A, forged)
+    assert got == _error(reference_descent, Q, A, forged)
+    assert got[0] is WitnessInvalid
+    assert got[1].startswith("e_Q does not vanish on the coset product at ((")
+
+
+def test_malformed_representative_is_an_invalid_witness():
+    U = upper_triangular(2, 2)
+    Q = parse("x1*x2", Flavor.FREE, U.field)
+    I = ideal_generated(U, [(0, 1, 0)])
+    for bad in (((0, 0), (0, 0, 0)), ((0, 0, 2), (0, 0, 0))):
+        w = CosetWitness(ideal=I, representatives=bad, codim=2, trivial=False)
+        with pytest.raises(WitnessInvalid, match="is not a coordinate vector of length 3"):
+            multilinear_descent(Q, U, w)
+
+
+def test_failed_stage_message_is_the_reference_message(monkeypatch):
+    # x1*x1 + x1 vanishes on some coset whose ideal it does not vanish on;
+    # an analysis that calls it multilinear lets the descent reach its stages
+    Q = parse("x1*x1 + x1", Flavor.FREE, F2)
+    monkeypatch.setattr(Q, "_analysis", replace(Q.analyze(), multilinear=True))
+    cells = list(product(range(2), repeat=2))
+    for tbl in product(cells, repeat=4):
+        A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
+        for w in coset_identity_search(Q, A, A.dim):
+            try:
+                multilinear_descent(Q, A, w)
+            except TheoremViolation as exc:
+                got = str(exc)
+            else:
+                continue
+            with pytest.raises(TheoremViolation) as ref:
+                reference_descent(Q, A, w)
+            assert got == str(ref.value)
+            assert got.startswith("descent stage 1 failed at ((")
+            return
+    pytest.fail("no coset on which the stage check fails")
+
+
+# ---------------------------------------------------------------------------
+# the total-work cap
+
+def test_coset_search_caps_total_work_before_evaluating(monkeypatch):
+    H = heisenberg(2)
+    Q = parse("[x1,x2]", Flavor.LIE, H.field)
+    ideals = len(enumerate_ideals(H))
+    total = ideals * H.order() ** 2
+    assert ideals > 1
+    points = []
+    kernel = idtest._kernel
+
+    def counting(*args):
+        e = kernel(*args)
+        return lambda point: points.append(point) or e(point)
+
+    monkeypatch.setattr(idtest, "_kernel", counting)
+    with pytest.raises(SearchSpaceTooLarge, match=f"size {total} exceeds cap {total - 1}"):
+        coset_identity_search(Q, H, H.dim, cap=total - 1)
+    assert points == []
+    # fewer ideals under a lower codimension limit fit under the same cap
+    assert coset_identity_search(Q, H, 1, cap=total - 1)
+    assert len(coset_identity_search(Q, H, H.dim, cap=total)) == 53
+
+
+def test_library_maximum_is_under_the_default_cap():
+    L = strictly_upper_triangular_lie(4, 2)
+    assert len(enumerate_ideals(L)) * L.order() ** 2 == 110_592
+
+
+# ---------------------------------------------------------------------------
+# tables kept on the algebra
+
+def test_filled_tables_do_not_travel_to_pool_workers():
+    M = matrix_algebra(2, 2)
+    Q = parse("x1*x2*x3 - x3*x2*x1", Flavor.FREE, M.field)
+    fresh = zero_probability(Q, matrix_algebra(2, 2)).zero_count
+    coset_identity_search(parse("x1*x2", Flavor.FREE, M.field), M, 1)
+    assert M._index_tables is not None
+    assert M._index_tables.products[False]
+    copy = pickle.loads(pickle.dumps(M))
+    assert copy == M and copy._index_tables is None
+    assert zero_probability(Q, M, workers=2).zero_count == fresh
+    assert zero_probability(Q, M).zero_count == fresh
+
+
+def test_tables_are_shared_between_calls():
+    H = heisenberg(3)
+    Q = parse("[x1,x2]", Flavor.LIE, H.field)
+    zero_probability(Q, H)
+    tables = H._index_tables
+    filled = len(tables.products[False])
+    assert filled == H.order() ** 2
+    coset_identity_search(Q, H, 1)
+    assert H._index_tables is tables
+    assert len(tables.products[False]) == filled
+
+
+# ---------------------------------------------------------------------------
+# the analysis memo
+
+def test_cached_analysis_equals_a_fresh_one():
+    for text in ("x1*x2 - x2*x1", "x1*x1 + x1", "x1*x2*x3"):
+        Q = parse(text, Flavor.FREE, F2)
+        first = Q.analyze()
+        assert Q.analyze() is first
+        assert first == FreePoly(Q.field, Q.flavor, Q.n, Q.terms).analyze()

@@ -193,13 +193,30 @@ def test_cross_check_routes_do_not_use_the_kernel(monkeypatch):
     Q = parse("x1*x2", Flavor.FREE, F)
     evaluate(Q, A, [(1, 0), (0, 1)])
     idtest.functional_zero_fraction(Q, A)
+    assert calls == []
     witnesses = idtest.coset_identity_search(Q, A, 2)
     assert witnesses
+    assert len(calls) == 1 and calls[0][1] is A
+    # the coset and stage checks run on A's kernel; the enumeration on the
+    # restricted algebra, which checks them, runs on the reference evaluator
+    raw = []
+    reference = idtest._evaluate_raw
+
+    def recording_raw(Q, B, args, prod):
+        raw.append(B)
+        return reference(Q, B, args, prod)
+
+    monkeypatch.setattr(idtest, "_evaluate_raw", recording_raw)
     for w in witnesses:
+        calls.clear()
+        raw.clear()
         idtest.multilinear_descent(Q, A, w)
-    assert calls == []
+        assert len(calls) == 1 and calls[0][1] is A
+        assert len(raw) == w.ideal.size() ** Q.n
+        assert all(B is not A and B.dim == w.ideal.rank for B in raw)
     # the block tallies run on the reference evaluator; the one kernel call
     # is the direct count of the inner quotient they are checked against
+    calls.clear()
     T = truncated(2, 4)
     I = ideal_generated(T, [(0, 1, 0), (0, 0, 1)])
     idtest.block_statistics(parse("x1*x1", Flavor.FREE, T.field), T, I, zero_ideal(T))
