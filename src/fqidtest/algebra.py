@@ -285,6 +285,12 @@ def _check_ambient(A: Algebra, ideal: Ideal):
         raise DimensionMismatch("ideal ambient dimension differs from the algebra")
 
 
+def _check_ideal(A: Algebra, ideal: Ideal):
+    _check_ambient(A, ideal)
+    if not _is_invariant(A, ideal.basis, ideal.pivots):
+        raise NotAnIdeal("subspace is not invariant under multiplication")
+
+
 def zero_ideal(A: Algebra) -> Ideal:
     return Ideal(A.field, A.dim, (), ())
 
@@ -387,9 +393,7 @@ class QuotientMap:
 
 def quotient(A: Algebra, ideal: Ideal):
     """The quotient algebra on the non-pivot coordinates, with its map."""
-    _check_ambient(A, ideal)
-    if not _is_invariant(A, ideal.basis, ideal.pivots):
-        raise NotAnIdeal("subspace is not invariant under multiplication")
+    _check_ideal(A, ideal)
     pivot_set = set(ideal.pivots)
     nonpivots = tuple(c for c in range(A.dim) if c not in pivot_set)
     qmap = QuotientMap(ideal, nonpivots)
@@ -424,9 +428,7 @@ class InclusionMap:
 
 def restrict(A: Algebra, ideal: Ideal):
     """The ideal as an algebra in its own right, with the inclusion map."""
-    _check_ambient(A, ideal)
-    if not _is_invariant(A, ideal.basis, ideal.pivots):
-        raise NotAnIdeal("subspace is not invariant under multiplication")
+    _check_ideal(A, ideal)
     r = ideal.rank
     table = []
     for i in range(r):
@@ -482,10 +484,10 @@ def nilpotency_index(A: Algebra):
 # ---------------------------------------------------------------------------
 # builders
 
-def matrix_algebra(n: int, q: int) -> Algebra:
-    """Full n x n matrix algebra, basis e_rc in row-major order."""
+def _matrix_units(q: int, pairs, name: str) -> Algebra:
+    """The span of the matrix units e_rc, (r, c) in pairs, under
+    e_ab * e_cd = delta_bc e_ad; pairs must be closed under that product."""
     f = field_of_order(q)
-    pairs = [(r, c) for r in range(n) for c in range(n)]
     index = {pair: i for i, pair in enumerate(pairs)}
     dim = len(pairs)
     table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
@@ -494,21 +496,18 @@ def matrix_algebra(n: int, q: int) -> Algebra:
             if b == c:
                 table[i][j][index[(a, d)]] = 1
     names = [f"e{r + 1}{c + 1}" for r, c in pairs]
-    return Algebra(f, dim, table, name=f"matrix({n},{q})", basis_names=names)
+    return Algebra(f, dim, table, name=name, basis_names=names)
+
+
+def matrix_algebra(n: int, q: int) -> Algebra:
+    """Full n x n matrix algebra, basis e_rc in row-major order."""
+    pairs = [(r, c) for r in range(n) for c in range(n)]
+    return _matrix_units(q, pairs, f"matrix({n},{q})")
 
 
 def upper_triangular(n: int, q: int) -> Algebra:
-    f = field_of_order(q)
     pairs = [(r, c) for r in range(n) for c in range(r, n)]
-    index = {pair: i for i, pair in enumerate(pairs)}
-    dim = len(pairs)
-    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            if b == c:
-                table[i][j][index[(a, d)]] = 1
-    names = [f"e{r + 1}{c + 1}" for r, c in pairs]
-    return Algebra(f, dim, table, name=f"upper_triangular({n},{q})", basis_names=names)
+    return _matrix_units(q, pairs, f"upper_triangular({n},{q})")
 
 
 def strictly_upper_triangular_lie(n: int, q: int) -> Algebra:

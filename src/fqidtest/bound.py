@@ -143,7 +143,31 @@ def _poly_at(index: int, field, monomials, n: int) -> CommPoly:
 
 def pool_size(workers: int, chunks: int) -> int:
     """Processes worth starting: no more than the chunks or the CPUs."""
-    return min(workers, chunks, os.cpu_count() or 1)
+    size = min(workers, chunks)
+    if size > 1:  # os.cpu_count() costs microseconds; serial calls skip it
+        size = min(size, os.cpu_count() or 1)
+    return size
+
+
+def chunk_ranges(start: int, stop: int, workers: int) -> list[tuple[int, int]]:
+    """Split range(start, stop) into about four chunks per process that
+    pool_map would start for them, or into one chunk if it would start
+    none."""
+    size = pool_size(workers, stop - start)
+    if size < 2:
+        return [(start, stop)]
+    step = (stop - start - 1) // (4 * size) + 1
+    return [(a, min(a + step, stop)) for a in range(start, stop, step)]
+
+
+def pool_map(fn, payloads, workers: int) -> list:
+    """[fn(p) for p in payloads], on a fork pool when more than one
+    process is worth starting."""
+    size = pool_size(workers, len(payloads))
+    if size < 2:
+        return [fn(p) for p in payloads]
+    with get_context("fork").Pool(size) as pool:
+        return pool.map(fn, payloads)
 
 
 def _scan_range(payload):
@@ -186,19 +210,11 @@ def exhaustive_min(
         raise SearchSpaceTooLarge(candidates, cap)
     total = candidates + 1
     num, den = floor.value.numerator, floor.value.denominator
-    payloads = [(q, n, monomials, 1, total, num, den)]
-    if workers > 1:
-        chunk = max(1, (total - 1) // (workers * 4) + 1)
-        payloads = [
-            (q, n, monomials, start, min(start + chunk, total), num, den)
-            for start in range(1, total, chunk)
-        ]
-    size = pool_size(workers, len(payloads))
-    if size > 1:
-        with get_context("fork").Pool(size) as pool:
-            results = pool.map(_scan_range, payloads)
-    else:
-        results = [_scan_range(payload) for payload in payloads]
+    payloads = [
+        (q, n, monomials, start, stop, num, den)
+        for start, stop in chunk_ranges(1, total, workers)
+    ]
+    results = pool_map(_scan_range, payloads, workers)
     best = None
     best_index = None
     violations = []

@@ -2,9 +2,10 @@
 
 Subcommands wire the engines together: probabilities and verdicts,
 coset search and descent, block refinement, Engel and power-identity
-reports, and the density-floor table.  Reports are JSON by default
-(rationals rendered as "num/den" strings); --out human renders an
-indented table instead.
+reports, and the density-floor table.  Handlers return report objects
+and one encoder, _jsonable, turns them into JSON data (rationals as
+"num/den" strings).  Output is JSON by default; --out human renders an
+indented table with each report's fields in declared order.
 
 Exit codes: 0 for consistent verdicts, 1 when a theorem check fails on
 concrete data (always an implementation bug; the witness is printed),
@@ -15,11 +16,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from . import __version__
 from .algebra import (
     Algebra,
+    Ideal,
     builtin,
     field_as_algebra,
     full_ideal,
@@ -101,99 +104,19 @@ def two_path_pairs(limit: int = 1 << 16):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _opt_frac(x):
-    return None if x is None else _frac(x)
-
-
-def _vecs(vectors):
-    return [list(v) for v in vectors]
-
-
-def eval_report_dict(rep) -> dict:
-    return {
-        "zero_count": rep.zero_count,
-        "total": rep.total,
-        "probability": _frac(rep.probability),
-        "degree": rep.degree,
-        "threshold": _frac(rep.threshold),
-        "is_identity": rep.is_identity,
-        "verdict_consistent": rep.verdict_consistent,
-        "mode": rep.mode,
-        "samples": rep.samples,
-        "seed": rep.seed,
-        "functional_floor": _opt_frac(rep.functional_floor),
-        "functional_consistent": rep.functional_consistent,
-    }
-
-
-def ideal_dict(ideal) -> dict:
-    return {
-        "basis": _vecs(ideal.basis),
-        "rank": ideal.rank,
-        "codim": ideal.codim,
-    }
-
-
-def witness_dict(w) -> dict:
-    return {
-        "ideal": ideal_dict(w.ideal),
-        "representatives": _vecs(w.representatives),
-        "codim": w.codim,
-        "trivial": w.trivial,
-    }
-
-
-def certificate_dict(cert) -> dict:
-    return {
-        "steps": [
-            {"stage": s.stage, "statement": s.statement, "verified": s.verified}
-            for s in cert.steps
-        ],
-        "identity_on_ideal": cert.identity_on_ideal,
-    }
-
-
-def block_report_dict(rep) -> dict:
-    return {
-        "degree": rep.degree,
-        "threshold": _frac(rep.threshold),
-        "f_outer": _frac(rep.f_outer),
-        "f_inner": _frac(rep.f_inner),
-        "decay_hypothesis": rep.decay_hypothesis,
-        "decay_holds": rep.decay_holds,
-        "blocks": [
-            {
-                "key": _vecs(b.key),
-                "outer_zero": b.outer_zero,
-                "zero_count": b.zero_count,
-                "total": b.total,
-                "fraction": _frac(b.fraction),
-                "identically_zero": b.identically_zero,
-            }
-            for b in rep.blocks
-        ],
-    }
-
-
-def nagata_dict(rep) -> dict:
-    return {
-        "d": rep.d,
-        "char": rep.char,
-        "power_is_identity": rep.power_is_identity,
-        "applicable": rep.applicable,
-        "nilpotency_index": rep.nilpotency_index,
-        "asserted": rep.asserted,
-    }
-
-
 def _jsonable(value):
-    """Best-effort conversion of a witness payload to JSON-safe data."""
+    """JSON-safe data for a report, a payload or a witness.
+
+    Rationals become "num/den" strings, an Ideal its basis, rank and
+    codim, and any other dataclass a dict of its fields in declared
+    order, which is the order --out human prints them in.
+    """
     if isinstance(value, Fraction):
-        return _frac(value)
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, Ideal):
+        return {"basis": _jsonable(value.basis), "rank": value.rank, "codim": value.codim}
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -290,11 +213,10 @@ def _ideal_arg(A: Algebra, text: str):
 def cmd_check_identity(args):
     A = _algebra_arg(args.algebra)
     Q = _poly_arg(args, A)
-    rep = zero_probability(
+    return zero_probability(
         Q, A, cap=_resolved_cap(args), workers=_resolved_workers(args),
         commutator=args.commutator,
     )
-    return eval_report_dict(rep)
 
 
 def cmd_probability(args):
@@ -302,22 +224,20 @@ def cmd_probability(args):
     Q = _poly_arg(args, A)
     if args.samples is not None and args.seed is None:
         raise ValueError("sampled mode requires --seed")
-    rep = zero_probability(
+    return zero_probability(
         Q, A, samples=args.samples, seed=args.seed,
         cap=_resolved_cap(args), workers=_resolved_workers(args),
         commutator=args.commutator,
     )
-    return eval_report_dict(rep)
 
 
 def cmd_dixon(args):
     A = _algebra_arg(args.algebra)
     Q = _poly_arg(args, A)
-    rep = dixon_verdict(
+    payload = _jsonable(dixon_verdict(
         Q, A, cap=_resolved_cap(args), workers=_resolved_workers(args),
         commutator=args.commutator,
-    )
-    payload = eval_report_dict(rep)
+    ))
     if not Q.is_zero and not Q.analyze().homogeneous:
         payload["note"] = (
             "polynomial is not homogeneous; degree is the maximum term degree"
@@ -335,7 +255,7 @@ def cmd_coset_search(args):
     return {
         "count": len(witnesses),
         "nontrivial": sum(not w.trivial for w in witnesses),
-        "witnesses": [witness_dict(w) for w in witnesses],
+        "witnesses": witnesses,
     }
 
 
@@ -346,12 +266,10 @@ def cmd_descent(args):
     witnesses = coset_identity_search(
         Q, A, max_codim, cap=_resolved_cap(args), commutator=args.commutator
     )
-    certificates = []
-    for w in witnesses:
-        cert = multilinear_descent(Q, A, w, commutator=args.commutator)
-        certificates.append(
-            {"witness": witness_dict(w), "certificate": certificate_dict(cert)}
-        )
+    certificates = [
+        {"witness": w, "certificate": multilinear_descent(Q, A, w, commutator=args.commutator)}
+        for w in witnesses
+    ]
     return {"count": len(certificates), "certificates": certificates}
 
 
@@ -360,24 +278,21 @@ def cmd_blocks(args):
     Q = _poly_arg(args, A)
     outer = _ideal_arg(A, args.ideal_i)
     inner = _ideal_arg(A, args.ideal_j)
-    rep = block_statistics(
+    return block_statistics(
         Q, A, outer, inner, cap=_resolved_cap(args), commutator=args.commutator
     )
-    return block_report_dict(rep)
 
 
 def cmd_engel(args):
     A = _algebra_arg(args.algebra)
-    rep = engel_report(
+    return engel_report(
         A, args.m, cap=_resolved_cap(args), workers=_resolved_workers(args)
     )
-    return eval_report_dict(rep)
 
 
 def cmd_nagata(args):
     A = _algebra_arg(args.algebra)
-    rep = nagata_higman_check(A, args.d, cap=_resolved_cap(args))
-    return nagata_dict(rep)
+    return nagata_higman_check(A, args.d, cap=_resolved_cap(args))
 
 
 def cmd_bound(args):
@@ -388,21 +303,21 @@ def cmd_bound(args):
             cap=_resolved_cap(args), workers=_resolved_workers(args),
         )
         return {
-            "formula": _frac(base.value),
+            "formula": base.value,
             "minimum": res.minimum,
-            "witness": res.witness.to_text(),
+            "witness": res.witness,
             "candidates": res.candidates,
-            "bound": _frac(res.bound),
+            "bound": res.bound,
         }
     if args.oracle:
         oracle = minimize_sequences(args.q, args.d)
         return {
-            "formula": _frac(base.value),
-            "oracle": _frac(oracle.minimum),
-            "witness": list(oracle.witness),
+            "formula": base.value,
+            "oracle": oracle.minimum,
+            "witness": oracle.witness,
             "agree": base.value == oracle.minimum,
         }
-    return _frac(base.value)
+    return base.value
 
 
 def cmd_corpus(args):
@@ -434,7 +349,7 @@ def run_corpus(workers: int = 1, cap: int = EXACT_CAP) -> dict:
             item = {
                 "poly": Q.to_text(),
                 "flavor": Q.flavor.value,
-                "report": eval_report_dict(rep),
+                "report": _jsonable(rep),
             }
             if Q.analyze().multilinear:
                 witnesses = coset_identity_search(Q, A, A.dim, cap=cap)
@@ -448,11 +363,11 @@ def run_corpus(workers: int = 1, cap: int = EXACT_CAP) -> dict:
             entry["battery"].append(item)
         if A.bracket:
             entry["engel"] = {
-                str(m): eval_report_dict(engel_report(A, m, cap=cap, workers=workers))
+                str(m): _jsonable(engel_report(A, m, cap=cap, workers=workers))
                 for m in (1, 2)
             }
         else:
-            entry["nagata"] = nagata_dict(nagata_higman_check(A, 3, cap=cap))
+            entry["nagata"] = _jsonable(nagata_higman_check(A, 3, cap=cap))
         entries.append(entry)
 
     T = truncated(2, 4)
@@ -467,7 +382,7 @@ def run_corpus(workers: int = 1, cap: int = EXACT_CAP) -> dict:
         {
             "algebra": H.name,
             "poly": "[x1,x2]",
-            "report": eval_report_dict(
+            "report": _jsonable(
                 zero_probability(
                     parse("[x1,x2]", Flavor.LIE, H.field), H,
                     samples=CORPUS_SAMPLES, seed=CORPUS_SEED,
@@ -477,7 +392,7 @@ def run_corpus(workers: int = 1, cap: int = EXACT_CAP) -> dict:
         {
             "algebra": F2.name,
             "poly": "x1*x1",
-            "report": eval_report_dict(
+            "report": _jsonable(
                 zero_probability(
                     parse("x1*x1", Flavor.FREE, F2.field), F2,
                     samples=CORPUS_SAMPLES, seed=CORPUS_SEED,
@@ -492,7 +407,7 @@ def run_corpus(workers: int = 1, cap: int = EXACT_CAP) -> dict:
         "blocks_example": {
             "algebra": T.name,
             "poly": "x1*x1",
-            "report": block_report_dict(blocks),
+            "report": _jsonable(blocks),
         },
         "sampled": sampled,
     }
@@ -586,16 +501,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.handler(args)
+        payload, code = args.handler(args), 0
     except TheoremViolation as exc:
-        doc = {"theorem_violation": str(exc), "witness": _jsonable(exc.witness)}
-        print(render(doc, args.out))
-        return 1
+        payload, code = {"theorem_violation": str(exc), "witness": exc.witness}, 1
     except (FqidtestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render(payload, args.out))
-    return 0
+    print(render(_jsonable(payload), args.out))
+    return code
 
 
 if __name__ == "__main__":

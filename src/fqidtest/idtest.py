@@ -29,7 +29,6 @@ comparison would reject correct behavior on extremal inputs.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from multiprocessing import get_context
 from operator import itemgetter, not_
 
 from .algebra import (
@@ -44,7 +43,7 @@ from .algebra import (
     vec_scale,
     vec_sub,
 )
-from .bound import floor_fraction, pool_size
+from .bound import chunk_ranges, floor_fraction, pool_map
 from .commpoly import symbolic_coordinates
 from .errors import (
     DimensionMismatch,
@@ -376,17 +375,9 @@ def _count_range(payload):
 
 def _count_exact(Q, A, commutator, total, workers):
     first = A.order() if Q.n else 1
-    if workers > 1 and total >= 4096:
-        chunk = (first - 1) // (workers * 4) + 1
-        payloads = [
-            (Q, A, commutator, start, min(start + chunk, first))
-            for start in range(0, first, chunk)
-        ]
-        size = pool_size(workers, len(payloads))
-        if size > 1:
-            with get_context("fork").Pool(size) as pool:
-                return sum(pool.map(_count_range, payloads))
-    return _count_range((Q, A, commutator, 0, first))
+    ranges = chunk_ranges(0, first, workers if total >= 4096 else 1)
+    payloads = [(Q, A, commutator, start, stop) for start, stop in ranges]
+    return sum(pool_map(_count_range, payloads, workers))
 
 
 def zero_probability(
@@ -724,9 +715,9 @@ class BlockReport:
     threshold: Fraction
     f_outer: Fraction
     f_inner: Fraction
-    blocks: tuple
     decay_hypothesis: bool
     decay_holds: bool
+    blocks: tuple
 
 
 def block_statistics(
@@ -818,9 +809,9 @@ def block_statistics(
         threshold=threshold,
         f_outer=f_outer,
         f_inner=f_inner,
-        blocks=tuple(blocks),
         decay_hypothesis=decay_hypothesis,
         decay_holds=decay_holds,
+        blocks=tuple(blocks),
     )
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, payload shapes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -127,14 +128,31 @@ def test_theorem_violation_exits_one_with_witness(capsys, monkeypatch):
 
 
 def test_witness_sanitizer_handles_rich_values():
+    from dataclasses import dataclass
     from fractions import Fraction
+
+    from fqidtest.algebra import ideal_generated
 
     class Thing:
         def to_text(self):
             return "x1*x2"
 
-    doc = cli._jsonable({"f": Fraction(1, 3), "p": Thing(), "t": (1, (2, 3))})
-    assert doc == {"f": "1/3", "p": "x1*x2", "t": [1, [2, 3]]}
+    @dataclass(frozen=True)
+    class Pair:
+        second: Fraction
+        first: tuple
+
+    ideal = ideal_generated(truncated(2, 3), [(0, 1)])
+    doc = cli._jsonable({
+        "f": Fraction(1, 3), "p": Thing(), "t": (1, (2, 3)),
+        "d": Pair(Fraction(2, 4), (None, True)), "i": ideal,
+    })
+    assert doc == {
+        "f": "1/3", "p": "x1*x2", "t": [1, [2, 3]],
+        "d": {"second": "1/2", "first": [None, True]},
+        "i": {"basis": [[0, 1]], "rank": 1, "codim": 1},
+    }
+    assert list(doc["d"]) == ["second", "first"]  # declared order, not sorted
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +390,19 @@ def test_json_output_is_stable(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "out, digest",
+    [
+        ("json", "7bae07f1a5dcacfd224dd7fd5a73d7bfba6b43216c522cc38e047367adc31300"),
+        ("human", "d248277055d250ce5dfd2de8af01d70827058bc142b18a0446d0eb92e190dc86"),
+    ],
+)
+def test_corpus_stdout_is_pinned(capsys, out, digest):
+    rc, text, _ = run_cli(capsys, "corpus", "--out", out)
+    assert rc == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_corpus_is_byte_identical_across_runs_and_workers(capsys):

@@ -164,7 +164,7 @@ def test_chunks_and_workers_give_the_serial_count(A, text):
 
 
 # ---------------------------------------------------------------------------
-# pool size
+# pool size and chunking
 
 def test_pool_size_is_clamped_to_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -174,6 +174,40 @@ def test_pool_size_is_clamped_to_chunks_and_cpus(monkeypatch):
     assert bound.pool_size(1, 12) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert bound.pool_size(4, 12) == 1
+
+
+def test_chunks_follow_the_processes_started(monkeypatch):
+    # No pool is started here: only the chunking arithmetic runs.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ranges = bound.chunk_ranges(1, 6561, 10**6)
+    assert ranges == bound.chunk_ranges(1, 6561, 2)
+    assert len(ranges) == 8  # four per process, not one per index
+    assert ranges[0][0] == 1 and ranges[-1][1] == 6561
+    assert all(left[1] == right[0] for left, right in zip(ranges, ranges[1:]))
+    assert bound.chunk_ranges(0, 3, 10**6) == [(0, 1), (1, 2), (2, 3)]
+    assert bound.chunk_ranges(1, 6561, 1) == [(1, 6561)]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert bound.chunk_ranges(0, 4096, 10**6) == [(0, 4096)]
+
+
+def test_callers_size_payloads_by_the_clamped_pool(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sizes = []
+
+    def serial_map(fn, payloads, workers):
+        sizes.append(len(payloads))
+        return [fn(p) for p in payloads]
+
+    monkeypatch.setattr(bound, "pool_map", serial_map)
+    monkeypatch.setattr(idtest, "pool_map", serial_map)
+    lone = bound.exhaustive_min(2, 3, 3, workers=1)
+    many = bound.exhaustive_min(2, 3, 3, workers=10**6)
+    assert (many.minimum, many.witness.to_text()) == (lone.minimum, lone.witness.to_text())
+    M = matrix_algebra(2, 2)
+    Q = parse("x1*x2*x3 - x3*x2*x1", Flavor.FREE, M.field)
+    serial = zero_probability(Q, M, workers=1).zero_count
+    assert zero_probability(Q, M, workers=10**6).zero_count == serial
+    assert sizes == [1, 8, 1, 8]
 
 
 # ---------------------------------------------------------------------------
