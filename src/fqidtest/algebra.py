@@ -138,8 +138,11 @@ class Ideal:
 # the algebra itself
 
 class Algebra:
-    # _index_tables holds idtest's element-index tables, built on first use
-    __slots__ = ("field", "dim", "table", "bracket", "name", "basis_names", "_index_tables")
+    # _ideals memoises enumerate_ideals and _index_tables holds idtest's
+    # element-index tables; both are built on first use
+    __slots__ = (
+        "field", "dim", "table", "bracket", "name", "basis_names", "_ideals", "_index_tables"
+    )
 
     def __init__(self, field, dim, table, bracket=False, name=None, basis_names=None):
         if dim < 0:
@@ -174,17 +177,19 @@ class Algebra:
             if len(basis_names) != dim:
                 raise ShapeMismatch("basis_names length differs from dimension")
         self.basis_names = basis_names
+        self._ideals = None
         self._index_tables = None
         if self.bracket:
             self._validate_lie()
 
     def __getstate__(self):
-        # the index tables hold closures, which do not pickle: a worker
-        # process builds its own
+        # the memos stay behind: the index tables hold closures, which do
+        # not pickle, and a worker process builds its own
         return (self.field, self.dim, self.table, self.bracket, self.name, self.basis_names)
 
     def __setstate__(self, state):
         self.field, self.dim, self.table, self.bracket, self.name, self.basis_names = state
+        self._ideals = None
         self._index_tables = None
 
     def _validate_lie(self):
@@ -345,13 +350,16 @@ def enumerate_ideals(A: Algebra, cap: int = SUBSPACE_CAP) -> list[Ideal]:
     """Every two-sided ideal, codimension ascending then basis lexicographic.
 
     Walks all subspaces in echelon parametrization, so the cap guards the
-    subspace count, not the ideal count.
+    subspace count, not the ideal count.  The walk runs once per algebra;
+    later calls check the cap again and return a copy of its result.
     """
     f = A.field
     d = A.dim
     total = count_subspaces(f.q, d)
     if total > cap:
         raise SearchSpaceTooLarge(total, cap)
+    if A._ideals is not None:
+        return list(A._ideals)
     found = []
     for r in range(d + 1):
         for pivots in combinations(range(d), r):
@@ -372,6 +380,7 @@ def enumerate_ideals(A: Algebra, cap: int = SUBSPACE_CAP) -> list[Ideal]:
                 if _is_invariant(A, rows, pivots):
                     found.append(Ideal(f, d, rows, pivots))
     found.sort(key=lambda ideal: (ideal.codim, ideal.basis))
+    A._ideals = tuple(found)
     return found
 
 
@@ -625,6 +634,10 @@ def from_json_dict(doc: dict, name=None) -> Algebra:
         if not isinstance(bracket, bool):
             raise ShapeMismatch(f"bracket must be a JSON boolean, got {bracket!r}")
         names = doc.get("basis_names")
+        if names is not None and (
+            not isinstance(names, list) or not all(isinstance(s, str) for s in names)
+        ):
+            raise ShapeMismatch(f"basis_names must be a JSON list of strings, got {names!r}")
         raw = doc["table"]
     except (KeyError, TypeError) as exc:
         raise ShapeMismatch(f"malformed algebra document: {exc}") from exc

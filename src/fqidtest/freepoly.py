@@ -103,7 +103,7 @@ def _validate_term(term, flavor: Flavor, n: int):
 class FreePoly:
     """Formal polynomial without constant term in one of the three flavors."""
 
-    __slots__ = ("field", "flavor", "n", "terms", "_analysis")
+    __slots__ = ("field", "flavor", "n", "terms", "_analysis", "_hash")
 
     def __init__(self, field: Field, flavor, n: int, terms):
         flavor = Flavor(flavor)
@@ -122,6 +122,7 @@ class FreePoly:
         self.n = n
         self.terms = clean
         self._analysis = None
+        self._hash = None
 
     @property
     def is_zero(self) -> bool:
@@ -188,9 +189,20 @@ class FreePoly:
         )
 
     def __hash__(self):
-        return hash(
-            (self.field, self.flavor, self.n, tuple(sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))))
-        )
+        # terms never change after construction, so the first hash is kept
+        if self._hash is None:
+            terms = tuple(sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0])))
+            self._hash = hash((self.field, self.flavor, self.n, terms))
+        return self._hash
+
+    def __getstate__(self):
+        # the hash memo stays behind: an enum's hash is its name's, and str
+        # hashes differ between processes
+        return (self.field, self.flavor, self.n, self.terms, self._analysis)
+
+    def __setstate__(self, state):
+        self.field, self.flavor, self.n, self.terms, self._analysis = state
+        self._hash = None
 
     # text form
 

@@ -16,6 +16,11 @@ and descent's final enumeration on the restricted algebra run
 _evaluate_raw, and functional_zero_fraction reduces coordinate
 polynomials.
 
+Descent's claim that e_Q vanishes on I^n depends only on (Q, I) and the
+product flavor, so the algebra keeps the keys it has verified: the stage-n
+check and the restricted-algebra enumeration run once per key per
+algebra, both in full, and later descents on the key skip them.
+
 A note on the threshold comparison: the verdict uses the weak form
 
     is_identity  OR  probability <= 1 - 2^{-d}.
@@ -184,10 +189,11 @@ class _Tables:
     The reference arithmetic fills an entry on first lookup, so only the
     entries some run meets are ever computed, and each only once: the
     tables live on the algebra as long as it does.  Pairs are keyed
-    a * order + b.
+    a * order + b.  Beside them sit each ideal's member indices and the
+    (Q, ideal, commutator) keys whose descent to the ideal is verified.
     """
 
-    __slots__ = ("field", "dim", "order", "products", "sums", "scales")
+    __slots__ = ("field", "dim", "order", "products", "sums", "scales", "ideal_members", "verified")
 
     def __init__(self, A: Algebra):
         self.field = A.field
@@ -196,6 +202,8 @@ class _Tables:
         self.products = {}  # commutator flag -> product table
         self.sums = None
         self.scales = {}  # coefficient -> table of its multiples
+        self.ideal_members = {}  # ideal -> its members' indices, in elements() order
+        self.verified = set()  # (Q, ideal, commutator): e_Q vanishes on ideal^n
 
     def vec(self, index):
         """The coordinate tuple of an element index."""
@@ -240,6 +248,13 @@ class _Tables:
             f, vec, index = self.field, self.vec, self.index
             table = self.scales[c] = _Memo(lambda a: index(vec_scale(f, c, vec(a))))
         return table
+
+    def members(self, ideal):
+        """The element indices of the ideal's members (shared: do not mutate)."""
+        members = self.ideal_members.get(ideal)
+        if members is None:
+            members = self.ideal_members[ideal] = [self.index(m) for m in ideal.elements()]
+        return members
 
     def shift(self, a, members):
         """The indices of a + m, one per member index m."""
@@ -588,7 +603,7 @@ def coset_identity_search(
     witnesses = []
     for ideal in ideals:
         reps = _canonical_reps(A, ideal)
-        members = [tables.index(m) for m in ideal.elements()]
+        members = tables.members(ideal)
         # each representative's coset, as element indices, built once
         cosets = [tables.shift(tables.index(rep), members) for rep in reps]
         for rep_tuple, lists in zip(product(reps, repeat=n), product(cosets, repeat=n)):
@@ -635,7 +650,10 @@ def multilinear_descent(
     members; multilinearity lets each stage telescope from the previous
     one, and stage n says e_Q vanishes on I^n.  Every stage is verified
     by enumeration, and the final claim is recomputed independently on
-    the restricted algebra.
+    the restricted algebra.  Stage n and the restricted-algebra check
+    depend only on (Q, I), so they run once per (Q, I) per algebra: the
+    first descent that passes both records the key, and later descents on
+    it run the coset check and stages 1..n-1 only.
     """
     e = _kernel(Q, A, commutator)
     if not Q.analyze().multilinear:
@@ -653,7 +671,7 @@ def multilinear_descent(
                 f"representative {r!r} is not a coordinate vector of length {A.dim}"
             )
     tables = _tables(A)
-    members = [tables.index(m) for m in ideal.elements()]
+    members = tables.members(ideal)
     rep_ids = [tables.index(r) for r in reps]
 
     cosets = [tables.shift(r, members) for r in rep_ids]
@@ -662,30 +680,35 @@ def multilinear_descent(
         args = tuple(map(tables.vec, bad))
         raise WitnessInvalid(f"e_Q does not vanish on the coset product at {args!r}")
 
+    key = (Q, ideal, commutator)
+    known = key in tables.verified
     steps = []
     for s in range(1, n + 1):
         head = ", ".join(f"y_{i}" for i in range(1, s + 1))
         tail = ", ".join(f"a_{i}" for i in range(s + 1, n + 1))
         inside = head if not tail else f"{head}, {tail}"
         statement = f"e_Q({inside}) = 0 for all ({head}) in I^{s}"
-        slots = [members] * s + [(r,) for r in rep_ids[s:]]
-        bad = next(filter(e, product(*slots)), None)
-        if bad is not None:
-            args = tuple(map(tables.vec, bad))
-            raise TheoremViolation(
-                f"descent stage {s} failed at {args!r}",
-                witness={"poly": Q.to_text(), "stage": s},
-            )
+        if s < n or not known:
+            slots = [members] * s + [(r,) for r in rep_ids[s:]]
+            bad = next(filter(e, product(*slots)), None)
+            if bad is not None:
+                args = tuple(map(tables.vec, bad))
+                raise TheoremViolation(
+                    f"descent stage {s} failed at {args!r}",
+                    witness={"poly": Q.to_text(), "stage": s},
+                )
         steps.append(DescentStep(stage=s, statement=statement, verified=True))
 
-    sub, _ = restrict(A, ideal)
-    sub_prod = _product_fn(Q, sub, commutator)
-    for args in product(list(sub.elements()), repeat=n):
-        if not vec_is_zero(_evaluate_raw(Q, sub, args, sub_prod)):
-            raise TheoremViolation(
-                "identity on the ideal fails in the restricted algebra",
-                witness={"poly": Q.to_text(), "args": args},
-            )
+    if not known:
+        sub, _ = restrict(A, ideal)
+        sub_prod = _product_fn(Q, sub, commutator)
+        for args in product(list(sub.elements()), repeat=n):
+            if not vec_is_zero(_evaluate_raw(Q, sub, args, sub_prod)):
+                raise TheoremViolation(
+                    "identity on the ideal fails in the restricted algebra",
+                    witness={"poly": Q.to_text(), "args": args},
+                )
+        tables.verified.add(key)
     return DescentCertificate(steps=tuple(steps), identity_on_ideal=True)
 
 

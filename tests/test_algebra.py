@@ -439,6 +439,14 @@ def test_from_json_rejects_malformed():
         from_json_dict({"dim": 1})
     with pytest.raises(ShapeMismatch):
         from_json_dict({"field": {"p": 2}, "dim": 1, "table": "nope"})
+    # basis_names: absent, null or a list of strings, nothing else
+    doc = {"field": {"p": 2}, "dim": 2, "table": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    for names in (5, "ab", ["a", 2], {"a": 1, "b": 2}, True):
+        with pytest.raises(ShapeMismatch, match="basis_names must be a JSON list of strings"):
+            from_json_dict({**doc, "basis_names": names})
+    assert from_json_dict(doc).basis_names == ("b1", "b2")
+    assert from_json_dict({**doc, "basis_names": None}).basis_names == ("b1", "b2")
+    assert from_json_dict({**doc, "basis_names": ["u", "v"]}).basis_names == ("u", "v")
 
 
 # exhaustive consistency on every dim-2 table over F_2

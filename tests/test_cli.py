@@ -337,7 +337,7 @@ def test_algebra_from_file(capsys, tmp_path):
 @pytest.mark.parametrize(
     "key, value",
     [("bracket", "false"), ("bracket", 0), ("dim", "3"), ("dim", 3.9), ("dim", True),
-     ("p", "2"), ("k", 1.0)],
+     ("p", "2"), ("k", 1.0), ("basis_names", 5), ("basis_names", "abc")],
 )
 def test_algebra_file_with_wrong_json_types_is_a_usage_error(capsys, tmp_path, key, value):
     # heisenberg(2) is a valid Lie bracket table, so a string "false" read

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from fqidtest import idtest
 from fqidtest.algebra import (
     Algebra,
+    Ideal,
     _check_ambient,
+    builtin,
     enumerate_ideals,
     heisenberg,
     ideal_generated,
@@ -29,6 +31,7 @@ from fqidtest.algebra import (
 )
 from fqidtest.cli import battery_for
 from fqidtest.errors import (
+    NotAnIdeal,
     NotMultilinear,
     SearchSpaceTooLarge,
     TheoremViolation,
@@ -139,14 +142,14 @@ def test_every_dimension_two_table_matches_the_reference():
 
 
 @st.composite
-def multilinear_cases(draw):
+def multilinear_cases(draw, flavors=(Flavor.FREE, Flavor.ASSOC)):
     q = draw(st.sampled_from([2, 3, 4]))
     F = field_of_order(q)
     dim = draw(st.integers(1, 2 if q == 4 else 3))
     cell = st.tuples(*[st.integers(0, q - 1)] * dim)
     table = [[draw(cell) for _ in range(dim)] for _ in range(dim)]
     A = Algebra(F, dim, table)
-    flavor = draw(st.sampled_from([Flavor.FREE, Flavor.ASSOC]))
+    flavor = draw(st.sampled_from(flavors))
     n = draw(st.integers(1, 3 if dim == 1 else 2))
     # multilinear terms: every variable once, in any order
     orders = st.permutations(list(range(1, n + 1)))
@@ -311,3 +314,151 @@ def test_cached_analysis_equals_a_fresh_one():
         first = Q.analyze()
         assert Q.analyze() is first
         assert first == FreePoly(Q.field, Q.flavor, Q.n, Q.terms).analyze()
+
+
+# ---------------------------------------------------------------------------
+# memos kept on the algebra: ideals, member indices, verified descents
+
+def assert_warm_matches_fresh(Q, A, commutator=False):
+    """A second search and descent pass on A gives what a fresh copy gives."""
+    for w in coset_identity_search(Q, A, A.dim, commutator=commutator):
+        multilinear_descent(Q, A, w, commutator=commutator)
+    fresh = pickle.loads(pickle.dumps(A))
+    warm = coset_identity_search(Q, A, A.dim, commutator=commutator)
+    assert warm == coset_identity_search(Q, fresh, fresh.dim, commutator=commutator)
+    for w in warm:
+        got = multilinear_descent(Q, A, w, commutator=commutator)
+        assert got == multilinear_descent(Q, fresh, w, commutator=commutator)
+    return warm
+
+
+def test_warm_algebras_match_fresh_copies_on_every_dimension_two_table():
+    cells = list(product(range(2), repeat=2))
+    descents = 0
+    for tbl in product(cells, repeat=4):
+        A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
+        for Q in battery_for(A):
+            if Q.analyze().multilinear:
+                descents += len(assert_warm_matches_fresh(Q, A))
+        assert A._index_tables.verified
+    assert descents > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(multilinear_cases(tuple(Flavor)))
+def test_warm_random_tables_match_fresh_copies(case):
+    Q, A = case
+    # a lie polynomial on a plain table is read with commutators
+    assert_warm_matches_fresh(Q, A, commutator=Q.flavor is Flavor.LIE)
+
+
+def test_warm_commutator_reading_matches_a_fresh_copy():
+    U = upper_triangular(2, 3)
+    Q = parse("[x1,x2] + 2*[x2,x1]", Flavor.LIE, U.field)
+    assert assert_warm_matches_fresh(Q, U, commutator=True)
+    assert all(key[2] for key in U._index_tables.verified)
+
+
+@pytest.mark.parametrize(
+    "spec, flavor, text, generator, reps",
+    [
+        ("upper_triangular(2,2)", Flavor.FREE, "x1*x2", (0, 1, 0), ((1, 0, 0), (1, 0, 0))),
+        ("upper_triangular(2,2)", Flavor.FREE, "x1*x2", (0, 1, 0), ((1, 1, 1), (0, 1, 1))),
+        ("heisenberg(3)", Flavor.LIE, "[x1,x2]", (0, 0, 1), ((1, 0, 2), (0, 2, 1))),
+    ],
+)
+def test_forged_witness_is_invalid_after_its_ideal_is_verified(spec, flavor, text, generator, reps):
+    A = builtin(spec)
+    Q = parse(text, flavor, A.field)
+    I = ideal_generated(A, [generator])
+    genuine = next(w for w in coset_identity_search(Q, A, A.dim) if w.ideal == I)
+    multilinear_descent(Q, A, genuine)
+    assert (Q, I, False) in A._index_tables.verified
+    forged = CosetWitness(ideal=I, representatives=reps, codim=A.dim - 1, trivial=False)
+    for _ in range(2):
+        got = _error(multilinear_descent, Q, A, forged)
+        assert got == _error(reference_descent, Q, A, forged)
+        assert got[0] is WitnessInvalid
+
+
+def test_early_stage_failure_is_raised_after_its_ideal_is_verified(monkeypatch):
+    # x1*x2 + x2*x2 is read as multilinear, so a coset that passes the coset
+    # check can fail stage 1 of 2 on an ideal whose stage 2 holds
+    A = Algebra(F2, 2, [[(0, 0), (0, 0)], [(0, 0), (0, 1)]])
+    Q = parse("x1*x2 + x2*x2", Flavor.FREE, F2)
+    monkeypatch.setattr(Q, "_analysis", replace(Q.analyze(), multilinear=True))
+    I = ideal_generated(A, [(1, 0)])
+    good = CosetWitness(ideal=I, representatives=((0, 1), (0, 0)), codim=1, trivial=False)
+    bad = CosetWitness(ideal=I, representatives=((0, 1), (0, 1)), codim=1, trivial=False)
+    assert good in coset_identity_search(Q, A, A.dim)
+    assert bad in coset_identity_search(Q, A, A.dim)
+    multilinear_descent(Q, A, good)
+    assert (Q, I, False) in A._index_tables.verified
+    for _ in range(2):
+        got = _error(multilinear_descent, Q, A, bad)
+        assert got == _error(reference_descent, Q, A, bad)
+        assert got[0] is TheoremViolation
+        assert got[1].startswith("descent stage 1 failed at ((")
+
+
+def test_a_subspace_that_is_not_an_ideal_is_refused_on_every_call():
+    # b1*b2 = b2: span(b1) squares to zero, so the coset and stage checks
+    # pass on it, but it is not invariant
+    A = Algebra(F2, 2, [[(0, 0), (0, 1)], [(0, 0), (0, 0)]])
+    Q = parse("x1*x2", Flavor.FREE, F2)
+    S = Ideal(F2, 2, ((1, 0),), (0,))
+    w = CosetWitness(ideal=S, representatives=((0, 0), (0, 0)), codim=1, trivial=True)
+    for _ in range(3):
+        with pytest.raises(NotAnIdeal):
+            multilinear_descent(Q, A, w)
+    assert not A._index_tables.verified
+
+
+def test_enumerate_ideals_memo_keeps_the_cap_and_hands_out_copies():
+    H = heisenberg(2)
+    first = enumerate_ideals(H)
+    assert H._ideals is not None
+    # the cap guards the subspace count (16 in dimension 3 over GF(2)) on a
+    # warm algebra too
+    with pytest.raises(SearchSpaceTooLarge, match="size 16 exceeds cap 10"):
+        enumerate_ideals(H, cap=10)
+    expected = list(first)
+    first.clear()
+    second = enumerate_ideals(H)
+    assert second == expected and second is not first
+    second.pop()
+    second.reverse()
+    assert enumerate_ideals(H) == expected == enumerate_ideals(heisenberg(2))
+
+
+def test_pickling_drops_every_memo():
+    H = heisenberg(2)
+    Q = parse("[x1,x2]", Flavor.LIE, H.field)
+    for w in coset_identity_search(Q, H, H.dim):
+        multilinear_descent(Q, H, w)
+    tables = H._index_tables
+    assert H._ideals and tables.ideal_members and tables.verified and hash(Q)
+    copy = pickle.loads(pickle.dumps(H))
+    assert copy == H
+    assert copy._ideals is None and copy._index_tables is None
+    assert pickle.loads(pickle.dumps(Q))._hash is None
+
+
+def test_verification_is_kept_per_polynomial(monkeypatch):
+    raw = []
+    reference = idtest._evaluate_raw
+
+    def recording_raw(Q, B, args, prod):
+        raw.append(B)
+        return reference(Q, B, args, prod)
+
+    monkeypatch.setattr(idtest, "_evaluate_raw", recording_raw)
+    U = upper_triangular(2, 2)
+    I = ideal_generated(U, [(0, 1, 0)])
+    w = CosetWitness(ideal=I, representatives=((0, 0, 0),) * 2, codim=2, trivial=True)
+    full = I.size() ** 2
+    # an equal polynomial parsed again shares the key; a different one does not
+    for text, calls in (("x1*x2", full), ("x1*x2", 0), ("x2*x1", full), ("x2*x1", 0)):
+        raw.clear()
+        multilinear_descent(parse(text, Flavor.FREE, U.field), U, w)
+        assert len(raw) == calls, text

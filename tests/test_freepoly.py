@@ -1,5 +1,6 @@
 """Parser, printer, and structure checks for the noncommutative polynomials."""
 
+import pickle
 import random
 
 import pytest
@@ -218,3 +219,17 @@ def test_canonical_text_is_stable():
     q = parse("x1*x2 + x2*x1", Flavor.FREE, F3)
     assert p.to_text() == q.to_text()
     assert "x1*x2" in p.to_text()
+
+
+def test_equal_polynomials_hash_equal_whatever_their_term_order():
+    terms = {(1, 2): 1, (2, 1): 2, ((1, 2), 1): 1}
+    a = FreePoly(F3, Flavor.FREE, 2, terms)
+    b = FreePoly(F3, Flavor.FREE, 2, dict(reversed(terms.items())))
+    assert list(a.terms) != list(b.terms)
+    assert a == b and hash(a) == hash(b)
+    assert a._hash is not None and hash(a) == hash(a)
+    # the memo is not pickled; the copy hashes afresh, to the same value
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy._hash is None
+    assert copy == a and hash(copy) == hash(a)
+    assert copy.analyze() == a.analyze()

@@ -232,7 +232,8 @@ def test_cross_check_routes_do_not_use_the_kernel(monkeypatch):
     assert witnesses
     assert len(calls) == 1 and calls[0][1] is A
     # the coset and stage checks run on A's kernel; the enumeration on the
-    # restricted algebra, which checks them, runs on the reference evaluator
+    # restricted algebra, which checks them, runs on the reference evaluator,
+    # in full on the first descent to each ideal and not again after it
     raw = []
     reference = idtest._evaluate_raw
 
@@ -241,13 +242,19 @@ def test_cross_check_routes_do_not_use_the_kernel(monkeypatch):
         return reference(Q, B, args, prod)
 
     monkeypatch.setattr(idtest, "_evaluate_raw", recording_raw)
+    seen = set()
     for w in witnesses:
         calls.clear()
         raw.clear()
         idtest.multilinear_descent(Q, A, w)
         assert len(calls) == 1 and calls[0][1] is A
+        if w.ideal in seen:
+            assert raw == []
+            continue
+        seen.add(w.ideal)
         assert len(raw) == w.ideal.size() ** Q.n
         assert all(B is not A and B.dim == w.ideal.rank for B in raw)
+    assert len(seen) < len(witnesses)
     # the block tallies run on the reference evaluator; the one kernel call
     # is the direct count of the inner quotient they are checked against
     calls.clear()
