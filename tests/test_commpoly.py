@@ -111,17 +111,48 @@ def test_parse_comm():
     assert r.monomials == {(1,): 1}
     s = parse_comm("(g+1)*x1 + g^2", F4)
     assert s.monomials == {(1,): 3, (0,): 3}  # g^2 = g+1
+    # leading signs, scalars to the right, powers of groups after a scalar
+    assert parse_comm("-x1", F3).monomials == {(1,): 2}
+    assert parse_comm("+x1 - 1", F3).monomials == {(1,): 1, (0,): 2}
+    assert parse_comm("x1*2", F3).monomials == {(1,): 2}
+    assert parse_comm("2(x1+x2)^2", F3).monomials == {(2, 0): 2, (1, 1): 1, (0, 2): 2}
+    assert parse_comm("g^0x1", F4).monomials == {(1,): 1}
 
 
 def test_parse_comm_errors():
-    with pytest.raises(ParseError):
-        parse_comm("[x1,x2]", F2)
-    with pytest.raises(UnknownVariable):
-        parse_comm("x2", F2, nvars=1)
-    with pytest.raises(ParseError):
-        parse_comm("x1^", F2)
-    with pytest.raises(ParseError):
-        parse_comm("x1^x2", F2)
+    # (text, field, nvars, exception, message, position); the position of
+    # an UnknownVariable found only against nvars is -1
+    exponent = "exponent must be a nonnegative integer"
+    expected = "expected a variable, coefficient, or group"
+    table = [
+        ("x2", F2, 1, UnknownVariable, "unknown variable 'x2'", -1),
+        ("x0", F2, None, UnknownVariable, "unknown variable 'x0'", 0),
+        ("z", F2, None, UnknownVariable, "unknown variable 'z'", 0),
+        ("x1 + %", F2, None, ParseError, "unexpected character '%'", 5),
+        ("x1^", F2, None, ParseError, exponent, 3),
+        ("x1^x2", F2, None, ParseError, exponent, 3),
+        ("(x1)^g", F4, None, ParseError, exponent, 5),
+        ("g^x1", F4, None, ParseError, exponent, 2),
+        ("g", F3, None, ParseError, "no generator symbol in GF(3)", 0),
+        ("", F2, None, ParseError, expected, 0),
+        ("-", F2, None, ParseError, expected, 1),
+        ("x1**2", F2, None, ParseError, expected, 3),
+        ("(x1", F3, None, ParseError, "expected ')'", 3),
+        ("x1)", F3, None, ParseError, "unexpected ')'", 2),
+        ("x1 x2", F3, None, ParseError, "unexpected 2", 3),
+        ("x1*2^3", F3, None, ParseError, "unexpected '^'", 4),
+        ("[x1,x2]", F2, None, ParseError,
+         "brackets are not part of commutative polynomials", 0),
+        ("2[x1,x2]", F3, None, ParseError, "unexpected '['", 1),
+    ]
+    for text, field, nvars, exc, message, position in table:
+        with pytest.raises(exc) as info:
+            parse_comm(text, field, nvars=nvars)
+        assert type(info.value) is exc, text
+        if exc is ParseError:
+            message = f"{message} (at position {position})"
+        assert str(info.value) == message, text
+        assert info.value.position == position, text
 
 
 def test_text_round_trip():

@@ -89,6 +89,21 @@ def test_scalar_juxtaposition():
     assert parse("2(x1+x2)", Flavor.FREE, F3) == parse("2*x1+2*x2", Flavor.FREE, F3)
     with pytest.raises(ParseError):
         parse("x1 x2", Flavor.FREE, F3)
+    # (text, flavor, field, terms): leading signs, a scalar juxtaposed
+    # with a bracket, and scalars to the right of a product
+    table = [
+        ("-x1*2", Flavor.FREE, F3, {1: 1}),
+        ("+x1", Flavor.ASSOC, F3, {(1,): 1}),
+        ("-x1 - x2", Flavor.LIE, F3, {1: 2, 2: 2}),
+        ("2[x1,x2]", Flavor.LIE, F3, {(1, 2): 2}),
+        ("g[x1,x2]", Flavor.LIE, F4, {(1, 2): 2}),
+        ("x1*2", Flavor.FREE, F3, {1: 2}),
+        ("x1*2*x2", Flavor.ASSOC, F3, {(1, 2): 2}),
+        ("x1*g^0", Flavor.FREE, F4, {1: 1}),
+        ("g^2*x1", Flavor.LIE, F4, {1: 3}),
+    ]
+    for text, flavor, field, terms in table:
+        assert parse(text, flavor, field).terms == terms, text
 
 
 def test_unparenthesized_sum_literal_is_a_constant():
@@ -110,22 +125,46 @@ def test_zero_text_parses_to_zero():
 
 
 def test_parse_errors():
-    with pytest.raises(UnknownVariable):
-        parse("x0", Flavor.FREE, F2)
-    with pytest.raises(UnknownVariable):
-        parse("y1", Flavor.FREE, F2)
-    with pytest.raises(ParseError):
-        parse("x1**x2", Flavor.FREE, F2)
-    with pytest.raises(ParseError):
-        parse("(x1", Flavor.FREE, F2)
-    with pytest.raises(ParseError):
-        parse("x1^2", Flavor.FREE, F2)
-    with pytest.raises(ParseError):
-        parse("", Flavor.FREE, F2)
-    with pytest.raises(ParseError):
-        parse("g*x1", Flavor.FREE, F2)  # no generator in a prime field
-    with pytest.raises(UnknownVariable):
-        parse("x3", Flavor.FREE, F2, n=2)
+    # (text, flavor, field, n, exception, message, position); the position
+    # of an UnknownVariable found only against n is -1
+    free, assoc, lie = Flavor.FREE, Flavor.ASSOC, Flavor.LIE
+    expected = "expected a variable, coefficient, or group"
+    table = [
+        ("x0", free, F2, None, UnknownVariable, "unknown variable 'x0'", 0),
+        ("y1", free, F2, None, UnknownVariable, "unknown variable 'y1'", 0),
+        ("x3", free, F2, 2, UnknownVariable, "unknown variable 'x3'", -1),
+        ("x", free, F2, None, ParseError, "variable name needs a numeric index", 0),
+        ("x1 + %", free, F2, None, ParseError, "unexpected character '%'", 5),
+        ("x1**x2", free, F2, None, ParseError, expected, 3),
+        ("", free, F2, None, ParseError, expected, 0),
+        ("-", lie, F2, None, ParseError, expected, 1),
+        ("x1 +", assoc, F2, None, ParseError, expected, 4),
+        ("(x1", free, F2, None, ParseError, "expected ')'", 3),
+        ("(x1 x2)", lie, F3, None, ParseError, "expected ')'", 4),
+        ("x1^2", free, F2, None, ParseError, "unexpected '^'", 2),
+        ("x1)", assoc, F2, None, ParseError, "unexpected ')'", 2),
+        ("x1 x2", free, F3, None, ParseError, "unexpected 2", 3),
+        ("g*x1", free, F2, None, ParseError, "no generator symbol in GF(2)", 0),
+        ("g^x1", free, F4, None, ParseError, "exponent must be a nonnegative integer", 2),
+        ("g^", lie, F4, None, ParseError, "exponent must be a nonnegative integer", 2),
+        ("[x1]", lie, F2, None, ParseError, "a bracket needs at least two entries", 0),
+        ("[x1 x2]", lie, F2, None, ParseError, "expected ',' or ']'", 4),
+        ("[x1,x2", lie, F2, None, ParseError, "expected ',' or ']'", 6),
+        ("[x1,x2]", free, F2, None, ParseError,
+         "brackets are only meaningful in the lie flavor", 0),
+        ("2[x1,x2]", assoc, F3, None, ParseError,
+         "brackets are only meaningful in the lie flavor", 1),
+        ("x1+1", free, F2, None, ConstantTermForbidden,
+         "polynomials in the free language have no constant term", None),
+    ]
+    for text, flavor, field, n, exc, message, position in table:
+        with pytest.raises(exc) as info:
+            parse(text, flavor, field, n=n)
+        assert type(info.value) is exc, text
+        if exc is ParseError:
+            message = f"{message} (at position {position})"
+        assert str(info.value) == message, text
+        assert getattr(info.value, "position", None) == position, text
 
 
 def test_parse_error_reports_position():
@@ -208,10 +247,22 @@ def _random_poly(rng, field, flavor, n):
 @pytest.mark.parametrize("field", [F2, F3, F4])
 def test_text_round_trip(flavor, field):
     rng = random.Random(hash((flavor.value, field.q)) & 0xFFFF)
-    for _ in range(400):
+    for i in range(400):
         n = rng.randint(1, 4)
         p = _random_poly(rng, field, flavor, n)
         assert parse(p.to_text(), flavor, field, n=n) == p
+        if i % 4:
+            continue
+        # FreePoly's own arithmetic agrees with the parser's
+        q = _random_poly(rng, field, flavor, n)
+        c = rng.randrange(field.q)
+        lit = field.format_literal(c)
+        a, b = f"({p.to_text()})", f"({q.to_text()})"
+        assert parse(f"{a} + {b}", flavor, field, n=n) == p + q
+        assert parse(f"{a} - {b}", flavor, field, n=n) == p - q
+        assert parse(f"-{a}", flavor, field, n=n) == -p
+        assert parse(f"{a}*{b}", flavor, field, n=n) == p * q
+        assert parse(f"({lit})*{a}", flavor, field, n=n) == p.scale(c)
 
 
 def test_canonical_text_is_stable():
