@@ -249,9 +249,6 @@ class Algebra:
     def order(self) -> int:
         return self.field.q**self.dim
 
-    def format_vec(self, v: Vec) -> str:
-        return "(" + ",".join(self.field.format_literal(c) for c in v) + ")"
-
     def __eq__(self, other):
         return (
             isinstance(other, Algebra)
@@ -305,11 +302,23 @@ def full_ideal(A: Algebra) -> Ideal:
     return Ideal(A.field, A.dim, rows, pivots)
 
 
+def _is_coordinate_vector(A: Algebra, v) -> bool:
+    """v has A.dim entries, each a field element of A."""
+    q = A.field.q
+    return len(v) == A.dim and all(0 <= c < q for c in v)
+
+
+def _coordinate_vectors(A: Algebra, vectors, what: str) -> list[Vec]:
+    vectors = [tuple(v) for v in vectors]
+    for v in vectors:
+        if not _is_coordinate_vector(A, v):
+            raise DimensionMismatch(f"{what} {v!r} is not a coordinate vector of length {A.dim}")
+    return vectors
+
+
 def ideal_generated(A: Algebra, generators) -> Ideal:
     """Smallest two-sided ideal containing the generators, by closure."""
-    for v in generators:
-        if len(tuple(v)) != A.dim:
-            raise DimensionMismatch("generator length differs from the algebra dimension")
+    generators = _coordinate_vectors(A, generators, "generator")
     rows, pivots = rref(A.field, generators, A.dim)
     queue = list(rows)
     while queue:
@@ -326,7 +335,7 @@ def ideal_generated(A: Algebra, generators) -> Ideal:
 
 def as_ideal(A: Algebra, vectors) -> Ideal:
     """The span of the vectors, verified to be an ideal."""
-    rows, pivots = rref(A.field, vectors, A.dim)
+    rows, pivots = rref(A.field, _coordinate_vectors(A, vectors, "vector"), A.dim)
     if not _is_invariant(A, rows, pivots):
         raise NotAnIdeal("the span of the given vectors is not invariant")
     return Ideal(A.field, A.dim, rows, pivots)

@@ -200,14 +200,23 @@ def exhaustive_min(
     Scans all q^M - 1 nonzero coefficient vectors (M monomials with each
     variable degree below q and total degree at most d).  The witness is
     the first polynomial attaining the minimum in the fixed scan order.
-    Raises TheoremViolation if any candidate undercuts the floor.
+    Raises TheoremViolation if any candidate undercuts the floor.  The cap
+    bounds the total work: candidates times the q^n points each one is
+    evaluated on.
     """
     field = field_of_order(q)
     floor = floor_fraction(q, d)
+    if n < 0:
+        raise ValueError("variable count must be >= 0")
+    # q^n > cap already at cap.bit_length() variables; stopping there
+    # refuses a huge n without building q^n
+    points = q ** min(n, cap.bit_length())
+    if points > cap:
+        raise SearchSpaceTooLarge(points, cap)
     monomials = _monomials_for(q, n, d)
     candidates = q ** len(monomials) - 1
-    if candidates > cap:
-        raise SearchSpaceTooLarge(candidates, cap)
+    if candidates * points > cap:
+        raise SearchSpaceTooLarge(candidates * points, cap)
     total = candidates + 1
     num, den = floor.value.numerator, floor.value.denominator
     payloads = [

@@ -210,15 +210,6 @@ def _ideal_arg(A: Algebra, text: str):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_check_identity(args):
-    A = _algebra_arg(args.algebra)
-    Q = _poly_arg(args, A)
-    return zero_probability(
-        Q, A, cap=_resolved_cap(args), workers=_resolved_workers(args),
-        commutator=args.commutator,
-    )
-
-
 def cmd_probability(args):
     A = _algebra_arg(args.algebra)
     Q = _poly_arg(args, A)
@@ -376,29 +367,21 @@ def run_corpus(workers: int = 1, cap: int = EXACT_CAP) -> dict:
         parse("x1*x1", Flavor.FREE, T.field), T, chain_outer, zero_ideal(T), cap=cap
     )
 
-    H = heisenberg(2)
-    F2 = field_as_algebra(2)
     sampled = [
         {
-            "algebra": H.name,
-            "poly": "[x1,x2]",
+            "algebra": A.name,
+            "poly": text,
             "report": _jsonable(
                 zero_probability(
-                    parse("[x1,x2]", Flavor.LIE, H.field), H,
+                    parse(text, flavor, A.field), A,
                     samples=CORPUS_SAMPLES, seed=CORPUS_SEED,
                 )
             ),
-        },
-        {
-            "algebra": F2.name,
-            "poly": "x1*x1",
-            "report": _jsonable(
-                zero_probability(
-                    parse("x1*x1", Flavor.FREE, F2.field), F2,
-                    samples=CORPUS_SAMPLES, seed=CORPUS_SEED,
-                )
-            ),
-        },
+        }
+        for A, text, flavor in (
+            (heisenberg(2), "[x1,x2]", Flavor.LIE),
+            (field_as_algebra(2), "x1*x1", Flavor.FREE),
+        )
     ]
 
     return {
@@ -442,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-identity", parents=[common, alg, poly],
                        help="exact identity check by full enumeration")
-    p.set_defaults(handler=cmd_check_identity)
+    p.set_defaults(handler=cmd_probability, samples=None, seed=None)
 
     p = sub.add_parser("probability", parents=[common, alg, poly],
                        help="exact or sampled zero probability")

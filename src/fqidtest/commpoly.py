@@ -8,10 +8,15 @@ and as explicit witnesses for density bounds.
 reduce() folds exponents with the rule x^q = x ... x^(q-1) fixed for
 nonzero exponents, giving the unique representative with every variable
 degree below q that computes the same function on all points.
+
+parse_comm reads text with the walker the free flavors use,
+freepoly._Parser; only the atoms (powers allowed, brackets refused) and
+the CommPoly arithmetic are its own.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 
 from .errors import (
@@ -22,7 +27,7 @@ from .errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from .freepoly import Flavor, FreePoly, tokenize
+from .freepoly import Flavor, FreePoly, _Parser, tokenize
 from .gf import Field
 
 TUPLE_CAP = 1 << 24
@@ -217,59 +222,16 @@ class CommPoly:
 # ---------------------------------------------------------------------------
 # parsing
 
-class _CommParser:
+class _CommParser(_Parser):
+    """Values are CommPolys in a fixed number of variables."""
+
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+
     def __init__(self, tokens, field: Field, nvars: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.field = field
+        super().__init__(tokens, field)
         self.nvars = nvars
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> CommPoly:
-        value = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {val!r}", pos)
-        return value
-
-    def expr(self) -> CommPoly:
-        kind, val, _ = self.peek()
-        sign = 1
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        value = self.term()
-        if sign < 0:
-            value = -value
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                value = value - rhs if val == "-" else value + rhs
-            else:
-                return value
-
-    def term(self) -> CommPoly:
-        value, scalar_atom = self.atom()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                rhs, scalar_atom = self.atom()
-                value = value * rhs
-            elif scalar_atom and (kind in ("var", "g", "int") or (kind == "op" and val == "(")):
-                rhs, scalar_atom = self.atom()
-                value = value * rhs
-            else:
-                return value
 
     def atom(self):
         kind, val, pos = self.take()
@@ -277,39 +239,18 @@ class _CommParser:
         if kind == "int":
             return CommPoly.constant(f, self.nvars, val % f.p), True
         if kind == "g":
-            if f.k == 1:
-                raise ParseError(f"no generator symbol in {f!r}", pos)
-            e = 1
-            nk, nv, _ = self.peek()
-            if nk == "op" and nv == "^":
-                self.take()
-                ek, ev, epos = self.take()
-                if ek != "int":
-                    raise ParseError("exponent must be a nonnegative integer", epos)
-                e = ev
-            return CommPoly.constant(f, self.nvars, f.pow(f.p, e)), True
+            return CommPoly.constant(f, self.nvars, self.generator(pos)), True
         if kind == "var":
-            value = CommPoly.variable(f, self.nvars, val)
-            return self._maybe_power(value), False
+            return self._maybe_power(CommPoly.variable(f, self.nvars, val)), False
         if kind == "op" and val == "(":
-            value = self.expr()
-            ck, cv, cpos = self.take()
-            if not (ck == "op" and cv == ")"):
-                raise ParseError("expected ')'", cpos)
-            return self._maybe_power(value), False
+            return self._maybe_power(self.group()), False
         if kind == "op" and val == "[":
             raise ParseError("brackets are not part of commutative polynomials", pos)
         raise ParseError("expected a variable, coefficient, or group", pos)
 
     def _maybe_power(self, value: CommPoly) -> CommPoly:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            ek, ev, epos = self.take()
-            if ek != "int":
-                raise ParseError("exponent must be a nonnegative integer", epos)
-            return value.pow(ev)
-        return value
+        e = self.exponent(None)
+        return value if e is None else value.pow(e)
 
 
 def parse_comm(text: str, field: Field, nvars: int | None = None) -> CommPoly:

@@ -17,13 +17,17 @@ exist to be evaluated on algebras that need not have a unit.
 The text format is whitespace-insensitive.  Products need an explicit *
 except directly after a leading scalar, field elements with a + in them
 must be parenthesized when used as coefficients, and [a,b,c] abbreviates
-the left-normed [[a,b],c].
+the left-normed [[a,b],c].  One tokenizer and one recursive-descent walker,
+_Parser, read both this language and the commutative one of commpoly; the
+free parser adds and multiplies term maps with the helpers FreePoly's own
++ and * use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .errors import (
     ConstantTermForbidden,
@@ -64,6 +68,28 @@ def term_product(a, b, flavor: Flavor):
     if flavor is Flavor.ASSOC:
         return a + b
     return (a, b)
+
+
+def _add_terms(field: Field, terms, pairs) -> dict:
+    """A copy of the term map with the (term, coeff) pairs added in; terms
+    whose coefficients sum to zero are dropped."""
+    out = dict(terms)
+    for t, c in pairs:
+        s = field.add(out.get(t, 0), c)
+        if s:
+            out[t] = s
+        else:
+            out.pop(t, None)
+    return out
+
+
+def _products(field: Field, flavor: Flavor, a, b):
+    """The (term, coeff) pairs of the product of two term maps."""
+    return (
+        (term_product(t1, t2, flavor), field.mul(c1, c2))
+        for t1, c1 in a.items()
+        for t2, c2 in b.items()
+    )
 
 
 def _term_enc(term):
@@ -142,15 +168,8 @@ class FreePoly:
 
     def __add__(self, other):
         self._check_compatible(other)
-        f = self.field
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            s = f.add(terms.get(t, 0), c)
-            if s:
-                terms[t] = s
-            else:
-                terms.pop(t, None)
-        return FreePoly(f, self.flavor, max(self.n, other.n), terms)
+        terms = _add_terms(self.field, self.terms, other.terms.items())
+        return FreePoly(self.field, self.flavor, max(self.n, other.n), terms)
 
     def __neg__(self):
         f = self.field
@@ -162,15 +181,7 @@ class FreePoly:
     def __mul__(self, other):
         self._check_compatible(other)
         f = self.field
-        terms = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                t = term_product(t1, t2, self.flavor)
-                s = f.add(terms.get(t, 0), f.mul(c1, c2))
-                if s:
-                    terms[t] = s
-                else:
-                    terms.pop(t, None)
+        terms = _add_terms(f, {}, _products(f, self.flavor, self.terms, other.terms))
         return FreePoly(f, self.flavor, max(self.n, other.n), terms)
 
     def scale(self, c: int) -> "FreePoly":
@@ -357,20 +368,20 @@ def tokenize(text: str):
     return out
 
 
-class _FreeParser:
-    """Recursive descent over the token list.
+class _Parser:
+    """Recursive descent over the token list, for both polynomial languages.
 
-    Subexpressions are tracked as a pair (scalar, term map), so scalar
-    subexpressions like (g+1) multiply as coefficients.  A nonzero scalar
-    surviving to the top level is a forbidden constant term.
+    A subclass supplies atom(), which returns (value, parsed_a_bare_scalar),
+    and the arithmetic of its values: add, neg and mul.  JUXTAPOSE lists
+    the ops that may follow a bare scalar without a '*'.
     """
 
-    def __init__(self, tokens, flavor: Flavor, field: Field):
+    JUXTAPOSE = "("
+
+    def __init__(self, tokens, field: Field):
         self.tokens = tokens
         self.pos = 0
-        self.flavor = flavor
         self.field = field
-        self.maxvar = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -388,68 +399,86 @@ class _FreeParser:
         return value
 
     def expr(self):
-        value = None
-        sign = 1
         kind, val, _ = self.peek()
+        negate = kind == "op" and val == "-"
         if kind == "op" and val in "+-":
             self.take()
-            sign = -1 if val == "-" else 1
         value = self.term()
-        if sign < 0:
-            value = self._neg(value)
+        if negate:
+            value = self.neg(value)
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                if val == "-":
-                    rhs = self._neg(rhs)
-                value = self._add(value, rhs)
-            else:
+            if not (kind == "op" and val in "+-"):
                 return value
+            self.take()
+            rhs = self.term()
+            value = self.add(value, self.neg(rhs) if val == "-" else rhs)
 
     def term(self):
-        value, scalar_atom = self.atom()
+        value, scalar = self.atom()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                rhs, scalar_atom = self.atom()
-                value = self._mul(value, rhs)
-            elif scalar_atom and (kind in ("var", "g", "int") or (kind == "op" and val in "([")):
-                # juxtaposition is only allowed right after a scalar atom
-                rhs, scalar_atom = self.atom()
-                value = self._mul(value, rhs)
-            else:
+            elif not (
+                scalar and (kind in ("var", "g", "int") or (kind == "op" and val in self.JUXTAPOSE))
+            ):
                 return value
+            rhs, scalar = self.atom()
+            value = self.mul(value, rhs)
+
+    def exponent(self, default):
+        """The int after a '^' if one follows, else default."""
+        kind, val, _ = self.peek()
+        if not (kind == "op" and val == "^"):
+            return default
+        self.take()
+        kind, val, pos = self.take()
+        if kind != "int":
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        return val
+
+    def generator(self, pos: int) -> int:
+        """The field element g or g^e, its 'g' token taken at pos."""
+        f = self.field
+        if f.k == 1:
+            raise ParseError(f"no generator symbol in {f!r}", pos)
+        return f.pow(f.p, self.exponent(1))
+
+    def group(self):
+        """The expression inside parentheses, its '(' already taken."""
+        value = self.expr()
+        kind, val, pos = self.take()
+        if not (kind == "op" and val == ")"):
+            raise ParseError("expected ')'", pos)
+        return value
+
+
+class _FreeParser(_Parser):
+    """Values are pairs (scalar, term map), so scalar subexpressions like
+    (g+1) multiply as coefficients.  A nonzero scalar surviving to the top
+    level is a forbidden constant term.
+    """
+
+    JUXTAPOSE = "(["
+
+    def __init__(self, tokens, flavor: Flavor, field: Field):
+        super().__init__(tokens, field)
+        self.flavor = flavor
+        self.maxvar = 0
 
     def atom(self):
-        """Returns (value, parsed_a_bare_scalar_literal)."""
         kind, val, pos = self.take()
         if kind == "int":
             return (val % self.field.p, {}), True
         if kind == "g":
-            if self.field.k == 1:
-                raise ParseError(f"no generator symbol in {self.field!r}", pos)
-            e = 1
-            nk, nv, npos = self.peek()
-            if nk == "op" and nv == "^":
-                self.take()
-                ek, ev, epos = self.take()
-                if ek != "int":
-                    raise ParseError("exponent must be a nonnegative integer", epos)
-                e = ev
-            return (self.field.pow(self.field.p, e), {}), True
+            return (self.generator(pos), {}), True
         if kind == "var":
             self.maxvar = max(self.maxvar, val)
             term = (val,) if self.flavor is Flavor.ASSOC else val
             return (0, {term: 1}), False
         if kind == "op" and val == "(":
-            value = self.expr()
-            ck, cv, cpos = self.take()
-            if not (ck == "op" and cv == ")"):
-                raise ParseError("expected ')'", cpos)
-            return value, False
+            return self.group(), False
         if kind == "op" and val == "[":
             if self.flavor is not Flavor.LIE:
                 raise ParseError("brackets are only meaningful in the lie flavor", pos)
@@ -466,54 +495,27 @@ class _FreeParser:
                 raise ParseError("a bracket needs at least two entries", pos)
             value = items[0]
             for rhs in items[1:]:
-                value = self._mul(value, rhs)
+                value = self.mul(value, rhs)
             return value, False
         raise ParseError("expected a variable, coefficient, or group", pos)
 
-    # pair arithmetic: value = scalar + sum of term*coeff
-
-    def _add(self, a, b):
+    def add(self, a, b):
         f = self.field
-        scalar = f.add(a[0], b[0])
-        terms = dict(a[1])
-        for t, c in b[1].items():
-            s = f.add(terms.get(t, 0), c)
-            if s:
-                terms[t] = s
-            else:
-                terms.pop(t, None)
-        return (scalar, terms)
+        return f.add(a[0], b[0]), _add_terms(f, a[1], b[1].items())
 
-    def _neg(self, a):
+    def neg(self, a):
         f = self.field
-        return (f.neg(a[0]), {t: f.neg(c) for t, c in a[1].items()})
+        return f.neg(a[0]), {t: f.neg(c) for t, c in a[1].items()}
 
-    def _mul(self, a, b):
+    def mul(self, a, b):
         f = self.field
-        sa, ta = a
-        sb, tb = b
-        scalar = f.mul(sa, sb)
-        terms = {}
-
-        def bump(t, c):
-            if c == 0:
-                return
-            s = f.add(terms.get(t, 0), c)
-            if s:
-                terms[t] = s
-            else:
-                terms.pop(t, None)
-
-        if sa:
-            for t, c in tb.items():
-                bump(t, f.mul(sa, c))
-        if sb:
-            for t, c in ta.items():
-                bump(t, f.mul(c, sb))
-        for t1, c1 in ta.items():
-            for t2, c2 in tb.items():
-                bump(term_product(t1, t2, self.flavor), f.mul(c1, c2))
-        return (scalar, terms)
+        (sa, ta), (sb, tb) = a, b
+        pairs = chain(
+            ((t, f.mul(sa, c)) for t, c in tb.items() if sa),
+            ((t, f.mul(c, sb)) for t, c in ta.items() if sb),
+            _products(f, self.flavor, ta, tb),
+        )
+        return f.mul(sa, sb), _add_terms(f, {}, pairs)
 
 
 def parse(text: str, flavor, field: Field, n: int | None = None) -> FreePoly:

@@ -197,9 +197,6 @@ class Field:
             return t[a]
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             raise ValueError("exponent must be a nonnegative integer")

@@ -40,6 +40,7 @@ from .algebra import (
     Algebra,
     Ideal,
     _check_ambient,
+    _is_coordinate_vector,
     nilpotency_index,
     quotient,
     restrict,
@@ -157,9 +158,8 @@ def evaluate(Q: FreePoly, A: Algebra, args, *, commutator: bool = False):
     prod = _product_fn(Q, A, commutator)
     if len(args) != Q.n:
         raise DimensionMismatch(f"expected {Q.n} arguments, got {len(args)}")
-    q = A.field.q
     for v in args:
-        if len(v) != A.dim or any(not 0 <= c < q for c in v):
+        if not _is_coordinate_vector(A, v):
             raise DimensionMismatch(
                 f"argument {v!r} is not a coordinate vector of length {A.dim}"
             )
@@ -664,9 +664,8 @@ def multilinear_descent(
     reps = witness.representatives
     if len(reps) != n:
         raise WitnessInvalid(f"expected {n} representatives, got {len(reps)}")
-    q = A.field.q
     for r in reps:
-        if len(r) != A.dim or any(not 0 <= c < q for c in r):
+        if not _is_coordinate_vector(A, r):
             raise WitnessInvalid(
                 f"representative {r!r} is not a coordinate vector of length {A.dim}"
             )

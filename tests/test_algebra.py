@@ -42,6 +42,7 @@ from fqidtest.gf import Field
 
 F2 = Field(2)
 F3 = Field(3)
+F4 = Field(2, 2)
 
 
 # builders
@@ -272,6 +273,28 @@ def test_as_ideal_rejects_non_invariant_span():
     A = truncated(2, 3)
     with pytest.raises(NotAnIdeal):
         as_ideal(A, [A.basis_vec(0)])  # span{t} alone is not closed
+
+
+def test_ideal_constructors_take_only_coordinate_vectors():
+    Z = Algebra(F4, 2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])  # zero product
+    T = truncated(2, 4)
+    cases = [
+        (Z, (1, -1)),  # once read through negative indexing
+        (Z, (1, 4)),
+        (Z, (1,)),
+        (T, (0, 5, 0)),  # once an IndexError in Field.inv
+        (T, (0, 1, 0, 0)),
+    ]
+    for A, v in cases:
+        for build, what in ((ideal_generated, "generator"), (as_ideal, "vector")):
+            with pytest.raises(DimensionMismatch) as info:
+                build(A, [A.basis_vec(0), v])
+            assert str(info.value) == (
+                f"{what} {v!r} is not a coordinate vector of length {A.dim}"
+            )
+    # any iterable of vectors, read once
+    assert ideal_generated(T, iter([(0, 1, 0)])).rank == 2
+    assert as_ideal(Z, iter([(1, 3)])).basis == ((1, 3),)
 
 
 def test_zero_and_full_ideal():

@@ -145,6 +145,18 @@ def test_exhaustive_min_matches_floor_on_grid():
 def test_exhaustive_min_cap():
     with pytest.raises(SearchSpaceTooLarge):
         exhaustive_min(3, 3, 6, cap=10**4)
+    # the cap bounds candidates times points: one candidate on 4,096
+    # points (refused at 2^10 of them), 15 candidates on 4 points
+    with pytest.raises(SearchSpaceTooLarge, match="size 1024 exceeds cap 1000"):
+        exhaustive_min(2, 12, 0, cap=1000)
+    with pytest.raises(SearchSpaceTooLarge, match="size 60 exceeds cap 59"):
+        exhaustive_min(2, 2, 2, cap=59)
+    assert exhaustive_min(2, 2, 2, cap=60).candidates == 15
+    # a huge variable count is refused without building q^n
+    with pytest.raises(SearchSpaceTooLarge):
+        exhaustive_min(3, 10**9, 0)
+    with pytest.raises(ValueError, match="variable count must be >= 0"):
+        exhaustive_min(2, -1, 1)
 
 
 def test_exhaustive_min_workers_agree():

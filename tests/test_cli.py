@@ -278,6 +278,18 @@ def test_bad_ideal_spec_is_a_usage_error(capsys):
     )
     assert rc == 2
     assert err
+    # generators that are not coordinate vectors over GF(2): an entry
+    # outside the field (once a traceback from Field.inv), a negative
+    # entry, a wrong length
+    for spec in ("0,5,0", "0,-1,0", "0,1"):
+        rc, out, err = run_cli(
+            capsys, "blocks",
+            "--algebra", "builtin:truncated(2,4)", "--poly", "x1*x1",
+            "--ideal-i", spec, "--ideal-j", "zero",
+        )
+        assert rc == 2 and not out, spec
+        v = tuple(int(x) for x in spec.split(","))
+        assert err == f"error: generator {v!r} is not a coordinate vector of length 3\n"
 
 
 def test_engel_payload(capsys):
@@ -323,6 +335,13 @@ def test_bound_oracle_and_exhaustive(capsys):
     assert doc["minimum"] == 1
     assert doc["bound"] == "1/1"
     assert doc["candidates"] == 15
+
+    # refused before any point is built: a negative variable count, and
+    # 2^30 points for a single candidate
+    rc, out, err = run_cli(capsys, "bound", "--q", "2", "--d", "0", "--exhaustive", "-1")
+    assert (rc, out, err) == (2, "", "error: variable count must be >= 0\n")
+    rc, out, err = run_cli(capsys, "bound", "--q", "2", "--d", "0", "--exhaustive", "30")
+    assert rc == 2 and not out and "exceeds cap" in err
 
 
 def test_algebra_from_file(capsys, tmp_path):
