@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
 from .errors import (
     ConstantTermForbidden,
@@ -85,11 +84,11 @@ def _add_terms(field: Field, terms, pairs) -> dict:
 
 def _products(field: Field, flavor: Flavor, a, b):
     """The (term, coeff) pairs of the product of two term maps."""
-    return (
+    return [
         (term_product(t1, t2, flavor), field.mul(c1, c2))
         for t1, c1 in a.items()
         for t2, c2 in b.items()
-    )
+    ]
 
 
 def _term_enc(term):
@@ -510,11 +509,12 @@ class _FreeParser(_Parser):
     def mul(self, a, b):
         f = self.field
         (sa, ta), (sb, tb) = a, b
-        pairs = chain(
-            ((t, f.mul(sa, c)) for t, c in tb.items() if sa),
-            ((t, f.mul(c, sb)) for t, c in ta.items() if sb),
-            _products(f, self.flavor, ta, tb),
-        )
+        pairs = []
+        if sa:
+            pairs += [(t, f.mul(sa, c)) for t, c in tb.items()]
+        if sb:
+            pairs += [(t, f.mul(c, sb)) for t, c in ta.items()]
+        pairs += _products(f, self.flavor, ta, tb)
         return f.mul(sa, sb), _add_terms(f, {}, pairs)
 
 
