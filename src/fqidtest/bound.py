@@ -16,9 +16,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 
-from .commpoly import CommPoly
+from .commpoly import CommPoly, zero_counter
 from .errors import (
     BudgetExceeded,
     NotEnoughVariables,
@@ -29,6 +29,10 @@ from .gf import field_of_order
 
 POLY_CAP = 1 << 20
 SEQUENCE_BUDGET = 15
+# Bound on the bits of the floor's denominator q^(m+1).  2^8192 has 2,467
+# decimal digits, so every floor prints under Python's 4,300-digit limit
+# on int-to-str conversion; degrees up to 8,191 pass for every q.
+FLOOR_BITS = 8192
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,12 @@ def floor_fraction(q: int, d: int) -> FloorDecomposition:
     if d < 0:
         raise ValueError("degree must be >= 0")
     m, r = divmod(d, q - 1)
+    # (q-1).bit_length() >= log2(q), with equality when q is a power of 2
+    if (m + 1) * (q - 1).bit_length() > FLOOR_BITS:
+        raise BudgetExceeded(
+            f"degree {d} over order {q}: the floor's denominator {q}^{m + 1} "
+            f"exceeds {FLOOR_BITS} bits"
+        )
     return FloorDecomposition(q, d, m, r, Fraction(q - r, q ** (m + 1)))
 
 
@@ -131,14 +141,19 @@ def _monomials_for(q: int, n: int, d: int) -> list[tuple[int, ...]]:
     return sorted(e for e in product(range(q), repeat=n) if sum(e) <= d)
 
 
+def _terms_at(index: int, q: int, monomials) -> dict:
+    """The nonzero terms of candidate `index`: its base-q digits are the
+    coefficients, the first monomial's the most significant."""
+    terms = {}
+    for exps in reversed(monomials):
+        index, c = divmod(index, q)
+        if c:
+            terms[exps] = c
+    return terms
+
+
 def _poly_at(index: int, field, monomials, n: int) -> CommPoly:
-    q = field.q
-    coeffs = []
-    for _ in monomials:
-        coeffs.append(index % q)
-        index //= q
-    coeffs.reverse()  # first monomial is the most significant digit
-    return CommPoly(field, n, dict(zip(monomials, coeffs)))
+    return CommPoly(field, n, _terms_at(index, field.q, monomials))
 
 
 def pool_size(workers: int, chunks: int) -> int:
@@ -162,9 +177,10 @@ def chunk_ranges(start: int, stop: int, workers: int) -> list[tuple[int, int]]:
 
 def pool_map(fn, payloads, workers: int) -> list:
     """[fn(p) for p in payloads], on a fork pool when more than one
-    process is worth starting."""
+    process is worth starting and the platform can fork; serially
+    otherwise, with the same results."""
     size = pool_size(workers, len(payloads))
-    if size < 2:
+    if size < 2 or "fork" not in get_all_start_methods():
         return [fn(p) for p in payloads]
     with get_context("fork").Pool(size) as pool:
         return pool.map(fn, payloads)
@@ -172,19 +188,15 @@ def pool_map(fn, payloads, workers: int) -> list:
 
 def _scan_range(payload):
     q, n, monomials, start, stop, floor_num, floor_den = payload
-    field = field_of_order(q)
+    points = q**n
+    zeros = zero_counter(field_of_order(q), n, points)
     best = None
     best_index = None
     violations = []
-    points = list(product(field.elements(), repeat=n))
     for index in range(start, stop):
-        poly = _poly_at(index, field, monomials, n)
-        count = 0
-        for point in points:
-            if poly.eval(point):
-                count += 1
+        count = points - zeros([_terms_at(index, q, monomials)])
         # count * floor_den >= floor_num * q^n, kept in integers
-        if count * floor_den < floor_num * len(points):
+        if count * floor_den < floor_num * points:
             violations.append(index)
         if best is None or count < best:
             best = count

@@ -9,6 +9,23 @@ reduce() folds exponents with the rule x^q = x ... x^(q-1) fixed for
 nonzero exponents, giving the unique representative with every variable
 degree below q that computes the same function on all points.
 
+The public constructor validates every exponent and coefficient.  +, *
+and scale work on plain {exps: coeff} dicts through _add_scaled and
+_mul_terms; they, neg and reduce wrap their results with
+CommPoly._trusted, which skips that check: their inputs were checked
+already.  _mul_terms can fold exponents as monomials multiply, so
+reduced_coordinates builds the reduced coordinate polynomials of an
+evaluation map in one pass; symbolic_coordinates runs the same core
+without folding.
+
+zero_counter counts the common zeros of a list of polynomials over all of
+F^n.  Over GF(2) it is bit-sliced: variable i is an int with bit k set
+when x_i = 1 at point k, a monomial is an AND of those masks, a
+polynomial the XOR of its monomials, and a point is a common zero when
+its bit is clear in the OR of the polynomials.  The masks take n * 2^n
+bits, 48 MB at the 2^24-point cap.  Other fields walk the points with a
+table of powers.
+
 parse_comm reads text with the walker the free flavors use,
 freepoly._Parser; only the atoms (powers allowed, brackets refused) and
 the CommPoly arithmetic are its own.
@@ -17,7 +34,8 @@ the CommPoly arithmetic are its own.
 from __future__ import annotations
 
 import operator
-from itertools import product
+from functools import partial
+from itertools import compress, product
 
 from .errors import (
     DimensionMismatch,
@@ -53,6 +71,16 @@ class CommPoly:
         self.field = field
         self.nvars = nvars
         self.monomials = clean
+
+    @classmethod
+    def _trusted(cls, field: Field, nvars: int, monomials: dict) -> "CommPoly":
+        """Wrap a dict of nvars-tuples to nonzero canonical coefficients
+        as it is, without the constructor's checks."""
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly.nvars = nvars
+        poly.monomials = monomials
+        return poly
 
     @classmethod
     def zero(cls, field: Field, nvars: int) -> "CommPoly":
@@ -95,40 +123,24 @@ class CommPoly:
 
     def __add__(self, other):
         self._check_compatible(other)
-        f = self.field
-        out = dict(self.monomials)
-        for exps, c in other.monomials.items():
-            s = f.add(out.get(exps, 0), c)
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return CommPoly(f, self.nvars, out)
+        out = _add_scaled(self.field, dict(self.monomials), other.monomials, 1)
+        return CommPoly._trusted(self.field, self.nvars, out)
 
     def __neg__(self):
         f = self.field
-        return CommPoly(f, self.nvars, {e: f.neg(c) for e, c in self.monomials.items()})
+        return CommPoly._trusted(f, self.nvars, {e: f.neg(c) for e, c in self.monomials.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check_compatible(other)
-        f = self.field
-        out = {}
-        for e1, c1 in self.monomials.items():
-            for e2, c2 in other.monomials.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = f.add(out.get(exps, 0), f.mul(c1, c2))
-                if s:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
-        return CommPoly(f, self.nvars, out)
+        out = _mul_terms(self.field, self.monomials, other.monomials)
+        return CommPoly._trusted(self.field, self.nvars, out)
 
     def scale(self, c: int) -> "CommPoly":
-        f = self.field
-        return CommPoly(f, self.nvars, {e: f.mul(c, k) for e, k in self.monomials.items()})
+        out = _add_scaled(self.field, {}, self.monomials, c)
+        return CommPoly._trusted(self.field, self.nvars, out)
 
     def pow(self, e: int) -> "CommPoly":
         if e < 0:
@@ -150,7 +162,7 @@ class CommPoly:
                 out[folded] = s
             else:
                 out.pop(folded, None)
-        return CommPoly(f, self.nvars, out)
+        return CommPoly._trusted(f, self.nvars, out)
 
     def eval(self, point) -> int:
         if len(point) != self.nvars:
@@ -168,14 +180,8 @@ class CommPoly:
         return total
 
     def count_nonzeros(self, cap: int = TUPLE_CAP) -> int:
-        total = self.field.q**self.nvars
-        if total > cap:
-            raise SearchSpaceTooLarge(total, cap)
-        count = 0
-        for point in product(self.field.elements(), repeat=self.nvars):
-            if self.eval(point):
-                count += 1
-        return count
+        count = zero_counter(self.field, self.nvars, cap)
+        return self.field.q**self.nvars - count([self.monomials])
 
     def __eq__(self, other):
         return (
@@ -217,6 +223,124 @@ class CommPoly:
 
     def __repr__(self):
         return f"CommPoly({self.to_text()!r} over {self.field!r}, nvars={self.nvars})"
+
+
+# ---------------------------------------------------------------------------
+# arithmetic on {exps: coeff} dicts
+
+def _add_scaled(field: Field, acc: dict, terms: dict, c: int) -> dict:
+    """acc += c * terms, in place, dropping monomials that cancel."""
+    add, mul = field.add, field.mul
+    for exps, k in terms.items():
+        s = add(acc.get(exps, 0), k if c == 1 else mul(c, k))
+        if s:
+            acc[exps] = s
+        else:
+            acc.pop(exps, None)
+    return acc
+
+
+def _fold_table(q: int) -> tuple[int, ...]:
+    """fold[a + b] for reduced exponents a, b: a + b, or a + b - (q - 1)
+    once it passes q - 1, since x^q = x."""
+    return tuple(range(q)) + tuple(range(1, q))
+
+
+def _mul_terms(field: Field, a: dict, b: dict, fold=None) -> dict:
+    """The product a * b; with fold = _fold_table(q) and reduced a, b the
+    product comes out reduced."""
+    add, mul = field.add, field.mul
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if fold is None:
+                exps = tuple(map(operator.add, e1, e2))
+            else:
+                exps = tuple(map(fold.__getitem__, map(operator.add, e1, e2)))
+            s = add(out.get(exps, 0), mul(c1, c2))
+            if s:
+                out[exps] = s
+            else:
+                out.pop(exps, None)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# counting common zeros
+
+def zero_counter(field: Field, nvars: int, cap: int = TUPLE_CAP):
+    """A function from a list of {exps: coeff} dicts in nvars variables to
+    the number of points of F^nvars where all of them vanish.
+
+    The bit masks (GF(2)) or the power table (other fields) are built
+    here, once for every call of the returned function.  Raises
+    SearchSpaceTooLarge when q^nvars exceeds cap.
+    """
+    q = field.q
+    total = q**nvars
+    if total > cap:
+        raise SearchSpaceTooLarge(total, cap)
+    if q == 2:
+        return partial(_count_gf2, _bit_masks(nvars), (1 << total) - 1, total)
+    pows = [[field.pow(x, e) for e in range(q)] for x in field.elements()]
+    return partial(_count_points, field, nvars, pows)
+
+
+def _bit_masks(nvars: int) -> list[int]:
+    """Mask i has bit k set when x_i = 1 at point k of the canonical order,
+    where the first variable is the most significant digit of k."""
+    total = 1 << nvars
+    masks = []
+    for i in range(nvars):
+        run = 1 << (nvars - 1 - i)
+        mask = ((1 << run) - 1) << run  # one period: run zeros, then run ones
+        period = 2 * run
+        while period < total:
+            mask |= mask << period
+            period *= 2
+        masks.append(mask)
+    return masks
+
+
+def _count_gf2(masks, full, total, polys) -> int:
+    nonzero = 0
+    for monomials in polys:
+        value = 0
+        for exps in monomials:  # every coefficient is 1
+            term = full
+            for mask in compress(masks, exps):
+                term &= mask
+            value ^= term
+        nonzero |= value
+    return total - nonzero.bit_count()
+
+
+def _count_points(field, nvars, pows, polys) -> int:
+    add, mul = field.add, field.mul
+    span = field.q - 1
+    prepared = [
+        [
+            (c, [(i, (e - 1) % span + 1) for i, e in enumerate(exps) if e])
+            for exps, c in monomials.items()
+        ]
+        for monomials in polys
+    ]
+    zeros = 0
+    for point in product(field.elements(), repeat=nvars):
+        for terms in prepared:
+            value = 0
+            for c, factors in terms:
+                v = c
+                for i, e in factors:
+                    v = mul(v, pows[point[i]][e])
+                    if not v:
+                        break
+                value = add(value, v)
+            if value:
+                break
+        else:
+            zeros += 1
+    return zeros
 
 
 # ---------------------------------------------------------------------------
@@ -273,56 +397,65 @@ def symbolic_coordinates(Q: FreePoly, A, commutator: bool = False) -> list[CommP
     x_{i*dim}, so the output lives in n*dim commuting variables and is not
     reduced.  With commutator=True each tree pair multiplies as uv - vu.
     """
+    return _coordinates(Q, A, commutator, None)
+
+
+def reduced_coordinates(Q: FreePoly, A, commutator: bool = False) -> list[CommPoly]:
+    """symbolic_coordinates(Q, A, commutator) with each polynomial reduced.
+
+    Exponents fold as monomials multiply, so no unreduced intermediate is
+    built.  Like symbolic_coordinates it reads only the structure
+    constants A.table, never Algebra.mul.
+    """
+    return _coordinates(Q, A, commutator, _fold_table(A.field.q))
+
+
+def _coordinates(Q: FreePoly, A, commutator: bool, fold) -> list[CommPoly]:
     if Q.field != A.field:
         raise FieldMismatch(f"{Q.field!r} vs {A.field!r}")
     f = A.field
     dim = A.dim
     width = Q.n * dim
-    generic = [
-        [CommPoly.variable(f, width, i * dim + j + 1) for j in range(dim)]
+    minus_one = f.neg(1)
+    generic = [  # coordinate s of argument i is the variable x_{i*dim+s+1}
+        [{(0,) * k + (1,) + (0,) * (width - 1 - k): 1} for k in range(i * dim, (i + 1) * dim)]
         for i in range(Q.n)
     ]
-    coords = [CommPoly.zero(f, width) for _ in range(dim)]
-    for term, coeff in Q.terms.items():
-        vec = _symbolic_term(term, A, generic, Q.flavor, commutator)
-        for s in range(dim):
-            if not vec[s].is_zero:
-                coords[s] = coords[s] + vec[s].scale(coeff)
-    return coords
 
+    def mul(u, v):
+        """u * v for vectors of coordinate dicts, by the structure constants."""
+        out = [{} for _ in u]
+        for ui, row in zip(u, A.table):
+            if not ui:
+                continue
+            for vj, cell in zip(v, row):
+                if not vj or not any(cell):
+                    continue
+                prod = _mul_terms(f, ui, vj, fold)
+                for acc, c in zip(out, cell):
+                    if c:
+                        _add_scaled(f, acc, prod, c)
+        return out
 
-def _symbolic_term(term, A, generic, flavor: Flavor, commutator: bool):
-    if flavor is Flavor.ASSOC:
+    def tree(t):
+        if isinstance(t, int):
+            return generic[t - 1]
+        left, right = tree(t[0]), tree(t[1])
+        out = mul(left, right)
+        if commutator:
+            for acc, part in zip(out, mul(right, left)):
+                _add_scaled(f, acc, part, minus_one)
+        return out
+
+    def chain(term):
         vec = generic[term[0] - 1]
         for i in term[1:]:
-            vec = _symbolic_mul(A, vec, generic[i - 1])
+            vec = mul(vec, generic[i - 1])
         return vec
-    if isinstance(term, int):
-        return generic[term - 1]
-    left = _symbolic_term(term[0], A, generic, flavor, commutator)
-    right = _symbolic_term(term[1], A, generic, flavor, commutator)
-    out = _symbolic_mul(A, left, right)
-    if commutator:
-        rev = _symbolic_mul(A, right, left)
-        out = [a - b for a, b in zip(out, rev)]
-    return out
 
-
-def _symbolic_mul(A, u, v):
-    f = A.field
-    dim = A.dim
-    out = [CommPoly.zero(f, u[0].nvars if dim else 0) for _ in range(dim)]
-    for i in range(dim):
-        ui = u[i]
-        if ui.is_zero:
-            continue
-        for j in range(dim):
-            vj = v[j]
-            if vj.is_zero:
-                continue
-            prod = ui * vj
-            cell = A.table[i][j]
-            for s, c in enumerate(cell):
-                if c:
-                    out[s] = out[s] + prod.scale(c)
-    return out
+    vector = chain if Q.flavor is Flavor.ASSOC else tree
+    coords = [{} for _ in range(dim)]
+    for term, coeff in Q.terms.items():
+        for acc, part in zip(coords, vector(term)):
+            _add_scaled(f, acc, part, coeff)
+    return [CommPoly._trusted(f, width, c) for c in coords]

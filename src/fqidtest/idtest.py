@@ -13,8 +13,10 @@ range(q**dim) at its position in the canonical order elements() walks, so
 reference the index kernel is tested against.  The routes that
 cross-check the kernel's answers stay off it: evaluate, the block tallies
 and descent's final enumeration on the restricted algebra run
-_evaluate_raw, and functional_zero_fraction reduces coordinate
-polynomials.
+_evaluate_raw, and functional_zero_fraction and dixon_verdict's second
+route build reduced coordinate polynomials from the structure constants
+(commpoly.reduced_coordinates), which call none of _kernel, _evaluate_raw
+or Algebra.mul.
 
 Descent's claim that e_Q vanishes on I^n depends only on (Q, I) and the
 product flavor, so the algebra keeps the keys it has verified: the stage-n
@@ -50,7 +52,7 @@ from .algebra import (
     vec_sub,
 )
 from .bound import chunk_ranges, floor_fraction, pool_map
-from .commpoly import symbolic_coordinates
+from .commpoly import reduced_coordinates, zero_counter
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -470,21 +472,14 @@ def functional_zero_fraction(
     """Zero fraction via the coordinate polynomials -- an independent route.
 
     e_Q vanishes at a point exactly when all dim coordinate polynomials
-    do, so this must agree with zero_probability on the nose.
+    do, so this must agree with zero_probability on the nose.  The count is
+    commpoly.zero_counter's: bit-sliced over GF(2), a point walk otherwise.
     """
     _product_fn(Q, A, commutator)
-    coords = [c.reduce() for c in symbolic_coordinates(Q, A, commutator=commutator)]
-    q = A.field.q
     width = Q.n * A.dim
-    total = q ** width
-    if total > cap:
-        raise SearchSpaceTooLarge(total, cap)
-    field = A.field
-    count = 0
-    for point in product(field.elements(), repeat=width):
-        if all(c.eval(point) == 0 for c in coords):
-            count += 1
-    return Fraction(count, total)
+    count = zero_counter(A.field, width, cap)
+    coords = reduced_coordinates(Q, A, commutator=commutator)
+    return Fraction(count([c.monomials for c in coords]), A.field.q**width)
 
 
 # ---------------------------------------------------------------------------
@@ -500,47 +495,43 @@ def dixon_verdict(
 ) -> EvalReport:
     """Exact verdict with a dual-route cross-check.
 
-    Route one enumerates A^n.  Route two reduces the symbolic coordinate
-    polynomials: all zero iff e_Q is an identity, and otherwise each
-    nonzero coordinate forces the nonzero fraction up to its density
-    floor.  Disagreement on either route is an implementation bug and
-    raises TheoremViolation.
+    Route one enumerates A^n.  Route two builds the reduced coordinate
+    polynomials (commpoly.reduced_coordinates): all zero iff e_Q is an
+    identity, and otherwise each nonzero coordinate forces the nonzero
+    fraction up to its density floor.  The floor does not increase with
+    the degree, so the strongest one is taken at the least degree.
+    Disagreement on either route is an implementation bug and raises
+    TheoremViolation.
     """
     report = zero_probability(Q, A, cap=cap, workers=workers, commutator=commutator)
-    reduced = [c.reduce() for c in symbolic_coordinates(Q, A, commutator=commutator)]
-    symbolic_identity = all(c.is_zero for c in reduced)
-    witness = {
-        "poly": Q.to_text(),
-        "algebra": A.name or "unnamed",
-        "probability": str(report.probability),
-        "threshold": str(report.threshold),
-    }
-    if symbolic_identity != report.is_identity:
-        raise TheoremViolation(
-            "enumeration and coordinate reduction disagree on identity-ness",
-            witness=witness,
-        )
+    nonzero = [c for c in reduced_coordinates(Q, A, commutator=commutator) if not c.is_zero]
+
+    def violation(message):
+        return TheoremViolation(message, witness={
+            "poly": Q.to_text(),
+            "algebra": A.name or "unnamed",
+            "probability": str(report.probability),
+            "threshold": str(report.threshold),
+        })
+
+    if (not nonzero) != report.is_identity:
+        raise violation("enumeration and coordinate reduction disagree on identity-ness")
     if report.is_identity:
         return replace(report, functional_consistent=True)
 
-    q = A.field.q
-    floor = max(
-        floor_fraction(q, c.degree).value for c in reduced if not c.is_zero
-    )
+    floor = floor_fraction(A.field.q, min(c.degree for c in nonzero)).value
     if 1 - report.probability < floor:
-        raise TheoremViolation(
+        raise violation(
             f"nonzero fraction {1 - report.probability} under the "
-            f"coordinate density floor {floor}",
-            witness=witness,
+            f"coordinate density floor {floor}"
         )
     if report.probability > report.threshold:
-        raise TheoremViolation(
+        raise violation(
             f"non-identity with zero probability {report.probability} "
-            f"above 1 - 2^-{report.degree}",
-            witness=witness,
+            f"above 1 - 2^-{report.degree}"
         )
     if not report.verdict_consistent:
-        raise TheoremViolation("inconsistent verdict flags", witness=witness)
+        raise violation("inconsistent verdict flags")
     return replace(report, functional_floor=floor, functional_consistent=True)
 
 
@@ -588,6 +579,8 @@ def coset_identity_search(
     """
     from .algebra import enumerate_ideals
 
+    if max_codim < 0:
+        raise ValueError(f"max_codim must be >= 0, got {max_codim}")
     e = _kernel(Q, A, commutator)
     n = Q.n
     per_ideal = A.order() ** n

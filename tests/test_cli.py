@@ -60,6 +60,23 @@ def test_bound_prints_exact_rational(capsys):
     assert out == '"2/9"\n'
 
 
+def test_bound_refuses_a_floor_too_large_to_print(capsys):
+    # 3^10001 has 4,772 digits, past Python's int-to-str limit: this was a
+    # traceback from the encoder, and degree 10^8 ran for seconds
+    for d, m in (("20000", 10001), ("100000000", 50000001)):
+        rc, out, err = run_cli(capsys, "bound", "--q", "3", "--d", d)
+        assert (rc, out) == (2, ""), d
+        assert err == (
+            f"error: degree {d} over order 3: the floor's denominator 3^{m} "
+            "exceeds 8192 bits\n"
+        )
+    # the largest degrees that pass still print
+    rc, out, _ = run_cli(capsys, "bound", "--q", "2", "--d", "8191")
+    assert (rc, out) == (0, f'"1/{2**8191}"\n')  # 2/2^8192
+    rc, out, _ = run_cli(capsys, "bound", "--q", "3", "--d", "8191")
+    assert (rc, out) == (0, f'"2/{3**4096}"\n')
+
+
 def test_dixon_payload_fields(capsys):
     rc, out, _ = run_cli(
         capsys, "dixon",
@@ -234,6 +251,16 @@ def test_descent_payload(capsys):
         assert all(s["verified"] for s in cert["steps"])
     statements = {s["statement"] for i in doc["certificates"] for s in i["certificate"]["steps"]}
     assert "e_Q(y_1, a_2) = 0 for all (y_1) in I^1" in statements
+
+
+def test_negative_max_codim_is_a_usage_error(capsys):
+    for command in ("coset-search", "descent"):
+        rc, out, err = run_cli(
+            capsys, command,
+            "--algebra", "builtin:truncated(2,3)", "--poly", "x1*x2",
+            "--max-codim", "-1",
+        )
+        assert (rc, out, err) == (2, "", "error: max_codim must be >= 0, got -1\n"), command
 
 
 def test_blocks_payload_and_ideal_specs(capsys):

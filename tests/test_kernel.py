@@ -17,6 +17,7 @@ from fqidtest.algebra import (
     zero_ideal,
 )
 from fqidtest.cli import battery_for
+from fqidtest.commpoly import reduced_coordinates
 from fqidtest.errors import SearchSpaceTooLarge
 from fqidtest.freepoly import Flavor, FreePoly, parse, zero
 from fqidtest.gf import Field, field_of_order
@@ -210,6 +211,20 @@ def test_callers_size_payloads_by_the_clamped_pool(monkeypatch):
     assert sizes == [1, 8, 1, 8]
 
 
+def test_pool_map_runs_serially_where_fork_is_missing(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    M = matrix_algebra(2, 2)
+    Q = parse("x1*x2*x3 - x3*x2*x1", Flavor.FREE, M.field)
+    pooled = (bound.exhaustive_min(2, 3, 3, workers=2), zero_probability(Q, M, workers=2))
+
+    def no_pool(method):
+        raise AssertionError(f"a {method} pool was started")
+
+    monkeypatch.setattr(bound, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+    monkeypatch.setattr(bound, "get_context", no_pool)
+    assert (bound.exhaustive_min(2, 3, 3, workers=2), zero_probability(Q, M, workers=2)) == pooled
+
+
 # ---------------------------------------------------------------------------
 # the independent routes stay off the kernel
 
@@ -226,8 +241,32 @@ def test_cross_check_routes_do_not_use_the_kernel(monkeypatch):
     A = Algebra(F, 2, [[(0, 0), (1, 0)], [(0, 0), (0, 0)]])
     Q = parse("x1*x2", Flavor.FREE, F)
     evaluate(Q, A, [(1, 0), (0, 1)])
-    idtest.functional_zero_fraction(Q, A)
     assert calls == []
+    # the coordinate route reads the structure constants and nothing else:
+    # not the kernel, not the reference evaluator, not Algebra.mul
+    other = []
+    reference, algebra_mul = idtest._evaluate_raw, Algebra.mul
+    H = heisenberg(2)  # built before the recorders: its Lie check multiplies
+
+    def recording_raw(*args):
+        other.append("_evaluate_raw")
+        return reference(*args)
+
+    def recording_mul(*args):
+        other.append("Algebra.mul")
+        return algebra_mul(*args)
+
+    monkeypatch.setattr(idtest, "_evaluate_raw", recording_raw)
+    monkeypatch.setattr(Algebra, "mul", recording_mul)
+    bracket = parse("[[x1,x2],x1]", Flavor.LIE, F)
+    for P, B, commutator in ((Q, A, False), (bracket, H, False), (bracket, A, True)):
+        reduced_coordinates(P, B, commutator=commutator)
+        idtest.functional_zero_fraction(P, B, commutator=commutator)
+    assert calls == [] and other == []
+    evaluate(Q, A, [(1, 0), (0, 1)])  # the recorders do see the reference route
+    assert set(other) == {"_evaluate_raw", "Algebra.mul"}
+    monkeypatch.setattr(idtest, "_evaluate_raw", reference)
+    monkeypatch.setattr(Algebra, "mul", algebra_mul)
     witnesses = idtest.coset_identity_search(Q, A, 2)
     assert witnesses
     assert len(calls) == 1 and calls[0][1] is A
