@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
     FieldMismatch,
     LieAxiomViolation,
@@ -36,6 +37,11 @@ from .gf import Field, field_of_order
 Vec = tuple[int, ...]
 
 SUBSPACE_CAP = 10**6
+
+# dim**3 structure constants at most, so dimension 32.  No exact count fits
+# EXACT_CAP = 2**24 points past dimension 24, and the largest algebra in use,
+# strictly_upper_triangular_lie(5,2), has dimension 10.
+STRUCTURE_CAP = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +508,16 @@ def nilpotency_index(A: Algebra):
 # ---------------------------------------------------------------------------
 # builders
 
+def _check_structure_size(dim: int):
+    """Refuse a dimension whose dim**3 structure constants exceed
+    STRUCTURE_CAP, before any table is allocated."""
+    if dim**3 > STRUCTURE_CAP:
+        raise BudgetExceeded(
+            f"dimension {dim} needs {dim**3} structure constants, "
+            f"over the cap of {STRUCTURE_CAP}"
+        )
+
+
 def _matrix_units(q: int, pairs, name: str) -> Algebra:
     """The span of the matrix units e_rc, (r, c) in pairs, under
     e_ab * e_cd = delta_bc e_ad; pairs must be closed under that product."""
@@ -519,17 +535,20 @@ def _matrix_units(q: int, pairs, name: str) -> Algebra:
 
 def matrix_algebra(n: int, q: int) -> Algebra:
     """Full n x n matrix algebra, basis e_rc in row-major order."""
+    _check_structure_size(n * n)
     pairs = [(r, c) for r in range(n) for c in range(n)]
     return _matrix_units(q, pairs, f"matrix({n},{q})")
 
 
 def upper_triangular(n: int, q: int) -> Algebra:
+    _check_structure_size(n * (n + 1) // 2)
     pairs = [(r, c) for r in range(n) for c in range(r, n)]
     return _matrix_units(q, pairs, f"upper_triangular({n},{q})")
 
 
 def strictly_upper_triangular_lie(n: int, q: int) -> Algebra:
     """Strictly upper triangular matrices with the commutator bracket."""
+    _check_structure_size(n * (n - 1) // 2)
     f = field_of_order(q)
     pairs = [(r, c) for r in range(n) for c in range(r + 1, n)]
     index = {pair: i for i, pair in enumerate(pairs)}
@@ -563,8 +582,9 @@ def truncated(q: int, m: int) -> Algebra:
     """Nilpotent algebra t*F[t]/(t^m): basis t, t^2, ..., t^(m-1)."""
     if m < 1:
         raise ValueError("truncation order must be >= 1")
-    f = field_of_order(q)
     dim = m - 1
+    _check_structure_size(dim)
+    f = field_of_order(q)
     table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
@@ -639,6 +659,7 @@ def from_json_dict(doc: dict, name=None) -> Algebra:
         k = _json_int(fdoc.get("k", 1), "field.k")
         f = Field(p, k, fdoc.get("modulus"))
         dim = _json_int(doc["dim"], "dim")
+        _check_structure_size(dim)
         bracket = doc.get("bracket", False)
         if not isinstance(bracket, bool):
             raise ShapeMismatch(f"bracket must be a JSON boolean, got {bracket!r}")

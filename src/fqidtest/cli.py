@@ -36,7 +36,7 @@ from .algebra import (
     zero_ideal,
 )
 from .bound import exhaustive_min, floor_fraction, minimize_sequences
-from .errors import FqidtestError, TheoremViolation
+from .errors import FqidtestError, NotMultilinear, TheoremViolation
 from .freepoly import Flavor, engel, parse
 from .idtest import (
     EXACT_CAP,
@@ -253,6 +253,10 @@ def cmd_coset_search(args):
 def cmd_descent(args):
     A = _algebra_arg(args.algebra)
     Q = _poly_arg(args, A)
+    if not Q.analyze().multilinear:
+        # refused before the search, which could otherwise find no witness
+        # and report an empty list
+        raise NotMultilinear(Q.to_text())
     max_codim = args.max_codim if args.max_codim is not None else A.dim
     witnesses = coset_identity_search(
         Q, A, max_codim, cap=_resolved_cap(args), commutator=args.commutator

@@ -109,7 +109,9 @@ class UnknownBuilder(FqidtestError):
 
 
 class NotMultilinear(FqidtestError):
-    pass
+    def __init__(self, poly: str):
+        super().__init__(f"descent needs a multilinear polynomial, got {poly}")
+        self.poly = poly
 
 
 class WitnessInvalid(FqidtestError):
@@ -117,7 +119,9 @@ class WitnessInvalid(FqidtestError):
 
 
 class NotALieAlgebra(FqidtestError):
-    pass
+    def __init__(self, name: str):
+        super().__init__(f"the Engel word needs a bracket table, and {name} has none")
+        self.name = name
 
 
 class NotEnoughVariables(FqidtestError):

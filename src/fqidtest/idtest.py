@@ -18,10 +18,15 @@ route build reduced coordinate polynomials from the structure constants
 (commpoly.reduced_coordinates), which call none of _kernel, _evaluate_raw
 or Algebra.mul.
 
-Descent's claim that e_Q vanishes on I^n depends only on (Q, I) and the
-product flavor, so the algebra keeps the keys it has verified: the stage-n
+The kernel's closures depend only on (Q, A, commutator), so the algebra
+keeps them: the field and flavor gate runs on every _kernel call, and the
+term trees compile on the first call for each (Q, commutator).  Descent's
+claim that e_Q vanishes on I^n depends only on (Q, I) and the product
+flavor, so the algebra also keeps the keys it has verified: the stage-n
 check and the restricted-algebra enumeration run once per key per
-algebra, both in full, and later descents on the key skip them.
+algebra, both in full, and later descents on the key skip them.  None of
+these memos is pickled.  A descent's stage records depend only on n, so
+every certificate of arity n shares one tuple of them.
 
 A note on the threshold comparison: the verdict uses the weak form
 
@@ -35,6 +40,7 @@ comparison would reject correct behavior on extremal inputs.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from operator import itemgetter, not_
 
@@ -191,11 +197,16 @@ class _Tables:
     The reference arithmetic fills an entry on first lookup, so only the
     entries some run meets are ever computed, and each only once: the
     tables live on the algebra as long as it does.  Pairs are keyed
-    a * order + b.  Beside them sit each ideal's member indices and the
+    a * order + b.  Beside them sit the compiled kernel of each
+    (Q, commutator), each ideal's member indices and the
     (Q, ideal, commutator) keys whose descent to the ideal is verified.
+    None of it is pickled: Algebra.__getstate__ leaves the tables behind.
     """
 
-    __slots__ = ("field", "dim", "order", "products", "sums", "scales", "ideal_members", "verified")
+    __slots__ = (
+        "field", "dim", "order", "products", "sums", "scales", "kernels", "ideal_members",
+        "verified",
+    )
 
     def __init__(self, A: Algebra):
         self.field = A.field
@@ -204,6 +215,7 @@ class _Tables:
         self.products = {}  # commutator flag -> product table
         self.sums = None
         self.scales = {}  # coefficient -> table of its multiples
+        self.kernels = {}  # (Q, commutator) -> e_Q on element indices
         self.ideal_members = {}  # ideal -> its members' indices, in elements() order
         self.verified = set()  # (Q, ideal, commutator): e_Q vanishes on ideal^n
 
@@ -278,12 +290,21 @@ def _tables(A: Algebra) -> _Tables:
 def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
     """e_Q on element indices: a function from n indices to the value's index.
 
-    Term trees compile into closures over the algebra's shared tables.
+    The flavor gate runs on every call.  The closures are compiled on the
+    first call for (Q, commutator) and kept on the algebra's tables.
     """
     prod = _product_fn(Q, A, commutator)
     tables = _tables(A)
+    key = (Q, commutator)
+    e = tables.kernels.get(key)
+    if e is None:
+        e = tables.kernels[key] = _compile(Q, tables, tables.product(commutator, prod))
+    return e
+
+
+def _compile(Q: FreePoly, tables: _Tables, mul):
+    """Compile Q's term trees into closures over one product table."""
     order = tables.order
-    mul = tables.product(commutator, prod)
 
     def tree(t):
         if isinstance(t, int):
@@ -317,7 +338,7 @@ def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
     if len(parts) == 1:
         return parts[0]  # 0 + v = v
 
-    if A.field.p == 2:
+    if tables.field.p == 2:
         # coordinates add as bit fields, so vectors add as their indices' XOR
         def e(args):
             acc = 0
@@ -630,6 +651,22 @@ class DescentCertificate:
     identity_on_ideal: bool
 
 
+@cache
+def _descent_steps(n: int) -> tuple:
+    """The verified stage records of an n-variable descent, stages 1..n.
+
+    They depend on n alone, so every certificate of arity n shares one tuple.
+    """
+    steps = []
+    for s in range(1, n + 1):
+        head = ", ".join(f"y_{i}" for i in range(1, s + 1))
+        tail = ", ".join(f"a_{i}" for i in range(s + 1, n + 1))
+        inside = head if not tail else f"{head}, {tail}"
+        statement = f"e_Q({inside}) = 0 for all ({head}) in I^{s}"
+        steps.append(DescentStep(stage=s, statement=statement, verified=True))
+    return tuple(steps)
+
+
 def multilinear_descent(
     Q: FreePoly,
     A: Algebra,
@@ -674,22 +711,15 @@ def multilinear_descent(
 
     key = (Q, ideal, commutator)
     known = key in tables.verified
-    steps = []
-    for s in range(1, n + 1):
-        head = ", ".join(f"y_{i}" for i in range(1, s + 1))
-        tail = ", ".join(f"a_{i}" for i in range(s + 1, n + 1))
-        inside = head if not tail else f"{head}, {tail}"
-        statement = f"e_Q({inside}) = 0 for all ({head}) in I^{s}"
-        if s < n or not known:
-            slots = [members] * s + [(r,) for r in rep_ids[s:]]
-            bad = next(filter(e, product(*slots)), None)
-            if bad is not None:
-                args = tuple(map(tables.vec, bad))
-                raise TheoremViolation(
-                    f"descent stage {s} failed at {args!r}",
-                    witness={"poly": Q.to_text(), "stage": s},
-                )
-        steps.append(DescentStep(stage=s, statement=statement, verified=True))
+    for s in range(1, n if known else n + 1):
+        slots = [members] * s + [(r,) for r in rep_ids[s:]]
+        bad = next(filter(e, product(*slots)), None)
+        if bad is not None:
+            args = tuple(map(tables.vec, bad))
+            raise TheoremViolation(
+                f"descent stage {s} failed at {args!r}",
+                witness={"poly": Q.to_text(), "stage": s},
+            )
 
     if not known:
         sub, _ = restrict(A, ideal)
@@ -701,7 +731,7 @@ def multilinear_descent(
                     witness={"poly": Q.to_text(), "args": args},
                 )
         tables.verified.add(key)
-    return DescentCertificate(steps=tuple(steps), identity_on_ideal=True)
+    return DescentCertificate(steps=_descent_steps(n), identity_on_ideal=True)
 
 
 # ---------------------------------------------------------------------------

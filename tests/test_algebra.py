@@ -3,6 +3,7 @@
 import pytest
 
 from fqidtest.algebra import (
+    STRUCTURE_CAP,
     Algebra,
     Ideal,
     as_ideal,
@@ -31,6 +32,7 @@ from fqidtest.algebra import (
     zero_ideal,
 )
 from fqidtest.errors import (
+    BudgetExceeded,
     DimensionMismatch,
     LieAxiomViolation,
     NotAnIdeal,
@@ -423,6 +425,32 @@ def test_builtin_specs():
         builtin("matrix(2,2")
     with pytest.raises(ValueError):
         builtin("matrix(2)")
+
+
+def test_structure_cap_refuses_before_any_table_is_built():
+    # the first dimension past the cap, for each builder whose dimension
+    # grows with its arguments; heisenberg and field have fixed dimension
+    for build, args, dim in (
+        (matrix_algebra, (6, 2), 36),
+        (upper_triangular, (8, 2), 36),
+        (strictly_upper_triangular_lie, (9, 2), 36),
+        (truncated, (2, 34), 33),
+        (truncated, (2, 99999), 99998),
+    ):
+        with pytest.raises(BudgetExceeded, match=f"dimension {dim} needs {dim**3} structure"):
+            build(*args)
+    assert truncated(2, 33).dim ** 3 == STRUCTURE_CAP
+    for spec, dim in (
+        ("strictly_upper_triangular_lie(5,2)", 10),
+        ("heisenberg(5)", 3),
+        ("upper_triangular(3,2)", 6),
+        ("matrix(5,2)", 25),
+        ("strictly_upper_triangular_lie(8,2)", 28),
+    ):
+        assert builtin(spec).dim == dim
+    # a document is refused on its dim, before its table is read
+    with pytest.raises(BudgetExceeded, match="dimension 33 needs 35937"):
+        from_json_dict({"field": {"p": 2}, "dim": 33, "table": "not read"})
 
 
 ALL_BUILDERS = [

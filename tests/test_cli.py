@@ -6,9 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqidtest import cli
-from fqidtest.algebra import field_as_algebra, save_algebra, truncated
+from fqidtest.algebra import BUILDERS, STRUCTURE_CAP, field_as_algebra, save_algebra, truncated
 from fqidtest.errors import TheoremViolation
 from fqidtest.freepoly import Flavor
 
@@ -253,6 +255,17 @@ def test_descent_payload(capsys):
     assert "e_Q(y_1, a_2) = 0 for all (y_1) in I^1" in statements
 
 
+def test_descent_of_a_non_multilinear_polynomial_is_a_usage_error(capsys):
+    # with --max-codim 0 the search finds no witness, and this exited 0 with
+    # an empty certificate list
+    for extra in ((), ("--max-codim", "0")):
+        rc, out, err = run_cli(
+            capsys, "descent", "--algebra", "builtin:field(2)", "--poly", "x1*x1", *extra
+        )
+        assert (rc, out) == (2, ""), extra
+        assert err == "error: descent needs a multilinear polynomial, got x1*x1\n"
+
+
 def test_negative_max_codim_is_a_usage_error(capsys):
     for command in ("coset-search", "descent"):
         rc, out, err = run_cli(
@@ -331,7 +344,8 @@ def test_engel_payload(capsys):
 def test_engel_requires_a_bracket_table(capsys):
     rc, _, err = run_cli(capsys, "engel", "--algebra", "builtin:matrix(2,2)", "--m", "1")
     assert rc == 2
-    assert err
+    # this was the bare algebra name
+    assert err == "error: the Engel word needs a bracket table, and matrix(2,2) has none\n"
 
 
 def test_nagata_payload(capsys):
@@ -398,6 +412,23 @@ def test_algebra_file_with_wrong_json_types_is_a_usage_error(capsys, tmp_path, k
     assert rc == 2
     assert out == ""
     assert key in err
+
+
+@pytest.mark.parametrize(
+    "spec, dim",
+    [("truncated(2,300)", 299), ("upper_triangular(30,2)", 465), ("truncated(2,99999)", 99998)],
+)
+def test_builtin_over_the_structure_cap_is_a_usage_error(capsys, spec, dim):
+    # refused before any table is built: the first ran to hundreds of MB,
+    # the second to a MemoryError traceback, the third for seconds
+    rc, out, err = run_cli(
+        capsys, "check-identity", "--algebra", f"builtin:{spec}", "--poly", "x1", "--cap", "8"
+    )
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"error: dimension {dim} needs {dim**3} structure constants, "
+        f"over the cap of {STRUCTURE_CAP}\n"
+    )
 
 
 def test_cap_flag_and_env(capsys, monkeypatch):
@@ -474,3 +505,87 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == '"1/2"\n'
+
+
+# ---------------------------------------------------------------------------
+# fuzzing
+
+SUBCOMMANDS = (
+    "check-identity", "probability", "dixon", "coset-search", "descent", "blocks", "engel",
+    "nagata", "bound", "corpus",
+)
+OVER_CAP = ("truncated(2,300)", "upper_triangular(30,2)", "truncated(2,99999)")
+POLY_TEXTS = (
+    "x1", "x1*x1", "x1*x2", "x1*x2 - x2*x1", "x1*x1*x1", "2*x1*x2", "x1^2", "0",
+    "[x1,x2]", "[[x1,x2],x3]", "[x1,x2,x2]", "x1*x2*x3",
+)
+POLY_TOKENS = ("x1", "x2", "x3", "*", "+", "-", "[", "]", ",", "(", ")", "2", "^", "0", " ")
+IDEAL_SPECS = ("zero", "full", "0,1,0", "0,0,1", "1", "1,0;0,1", "0,5,0", "banana")
+
+
+@st.composite
+def algebra_args(draw):
+    if draw(st.integers(0, 9)) == 0:
+        spec = draw(st.sampled_from(OVER_CAP))
+    else:
+        name = draw(st.sampled_from(sorted(BUILDERS)))
+        arity = BUILDERS[name][1]
+        count = draw(st.sampled_from((arity, arity, arity, 3)))
+        values = draw(st.lists(st.integers(0, 8), min_size=count, max_size=count))
+        spec = f"{name}({','.join(map(str, values))})"
+    return ["--algebra", f"builtin:{spec}"]
+
+
+@st.composite
+def poly_args(draw):
+    text = draw(st.one_of(
+        st.sampled_from(POLY_TEXTS),
+        st.lists(st.sampled_from(POLY_TOKENS), max_size=7).map("".join),
+    ))
+    # --poly=text, so that a text starting with "-" is not read as a flag
+    args = [f"--poly={text}", "--flavor", draw(st.sampled_from(("free", "assoc", "lie")))]
+    if draw(st.booleans()):
+        args.append("--commutator")
+    return args
+
+
+def _optional(draw, flag, values):
+    return [flag, str(draw(values))] if draw(st.booleans()) else []
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    argv = [
+        command, "--cap", str(draw(st.integers(0, 4096))), "--workers", "1",
+        "--out", draw(st.sampled_from(("json", "human"))),
+    ]
+    if command not in ("bound", "corpus"):
+        argv += draw(algebra_args())
+    if command in ("check-identity", "probability", "dixon", "coset-search", "descent", "blocks"):
+        argv += draw(poly_args())
+    if command == "probability":
+        argv += _optional(draw, "--samples", st.integers(0, 16))
+        argv += _optional(draw, "--seed", st.integers(0, 99))
+    if command in ("coset-search", "descent"):
+        argv += _optional(draw, "--max-codim", st.integers(-2, 4))
+    if command == "blocks":
+        for flag in ("--ideal-i", "--ideal-j"):
+            argv += [flag, draw(st.sampled_from(IDEAL_SPECS))]
+    if command == "engel":
+        argv += ["--m", str(draw(st.integers(-1, 3)))]
+    if command == "nagata":
+        argv += ["--d", str(draw(st.integers(-1, 4)))]
+    if command == "bound":
+        argv += ["--q", str(draw(st.integers(0, 8))), "--d", str(draw(st.integers(-2, 8)))]
+        if draw(st.booleans()):
+            argv.append("--oracle")
+        argv += _optional(draw, "--exhaustive", st.integers(-1, 4))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argvs())
+def test_fuzzed_command_lines_exit_zero_or_two(argv):
+    rc = cli.main(argv)
+    assert rc in (0, 2), argv

@@ -438,10 +438,16 @@ def test_pickling_drops_every_memo():
         multilinear_descent(Q, H, w)
     tables = H._index_tables
     assert H._ideals and tables.ideal_members and tables.verified and hash(Q)
+    assert list(tables.kernels) == [(Q, False)]
     copy = pickle.loads(pickle.dumps(H))
     assert copy == H
     assert copy._ideals is None and copy._index_tables is None
     assert pickle.loads(pickle.dumps(Q))._hash is None
+    # the copy compiles its own kernel, and its descents match
+    witnesses = coset_identity_search(Q, copy, copy.dim)
+    assert copy._index_tables.kernels[Q, False] is not tables.kernels[Q, False]
+    for w in witnesses:
+        assert multilinear_descent(Q, copy, w) == multilinear_descent(Q, H, w)
 
 
 def test_verification_is_kept_per_polynomial(monkeypatch):

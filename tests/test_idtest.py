@@ -366,6 +366,13 @@ def test_descent_on_upper_triangular():
     assert all(s.verified for s in cert.steps)
     assert cert.steps[0].statement == "e_Q(y_1, a_2) = 0 for all (y_1) in I^1"
     assert cert.steps[1].statement == "e_Q(y_1, y_2) = 0 for all (y_1, y_2) in I^2"
+    # every certificate of arity 2 shares its stage records, verified or not
+    again = multilinear_descent(Q, U, witness)
+    assert again == cert and again.steps is cert.steps
+    H = heisenberg(2)
+    lie = parse("[x1,x2]", Flavor.LIE, H.field)
+    w = coset_identity_search(lie, H, H.dim)[-1]
+    assert multilinear_descent(lie, H, w).steps is cert.steps
 
 
 def test_descent_on_the_heisenberg_center():

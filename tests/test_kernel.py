@@ -1,6 +1,7 @@
 """The element-index kernel against the reference evaluator, point by point."""
 
 import os
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -16,9 +17,9 @@ from fqidtest.algebra import (
     truncated,
     zero_ideal,
 )
-from fqidtest.cli import battery_for
+from fqidtest.cli import battery_for, descent_library
 from fqidtest.commpoly import reduced_coordinates
-from fqidtest.errors import SearchSpaceTooLarge
+from fqidtest.errors import FieldMismatch, FlavorMismatch, SearchSpaceTooLarge
 from fqidtest.freepoly import Flavor, FreePoly, parse, zero
 from fqidtest.gf import Field, field_of_order
 from fqidtest.idtest import (
@@ -64,10 +65,17 @@ def test_kernel_matches_reference_on_every_dimension_two_table():
     brackets = [parse(text, Flavor.LIE, F2) for text in ("[x1,x2]", "[[x1,x2],x1]")]
     for tbl in product(cells, repeat=4):
         A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
-        for Q in battery_for(A):
-            assert_kernel_matches(Q, A)
-        for Q in brackets:
-            assert_kernel_matches(Q, A, commutator=True)
+        plain = battery_for(A)
+        # the second pass runs on the memoised kernels
+        for _ in range(2):
+            for Q in plain:
+                assert_kernel_matches(Q, A)
+            for Q in brackets:
+                assert_kernel_matches(Q, A, commutator=True)
+        # each flag has its own entries
+        assert set(A._index_tables.kernels) == (
+            {(Q, False) for Q in plain} | {(Q, True) for Q in brackets}
+        )
 
 
 @st.composite
@@ -101,6 +109,66 @@ def test_kernel_matches_reference_on_a_bracket_table():
     H = heisenberg(3)
     Q = parse("2*[x1,x2] + [[x1,x2],x1]", Flavor.LIE, H.field)
     assert_kernel_matches(Q, H)
+
+
+# ---------------------------------------------------------------------------
+# the kernel memo
+
+def test_kernel_is_compiled_once_per_polynomial_and_flag():
+    A = matrix_algebra(2, 2)
+    Q = parse("x1*x2 - x2*x1", Flavor.FREE, A.field)
+    e = _kernel(Q, A, False)
+    assert _kernel(Q, A, False) is e
+    twin = FreePoly(Q.field, Q.flavor, Q.n, dict(reversed(list(Q.terms.items()))))
+    assert twin == Q and twin is not Q
+    assert _kernel(twin, A, False) is e
+    bracket = parse("[x1,x2]", Flavor.LIE, A.field)
+    assert _kernel(bracket, A, True) is not e
+    assert list(A._index_tables.kernels) == [(Q, False), (bracket, True)]
+    # a fresh algebra equal to A compiles its own
+    assert _kernel(Q, matrix_algebra(2, 2), False) is not e
+
+
+def test_gates_still_raise_after_a_compile():
+    A = matrix_algebra(2, 2)
+    bracket = parse("[x1,x2]", Flavor.LIE, A.field)
+    _kernel(bracket, A, True)
+    kernels = dict(A._index_tables.kernels)
+    with pytest.raises(FlavorMismatch, match="pass commutator=True"):
+        _kernel(bracket, A, False)
+    with pytest.raises(FlavorMismatch, match="only applies to lie-flavor input"):
+        _kernel(parse("x1*x2", Flavor.FREE, A.field), A, True)
+    with pytest.raises(FieldMismatch):
+        _kernel(parse("[x1,x2]", Flavor.LIE, field_of_order(3)), A, True)
+    H = heisenberg(2)
+    _kernel(bracket, H, False)
+    with pytest.raises(FlavorMismatch, match="plain product table"):
+        _kernel(bracket, H, True)
+    assert A._index_tables.kernels == kernels
+    assert list(H._index_tables.kernels) == [(bracket, False)]
+
+
+def test_search_and_descents_compile_each_kernel_once(monkeypatch):
+    compiles = Counter()
+    compile_kernel = idtest._compile
+
+    def counting(Q, tables, mul):
+        compiles[Q, id(tables), id(mul)] += 1
+        return compile_kernel(Q, tables, mul)
+
+    monkeypatch.setattr(idtest, "_compile", counting)
+    pairs = descents = 0
+    for A in descent_library():
+        for Q in battery_for(A):
+            if not Q.analyze().multilinear:
+                continue
+            pairs += 1
+            for w in idtest.coset_identity_search(Q, A, A.dim):
+                idtest.multilinear_descent(Q, A, w)
+                descents += 1
+    assert descents > 10 * pairs
+    assert len(compiles) == pairs
+    assert set(compiles.values()) == {1}
 
 
 # ---------------------------------------------------------------------------
