@@ -60,6 +60,14 @@ class ConstantTermForbidden(FqidtestError):
         super().__init__("polynomials in the free language have no constant term")
 
 
+class NestingTooDeep(FqidtestError):
+    def __init__(self, limit: int, position: int | None = None):
+        where = "" if position is None else f" (at position {position})"
+        super().__init__(f"terms and text may nest at most {limit} levels deep{where}")
+        self.limit = limit
+        self.position = position
+
+
 class ZeroPolynomial(FqidtestError):
     def __init__(self, what: str = "degree"):
         super().__init__(f"the zero polynomial has no {what}")

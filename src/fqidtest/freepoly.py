@@ -17,10 +17,12 @@ exist to be evaluated on algebras that need not have a unit.
 The text format is whitespace-insensitive.  Products need an explicit *
 except directly after a leading scalar, field elements with a + in them
 must be parenthesized when used as coefficients, and [a,b,c] abbreviates
-the left-normed [[a,b],c].  One tokenizer and one recursive-descent walker,
-_Parser, read both this language and the commutative one of commpoly; the
-free parser adds and multiplies term maps with the helpers FreePoly's own
-+ and * use.
+the left-normed [[a,b],c].  One tokenizer and one recursive-descent
+walker, _Parser, read both this language and the commutative one of
+commpoly; the free parser adds and multiplies term maps with the helpers
+FreePoly's own + and * use.  Term trees nest at most MAX_DEPTH products
+deep and text at most MAX_DEPTH groups deep, so that every recursive walk
+over a tree or the text stays far inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -32,11 +34,19 @@ from .errors import (
     ConstantTermForbidden,
     FieldMismatch,
     FlavorMismatch,
+    NestingTooDeep,
     ParseError,
     UnknownVariable,
     ZeroPolynomial,
 )
 from .gf import Field
+
+
+# The deepest product nesting of a term tree and the deepest '(' or '['
+# nesting of polynomial text.  The parser recurses four frames per group,
+# so text at this depth uses about 512 of Python's 1000 frames, leaving
+# room for a caller as deep as pytest or a fork-pool worker.
+MAX_DEPTH = 128
 
 
 class Flavor(str, Enum):
@@ -104,7 +114,7 @@ def term_sort_key(term):
     return (term_degree(term), _term_enc(term))
 
 
-def _validate_term(term, flavor: Flavor, n: int):
+def _validate_term(term, flavor: Flavor, n: int, depth: int = 0):
     if flavor is Flavor.ASSOC:
         if not (isinstance(term, tuple) and term and all(isinstance(i, int) for i in term)):
             raise ValueError(f"assoc terms are nonempty tuples of indices, got {term!r}")
@@ -118,8 +128,10 @@ def _validate_term(term, flavor: Flavor, n: int):
         return
     if not (isinstance(term, tuple) and len(term) == 2):
         raise ValueError(f"tree terms are index leaves or pairs, got {term!r}")
-    _validate_term(term[0], flavor, n)
-    _validate_term(term[1], flavor, n)
+    if depth == MAX_DEPTH:
+        raise NestingTooDeep(MAX_DEPTH)
+    _validate_term(term[0], flavor, n, depth + 1)
+    _validate_term(term[1], flavor, n, depth + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +316,8 @@ def engel(m: int, field: Field) -> FreePoly:
     """Left-normed bracket [x, y, y, ..., y] with y repeated m times."""
     if m < 1:
         raise ValueError("repetition count must be >= 1")
+    if m > MAX_DEPTH:
+        raise NestingTooDeep(MAX_DEPTH)
     term = 1
     for _ in range(m):
         term = (term, 2)
@@ -372,7 +386,8 @@ class _Parser:
 
     A subclass supplies atom(), which returns (value, parsed_a_bare_scalar),
     and the arithmetic of its values: add, neg and mul.  JUXTAPOSE lists
-    the ops that may follow a bare scalar without a '*'.
+    the ops that may follow a bare scalar without a '*'.  depth counts the
+    open '(' and '[' groups, and with them the recursion.
     """
 
     JUXTAPOSE = "("
@@ -381,6 +396,13 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.field = field
+        self.depth = 0
+
+    def open_group(self):
+        """Enter the group whose '(' or '[' was just taken."""
+        if self.depth == MAX_DEPTH:
+            raise NestingTooDeep(MAX_DEPTH, self.tokens[self.pos - 1][2])
+        self.depth += 1
 
     def peek(self):
         return self.tokens[self.pos]
@@ -446,17 +468,22 @@ class _Parser:
 
     def group(self):
         """The expression inside parentheses, its '(' already taken."""
+        self.open_group()
         value = self.expr()
         kind, val, pos = self.take()
         if not (kind == "op" and val == ")"):
             raise ParseError("expected ')'", pos)
+        self.depth -= 1
         return value
 
 
 class _FreeParser(_Parser):
-    """Values are pairs (scalar, term map), so scalar subexpressions like
-    (g+1) multiply as coefficients.  A nonzero scalar surviving to the top
-    level is a forbidden constant term.
+    """Values are triples (scalar, term map, depth), so scalar
+    subexpressions like (g+1) multiply as coefficients.  A nonzero scalar
+    surviving to the top level is a forbidden constant term.  depth bounds
+    the product nesting of the map's terms (a sum keeps the larger bound
+    even where terms cancel), so a product deeper than MAX_DEPTH is refused
+    before it is built.
     """
 
     JUXTAPOSE = "(["
@@ -469,18 +496,19 @@ class _FreeParser(_Parser):
     def atom(self):
         kind, val, pos = self.take()
         if kind == "int":
-            return (val % self.field.p, {}), True
+            return (val % self.field.p, {}, 0), True
         if kind == "g":
-            return (self.generator(pos), {}), True
+            return (self.generator(pos), {}, 0), True
         if kind == "var":
             self.maxvar = max(self.maxvar, val)
             term = (val,) if self.flavor is Flavor.ASSOC else val
-            return (0, {term: 1}), False
+            return (0, {term: 1}, 0), False
         if kind == "op" and val == "(":
             return self.group(), False
         if kind == "op" and val == "[":
             if self.flavor is not Flavor.LIE:
                 raise ParseError("brackets are only meaningful in the lie flavor", pos)
+            self.open_group()
             items = [self.expr()]
             while True:
                 ck, cv, cpos = self.take()
@@ -492,6 +520,7 @@ class _FreeParser(_Parser):
                     raise ParseError("expected ',' or ']'", cpos)
             if len(items) < 2:
                 raise ParseError("a bracket needs at least two entries", pos)
+            self.depth -= 1
             value = items[0]
             for rhs in items[1:]:
                 value = self.mul(value, rhs)
@@ -500,22 +529,27 @@ class _FreeParser(_Parser):
 
     def add(self, a, b):
         f = self.field
-        return f.add(a[0], b[0]), _add_terms(f, a[1], b[1].items())
+        return f.add(a[0], b[0]), _add_terms(f, a[1], b[1].items()), max(a[2], b[2])
 
     def neg(self, a):
         f = self.field
-        return f.neg(a[0]), {t: f.neg(c) for t, c in a[1].items()}
+        return f.neg(a[0]), {t: f.neg(c) for t, c in a[1].items()}, a[2]
 
     def mul(self, a, b):
         f = self.field
-        (sa, ta), (sb, tb) = a, b
+        (sa, ta, da), (sb, tb, db) = a, b
+        depth = max(da, db)
+        if ta and tb and self.flavor is not Flavor.ASSOC:
+            if depth == MAX_DEPTH:
+                raise NestingTooDeep(MAX_DEPTH)
+            depth += 1
         pairs = []
         if sa:
             pairs += [(t, f.mul(sa, c)) for t, c in tb.items()]
         if sb:
             pairs += [(t, f.mul(c, sb)) for t, c in ta.items()]
         pairs += _products(f, self.flavor, ta, tb)
-        return f.mul(sa, sb), _add_terms(f, {}, pairs)
+        return f.mul(sa, sb), _add_terms(f, {}, pairs), depth
 
 
 def parse(text: str, flavor, field: Field, n: int | None = None) -> FreePoly:
@@ -526,7 +560,7 @@ def parse(text: str, flavor, field: Field, n: int | None = None) -> FreePoly:
     """
     flavor = Flavor(flavor)
     parser = _FreeParser(tokenize(text), flavor, field)
-    scalar, terms = parser.parse()
+    scalar, terms, _ = parser.parse()
     if scalar != 0:
         raise ConstantTermForbidden()
     if n is not None and parser.maxvar > n:

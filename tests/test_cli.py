@@ -9,10 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqidtest import cli
-from fqidtest.algebra import BUILDERS, STRUCTURE_CAP, field_as_algebra, save_algebra, truncated
+from fqidtest import cli, idtest
+from fqidtest.algebra import (
+    BUILDERS,
+    STRUCTURE_CAP,
+    builtin,
+    field_as_algebra,
+    from_json_dict,
+    save_algebra,
+    to_json_dict,
+    truncated,
+)
 from fqidtest.errors import TheoremViolation
-from fqidtest.freepoly import Flavor
+from fqidtest.freepoly import MAX_DEPTH, Flavor, parse
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +155,38 @@ def test_theorem_violation_exits_one_with_witness(capsys, monkeypatch):
     assert doc["witness"] == {"poly": "x1*x1"}
 
 
+@pytest.mark.parametrize(
+    "spec, flavor, text, commutator, route",
+    [
+        ("heisenberg(3)", "lie", "[x1,x2] + [[x1,x2],x2]", False, "slice"),
+        ("matrix(2,2)", "lie", "[x1,x2]", True, "slice"),
+        ("truncated(2,3)", "free", "x1*x1 + x1*x1*x1", False, "points"),
+    ],
+)
+def test_dixon_witness_replays_through_the_cli(
+    capsys, monkeypatch, tmp_path, spec, flavor, text, commutator, route
+):
+    A = builtin(spec)
+    Q = parse(text, Flavor(flavor), A.field)
+    A = from_json_dict(to_json_dict(A))  # unnamed, as the sweep's tables are
+    # forced disagreement: the coordinate route claims e_Q is an identity
+    monkeypatch.setattr(idtest, "reduced_coordinates", lambda *a, **k: [])
+    with pytest.raises(TheoremViolation) as info:
+        idtest.dixon_verdict(Q, A, commutator=commutator)
+    monkeypatch.undo()
+    witness = info.value.witness
+    assert witness["route"] == route
+    assert (witness["flavor"], witness["commutator"]) == (flavor, commutator)
+    path = tmp_path / "witness_algebra.json"
+    path.write_text(json.dumps(cli._jsonable(witness)["algebra"]))
+    argv = ["dixon", "--algebra", str(path), "--poly", witness["poly"], "--flavor", witness["flavor"]]
+    rc, out, _ = run_cli(capsys, *argv, *(["--commutator"] if witness["commutator"] else []))
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["zero_count"], doc["total"]) == (witness["zero_count"], witness["total"])
+    assert witness["zero_count"] < witness["total"]
+
+
 def test_witness_sanitizer_handles_rich_values():
     from dataclasses import dataclass
     from fractions import Fraction
@@ -203,6 +244,22 @@ def test_probability_sampled_payload(capsys):
     assert doc["seed"] == 20260817
     assert doc["is_identity"] is None
     assert doc["verdict_consistent"] is None
+
+
+def test_cap_bounds_the_sample_count(capsys, monkeypatch):
+    monkeypatch.delenv("FQIDTEST_CAP", raising=False)
+    argv = (
+        "probability", "--algebra", "builtin:heisenberg(3)", "--poly", "[x1,x2]",
+        "--flavor", "lie", "--seed", "1",
+    )
+    # this ran until killed before the cap bounded sampled work
+    rc, out, err = run_cli(capsys, *argv, "--samples", "1000000000")
+    assert (rc, out) == (2, "")
+    assert "search space of size 1000000000 exceeds cap 16777216" in err
+    rc, _, err = run_cli(capsys, *argv, "--samples", "101", "--cap", "100")
+    assert rc == 2 and "exceeds cap 100" in err
+    rc, out, _ = run_cli(capsys, *argv, "--samples", "100", "--cap", "100")
+    assert rc == 0 and json.loads(out)["total"] == 100
 
 
 def test_commutator_flag(capsys):
@@ -339,6 +396,26 @@ def test_engel_payload(capsys):
     assert doc["is_identity"] is True
     rc, out, _ = run_cli(capsys, "engel", "--algebra", "builtin:heisenberg(2)", "--m", "1")
     assert json.loads(out)["probability"] == "5/8"
+
+
+def test_nesting_past_the_limit_is_a_usage_error(capsys):
+    deep = "x1"
+    for _ in range(350):
+        deep = f"[{deep},x2]"
+    for argv in (
+        ("engel", "--algebra", "builtin:heisenberg(2)", "--m", "350"),
+        ("engel", "--algebra", "builtin:heisenberg(2)", "--m", "1000"),
+        ("dixon", "--algebra", "builtin:heisenberg(2)", "--flavor", "lie", "--poly", deep),
+        ("dixon", "--algebra", "builtin:matrix(2,2)", "--poly", "*".join(["x1"] * 1200)),
+    ):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, ""), argv[:4]
+        assert f"at most {MAX_DEPTH} levels deep" in err
+    rc, out, _ = run_cli(capsys, "engel", "--algebra", "builtin:heisenberg(2)", "--m", str(MAX_DEPTH))
+    assert rc == 0 and json.loads(out)["degree"] == MAX_DEPTH + 1
+    # a flat associative word does not nest
+    rc, out, _ = run_cli(capsys, "nagata", "--algebra", "builtin:truncated(5,3)", "--d", "5000")
+    assert rc == 0 and json.loads(out)["power_is_identity"] is True
 
 
 def test_engel_requires_a_bracket_table(capsys):
@@ -573,7 +650,7 @@ def cli_argvs(draw):
         for flag in ("--ideal-i", "--ideal-j"):
             argv += [flag, draw(st.sampled_from(IDEAL_SPECS))]
     if command == "engel":
-        argv += ["--m", str(draw(st.integers(-1, 3)))]
+        argv += ["--m", str(draw(st.one_of(st.integers(-1, 3), st.integers(4, 2000))))]
     if command == "nagata":
         argv += ["--d", str(draw(st.integers(-1, 4)))]
     if command == "bound":

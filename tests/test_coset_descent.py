@@ -295,7 +295,10 @@ def test_filled_tables_do_not_travel_to_pool_workers():
 
 def test_tables_are_shared_between_calls():
     H = heisenberg(3)
-    Q = parse("[x1,x2]", Flavor.LIE, H.field)
+    # each variable occurs twice in a term, so the count walks every point
+    # and fills the whole product table
+    Q = parse("[[x1,x2],x1] + [[x2,x1],x2]", Flavor.LIE, H.field)
+    assert idtest._slice_variable(Q, H) is None
     zero_probability(Q, H)
     tables = H._index_tables
     filled = len(tables.products[False])

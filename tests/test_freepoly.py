@@ -5,14 +5,18 @@ import random
 
 import pytest
 
+from fqidtest.algebra import heisenberg
+from fqidtest.commpoly import parse_comm
 from fqidtest.errors import (
     ConstantTermForbidden,
     FlavorMismatch,
+    NestingTooDeep,
     ParseError,
     UnknownVariable,
     ZeroPolynomial,
 )
 from fqidtest.freepoly import (
+    MAX_DEPTH,
     Flavor,
     FreePoly,
     engel,
@@ -23,6 +27,7 @@ from fqidtest.freepoly import (
     zero,
 )
 from fqidtest.gf import Field
+from fqidtest.idtest import dixon_verdict, zero_probability
 
 F2 = Field(2)
 F3 = Field(3)
@@ -183,6 +188,77 @@ def test_engel_polynomials():
         assert term_degree(term) == m + 1
     with pytest.raises(ValueError):
         engel(0, F2)
+
+
+# ---------------------------------------------------------------------------
+# the nesting limit
+
+def _nested(depth, template):
+    text = "x1"
+    for _ in range(depth):
+        text = template.format(text)
+    return text
+
+
+def test_nesting_up_to_the_limit_parses():
+    deep = parse(_nested(MAX_DEPTH, "[{},x2]"), Flavor.LIE, F2)
+    assert deep == engel(MAX_DEPTH, F2)
+    assert parse(_nested(MAX_DEPTH, "({})"), Flavor.FREE, F2) == variable(F2, Flavor.FREE, 1)
+    assert parse("[" + ",".join(["x1"] * (MAX_DEPTH + 1)) + "]", Flavor.LIE, F2).degree == MAX_DEPTH + 1
+    assert parse("*".join(["x1"] * (MAX_DEPTH + 1)), Flavor.FREE, F2).degree == MAX_DEPTH + 1
+    assert parse_comm(_nested(MAX_DEPTH, "({})"), F2) == parse_comm("x1", F2)
+    # flat words do not nest
+    assert parse("*".join(["x1"] * 5000), Flavor.ASSOC, F2) == power_word(5000, F2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: parse(_nested(MAX_DEPTH + 1, "[{},x2]"), Flavor.LIE, F2),
+        lambda: parse(_nested(MAX_DEPTH + 1, "({})"), Flavor.FREE, F2),
+        lambda: parse(_nested(5000, "({})"), Flavor.FREE, F2),
+        lambda: parse("[" + ",".join(["x1"] * (MAX_DEPTH + 2)) + "]", Flavor.LIE, F2),
+        lambda: parse("*".join(["x1"] * (MAX_DEPTH + 2)), Flavor.FREE, F2),
+        # the same deep word twice: comparing the two trees recursed
+        lambda: parse(" + ".join(["*".join(["x1"] * 1200)] * 2), Flavor.FREE, F2),
+        # a sum is as deep as its deepest summand
+        lambda: parse(" + ".join([_deep_sum_product()] * 2), Flavor.FREE, F2),
+        lambda: parse_comm(_nested(MAX_DEPTH + 1, "({})"), F2),
+        lambda: engel(MAX_DEPTH + 1, F2),
+        lambda: engel(10**9, F2),
+        lambda: engel(MAX_DEPTH, F2) * variable(F2, Flavor.LIE, 1),
+        lambda: FreePoly(F2, Flavor.FREE, 1, {_nested_term(MAX_DEPTH + 1): 1}),
+        lambda: FreePoly(F2, Flavor.FREE, 1, {_nested_term(5000): 1}),
+    ],
+)
+def test_nesting_past_the_limit_is_refused(make):
+    with pytest.raises(NestingTooDeep, match=f"at most {MAX_DEPTH} levels deep"):
+        make()
+
+
+def _deep_sum_product():
+    # sums inside products, each level 100 products deeper than the last
+    text = "x1"
+    for _ in range(12):
+        text = f"(x2 + {text})*" + "*".join(["x2"] * 100)
+    return text
+
+
+def _nested_term(depth):
+    term = 1
+    for _ in range(depth):
+        term = (1, term)
+    return term
+
+
+def test_terms_at_the_limit_evaluate_in_fork_workers():
+    # the deepest term compiles and runs in pool workers forked from pytest
+    H = heisenberg(2)
+    Q = parse(_nested(MAX_DEPTH, "[{},x2]") + " + [x3,x4]", Flavor.LIE, H.field)
+    assert H.order() ** Q.n >= 4096  # large enough for the pool path
+    serial = zero_probability(Q, H, workers=1)
+    assert zero_probability(Q, H, workers=2) == serial
+    assert dixon_verdict(Q, H, workers=2).zero_count == serial.zero_count
 
 
 def test_power_word():

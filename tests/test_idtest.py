@@ -76,6 +76,20 @@ def test_splitmix64_below_is_deterministic():
     assert [a.below(5) for _ in range(20)] == [b.below(5) for _ in range(20)]
 
 
+@pytest.mark.parametrize("seed", [0, -3, 1 << 64, (1 << 64) + 12345])
+def test_splitmix64_indices_are_repeated_below_draws(seed):
+    for q in (2, 3, 4, 5):
+        for dim in (1, 2, 3):
+            stream, reference = SplitMix64(seed), SplitMix64(seed)
+            indices = stream.indices(q, dim)
+            for _ in range(40):
+                index = 0
+                for _ in range(dim):
+                    index = index * q + reference.below(q)
+                assert next(indices) == index
+                assert stream.state == reference.state
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 

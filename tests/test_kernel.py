@@ -25,10 +25,13 @@ from fqidtest.gf import Field, field_of_order
 from fqidtest.idtest import (
     EXACT_CAP,
     SplitMix64,
+    _count_points,
     _count_range,
+    _count_slices,
     _evaluate_raw,
     _kernel,
     _product_fn,
+    _slice_variable,
     evaluate,
     zero_probability,
 )
@@ -172,6 +175,137 @@ def test_search_and_descents_compile_each_kernel_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# slice counting against the point walk
+
+def affine_variables(Q):
+    return [j for j, d in enumerate(Q.analyze().multidegree) if d <= 1]
+
+
+def assert_slices_match_points(Q, A, commutator=False):
+    """Counting along each affine variable gives the point walk's count."""
+    points = _count_points(Q, A, commutator, 0, A.order())
+    first = A.order() if Q.n > 1 else 1
+    for j in affine_variables(Q):
+        assert _count_slices(Q, A, commutator, j, 0, first) == points, (Q.to_text(), j)
+    return points
+
+
+def test_slices_match_points_on_every_dimension_two_table():
+    cells = list(product(range(2), repeat=2))
+    brackets = [parse(text, Flavor.LIE, F2) for text in ("[x1,x2]", "[[x1,x2],x1]")]
+    checked = 0
+    for tbl in product(cells, repeat=4):
+        A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
+        for Q in battery_for(A):
+            assert_slices_match_points(Q, A)
+            checked += len(affine_variables(Q))
+        for Q in brackets:
+            assert_slices_match_points(Q, A, commutator=True)
+            checked += len(affine_variables(Q))
+    # x1*x2, x1*x2 - x2*x1 and [x1,x2] along both variables, [[x1,x2],x1] along x2
+    assert checked == 256 * 7
+
+
+# affine in the first, a middle or the last variable, with c != 0 on some
+# slices, and a variable that no term uses
+AFFINE_TEXTS = (
+    "x1*x2*x2", "x2*x1*x2 + x1", "x2*x2*x1 + x2*x2",
+    "x1*x1*x2 + x1", "x2*x1 + x1*x1 + x3", "x1*x2*x1 + x3*x3*x2", "x2*x1*x2 + x3*x3",
+)
+
+
+@st.composite
+def affine_cases(draw):
+    q = draw(st.sampled_from([2, 3, 4]))
+    F = field_of_order(q)
+    dim = draw(st.integers(1, 2 if q == 4 else 3))
+    cell = st.tuples(*[st.integers(0, q - 1)] * dim)
+    A = Algebra(F, dim, [[draw(cell) for _ in range(dim)] for _ in range(dim)])
+    text = draw(st.sampled_from(AFFINE_TEXTS))
+    n = draw(st.sampled_from([None, 3 if text.count("x3") else 2, 4]))
+    return parse(text, Flavor.FREE, F, n=n), A
+
+
+@settings(max_examples=60, deadline=None)
+@given(affine_cases())
+def test_slices_match_points_on_random_tables(case):
+    Q, A = case
+    assert affine_variables(Q)
+    assert_slices_match_points(Q, A)
+
+
+F4 = field_of_order(4)
+# a dimension-2 table over GF(4) with g and g + 1 among its structure constants
+GF4_TABLE = Algebra(F4, 2, [[(1, 2), (0, 3)], [(2, 0), (1, 1)]])
+
+
+def test_slice_route_counts_nonhomogeneous_polynomials_over_gf4():
+    # an XOR basis of element indices spans over GF(2), not GF(4), and
+    # miscounted the first of these
+    A = GF4_TABLE
+    for text in ("x2*x1 + x1*x1 + x3", "x1*x1*x2 + x1", "g*x1*x2 + x2*x1"):
+        Q = parse(text, Flavor.FREE, A.field)
+        assert _slice_variable(Q, A) is not None
+        order = A.order()
+        brute = sum(_count_points(Q, A, False, start, start + 1) for start in range(order))
+        assert zero_probability(Q, A).zero_count == brute, text
+
+
+def test_route_choice():
+    H = heisenberg(3)
+    assert _slice_variable(parse("[x1,x2,x3]", Flavor.LIE, H.field), H) == 2
+    assert _slice_variable(parse("[[x1,x2],x2]", Flavor.LIE, H.field), H) == 0
+    # every variable twice in some term, the zero polynomial, term-less input
+    assert _slice_variable(parse("[[x1,x2],[x1,x2]]", Flavor.LIE, H.field), H) is None
+    assert _slice_variable(zero(H.field, Flavor.LIE), H) is None
+    assert _slice_variable(FreePoly(H.field, Flavor.LIE, 2, {}), H) is None
+    # a slice of four points and three probes is walked point by point
+    T = truncated(2, 2)
+    assert _slice_variable(parse("x1*x2", Flavor.FREE, T.field), T) is None
+
+
+def test_slice_route_evaluates_probes_only(monkeypatch):
+    H = heisenberg(3)
+    Q = parse("[x1,x2,x3]", Flavor.LIE, H.field)
+    calls = Counter()
+    kernel = idtest._kernel
+
+    def counting(*args):
+        e = kernel(*args)
+
+        def counted(point):
+            calls["points"] += 1
+            return e(point)
+
+        return counted
+
+    monkeypatch.setattr(idtest, "_kernel", counting)
+    rep = zero_probability(Q, H)
+    assert (rep.zero_count, rep.total) == (19683, 19683)
+    assert calls["points"] == (H.dim + 1) * H.order() ** 2 == 2916
+
+
+@pytest.mark.parametrize(
+    "A, flavor, text",
+    [
+        (heisenberg(3), Flavor.LIE, "[[x1,x3],x2] + 2*[x2,x1]"),  # slices along x3
+        (matrix_algebra(2, 2), Flavor.FREE, "x3*x1*x2 + x1*x1*x2*x1"),  # along x3
+        (matrix_algebra(2, 2), Flavor.FREE, "x2*x1*x2 + x3*x1*x3"),  # along x1, chunked over x2
+        (GF4_TABLE, Flavor.FREE, "x1*x1*x2 + x3*x1"),  # along x3, over GF(4)
+    ],
+)
+def test_workers_give_the_serial_count_on_the_slice_route(A, flavor, text):
+    Q = parse(text, flavor, A.field)
+    assert _slice_variable(Q, A) is not None
+    assert A.order() ** Q.n >= 4096  # large enough for the pool path
+    serial = zero_probability(Q, A, workers=1).zero_count
+    assert zero_probability(Q, A, workers=3).zero_count == serial
+    assert serial == sum(
+        _count_points(Q, A, False, start, start + 1) for start in range(A.order())
+    )
+
+
+# ---------------------------------------------------------------------------
 # sampled mode
 
 def test_sampled_mode_matches_an_evaluate_recount():
@@ -179,6 +313,23 @@ def test_sampled_mode_matches_an_evaluate_recount():
     Q = parse("[x1,x2] + [[x1,x3],x2]", Flavor.LIE, H.field)
     rep = zero_probability(Q, H, samples=300, seed=7)
     assert rep.zero_count == sampled_recount(Q, H, 300, 7)
+
+
+def test_sampled_mode_is_capped_before_any_draw(monkeypatch):
+    H = heisenberg(3)
+    Q = parse("[x1,x2] + [[x1,x3],x2]", Flavor.LIE, H.field)
+    rep = zero_probability(Q, H, samples=64, seed=5, cap=64)
+    assert rep.zero_count == sampled_recount(Q, H, 64, 5)
+
+    def no_draws(self, q, dim):
+        raise AssertionError("drew before the cap check")
+
+    monkeypatch.setattr(SplitMix64, "indices", no_draws)
+    with pytest.raises(SearchSpaceTooLarge) as info:
+        zero_probability(Q, H, samples=65, seed=5, cap=64)
+    assert (info.value.size, info.value.cap) == (65, 64)
+    with pytest.raises(SearchSpaceTooLarge):
+        zero_probability(Q, H, samples=EXACT_CAP + 1, seed=5)
 
 
 def test_sampled_mode_on_an_algebra_too_large_to_tabulate():
