@@ -361,6 +361,10 @@ def count_subspaces(q: int, n: int) -> int:
     return sum(gaussian_binomial(n, r, q) for r in range(n + 1))
 
 
+def _ideal_order(ideal: Ideal):
+    return ideal.codim, ideal.basis
+
+
 def enumerate_ideals(A: Algebra, cap: int = SUBSPACE_CAP) -> list[Ideal]:
     """Every two-sided ideal, codimension ascending then basis lexicographic.
 
@@ -368,13 +372,25 @@ def enumerate_ideals(A: Algebra, cap: int = SUBSPACE_CAP) -> list[Ideal]:
     subspace count, not the ideal count.  The walk runs once per algebra;
     later calls check the cap again and return a copy of its result.
     """
+    return sorted(_walk_ideals(A, cap), key=_ideal_order)
+
+
+def _walk_ideals(A: Algebra, cap: int = SUBSPACE_CAP):
+    """Yield every two-sided ideal as the walk finds it, rank ascending.
+
+    A caller can stop as soon as it has seen enough.  The cap guards the
+    subspace count before anything is yielded.  A walk run to its end
+    keeps its ideals on the algebra, and later walks yield those, in
+    enumerate_ideals' order.
+    """
     f = A.field
     d = A.dim
     total = count_subspaces(f.q, d)
     if total > cap:
         raise SearchSpaceTooLarge(total, cap)
     if A._ideals is not None:
-        return list(A._ideals)
+        yield from A._ideals
+        return
     found = []
     for r in range(d + 1):
         for pivots in combinations(range(d), r):
@@ -394,9 +410,9 @@ def enumerate_ideals(A: Algebra, cap: int = SUBSPACE_CAP) -> list[Ideal]:
                 rows = tuple(tuple(row) for row in rows)
                 if _is_invariant(A, rows, pivots):
                     found.append(Ideal(f, d, rows, pivots))
-    found.sort(key=lambda ideal: (ideal.codim, ideal.basis))
+                    yield found[-1]
+    found.sort(key=_ideal_order)
     A._ideals = tuple(found)
-    return found
 
 
 @dataclass(frozen=True)

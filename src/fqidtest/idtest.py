@@ -11,10 +11,10 @@ multilinear_descent evaluate on element indices: an element is the int in
 range(q**dim) at its position in the canonical order elements() walks, so
 0 is the zero element.  _evaluate_raw, on coordinate tuples, is the
 reference the index kernel is tested against.  The routes that
-cross-check the kernel's answers stay off it: evaluate, the block tallies
-and descent's final enumeration on the restricted algebra run
-_evaluate_raw, and functional_zero_fraction and dixon_verdict's second
-route build reduced coordinate polynomials from the structure constants
+cross-check the kernel's answers stay off it: evaluate and the block
+tallies run _evaluate_raw, while functional_zero_fraction, dixon_verdict's
+second route and descent's final check on the restricted algebra build
+reduced coordinate polynomials from the structure constants
 (commpoly.reduced_coordinates), which call none of _kernel, _evaluate_raw
 or Algebra.mul.
 
@@ -34,10 +34,10 @@ keeps them: the field and flavor gate runs on every _kernel call, and the
 term trees compile on the first call for each (Q, commutator).  Descent's
 claim that e_Q vanishes on I^n depends only on (Q, I) and the product
 flavor, so the algebra also keeps the keys it has verified: the stage-n
-check and the restricted-algebra enumeration run once per key per
-algebra, both in full, and later descents on the key skip them.  None of
-these memos is pickled.  A descent's stage records depend only on n, so
-every certificate of arity n shares one tuple of them.
+check and the restricted-algebra check run once per key per algebra,
+both in full, and later descents on the key skip them.  None of these
+memos is pickled.  A descent's stage records depend only on n, so every
+certificate of arity n shares one tuple of them.
 
 A note on the threshold comparison: the verdict uses the weak form
 
@@ -59,7 +59,9 @@ from .algebra import (
     Algebra,
     Ideal,
     _check_ambient,
+    _ideal_order,
     _is_coordinate_vector,
+    _walk_ideals,
     nilpotency_index,
     quotient,
     restrict,
@@ -651,9 +653,10 @@ def dixon_verdict(
     density floor.  The floor does not increase with the degree, so the
     strongest one is taken at the least degree.  Disagreement on either
     route is an implementation bug and raises TheoremViolation, whose
-    witness holds the algebra document, the polynomial text, its flavor,
-    the commutator flag, the zero count and the count route, so that
-    fqidtest dixon replays the count.
+    witness holds the algebra document, the polynomial text, its variable
+    count n (the text drops unused trailing variables), its flavor, the
+    commutator flag, the zero count and the count route, so that the count
+    can be replayed.
     """
     report = zero_probability(Q, A, cap=cap, workers=workers, commutator=commutator)
     nonzero = [c for c in reduced_coordinates(Q, A, commutator=commutator) if not c.is_zero]
@@ -661,6 +664,7 @@ def dixon_verdict(
     def violation(message):
         return TheoremViolation(message, witness={
             "poly": Q.to_text(),
+            "n": Q.n,
             "flavor": Q.flavor.value,
             "commutator": commutator,
             "algebra": to_json_dict(A),
@@ -732,10 +736,10 @@ def coset_identity_search(
     Ideals are visited largest first (ascending codimension, canonical
     order) and representative tuples in coordinate order, so output is
     deterministic.  The cap bounds the total work, order**n points per
-    visited ideal.
+    visited ideal, and is checked as the ideal walk finds each one: the
+    work only grows, so an over-cap search is refused without finishing
+    the walk, and the size it reports is the work found so far.
     """
-    from .algebra import enumerate_ideals
-
     if max_codim < 0:
         raise ValueError(f"max_codim must be >= 0, got {max_codim}")
     e = _kernel(Q, A, commutator)
@@ -745,10 +749,13 @@ def coset_identity_search(
         # refused before the ideals are enumerated: the whole algebra is
         # an ideal of codimension 0, so every search visits one such product
         raise SearchSpaceTooLarge(per_ideal, cap)
-    ideals = [ideal for ideal in enumerate_ideals(A) if ideal.codim <= max_codim]
-    total = len(ideals) * per_ideal
-    if total > cap:
-        raise SearchSpaceTooLarge(total, cap)
+    ideals = []
+    for ideal in _walk_ideals(A):
+        if ideal.codim <= max_codim:
+            ideals.append(ideal)
+            if len(ideals) * per_ideal > cap:
+                raise SearchSpaceTooLarge(len(ideals) * per_ideal, cap)
+    ideals.sort(key=_ideal_order)
     tables = _tables(A)
     witnesses = []
     for ideal in ideals:
@@ -803,6 +810,25 @@ def _descent_steps(n: int) -> tuple:
     return tuple(steps)
 
 
+def _descent_violation(message, Q, A, witness, commutator, **found) -> TheoremViolation:
+    """A failed descent, with a witness that rebuilds it: the algebra
+    document, the polynomial text, its variable count n (the text drops
+    unused trailing variables), flavor and commutator flag, the ideal's
+    basis and the representatives, plus what failed (the stage and its
+    arguments, or the first nonzero coordinate on the restricted algebra).
+    """
+    return TheoremViolation(message, witness={
+        "poly": Q.to_text(),
+        "n": Q.n,
+        "flavor": Q.flavor.value,
+        "commutator": commutator,
+        "algebra": to_json_dict(A),
+        "ideal": witness.ideal.basis,
+        "representatives": witness.representatives,
+        **found,
+    })
+
+
 def multilinear_descent(
     Q: FreePoly,
     A: Algebra,
@@ -814,12 +840,14 @@ def multilinear_descent(
 
     Stage s replaces the first s representatives by arbitrary ideal
     members; multilinearity lets each stage telescope from the previous
-    one, and stage n says e_Q vanishes on I^n.  Every stage is verified
-    by enumeration, and the final claim is recomputed independently on
-    the restricted algebra.  Stage n and the restricted-algebra check
-    depend only on (Q, I), so they run once per (Q, I) per algebra: the
-    first descent that passes both records the key, and later descents on
-    it run the coset check and stages 1..n-1 only.
+    one, and stage n says e_Q vanishes on I^n.  The stages enumerate on
+    A's kernel; the final claim is checked by coordinate reduction, not
+    by enumerating restrict(A, I)^n: every reduced coordinate polynomial
+    of e_Q on it is zero (exact: a reduced polynomial is zero iff its
+    function is).  Stage n and this check depend only on (Q, I), so they
+    run once per (Q, I) per algebra: the first descent that passes both
+    records the key, and later ones run the coset check and stages 1..n-1.
+    A failure of either raises _descent_violation's TheoremViolation.
     """
     e = _kernel(Q, A, commutator)
     if not Q.analyze().multilinear:
@@ -852,20 +880,17 @@ def multilinear_descent(
         bad = next(filter(e, product(*slots)), None)
         if bad is not None:
             args = tuple(map(tables.vec, bad))
-            raise TheoremViolation(
-                f"descent stage {s} failed at {args!r}",
-                witness={"poly": Q.to_text(), "stage": s},
-            )
+            message = f"descent stage {s} failed at {args!r}"
+            raise _descent_violation(message, Q, A, witness, commutator, stage=s, args=args)
 
     if not known:
         sub, _ = restrict(A, ideal)
-        sub_prod = _product_fn(Q, sub, commutator)
-        for args in product(list(sub.elements()), repeat=n):
-            if not vec_is_zero(_evaluate_raw(Q, sub, args, sub_prod)):
-                raise TheoremViolation(
-                    "identity on the ideal fails in the restricted algebra",
-                    witness={"poly": Q.to_text(), "args": args},
-                )
+        nonzero = [c for c in reduced_coordinates(Q, sub, commutator=commutator) if not c.is_zero]
+        if nonzero:
+            raise _descent_violation(
+                "identity on the ideal fails in the restricted algebra",
+                Q, A, witness, commutator, coordinate=nonzero[0].to_text(),
+            )
         tables.verified.add(key)
     return DescentCertificate(steps=_descent_steps(n), identity_on_ideal=True)
 
@@ -1039,6 +1064,10 @@ def nagata_higman_check(
         raise FlavorMismatch("the power-identity check needs a plain product table")
     if d < 1:
         raise ValueError("d must be a positive integer")
+    if A.order() * d > cap:
+        # each of the order points multiplies d factors; refused before the
+        # d-letter word is built
+        raise SearchSpaceTooLarge(A.order() * d, cap)
     report = zero_probability(power_word(d, A.field), A, cap=cap)
     char = A.field.p
     applicable = char > d

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqidtest import cli, idtest
+from fqidtest import algebra, cli, idtest
 from fqidtest.algebra import (
     BUILDERS,
     STRUCTURE_CAP,
@@ -187,6 +187,24 @@ def test_dixon_witness_replays_through_the_cli(
     assert witness["zero_count"] < witness["total"]
 
 
+def test_dixon_witness_records_the_variable_count(monkeypatch):
+    # x1*x1 built with n = 2 counts 16 points on truncated(2,3), but its text
+    # names x1 only and re-parses with n = 1 (4 points); the witness's n
+    # rebuilds the count
+    T = truncated(2, 3)
+    Q = parse("x1*x1", Flavor.FREE, T.field, n=2)
+    monkeypatch.setattr(idtest, "reduced_coordinates", lambda *a, **k: [])
+    with pytest.raises(TheoremViolation) as info:
+        idtest.dixon_verdict(Q, T)
+    monkeypatch.undo()
+    witness = json.loads(json.dumps(cli._jsonable(info.value.witness)))
+    assert (witness["poly"], witness["n"], witness["total"]) == ("x1*x1", 2, 16)
+    A = from_json_dict(witness["algebra"])
+    assert idtest.zero_probability(parse(witness["poly"], Flavor.FREE, A.field), A).total == 4
+    replay = idtest.zero_probability(parse(witness["poly"], Flavor.FREE, A.field, n=witness["n"]), A)
+    assert (replay.zero_count, replay.total) == (witness["zero_count"], witness["total"])
+
+
 def test_witness_sanitizer_handles_rich_values():
     from dataclasses import dataclass
     from fractions import Fraction
@@ -331,6 +349,45 @@ def test_negative_max_codim_is_a_usage_error(capsys):
             "--max-codim", "-1",
         )
         assert (rc, out, err) == (2, "", "error: max_codim must be >= 0, got -1\n"), command
+
+
+def test_coset_search_refuses_over_cap_work_during_the_walk(capsys, monkeypatch):
+    # truncated(4,7) has 565,723 subspaces; with order**1 = 4096 points per
+    # ideal the search passes a 4096 cap at its second ideal, the rank-1
+    # (x^6), which the walk reaches after 1 + 1,365 subspaces
+    steps = []
+    invariant = algebra._is_invariant
+
+    def counting(*args):
+        steps.append(None)
+        return invariant(*args)
+
+    monkeypatch.setattr(algebra, "_is_invariant", counting)
+    argv = ("coset-search", "--algebra", "builtin:truncated(4,7)", "--poly", "x1", "--cap", "4096")
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (2, "", "error: search space of size 8192 exceeds cap 4096\n")
+    assert len(steps) == 1366
+    # the per-ideal refusal still comes before any walk step
+    steps.clear()
+    rc, _, err = run_cli(capsys, *argv[:-1], "4095")
+    assert (rc, err, steps) == (2, "error: search space of size 4096 exceeds cap 4095\n", [])
+
+
+def test_nagata_refuses_a_power_over_the_cap_before_building_it(capsys, monkeypatch):
+    def no_word(*args):
+        raise AssertionError("power_word was built")
+
+    monkeypatch.setattr(idtest, "power_word", no_word)
+    for d, cap, size in (("20000000", "4096", 500_000_000), ("1000000000", None, 25 * 10**9), ("5", "124", 125)):
+        rc, out, err = run_cli(
+            capsys, "nagata", "--algebra", "builtin:truncated(5,3)", "--d", d, *(["--cap", cap] if cap else [])
+        )
+        assert (rc, out) == (2, ""), d
+        assert err == f"error: search space of size {size} exceeds cap {cap or 1 << 24}\n"
+    monkeypatch.undo()
+    # order * d at the cap still answers
+    rc, out, _ = run_cli(capsys, "nagata", "--algebra", "builtin:truncated(5,3)", "--d", "5", "--cap", "125")
+    assert rc == 0 and json.loads(out)["power_is_identity"] is True
 
 
 def test_blocks_payload_and_ideal_specs(capsys):
@@ -637,6 +694,15 @@ def cli_argvs(draw):
         command, "--cap", str(draw(st.integers(0, 4096))), "--workers", "1",
         "--out", draw(st.sampled_from(("json", "human"))),
     ]
+    if command == "coset-search" and draw(st.integers(0, 3)) == 0:
+        # an in-cap search of truncated(4,7) walks all 565,723 subspaces
+        # (about 12 s), so only searches in at least one variable and with
+        # no codimension limit are drawn: each passes the cap by its second
+        # ideal, and must be refused early in the walk
+        text = draw(st.sampled_from([t for t in POLY_TEXTS if t != "0"]))
+        argv[2] = str(draw(st.sampled_from((4096, 4095, 1, 0))))
+        argv += ["--algebra", "builtin:truncated(4,7)", "--poly", text]
+        return argv + ["--flavor", draw(st.sampled_from(("free", "assoc", "lie")))]
     if command not in ("bound", "corpus"):
         argv += draw(algebra_args())
     if command in ("check-identity", "probability", "dixon", "coset-search", "descent", "blocks"):
@@ -652,7 +718,7 @@ def cli_argvs(draw):
     if command == "engel":
         argv += ["--m", str(draw(st.one_of(st.integers(-1, 3), st.integers(4, 2000))))]
     if command == "nagata":
-        argv += ["--d", str(draw(st.integers(-1, 4)))]
+        argv += ["--d", str(draw(st.one_of(st.integers(-1, 4), st.integers(5, 10**9))))]
     if command == "bound":
         argv += ["--q", str(draw(st.integers(0, 8))), "--d", str(draw(st.integers(-2, 8)))]
         if draw(st.booleans()):

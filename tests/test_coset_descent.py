@@ -3,8 +3,11 @@
 reference_search and reference_descent restate both routines on coordinate
 tuples and _evaluate_raw, the way they read before the kernel; every test
 here compares the package's answers, errors and messages with theirs.
+reference_descent still enumerates the restricted algebra, which descent
+itself now checks by coordinate reduction.
 """
 
+import json
 import pickle
 from dataclasses import replace
 from itertools import product
@@ -13,23 +16,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqidtest import idtest
+from fqidtest import cli, idtest
 from fqidtest.algebra import (
     Algebra,
     Ideal,
     _check_ambient,
+    as_ideal,
     builtin,
     enumerate_ideals,
+    from_json_dict,
     heisenberg,
     ideal_generated,
     matrix_algebra,
     restrict,
     strictly_upper_triangular_lie,
+    to_json_dict,
+    truncated,
     upper_triangular,
     vec_add,
     vec_is_zero,
 )
 from fqidtest.cli import battery_for
+from fqidtest.commpoly import reduced_coordinates
 from fqidtest.errors import (
     NotAnIdeal,
     NotMultilinear,
@@ -272,6 +280,38 @@ def test_coset_search_caps_total_work_before_evaluating(monkeypatch):
     assert len(coset_identity_search(Q, H, H.dim, cap=total)) == 53
 
 
+@st.composite
+def capped_searches(draw):
+    q = draw(st.sampled_from([2, 3]))
+    F = field_of_order(q)
+    dim = draw(st.integers(1, 3 if q == 2 else 2))
+    cell = st.tuples(*[st.integers(0, q - 1)] * dim)
+    A = Algebra(F, dim, [[draw(cell) for _ in range(dim)] for _ in range(dim)])
+    Q = parse(draw(st.sampled_from(["0", "x1", "x1*x1", "x1*x2"])), Flavor.FREE, F)
+    max_codim = draw(st.integers(0, dim))
+    ideals = [ideal for ideal in enumerate_ideals(A) if ideal.codim <= max_codim]
+    total = len(ideals) * A.order() ** Q.n
+    # caps on both sides of the total, some under one ideal's work
+    cap = max(1, total + draw(st.integers(-3, 3)) * A.order() ** Q.n + draw(st.integers(-1, 1)))
+    warm = draw(st.booleans())
+    return Q, A if warm else pickle.loads(pickle.dumps(A)), max_codim, cap, total
+
+
+@settings(max_examples=150, deadline=None)
+@given(capped_searches())
+def test_searches_refused_during_the_walk_are_those_over_the_full_total(case):
+    # the walk checks the work found so far; it only grows, so the searches
+    # it refuses are exactly those whose full total passes the cap
+    Q, A, max_codim, cap, total = case
+    if total > cap:
+        with pytest.raises(SearchSpaceTooLarge) as info:
+            coset_identity_search(Q, A, max_codim, cap=cap)
+        assert info.value.cap == cap and cap < info.value.size <= total
+    else:
+        got = coset_identity_search(Q, A, max_codim, cap=cap)
+        assert got == reference_search(Q, A, max_codim)
+
+
 def test_library_maximum_is_under_the_default_cap():
     L = strictly_upper_triangular_lie(4, 2)
     assert len(enumerate_ideals(L)) * L.order() ** 2 == 110_592
@@ -454,20 +494,152 @@ def test_pickling_drops_every_memo():
 
 
 def test_verification_is_kept_per_polynomial(monkeypatch):
-    raw = []
-    reference = idtest._evaluate_raw
+    checked, raw = [], []
+    coordinates, reference = idtest.reduced_coordinates, idtest._evaluate_raw
+
+    def recording_coordinates(Q, B, commutator=False):
+        checked.append(B)
+        return coordinates(Q, B, commutator=commutator)
 
     def recording_raw(Q, B, args, prod):
         raw.append(B)
         return reference(Q, B, args, prod)
 
+    monkeypatch.setattr(idtest, "reduced_coordinates", recording_coordinates)
     monkeypatch.setattr(idtest, "_evaluate_raw", recording_raw)
     U = upper_triangular(2, 2)
     I = ideal_generated(U, [(0, 1, 0)])
     w = CosetWitness(ideal=I, representatives=((0, 0, 0),) * 2, codim=2, trivial=True)
-    full = I.size() ** 2
     # an equal polynomial parsed again shares the key; a different one does not
-    for text, calls in (("x1*x2", full), ("x1*x2", 0), ("x2*x1", full), ("x2*x1", 0)):
-        raw.clear()
+    for text, calls in (("x1*x2", 1), ("x1*x2", 0), ("x2*x1", 1), ("x2*x1", 0)):
+        checked.clear()
         multilinear_descent(parse(text, Flavor.FREE, U.field), U, w)
-        assert len(raw) == calls, text
+        assert len(checked) == calls, text
+        assert all(B is not U and B.dim == I.rank for B in checked)
+    assert raw == []
+
+
+# ---------------------------------------------------------------------------
+# the final check: coordinate reduction against enumeration
+
+BRACKETS = ("[x1,x2]", "[[x1,x2],x1]", "[[x1,x2],[x2,x1]] + [x1,x2]")
+
+
+def final_check_verdicts(Q, A, commutator=False):
+    """(coordinate verdict, enumerated verdict) on every ideal of A."""
+    verdicts = []
+    for ideal in enumerate_ideals(A):
+        sub, _ = restrict(A, ideal)
+        reduced = all(c.is_zero for c in reduced_coordinates(Q, sub, commutator=commutator))
+        prod = _product_fn(Q, sub, commutator)
+        points = product(list(sub.elements()), repeat=Q.n)
+        enumerated = all(vec_is_zero(_evaluate_raw(Q, sub, args, prod)) for args in points)
+        verdicts.append((reduced, enumerated))
+    return verdicts
+
+
+def test_final_check_matches_enumeration_on_every_dimension_two_table():
+    brackets = [parse(text, Flavor.LIE, F2) for text in BRACKETS]
+    seen = set()
+    for tbl in product(list(product(range(2), repeat=2)), repeat=4):
+        A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
+        cases = [(Q, False) for Q in battery_for(A)] + [(Q, True) for Q in brackets]
+        for Q, commutator in cases:
+            for reduced, enumerated in final_check_verdicts(Q, A, commutator):
+                assert reduced == enumerated, (Q.to_text(), A.table, commutator)
+                seen.add(reduced)
+    assert seen == {True, False}  # ideals where e_Q vanishes and where it does not
+
+
+def test_final_check_matches_enumeration_on_bracket_tables():
+    for A in (heisenberg(2), heisenberg(3), strictly_upper_triangular_lie(3, 2)):
+        for text in BRACKETS:
+            for reduced, enumerated in final_check_verdicts(parse(text, Flavor.LIE, A.field), A):
+                assert reduced == enumerated, (text, A.name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(multilinear_cases(tuple(Flavor)))
+def test_final_check_matches_enumeration_on_random_tables(case):
+    Q, A = case
+    for reduced, enumerated in final_check_verdicts(Q, A, commutator=Q.flavor is Flavor.LIE):
+        assert reduced == enumerated
+
+
+# ---------------------------------------------------------------------------
+# descent witnesses rebuild their failure
+
+def replayed_failure(witness, forced_multilinear=False):
+    """Rebuild a failed descent from its witness alone (through JSON), rerun
+    it and return the TheoremViolation it raises."""
+    doc = json.loads(json.dumps(cli._jsonable(witness)))
+    A = from_json_dict(doc["algebra"])
+    Q = parse(doc["poly"], Flavor(doc["flavor"]), A.field, n=doc["n"])
+    if forced_multilinear:
+        Q._analysis = replace(Q.analyze(), multilinear=True)
+    ideal = as_ideal(A, doc["ideal"])
+    reps = tuple(map(tuple, doc["representatives"]))
+    w = CosetWitness(ideal=ideal, representatives=reps, codim=ideal.codim, trivial=False)
+    with pytest.raises(TheoremViolation) as info:
+        multilinear_descent(Q, A, w, commutator=doc["commutator"])
+    return info.value
+
+
+def first_stage_failure(Q):
+    """The first coset witness on a dimension-2 GF(2) table whose descent
+    fails, with its TheoremViolation."""
+    for tbl in product(list(product(range(2), repeat=2)), repeat=4):
+        A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
+        for w in coset_identity_search(Q, A, A.dim):
+            try:
+                multilinear_descent(Q, A, w)
+            except TheoremViolation as exc:
+                return w, exc
+    pytest.fail("no coset on which the stage check fails")
+
+
+def test_stage_failure_witness_replays(monkeypatch):
+    # x1*x1 + x1 read as multilinear, in two variables of which x2 is unused:
+    # the text names x1 only, so only the witness's n rebuilds the arity
+    Q = parse("x1*x1 + x1", Flavor.FREE, F2, n=2)
+    monkeypatch.setattr(Q, "_analysis", replace(Q.analyze(), multilinear=True))
+    w, failure = first_stage_failure(Q)
+    witness = failure.witness
+    assert (witness["poly"], witness["n"], witness["stage"]) == (Q.to_text(), 2, 1)
+    assert str(failure) == f"descent stage 1 failed at {witness['args']!r}"
+    assert witness["representatives"] == w.representatives
+    assert witness["ideal"] == w.ideal.basis
+    assert parse(witness["poly"], Flavor.FREE, F2).n == 1
+    again = replayed_failure(witness, forced_multilinear=True)
+    assert str(again) == str(failure)
+    assert cli._jsonable(again.witness) == cli._jsonable(witness)
+
+
+@pytest.mark.parametrize("commutator", [False, True])
+def test_final_check_failure_witness_replays(monkeypatch, commutator):
+    # a restricted algebra with the one product b1*b2 = b1, so neither
+    # x1*x2 nor its commutator vanishes on it: the stages pass on A, and
+    # the final check cannot
+    def corrupted(A, ideal):
+        sub, inclusion = restrict(A, ideal)
+        zero, first = sub.zero_vec(), sub.basis_vec(0)
+        table = [[first if (i, j) == (0, 1) else zero for j in range(sub.dim)] for i in range(sub.dim)]
+        return Algebra(sub.field, sub.dim, table, name=sub.name), inclusion
+
+    monkeypatch.setattr(idtest, "restrict", corrupted)
+    T = truncated(3, 4)  # commutative, and its rank-2 ideal (x^2) squares to zero
+    flavor = Flavor.LIE if commutator else Flavor.FREE
+    Q = parse("[x1,x2]" if commutator else "x1*x2", flavor, T.field)
+    found = coset_identity_search(Q, T, T.dim, commutator=commutator)
+    w = next(w for w in found if w.ideal.rank == 2)
+    with pytest.raises(TheoremViolation) as info:
+        multilinear_descent(Q, T, w, commutator=commutator)
+    failure = info.value
+    witness = failure.witness
+    assert str(failure) == "identity on the ideal fails in the restricted algebra"
+    assert (witness["n"], witness["flavor"], witness["commutator"]) == (2, flavor.value, commutator)
+    assert witness["coordinate"] not in ("", "0")
+    assert "stage" not in witness and witness["algebra"] == to_json_dict(T)
+    again = replayed_failure(witness)
+    assert str(again) == str(failure)
+    assert cli._jsonable(again.witness) == cli._jsonable(witness)

@@ -489,30 +489,43 @@ def test_cross_check_routes_do_not_use_the_kernel(monkeypatch):
     witnesses = idtest.coset_identity_search(Q, A, 2)
     assert witnesses
     assert len(calls) == 1 and calls[0][1] is A
-    # the coset and stage checks run on A's kernel; the enumeration on the
-    # restricted algebra, which checks them, runs on the reference evaluator,
-    # in full on the first descent to each ideal and not again after it
-    raw = []
-    reference = idtest._evaluate_raw
+    # the coset and stage checks run on A's kernel; the final check, on the
+    # restricted algebra, reduces its coordinates once on the first descent
+    # to each ideal and not again after it, and it neither evaluates nor
+    # multiplies in the restricted algebra
+    reduced, raw, multiplied = [], [], []
+    coordinates = idtest.reduced_coordinates
 
-    def recording_raw(Q, B, args, prod):
+    def recording_coordinates(P, B, commutator=False):
+        reduced.append(B)
+        return coordinates(P, B, commutator=commutator)
+
+    def recording_raw(P, B, args, prod):
         raw.append(B)
-        return reference(Q, B, args, prod)
+        return reference(P, B, args, prod)
 
+    def recording_mul(B, u, v):
+        multiplied.append(B)
+        return algebra_mul(B, u, v)
+
+    monkeypatch.setattr(idtest, "reduced_coordinates", recording_coordinates)
     monkeypatch.setattr(idtest, "_evaluate_raw", recording_raw)
+    monkeypatch.setattr(Algebra, "mul", recording_mul)
     seen = set()
     for w in witnesses:
         calls.clear()
-        raw.clear()
+        reduced.clear()
         idtest.multilinear_descent(Q, A, w)
         assert len(calls) == 1 and calls[0][1] is A
         if w.ideal in seen:
-            assert raw == []
+            assert reduced == []
             continue
         seen.add(w.ideal)
-        assert len(raw) == w.ideal.size() ** Q.n
-        assert all(B is not A and B.dim == w.ideal.rank for B in raw)
+        assert len(reduced) == 1
+        assert reduced[0] is not A and reduced[0].dim == w.ideal.rank
     assert len(seen) < len(witnesses)
+    assert raw == [] and multiplied and all(B is A for B in multiplied)
+    monkeypatch.setattr(Algebra, "mul", algebra_mul)
     # the block tallies run on the reference evaluator; the one kernel call
     # is the direct count of the inner quotient they are checked against
     calls.clear()
