@@ -1,8 +1,10 @@
-"""Shared fixtures: the acceptance-criterion reporter."""
+"""Shared fixtures: the acceptance-criterion reporter and the forked count."""
 
 from contextlib import contextmanager
 
 import pytest
+
+from fqidtest import idtest
 
 _CRITERIA = []
 
@@ -23,6 +25,13 @@ def criterion():
         print(f"CRITERION {number}: PASS — {label}")
 
     return run
+
+
+@pytest.fixture
+def pooled_counts(monkeypatch):
+    """Exact counts with workers > 1 fork their pool whatever their size, as
+    counts of idtest.FORK_POINTS points walked and more do."""
+    monkeypatch.setattr(idtest, "FORK_POINTS", 0)
 
 
 def pytest_terminal_summary(terminalreporter):

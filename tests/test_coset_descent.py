@@ -320,7 +320,7 @@ def test_library_maximum_is_under_the_default_cap():
 # ---------------------------------------------------------------------------
 # tables kept on the algebra
 
-def test_filled_tables_do_not_travel_to_pool_workers():
+def test_filled_tables_do_not_travel_to_pool_workers(pooled_counts):
     M = matrix_algebra(2, 2)
     Q = parse("x1*x2*x3 - x3*x2*x1", Flavor.FREE, M.field)
     fresh = zero_probability(Q, matrix_algebra(2, 2)).zero_count

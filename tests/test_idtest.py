@@ -1,13 +1,19 @@
 """Tests for evaluation, zero probabilities, and the theorem checks."""
 
+import json
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fqidtest import cli, idtest
 from fqidtest.algebra import (
     Algebra,
     field_as_algebra,
+    from_json_dict,
     full_ideal,
     heisenberg,
     ideal_generated,
@@ -29,9 +35,11 @@ from fqidtest.errors import (
     TheoremViolation,
     WitnessInvalid,
 )
-from fqidtest.freepoly import Flavor, parse, zero
+from fqidtest.freepoly import Flavor, parse, power_word, zero
 from fqidtest.gf import field_of_order
 from fqidtest.idtest import (
+    _BLOCK_CEILING,
+    _FIRST_BLOCK,
     CosetWitness,
     SplitMix64,
     block_statistics,
@@ -76,18 +84,68 @@ def test_splitmix64_below_is_deterministic():
     assert [a.below(5) for _ in range(20)] == [b.below(5) for _ in range(20)]
 
 
+def scalar_indices(rng, q, dim):
+    """SplitMix64.indices one draw at a time: the reference for the packed
+    blocks."""
+    mask = (1 << 64) - 1
+    state = rng.state
+    while True:
+        index = 0
+        for _ in range(dim):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            index = index * q + (z ^ (z >> 31)) % q
+        rng.state = state
+        yield index
+
+
+# past the end of the first block and of the second, the first at the ceiling
+TWO_BLOCK_EDGES = _FIRST_BLOCK + _BLOCK_CEILING
+
+
 @pytest.mark.parametrize("seed", [0, -3, 1 << 64, (1 << 64) + 12345])
 def test_splitmix64_indices_are_repeated_below_draws(seed):
     for q in (2, 3, 4, 5):
         for dim in (1, 2, 3):
             stream, reference = SplitMix64(seed), SplitMix64(seed)
             indices = stream.indices(q, dim)
-            for _ in range(40):
+            for _ in range(TWO_BLOCK_EDGES + 3):
                 index = 0
                 for _ in range(dim):
                     index = index * q + reference.below(q)
                 assert next(indices) == index
                 assert stream.state == reference.state
+
+
+def _stream_lengths():
+    """Lengths that end just before, at or just after a block edge."""
+    edges = [_FIRST_BLOCK, TWO_BLOCK_EDGES, TWO_BLOCK_EDGES + _BLOCK_CEILING]
+    return st.sampled_from(edges).flatmap(lambda e: st.integers(e - 2, e + 2)) | st.integers(0, 40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(-(1 << 70), -1) | st.integers(0, 1 << 66) | st.integers(1 << 64, 1 << 80),
+    q=st.sampled_from((2, 3, 4, 5, 7, 8, 9)),
+    dim=st.integers(0, 4),
+    length=_stream_lengths(),
+)
+def test_packed_indices_match_the_scalar_loop(seed, q, dim, length):
+    stream, reference = SplitMix64(seed), SplitMix64(seed)
+    expected = scalar_indices(reference, q, dim)
+    for index in islice(stream.indices(q, dim), length):
+        assert index == next(expected)
+        assert stream.state == reference.state
+
+
+@pytest.mark.parametrize("q", [2, 9])
+def test_packed_indices_match_the_scalar_loop_in_dimension_32(q):
+    stream, reference = SplitMix64(-(1 << 64) - 5), SplitMix64(-(1 << 64) - 5)
+    expected = scalar_indices(reference, q, 32)
+    for index in islice(stream.indices(q, 32), TWO_BLOCK_EDGES + 1):
+        assert index == next(expected)
+        assert stream.state == reference.state
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +587,24 @@ def test_nagata_shadow_asserts_when_applicable():
     assert rep.applicable  # char 5 > 3
     assert rep.nilpotency_index == 3
     assert rep.asserted
+
+
+def test_nagata_witness_replays(monkeypatch):
+    # x^3 vanishes on truncated(5,3) and char 5 > 3, so a nilpotency search
+    # that finds nothing is a violation; its witness alone rebuilds the check
+    T = truncated(5, 3)
+    monkeypatch.setattr(idtest, "nilpotency_index", lambda A: None)
+    with pytest.raises(TheoremViolation) as info:
+        nagata_higman_check(T, 3)
+    monkeypatch.undo()
+    witness = json.loads(json.dumps(cli._jsonable(info.value.witness)))
+    assert (witness["d"], witness["char"], witness["nilpotency_index"]) == (3, 5, None)
+    A = from_json_dict(witness["algebra"])
+    assert A == T
+    replay = zero_probability(power_word(witness["d"], A.field), A)
+    assert (replay.zero_count, replay.total) == (witness["zero_count"], witness["total"]) == (25, 25)
+    assert A.field.p == witness["char"]
+    assert nagata_higman_check(A, witness["d"]).nilpotency_index == 3
 
 
 def test_nagata_shadow_small_characteristic():

@@ -294,10 +294,9 @@ def test_slice_route_evaluates_probes_only(monkeypatch):
         (GF4_TABLE, Flavor.FREE, "x1*x1*x2 + x3*x1"),  # along x3, over GF(4)
     ],
 )
-def test_workers_give_the_serial_count_on_the_slice_route(A, flavor, text):
+def test_workers_give_the_serial_count_on_the_slice_route(pooled_counts, A, flavor, text):
     Q = parse(text, flavor, A.field)
     assert _slice_variable(Q, A) is not None
-    assert A.order() ** Q.n >= 4096  # large enough for the pool path
     serial = zero_probability(Q, A, workers=1).zero_count
     assert zero_probability(Q, A, workers=3).zero_count == serial
     assert serial == sum(
@@ -313,6 +312,24 @@ def test_sampled_mode_matches_an_evaluate_recount():
     Q = parse("[x1,x2] + [[x1,x3],x2]", Flavor.LIE, H.field)
     rep = zero_probability(Q, H, samples=300, seed=7)
     assert rep.zero_count == sampled_recount(Q, H, 300, 7)
+
+
+@pytest.mark.parametrize(
+    "text, samples",
+    [
+        # two arguments: 32 samples fill the first block of 64 indices, and
+        # 160 the second, of 256
+        *[("[x1,x2] + [[x1,x2],x2]", s) for s in (31, 32, 33, 159, 160, 161)],
+        # three arguments: the 22nd sample straddles the first block's edge
+        *[("[x1,x2] + [[x1,x3],x2]", s) for s in (21, 22, 23)],
+    ],
+)
+def test_sampled_mode_matches_the_recount_at_block_edges(text, samples):
+    H = heisenberg(3)
+    Q = parse(text, Flavor.LIE, H.field)
+    assert idtest._FIRST_BLOCK == 64 and idtest._BLOCK_CEILING == 256
+    rep = zero_probability(Q, H, samples=samples, seed=-(1 << 64) - 9)
+    assert rep.zero_count == sampled_recount(Q, H, samples, -(1 << 64) - 9)
 
 
 def test_sampled_mode_is_capped_before_any_draw(monkeypatch):
@@ -370,9 +387,8 @@ def test_polynomial_without_terms_vanishes_on_all_points():
         (matrix_algebra(2, 2), "x1*x2*x3 - x3*x2*x1"),  # n = 3 over 2^4
     ],
 )
-def test_chunks_and_workers_give_the_serial_count(A, text):
+def test_chunks_and_workers_give_the_serial_count(pooled_counts, A, text):
     Q = parse(text, Flavor.FREE, A.field)
-    assert A.order() ** Q.n >= 4096  # large enough for the pool path
     order = A.order()
     serial = zero_probability(Q, A, workers=1).zero_count
     chunked = sum(
@@ -410,7 +426,7 @@ def test_chunks_follow_the_processes_started(monkeypatch):
     assert bound.chunk_ranges(0, 4096, 10**6) == [(0, 4096)]
 
 
-def test_callers_size_payloads_by_the_clamped_pool(monkeypatch):
+def test_callers_size_payloads_by_the_clamped_pool(pooled_counts, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sizes = []
 
@@ -430,7 +446,30 @@ def test_callers_size_payloads_by_the_clamped_pool(monkeypatch):
     assert sizes == [1, 8, 1, 8]
 
 
-def test_pool_map_runs_serially_where_fork_is_missing(monkeypatch):
+def test_counts_fork_once_the_points_walked_reach_fork_points(monkeypatch):
+    # the slice route walks (dim + 1) * order**(n-1) probes, not order**n
+    # points, and the point walk order**n; each forks from FORK_POINTS on
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = []
+    fork_context = bound.get_context
+    monkeypatch.setattr(bound, "get_context", lambda method: started.append(method) or fork_context(method))
+    H, M = heisenberg(3), matrix_algebra(2, 2)
+    for A, flavor, text, walked in [
+        (H, Flavor.LIE, "[[x1,x3],x2] + 2*[x2,x1]", 4 * 27**2),  # of 27**3 points
+        (M, Flavor.FREE, "x1*x1*x2*x2", 16**2),  # no affine variable
+    ]:
+        Q = parse(text, flavor, A.field)
+        serial = zero_probability(Q, A).zero_count
+        monkeypatch.setattr(idtest, "FORK_POINTS", walked + 1)
+        assert zero_probability(Q, A, workers=2).zero_count == serial
+        assert started == []
+        monkeypatch.setattr(idtest, "FORK_POINTS", walked)
+        assert zero_probability(Q, A, workers=2).zero_count == serial
+        assert started == ["fork"]
+        started.clear()
+
+
+def test_pool_map_runs_serially_where_fork_is_missing(pooled_counts, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     M = matrix_algebra(2, 2)
     Q = parse("x1*x2*x3 - x3*x2*x1", Flavor.FREE, M.field)
