@@ -189,8 +189,9 @@ class Algebra:
             self._validate_lie()
 
     def __getstate__(self):
-        # the memos stay behind: the index tables hold closures, which do
-        # not pickle, and a worker process builds its own
+        # the memos stay behind: the index tables hold closures and
+        # generated kernels, which do not pickle, and a worker process
+        # builds its own
         return (self.field, self.dim, self.table, self.bracket, self.name, self.basis_names)
 
     def __setstate__(self, state):

@@ -29,9 +29,15 @@ polynomials with no affine variable and for slices too small to pay, and
 it is the reference the slices are tested against.  Either way the count
 is exact, and the coordinate route that checks it is unchanged.
 
-The kernel's closures depend only on (Q, A, commutator), so the algebra
-keeps them: the field and flavor gate runs on every _kernel call, and the
-term trees compile on the first call for each (Q, commutator).  Descent's
+The kernel is one generated function per (Q, commutator): its body
+unpacks the argument indices into locals and gives each distinct product
+node one table lookup, so a subterm that several terms share costs one
+lookup per point, and the terms are summed one statement each.  Its
+source holds fixed names, locals and ints only, never text from Q, and
+equal sources share one compiled code object.  The function depends only
+on (Q, A, commutator), so the algebra keeps it: the field and flavor gate
+runs on every _kernel call, and the function is built on the first call
+for each (Q, commutator).  Descent's
 claim that e_Q vanishes on I^n depends only on (Q, I) and the product
 flavor, so the algebra also keeps the keys it has verified: the stage-n
 check and the restricted-algebra check run once per key per algebra,
@@ -50,10 +56,10 @@ comparison would reject correct behavior on extremal inputs.
 """
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import islice, product, repeat
+from functools import cache, lru_cache
+from itertools import count, islice, product, repeat
 from operator import add, itemgetter, not_
 
 from .algebra import (
@@ -371,7 +377,7 @@ def _tables(A: Algebra) -> _Tables:
 def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
     """e_Q on element indices: a function from n indices to the value's index.
 
-    The flavor gate runs on every call.  The closures are compiled on the
+    The flavor gate runs on every call.  The function is compiled on the
     first call for (Q, commutator) and kept on the algebra's tables.
     """
     prod = _product_fn(Q, A, commutator)
@@ -383,61 +389,93 @@ def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
     return e
 
 
+# letters of an assoc word compiled one statement each; the rest of a longer
+# word is folded by a loop, so a word's source stays this long at most
+_UNROLLED = 64
+
+
 def _compile(Q: FreePoly, tables: _Tables, mul):
-    """Compile Q's term trees into closures over one product table."""
+    """Compile Q into one straight-line function of the n element indices.
+
+    The body unpacks args into locals a0, a1, ... and gives each distinct
+    product node one assignment tK = mul[left * order + right]: a product
+    is keyed by the locals of its two factors, so a subterm that several
+    terms share is looked up once per point.  An assoc word is folded
+    left, as _eval_term reads it, one distinct prefix per assignment up to
+    _UNROLLED letters; the rest of it runs as a loop over a tuple of
+    argument slots.  The terms are then summed one statement each, never
+    as one nested expression: acc ^= v in characteristic 2, where
+    coordinates add as bit fields and vectors as their indices' XOR, and
+    acc = add[acc * order + v] otherwise, with a coefficient's multiple
+    read as sK[v].
+
+    The tables (mul, add, sK, and the word tails wK) are the globals of
+    the function's namespace, and the source holds only those fixed
+    names, locals and ints, so no text from Q reaches exec.  Equal sources
+    share one code object (_code).
+    """
     order = tables.order
+    env = {"__builtins__": {}, "mul": mul}
+    lines = [f"    {', '.join(f'a{i}' for i in range(Q.n))}, = args"] if Q.n else []
+    products = {}  # (left, right) -> the local holding their product
+    temps = count()
+
+    def node(left, right):
+        name = products.get((left, right))
+        if name is None:
+            name = products[left, right] = f"t{next(temps)}"
+            lines.append(f"    {name} = mul[{left} * {order} + {right}]")
+        return name
 
     def tree(t):
         if isinstance(t, int):
-            return itemgetter(t - 1)
-        left, right = tree(t[0]), tree(t[1])
-        return lambda args: mul[left(args) * order + right(args)]
+            return f"a{t - 1}"
+        return node(tree(t[0]), tree(t[1]))
 
-    def chain(term):
-        # folded left, as _eval_term reads an assoc word
-        head = term[0] - 1
-        tail = [i - 1 for i in term[1:]]
-
-        def run(args):
-            acc = args[head]
-            for i in tail:
-                acc = mul[acc * order + args[i]]
-            return acc
-
-        return run
-
-    def scaled(part, c):
-        table = tables.scale(c)
-        return lambda args: table[part(args)]
-
-    compile_term = chain if Q.flavor is Flavor.ASSOC else tree
-    parts = []
-    for term, coeff in Q.terms.items():
-        part = compile_term(term)
-        parts.append(part if coeff == 1 else scaled(part, coeff))
-
-    if len(parts) == 1:
-        return parts[0]  # 0 + v = v
-
-    if tables.field.p == 2:
-        # coordinates add as bit fields, so vectors add as their indices' XOR
-        def e(args):
-            acc = 0
-            for part in parts:
-                acc ^= part(args)
-            return acc
-
-        return e
-
-    add = tables.add()
-
-    def e(args):
-        acc = 0
-        for part in parts:
-            acc = add[acc * order + part(args)]
+    def word(term):
+        acc = f"a{term[0] - 1}"
+        for i in term[1:_UNROLLED]:
+            acc = node(acc, f"a{i - 1}")
+        if len(term) > _UNROLLED:
+            k = next(temps)
+            tail, name = f"w{k}", f"t{k}"
+            env[tail] = tuple(i - 1 for i in term[_UNROLLED:])
+            lines.append(f"    {name} = {acc}")
+            lines.append(f"    for i in {tail}:")
+            lines.append(f"        {name} = mul[{name} * {order} + args[i]]")
+            acc = name
         return acc
 
-    return e
+    compile_term = word if Q.flavor is Flavor.ASSOC else tree
+    values = []
+    for term, coeff in Q.terms.items():
+        value = compile_term(term)
+        if coeff != 1:
+            env[f"s{coeff}"] = tables.scale(coeff)
+            value = f"s{coeff}[{value}]"
+        values.append(value)
+
+    if not values:
+        lines.append("    return 0")
+    elif len(values) == 1:
+        lines.append(f"    return {values[0]}")  # 0 + v = v
+    else:
+        lines.append(f"    acc = {values[0]}")
+        if tables.field.p == 2:
+            lines.extend(f"    acc ^= {value}" for value in values[1:])
+        else:
+            env["add"] = tables.add()
+            lines.extend(f"    acc = add[acc * {order} + {value}]" for value in values[1:])
+        lines.append("    return acc")
+    exec(_code("def e(args):\n" + "\n".join(lines)), env)
+    return env["e"]
+
+
+@lru_cache(maxsize=256)
+def _code(source: str):
+    """The code object of a kernel's source, kept for the next equal source:
+    compile() costs far more than writing the source."""
+    return compile(source, "<e_Q>", "exec")
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +509,28 @@ def _poly_degree(Q: FreePoly) -> int:
     return 0 if Q.is_zero else Q.degree
 
 
+@cache
 def _threshold(degree: int) -> Fraction:
     return 1 - Fraction(1, 1 << degree)
+
+
+def _exact_report(zero_count: int, total: int, degree: int, **functional) -> EvalReport:
+    """The exact-mode report of a zero count, with dixon_verdict's
+    functional fields when given."""
+    probability = Fraction(zero_count, total)
+    threshold = _threshold(degree)
+    is_identity = zero_count == total
+    return EvalReport(
+        zero_count=zero_count,
+        total=total,
+        probability=probability,
+        degree=degree,
+        threshold=threshold,
+        is_identity=is_identity,
+        verdict_consistent=is_identity or probability <= threshold,
+        mode="exact",
+        **functional,
+    )
 
 
 def _slice_variable(Q: FreePoly, A: Algebra):
@@ -497,12 +555,11 @@ def _count_range(payload):
     """Count zeros of e_Q over A^n with the first walked argument's index in
     range(start, stop) (worker-safe).
 
-    Slice by slice where e_Q is affine in a variable, point by point
-    otherwise; a polynomial with one argument and an affine variable walks
-    no argument, and its one slice is the range (0, 1).
+    Slice by slice along x_{j+1} where _slice_variable gives j, point by
+    point where it gives None; a polynomial with one argument and an affine
+    variable walks no argument, and its one slice is the range (0, 1).
     """
-    Q, A, commutator, start, stop = payload
-    j = _slice_variable(Q, A)
+    Q, A, commutator, j, start, stop = payload
     if j is None:
         return _count_points(Q, A, commutator, start, stop)
     return _count_slices(Q, A, commutator, j, start, stop)
@@ -596,13 +653,14 @@ def _count_exact(Q, A, commutator, workers):
     """Zeros of e_Q over A^n, on a fork pool once the points the count
     walks (probes on the slice route) reach FORK_POINTS."""
     order = A.order()
-    if _slice_variable(Q, A) is None:
+    j = _slice_variable(Q, A)
+    if j is None:
         walked, points = Q.n, order**Q.n
     else:
         walked, points = Q.n - 1, (A.dim + 1) * order ** (Q.n - 1)
     first = order if walked else 1
     ranges = chunk_ranges(0, first, workers if points >= FORK_POINTS else 1)
-    payloads = [(Q, A, commutator, start, stop) for start, stop in ranges]
+    payloads = [(Q, A, commutator, j, start, stop) for start, stop in ranges]
     return sum(pool_map(_count_range, payloads, workers))
 
 
@@ -619,26 +677,13 @@ def zero_probability(
     """The exact (or sampled) fraction of A^n mapped to zero by e_Q."""
     _product_fn(Q, A, commutator)  # fail fast on flavor problems
     degree = _poly_degree(Q)
-    threshold = _threshold(degree)
     n = Q.n
 
     if samples is None:
         total = A.order() ** n
         if total > cap:
             raise SearchSpaceTooLarge(total, cap)
-        zero_count = _count_exact(Q, A, commutator, workers)
-        probability = Fraction(zero_count, total)
-        is_identity = zero_count == total
-        return EvalReport(
-            zero_count=zero_count,
-            total=total,
-            probability=probability,
-            degree=degree,
-            threshold=threshold,
-            is_identity=is_identity,
-            verdict_consistent=is_identity or probability <= threshold,
-            mode="exact",
-        )
+        return _exact_report(_count_exact(Q, A, commutator, workers), total, degree)
 
     if samples < 1:
         raise ValueError("samples must be a positive integer")
@@ -658,7 +703,7 @@ def zero_probability(
         total=samples,
         probability=Fraction(zero_count, samples),
         degree=degree,
-        threshold=threshold,
+        threshold=_threshold(degree),
         is_identity=None,
         verdict_consistent=None,
         mode="sampled",
@@ -733,7 +778,9 @@ def dixon_verdict(
     if (not nonzero) != report.is_identity:
         raise violation("enumeration and coordinate reduction disagree on identity-ness")
     if report.is_identity:
-        return replace(report, functional_consistent=True)
+        return _exact_report(
+            report.zero_count, report.total, report.degree, functional_consistent=True
+        )
 
     floor = floor_fraction(A.field.q, min(c.degree for c in nonzero)).value
     if 1 - report.probability < floor:
@@ -748,7 +795,10 @@ def dixon_verdict(
         )
     if not report.verdict_consistent:
         raise violation("inconsistent verdict flags")
-    return replace(report, functional_floor=floor, functional_consistent=True)
+    return _exact_report(
+        report.zero_count, report.total, report.degree,
+        functional_floor=floor, functional_consistent=True,
+    )
 
 
 # ---------------------------------------------------------------------------

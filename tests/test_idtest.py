@@ -2,14 +2,17 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqidtest import cli, idtest
+from fqidtest.bound import floor_fraction
+from fqidtest.commpoly import reduced_coordinates
 from fqidtest.algebra import (
     Algebra,
     field_as_algebra,
@@ -365,6 +368,24 @@ def test_dixon_nonhomogeneous_accepted():
     # (a t + b t^2)^2 + (a t + b t^2) = (a) t + (a + b) t^2: zero iff a = b = 0
     assert rep.probability == Fraction(1, 4)
     assert rep.verdict_consistent
+
+
+def test_dixon_report_is_the_count_report_with_the_functional_fields():
+    # the report was zero_probability's copied by dataclasses.replace, the
+    # reference here; _exact_report now builds it, equal field for field
+    cells = list(product(range(2), repeat=2))
+    for tbl in product(cells, repeat=4):
+        A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
+        for Q in cli.battery_for(A):
+            count = zero_probability(Q, A)
+            if count.is_identity:
+                want = replace(count, functional_consistent=True)
+            else:
+                degree = min(c.degree for c in reduced_coordinates(Q, A) if not c.is_zero)
+                floor = floor_fraction(2, degree).value
+                want = replace(count, functional_floor=floor, functional_consistent=True)
+            assert dixon_verdict(Q, A) == want, (tbl, Q.to_text())
+    assert idtest._threshold(3) is idtest._threshold(3) == Fraction(7, 8)
 
 
 # ---------------------------------------------------------------------------

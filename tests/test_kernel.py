@@ -1,16 +1,20 @@
 """The element-index kernel against the reference evaluator, point by point."""
 
 import os
+import random
+import re
 from collections import Counter
 from itertools import product
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqidtest import bound, idtest
+from fqidtest import bound, cli, freepoly, idtest
 from fqidtest.algebra import (
     Algebra,
+    field_as_algebra,
     heisenberg,
     ideal_generated,
     matrix_algebra,
@@ -20,7 +24,7 @@ from fqidtest.algebra import (
 from fqidtest.cli import battery_for, descent_library
 from fqidtest.commpoly import reduced_coordinates
 from fqidtest.errors import FieldMismatch, FlavorMismatch, SearchSpaceTooLarge
-from fqidtest.freepoly import Flavor, FreePoly, parse, zero
+from fqidtest.freepoly import Flavor, FreePoly, parse, power_word, term_sort_key, zero
 from fqidtest.gf import Field, field_of_order
 from fqidtest.idtest import (
     EXACT_CAP,
@@ -32,6 +36,7 @@ from fqidtest.idtest import (
     _kernel,
     _product_fn,
     _slice_variable,
+    _tables,
     evaluate,
     zero_probability,
 )
@@ -39,14 +44,79 @@ from fqidtest.idtest import (
 F2 = field_of_order(2)
 
 
+def closure_kernel(Q, tables, mul):
+    """e_Q on element indices as a tree of closures: one per product node,
+    one itemgetter per leaf and one per scaled term, with a shared subterm
+    run once per occurrence.  The kernel was compiled this way before it
+    became one generated function, and it stays here as the route the
+    generated kernel is checked against."""
+    order = tables.order
+
+    def tree(t):
+        if isinstance(t, int):
+            return itemgetter(t - 1)
+        left, right = tree(t[0]), tree(t[1])
+        return lambda args: mul[left(args) * order + right(args)]
+
+    def chain(term):
+        # folded left, as _eval_term reads an assoc word
+        head = term[0] - 1
+        tail = [i - 1 for i in term[1:]]
+
+        def run(args):
+            acc = args[head]
+            for i in tail:
+                acc = mul[acc * order + args[i]]
+            return acc
+
+        return run
+
+    def scaled(part, c):
+        table = tables.scale(c)
+        return lambda args: table[part(args)]
+
+    compile_term = chain if Q.flavor is Flavor.ASSOC else tree
+    parts = []
+    for term, coeff in Q.terms.items():
+        part = compile_term(term)
+        parts.append(part if coeff == 1 else scaled(part, coeff))
+
+    if len(parts) == 1:
+        return parts[0]  # 0 + v = v
+
+    if tables.field.p == 2:
+        # coordinates add as bit fields, so vectors add as their indices' XOR
+        def e(args):
+            acc = 0
+            for part in parts:
+                acc ^= part(args)
+            return acc
+
+        return e
+
+    add = tables.add()
+
+    def e(args):
+        acc = 0
+        for part in parts:
+            acc = add[acc * order + part(args)]
+        return acc
+
+    return e
+
+
 def assert_kernel_matches(Q, A, commutator=False):
-    """The kernel's value index names the reference value at every point."""
+    """The kernel's value index names the reference value at every point,
+    and the closure route gives the same index."""
     e = _kernel(Q, A, commutator)
     prod = _product_fn(Q, A, commutator)
+    tables = _tables(A)
+    closures = closure_kernel(Q, tables, tables.product(commutator, prod))
     elems = list(A.elements())
     for indices in product(range(A.order()), repeat=Q.n):
         args = tuple(elems[i] for i in indices)
         assert elems[e(indices)] == _evaluate_raw(Q, A, args, prod), (Q.to_text(), indices)
+        assert closures(indices) == e(indices), (Q.to_text(), indices)
 
 
 def sampled_recount(Q, A, samples, seed, commutator=False):
@@ -172,6 +242,208 @@ def test_search_and_descents_compile_each_kernel_once(monkeypatch):
     assert descents > 10 * pairs
     assert len(compiles) == pairs
     assert set(compiles.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# the generated function: robustness, shared subterms and its source
+
+def kernel_check(payload):
+    """The points at which the kernel's value is not the reference value,
+    and the reference's zeros among the points (worker-safe: a worker
+    unpickles the algebra without its tables and compiles its own kernel)."""
+    Q, A, commutator, points = payload
+    e = _kernel(Q, A, commutator)
+    prod = _product_fn(Q, A, commutator)
+    vec = _tables(A).vec
+    mismatches, zeros = [], 0
+    for p in points:
+        value = _evaluate_raw(Q, A, tuple(map(vec, p)), prod)
+        if vec(e(p)) != value:
+            mismatches.append(p)
+        zeros += not any(value)
+    return mismatches, zeros
+
+
+def assert_kernel_robust(Q, A, monkeypatch, commutator=False, limit=256):
+    """The kernel gives the reference value at every point, or at limit
+    seeded points where there are more, in process and in forked workers;
+    where every point is checked, a forked count gives the reference's zero
+    count (with the pooled_counts fixture)."""
+    order = A.order()
+    if order**Q.n <= limit:
+        points = list(product(range(order), repeat=Q.n))
+    else:
+        rng = random.Random(Q.n)
+        points = [tuple(rng.randrange(order) for _ in range(Q.n)) for _ in range(limit)]
+    mismatches, zeros = kernel_check((Q, A, commutator, points))
+    assert mismatches == [], Q.to_text()[:80]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    halves = [(Q, A, commutator, points[0::2]), (Q, A, commutator, points[1::2])]
+    forked = bound.pool_map(kernel_check, halves, 2)
+    assert [m for m, _ in forked] == [[], []]
+    assert sum(z for _, z in forked) == zeros
+    if len(points) == order**Q.n:
+        assert zero_probability(Q, A, workers=2, commutator=commutator).zero_count == zeros
+
+
+def nested(left: bool, depth: int):
+    """A bracket of depth products in x1, x2, nested to the left or right."""
+    term = 1
+    for k in range(depth):
+        leaf = 2 - k % 2
+        term = (term, leaf) if left else (leaf, term)
+    return term
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_kernel_on_lie_trees_at_max_depth(pooled_counts, monkeypatch, left):
+    M = matrix_algebra(2, 2)
+    deep = FreePoly(F2, Flavor.LIE, 2, {nested(left, freepoly.MAX_DEPTH): 1, (1, 2): 1})
+    assert_kernel_robust(deep, M, monkeypatch, commutator=True)
+    with pytest.raises(freepoly.NestingTooDeep):
+        FreePoly(F2, Flavor.LIE, 2, {nested(left, freepoly.MAX_DEPTH + 1): 1})
+
+
+def test_kernel_on_a_5000_letter_word(pooled_counts, monkeypatch, capsys):
+    M = matrix_algebra(2, 2)
+    assert_kernel_robust(power_word(5000, M.field), M, monkeypatch)
+    # a word in two letters runs past _UNROLLED: over GF(4) its value is
+    # x1^a x2^b at every point, and over 2x2 matrices the order counts too
+    rng = random.Random(5000)
+    word = tuple(rng.choice((1, 2)) for _ in range(5000))
+    for A, limit in ((field_as_algebra(4), 256), (M, 16)):
+        terms = {word: 1, word[:idtest._UNROLLED + 1]: 1, (2, 1): 1}
+        mixed = FreePoly(A.field, Flavor.ASSOC, 2, terms)
+        assert_kernel_robust(mixed, A, monkeypatch, limit=limit)
+    assert cli.main(["nagata", "--algebra", "builtin:matrix(2,2)", "--d", "5000"]) == 0
+    assert '"power_is_identity": false' in capsys.readouterr().out
+
+
+def free_trees(leaves: int, n: int):
+    """Every product tree with the given number of leaves in x1..xn."""
+    if leaves == 1:
+        return list(range(1, n + 1))
+    return [
+        (left, right)
+        for k in range(1, leaves)
+        for left in free_trees(k, n)
+        for right in free_trees(leaves - k, n)
+    ]
+
+
+def test_kernel_on_a_gf3_sum_of_400_terms(pooled_counts, monkeypatch):
+    F3 = field_of_order(3)
+    rng = random.Random(3)
+    A = Algebra(F3, 2, [[(rng.randrange(3), rng.randrange(3)) for _ in range(2)] for _ in range(2)])
+    trees = sorted((t for k in range(1, 6) for t in free_trees(k, 2)), key=term_sort_key)[:400]
+    Q = FreePoly(F3, Flavor.FREE, 2, {t: 1 + (k % 3 > 0) for k, t in enumerate(trees)})
+    assert len(Q.terms) == 400 and sum(c == 2 for c in Q.terms.values()) == 266
+    assert_kernel_robust(Q, A, monkeypatch)
+
+
+def test_kernel_on_one_variable(pooled_counts, monkeypatch):
+    F3 = field_of_order(3)
+    A = Algebra(F3, 2, [[(1, 2), (0, 1)], [(2, 0), (1, 1)]])
+    for text in ("2*x1*x1*x1 + x1*x1 + 2*x1", "2*x1", "x1"):
+        assert_kernel_robust(parse(text, Flavor.FREE, F3), A, monkeypatch)
+    H = heisenberg(3)
+    assert_kernel_robust(parse("[x1,x1]", Flavor.LIE, H.field), H, monkeypatch)
+
+
+def test_kernel_on_the_zero_and_the_term_less_polynomial(pooled_counts, monkeypatch):
+    H = heisenberg(3)
+    for Q in (zero(H.field, Flavor.LIE), FreePoly(H.field, Flavor.LIE, 2, {})):
+        assert_kernel_robust(Q, H, monkeypatch)
+        assert _kernel(Q, H, False)((0,) * Q.n) == 0
+
+
+class CountingTable:
+    """A product table that counts its lookups."""
+
+    def __init__(self, table):
+        self.table = table
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return self.table[key]
+
+
+@pytest.mark.parametrize(
+    "flavor, text, distinct, occurrences",
+    [
+        (Flavor.LIE, "[[x1,x2],x3] + [[x1,x2],x1]", 3, 4),
+        (Flavor.ASSOC, "x1*x2*x3 + x1*x2*x1 + x2*x1", 4, 5),
+    ],
+)
+def test_each_distinct_product_is_looked_up_once_per_point(flavor, text, distinct, occurrences):
+    A = matrix_algebra(2, 2)
+    Q = parse(text, flavor, A.field)
+    commutator = flavor is Flavor.LIE
+    tables = _tables(A)
+    counting = CountingTable(tables.product(commutator, _product_fn(Q, A, commutator)))
+    e = idtest._compile(Q, tables, counting)
+    closures = closure_kernel(Q, tables, counting)
+    kernel = _kernel(Q, A, commutator)
+    for point in product(range(A.order()), repeat=Q.n):
+        counting.lookups = 0
+        assert e(point) == kernel(point)
+        assert counting.lookups == distinct
+        counting.lookups = 0
+        closures(point)
+        assert counting.lookups == occurrences
+
+
+# the generated source: its fixed names, locals, ints and operators only
+SOURCE_BODY = re.compile(r"(?:\s|\b(?:[atsw]\d+|acc|mul|add|args|i|for|in|return)\b|\d+|[,=*+^\[\]:])*")
+
+
+def test_generated_sources_hold_only_fixed_names_and_ints(monkeypatch):
+    sources = []
+    code = idtest._code
+
+    def recording(source):
+        sources.append(source)
+        return code(source)
+
+    monkeypatch.setattr(idtest, "_code", recording)
+    cells = list(product(range(2), repeat=2))
+    brackets = [parse(text, Flavor.LIE, F2) for text in ("[x1,x2]", "[[x1,x2],x1]")]
+    for tbl in product(cells, repeat=4):
+        A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
+        for Q in battery_for(A):
+            _kernel(Q, A, False)
+        for Q in brackets:
+            _kernel(Q, A, True)
+    # the 256 tables share each source, and x1*x2 shares one with [x1,x2]
+    # read on the commutator table
+    assert len(sources) == 256 * 6 and len(set(sources)) == 5
+    F3 = field_of_order(3)
+    A3 = Algebra(F3, 2, [[(1, 2), (0, 1)], [(2, 0), (1, 1)]])
+    M = matrix_algebra(2, 2)
+    for Q, A in [
+        (parse("2*x1*x2 + x2*x1 + 2*x1", Flavor.FREE, F3), A3),
+        (parse("g*x1*x2 + (g+1)*x2*x1 + x1", Flavor.FREE, F4), GF4_TABLE),
+        (FreePoly(F3, Flavor.FREE, 2, {t: 2 for t in free_trees(4, 2)}), A3),
+        (power_word(300, M.field), M),
+        (parse("x1*x2*x1 + x2", Flavor.ASSOC, F2, n=4), M),
+        (zero(F2, Flavor.FREE), M),
+        (FreePoly(F2, Flavor.FREE, 3, {}), M),
+    ]:
+        _kernel(Q, A, False)
+    assert len(sources) == 256 * 6 + 7
+    for source in sources:
+        head, body = source.split("\n", 1)
+        assert head == "def e(args):"
+        assert SOURCE_BODY.fullmatch(body), source
+
+
+def test_code_cache_is_bounded():
+    maxsize = idtest._code.cache_info().maxsize
+    assert maxsize is not None
+    for k in range(maxsize + 1):
+        idtest._code(f"def e(args):\n    return {k}")
+    assert idtest._code.cache_info().currsize == maxsize
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +639,7 @@ def test_zero_polynomial_has_one_point_the_empty_tuple():
     Q = zero(F2, Flavor.LIE)
     assert Q.n == 0
     assert _kernel(Q, A, False)(()) == 0
-    assert _count_range((Q, A, False, 0, 1)) == 1
+    assert _count_range((Q, A, False, None, 0, 1)) == 1
     rep = zero_probability(Q, A, workers=3)
     assert (rep.zero_count, rep.total) == (1, 1)
     assert zero_probability(Q, A, samples=5, seed=1).zero_count == 5
@@ -392,7 +664,7 @@ def test_chunks_and_workers_give_the_serial_count(pooled_counts, A, text):
     order = A.order()
     serial = zero_probability(Q, A, workers=1).zero_count
     chunked = sum(
-        _count_range((Q, A, False, start, min(start + 7, order)))
+        _count_range((Q, A, False, _slice_variable(Q, A), start, min(start + 7, order)))
         for start in range(0, order, 7)
     )
     assert chunked == serial
