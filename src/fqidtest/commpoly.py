@@ -13,10 +13,18 @@ The public constructor validates every exponent and coefficient.  +, *
 and scale work on plain {exps: coeff} dicts through _add_scaled and
 _mul_terms; they, neg and reduce wrap their results with
 CommPoly._trusted, which skips that check: their inputs were checked
-already.  _mul_terms can fold exponents as monomials multiply, so
-reduced_coordinates builds the reduced coordinate polynomials of an
-evaluation map in one pass; symbolic_coordinates runs the same core
-without folding.
+already.
+
+reduced_coordinates and symbolic_coordinates build the coordinate
+polynomials of an evaluation map from the structure constants on packed
+monomials: one Python int per monomial, never an exponent tuple.  Over
+GF(2), reduced, a monomial is the bit set of its variables, a product an
+OR (x^2 = x) and a sum a parity, with no field calls.  Otherwise each
+variable owns a lane of bits and a product adds the ints; reduced, a
+lane is q.bit_length() + 1 bits and a product folds every lane that
+reaches q back by q - 1 (x^q = x) at once, through a bias that sets the
+lane's guard bit; symbolic, a lane holds Q's degree and nothing folds.
+Only the final coordinates are unpacked to {exps: coeff} dicts.
 
 zero_counter counts the common zeros of a list of polynomials over all of
 F^n.  Over GF(2) it is bit-sliced: variable i is an int with bit k set
@@ -34,6 +42,7 @@ the CommPoly arithmetic are its own.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from functools import partial
 from itertools import compress, product
 
@@ -45,7 +54,7 @@ from .errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from .freepoly import Flavor, FreePoly, _Parser, tokenize
+from .freepoly import Flavor, FreePoly, _Parser, term_degree, tokenize
 from .gf import Field
 
 TUPLE_CAP = 1 << 24
@@ -146,8 +155,13 @@ class CommPoly:
         if e < 0:
             raise ValueError("exponent must be a nonnegative integer")
         out = CommPoly.constant(self.field, self.nvars, 1)
-        for _ in range(e):
-            out = out * self
+        base = self
+        while e:  # square and multiply: at most two products per bit of e
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def reduce(self) -> "CommPoly":
@@ -240,23 +254,13 @@ def _add_scaled(field: Field, acc: dict, terms: dict, c: int) -> dict:
     return acc
 
 
-def _fold_table(q: int) -> tuple[int, ...]:
-    """fold[a + b] for reduced exponents a, b: a + b, or a + b - (q - 1)
-    once it passes q - 1, since x^q = x."""
-    return tuple(range(q)) + tuple(range(1, q))
-
-
-def _mul_terms(field: Field, a: dict, b: dict, fold=None) -> dict:
-    """The product a * b; with fold = _fold_table(q) and reduced a, b the
-    product comes out reduced."""
+def _mul_terms(field: Field, a: dict, b: dict) -> dict:
+    """The product a * b."""
     add, mul = field.add, field.mul
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            if fold is None:
-                exps = tuple(map(operator.add, e1, e2))
-            else:
-                exps = tuple(map(fold.__getitem__, map(operator.add, e1, e2)))
+            exps = tuple(map(operator.add, e1, e2))
             s = add(out.get(exps, 0), mul(c1, c2))
             if s:
                 out[exps] = s
@@ -396,46 +400,41 @@ def symbolic_coordinates(Q: FreePoly, A, commutator: bool = False) -> list[CommP
     Argument i of Q contributes the scalar variables x_{(i-1)*dim+1} ...
     x_{i*dim}, so the output lives in n*dim commuting variables and is not
     reduced.  With commutator=True each tree pair multiplies as uv - vu.
+    Monomials are built as packed ints whose lanes hold Q's degree, and
+    only the results are unpacked to exponent tuples.
     """
-    return _coordinates(Q, A, commutator, None)
+    return _coordinates(Q, A, commutator, reduced=False)
 
 
 def reduced_coordinates(Q: FreePoly, A, commutator: bool = False) -> list[CommPoly]:
     """symbolic_coordinates(Q, A, commutator) with each polynomial reduced.
 
     Exponents fold as monomials multiply, so no unreduced intermediate is
-    built.  Like symbolic_coordinates it reads only the structure
+    built: over GF(2) a monomial is the bit set of its variables and a
+    product is an OR; over other fields a lane of a product that reaches q
+    loses q - 1.  Like symbolic_coordinates it reads only the structure
     constants A.table, never Algebra.mul.
     """
-    return _coordinates(Q, A, commutator, _fold_table(A.field.q))
+    return _coordinates(Q, A, commutator, reduced=True)
 
 
-def _coordinates(Q: FreePoly, A, commutator: bool, fold) -> list[CommPoly]:
+def _coordinates(Q: FreePoly, A, commutator: bool, reduced: bool) -> list[CommPoly]:
     if Q.field != A.field:
         raise FieldMismatch(f"{Q.field!r} vs {A.field!r}")
     f = A.field
     dim = A.dim
     width = Q.n * dim
+    if reduced and f.q == 2:
+        ring = _BitMonomials(A.table, width)
+    elif reduced:
+        ring = _LaneMonomials(f, A.table, width, None)
+    else:
+        ring = _LaneMonomials(f, A.table, width, max(map(term_degree, Q.terms), default=1))
     minus_one = f.neg(1)
     generic = [  # coordinate s of argument i is the variable x_{i*dim+s+1}
-        [{(0,) * k + (1,) + (0,) * (width - 1 - k): 1} for k in range(i * dim, (i + 1) * dim)]
-        for i in range(Q.n)
+        [ring.variable(k) for k in range(i * dim, (i + 1) * dim)] for i in range(Q.n)
     ]
-
-    def mul(u, v):
-        """u * v for vectors of coordinate dicts, by the structure constants."""
-        out = [{} for _ in u]
-        for ui, row in zip(u, A.table):
-            if not ui:
-                continue
-            for vj, cell in zip(v, row):
-                if not vj or not any(cell):
-                    continue
-                prod = _mul_terms(f, ui, vj, fold)
-                for acc, c in zip(out, cell):
-                    if c:
-                        _add_scaled(f, acc, prod, c)
-        return out
+    mul, combine = ring.mul, ring.combine
 
     def tree(t):
         if isinstance(t, int):
@@ -443,8 +442,7 @@ def _coordinates(Q: FreePoly, A, commutator: bool, fold) -> list[CommPoly]:
         left, right = tree(t[0]), tree(t[1])
         out = mul(left, right)
         if commutator:
-            for acc, part in zip(out, mul(right, left)):
-                _add_scaled(f, acc, part, minus_one)
+            combine(out, mul(right, left), minus_one)
         return out
 
     def chain(term):
@@ -454,8 +452,133 @@ def _coordinates(Q: FreePoly, A, commutator: bool, fold) -> list[CommPoly]:
         return vec
 
     vector = chain if Q.flavor is Flavor.ASSOC else tree
-    coords = [{} for _ in range(dim)]
+    coords = [ring.zero() for _ in range(dim)]
     for term, coeff in Q.terms.items():
-        for acc, part in zip(coords, vector(term)):
-            _add_scaled(f, acc, part, coeff)
-    return [CommPoly._trusted(f, width, c) for c in coords]
+        combine(coords, vector(term), coeff)
+    return [CommPoly._trusted(f, width, ring.unpack(c)) for c in coords]
+
+
+class _BitMonomials:
+    """Reduced coordinates over GF(2).
+
+    A monomial is an int with bit k set when x_{k+1} divides it; as x^2 = x
+    on GF(2), the reduced product of two monomials is their OR.  Every
+    coefficient is 1, so a polynomial is the set of its monomials and a sum
+    keeps the monomials that occur an odd number of times.
+    """
+
+    zero = set
+
+    def __init__(self, table, width: int):
+        self.cells = [  # row i: (j, the k with a 1 in cell (i, j)) for its nonzero cells
+            [(j, [k for k, c in enumerate(cell) if c]) for j, cell in enumerate(row) if any(cell)]
+            for row in table
+        ]
+        self.width = width
+
+    @staticmethod
+    def variable(k: int) -> set:
+        return {1 << k}
+
+    def mul(self, u: list, v: list) -> list:
+        """u * v for vectors of coordinate sets, by the structure constants."""
+        out = [[] for _ in u]
+        for ui, row in zip(u, self.cells):
+            if ui:
+                for j, ks in row:
+                    vj = v[j]
+                    if vj:
+                        terms = [a | b for a in ui for b in vj]
+                        for k in ks:
+                            out[k] += terms
+        return list(map(_odd_terms, out))
+
+    @staticmethod
+    def combine(acc: list, part: list, c: int):
+        """acc += c * part, in place; c is 1."""
+        for a, p in zip(acc, part):
+            a ^= p
+
+    def unpack(self, poly: set) -> dict:
+        shifts = range(self.width)
+        return {tuple([m >> s & 1 for s in shifts]): 1 for m in poly}
+
+
+def _odd_terms(terms: list) -> set:
+    """The monomials that occur an odd number of times in terms."""
+    once = set(terms)
+    if len(once) == len(terms):
+        return once
+    return {m for m, count in Counter(terms).items() if count & 1}
+
+
+class _LaneMonomials:
+    """Coordinates over any field, with monomials packed in lanes.
+
+    The exponent of x_{k+1} sits in bits [k*bits, (k+1)*bits) of one int,
+    so a product of monomials adds their ints.  Reduced, a lane is
+    q.bit_length() + 1 bits wide and holds an exponent in [0, q-1]; a
+    lane of a product holds at most 2q - 2.  Adding 2^L - q, where
+    L = q.bit_length(), to every lane sets the lane's guard bit L exactly
+    when it holds q or more, and those lanes lose q - 1, since x^q = x.
+    Unreduced, a lane holds Q's degree, which no exponent passes, and the
+    guard is 0, so nothing folds.
+    """
+
+    zero = dict
+
+    def __init__(self, field: Field, table, width: int, degree: int | None):
+        """Reduced when degree is None; else no exponent passes degree."""
+        self.field = field
+        self.cells = [  # row i: (j, the nonzero (k, c) of cell (i, j)) for its nonzero cells
+            [(j, [(k, c) for k, c in enumerate(cell) if c]) for j, cell in enumerate(row) if any(cell)]
+            for row in table
+        ]
+        self.width = width
+        if degree is None:
+            top = field.q.bit_length()
+            self.bits = top + 1
+            lanes = range(0, width * self.bits, self.bits)
+            self.guard = sum(1 << (s + top) for s in lanes)
+            self.bias = sum(((1 << top) - field.q) << s for s in lanes)
+            self.top = top
+        else:
+            self.bits = degree.bit_length()
+            self.guard = self.bias = self.top = 0
+
+    def variable(self, k: int) -> dict:
+        return {1 << (k * self.bits): 1}
+
+    def mul(self, u: list, v: list) -> list:
+        """u * v for vectors of coordinate dicts, by the structure constants."""
+        add, mul = self.field.add, self.field.mul
+        bias, guard, top, span = self.bias, self.guard, self.top, self.field.q - 1
+        out = [{} for _ in u]
+        for ui, row in zip(u, self.cells):
+            if not ui:
+                continue
+            for j, kcs in row:
+                vj = v[j]
+                if not vj:
+                    continue
+                prod = {}
+                for e1, c1 in ui.items():
+                    for e2, c2 in vj.items():
+                        e = e1 + e2
+                        e -= (((e + bias) & guard) >> top) * span
+                        prod[e] = add(prod.get(e, 0), mul(c1, c2))
+                for k, c in kcs:
+                    acc = out[k]
+                    for e, x in prod.items():
+                        acc[e] = add(acc.get(e, 0), x if c == 1 else mul(c, x))
+        return [{e: c for e, c in acc.items() if c} for acc in out]
+
+    def combine(self, acc: list, part: list, c: int):
+        """acc += c * part, in place."""
+        for a, p in zip(acc, part):
+            _add_scaled(self.field, a, p, c)
+
+    def unpack(self, poly: dict) -> dict:
+        shifts = range(0, self.width * self.bits, self.bits)
+        mask = (1 << self.bits) - 1
+        return {tuple([m >> s & mask for s in shifts]): c for m, c in poly.items()}

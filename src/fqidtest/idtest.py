@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import count, islice, product, repeat
-from operator import add, itemgetter, not_
+from operator import add, itemgetter, mod, mul, not_
 
 from .algebra import (
     Algebra,
@@ -166,10 +166,10 @@ class SplitMix64:
             s = (state * R + steps) & ones
             z = ((s ^ (s >> 30)) & ones) * _MIX1 & ones
             z = ((z ^ (z >> 27)) & ones) * _MIX2 & ones
-            digits = list(map(q.__rmod__, _low_words(z ^ (z >> 31), draws)))
+            digits = list(map(mod, _low_words(z ^ (z >> 31), draws), repeat(q)))
             index = digits[0::dim]
             for j in range(1, dim):
-                index = map(add, map(q.__mul__, index), digits[j::dim])
+                index = map(add, map(mul, index, repeat(q)), digits[j::dim])
             states = _low_words(s, draws)[dim - 1::dim]  # the state after each index
             state = states[-1]
             for self.state, i in zip(states, index):

@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqidtest.algebra import heisenberg, truncated
 from fqidtest.commpoly import CommPoly, parse_comm, symbolic_coordinates
@@ -15,7 +17,7 @@ from fqidtest.errors import (
     ZeroPolynomial,
 )
 from fqidtest.freepoly import Flavor, parse
-from fqidtest.gf import Field
+from fqidtest.gf import Field, field_of_order
 
 F2 = Field(2)
 F3 = Field(3)
@@ -40,6 +42,31 @@ def test_arithmetic():
     assert p == x1 * x1 - x2 * x2
     assert (x1 - x1).is_zero
     assert x1.pow(3).monomials == {(3, 0): 1}
+
+
+def test_pow_takes_one_product_per_bit():
+    # e products would take minutes at this exponent
+    assert parse_comm("x1^1000000000", F2).monomials == {(1000000000,): 1}
+    assert parse_comm("(x1 + x2)^0", F3) == CommPoly.constant(F3, 2, 1)
+
+
+@st.composite
+def powers(draw):
+    F = field_of_order(draw(st.sampled_from([2, 3, 4])))
+    nvars = draw(st.integers(0, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    p = CommPoly(F, nvars, draw(st.dictionaries(exps, st.integers(0, F.q - 1), max_size=4)))
+    return p, draw(st.integers(0, 9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(powers())
+def test_pow_is_repeated_multiplication(case):
+    p, e = case
+    expected = CommPoly.constant(p.field, p.nvars, 1)
+    for _ in range(e):
+        expected = expected * p
+    assert p.pow(e) == expected
 
 
 def test_degree_and_per_variable():

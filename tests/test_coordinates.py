@@ -1,12 +1,15 @@
 """The lean coordinate route against the routes it replaced.
 
-reduced_coordinates folds exponents as monomials multiply; it must give
-symbolic_coordinates(...).reduce().  zero_counter (bit-sliced over GF(2))
-must give the zero count of the point loop over CommPoly.eval that
+reduced_coordinates and symbolic_coordinates build packed monomials; they
+must give the dicts of the tuple-keyed core they ran on before, restated
+here as reference_coordinates, which folds exponents through a table as
+monomials multiply.  zero_counter (bit-sliced over GF(2)) must give the
+zero count of the point loop over CommPoly.eval that
 functional_zero_fraction, count_nonzeros and the exhaustive scan ran
 before, restated here.
 """
 
+import operator
 from fractions import Fraction
 from itertools import product
 
@@ -14,11 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqidtest import idtest
-from fqidtest.algebra import Algebra, heisenberg, matrix_algebra, strictly_upper_triangular_lie
+from fqidtest.algebra import (
+    Algebra,
+    field_as_algebra,
+    heisenberg,
+    matrix_algebra,
+    strictly_upper_triangular_lie,
+    upper_triangular,
+)
 from fqidtest.bound import floor_fraction
-from fqidtest.cli import battery_for
+from fqidtest.cli import battery_for, library
 from fqidtest.commpoly import CommPoly, reduced_coordinates, symbolic_coordinates, zero_counter
-from fqidtest.freepoly import Flavor, FreePoly, parse
+from fqidtest.freepoly import Flavor, FreePoly, engel, parse
 from fqidtest.gf import field_of_order
 
 F2 = field_of_order(2)
@@ -43,9 +53,94 @@ def point_loop_zeros(field, nvars, polys):
     return zeros
 
 
-def assert_route_matches(Q, A, commutator=False):
+def _add_scaled(field, acc, terms, c):
+    """acc += c * terms, in place, dropping monomials that cancel."""
+    for exps, k in terms.items():
+        s = field.add(acc.get(exps, 0), field.mul(c, k))
+        if s:
+            acc[exps] = s
+        else:
+            acc.pop(exps, None)
+    return acc
+
+
+def _mul_terms(field, a, b, fold=None):
+    """The product a * b of {exps: coeff} dicts; with fold[a + b] the
+    reduced sum of two reduced exponents, the product comes out reduced."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(map(operator.add, e1, e2))
+            if fold is not None:
+                exps = tuple(map(fold.__getitem__, exps))
+            s = field.add(out.get(exps, 0), field.mul(c1, c2))
+            if s:
+                out[exps] = s
+            else:
+                out.pop(exps, None)
+    return out
+
+
+def reference_coordinates(Q, A, commutator, reduced):
+    """The coordinate dicts of e_Q on exponent tuples, reduced or not."""
+    f = A.field
+    dim = A.dim
+    width = Q.n * dim
+    # a + b, or a + b - (q - 1) once it passes q - 1, since x^q = x
+    fold = tuple(range(f.q)) + tuple(range(1, f.q)) if reduced else None
+    generic = [
+        [{(0,) * k + (1,) + (0,) * (width - 1 - k): 1} for k in range(i * dim, (i + 1) * dim)]
+        for i in range(Q.n)
+    ]
+
+    def mul(u, v):
+        out = [{} for _ in u]
+        for ui, row in zip(u, A.table):
+            for vj, cell in zip(v, row):
+                prod = _mul_terms(f, ui, vj, fold)
+                for acc, c in zip(out, cell):
+                    _add_scaled(f, acc, prod, c)
+        return out
+
+    def tree(t):
+        if isinstance(t, int):
+            return generic[t - 1]
+        left, right = tree(t[0]), tree(t[1])
+        out = mul(left, right)
+        if commutator:
+            for acc, part in zip(out, mul(right, left)):
+                _add_scaled(f, acc, part, f.neg(1))
+        return out
+
+    def chain(term):
+        vec = generic[term[0] - 1]
+        for i in term[1:]:
+            vec = mul(vec, generic[i - 1])
+        return vec
+
+    vector = chain if Q.flavor is Flavor.ASSOC else tree
+    coords = [{} for _ in range(dim)]
+    for term, coeff in Q.terms.items():
+        for acc, part in zip(coords, vector(term)):
+            _add_scaled(f, acc, part, coeff)
+    return coords
+
+
+def assert_coordinates_match(Q, A, commutator=False):
+    """Both coordinate functions give the reference's dicts; returns the
+    reduced and the symbolic coordinates."""
+    width = Q.n * A.dim
     folded = reduced_coordinates(Q, A, commutator=commutator)
-    assert folded == [c.reduce() for c in symbolic_coordinates(Q, A, commutator=commutator)]
+    symbolic = symbolic_coordinates(Q, A, commutator=commutator)
+    for got, reduced in ((folded, True), (symbolic, False)):
+        assert all(c.field == A.field and c.nvars == width for c in got)
+        assert [c.monomials for c in got] == reference_coordinates(Q, A, commutator, reduced)
+    assert folded == [c.reduce() for c in symbolic]
+    return folded, symbolic
+
+
+def assert_route_matches(Q, A, commutator=False):
+    folded, _ = assert_coordinates_match(Q, A, commutator)
     width = Q.n * A.dim
     zeros = zero_counter(A.field, width)([c.monomials for c in folded])
     assert zeros == point_loop_zeros(A.field, width, folded)
@@ -77,21 +172,59 @@ def test_route_on_bracket_tables():
     assert_route_matches(parse("x1*x2*x1 - x1*x1*x2", Flavor.ASSOC, M.field), M)
 
 
+def test_route_on_the_library():
+    for A in library():
+        polys = battery_for(A) + ([engel(1, A.field), engel(2, A.field)] if A.bracket else [])
+        for Q in polys:
+            assert_coordinates_match(Q, A)
+        if not A.bracket:
+            assert_coordinates_match(parse("[[x1,x2],x1]", Flavor.LIE, A.field), A, commutator=True)
+
+
+def left_comb(leaves):
+    term = leaves[0]
+    for leaf in leaves[1:]:
+        term = (term, leaf)
+    return term
+
+
+def test_fold_fires_repeatedly():
+    """x1 repeated 2q + 1 times passes q twice; symbolic keeps the exponent."""
+    for q in (2, 3, 4, 8):
+        F = field_of_order(q)
+        power = (1,) * (2 * q + 1)
+        polys = [
+            FreePoly(F, Flavor.ASSOC, 1, {power: 1}),
+            FreePoly(F, Flavor.ASSOC, 2, {power: 1, (1, 2): q - 1, (2, 1, 1): 1}),
+            FreePoly(F, Flavor.FREE, 2, {left_comb(power): 1, (2, (1, 2)): 1}),
+            FreePoly(F, Flavor.FREE, 2, {}),
+        ]
+        for A in (field_as_algebra(q), upper_triangular(2, q), Algebra(F, 0, [])):
+            for Q in polys:
+                folded, symbolic = assert_coordinates_match(Q, A)
+                assert all(max(e) < q for c in folded for e in c.monomials)
+                if Q.terms and A.dim:
+                    assert max(max(e) for c in symbolic for e in c.monomials) > q
+                    assert any(not c.is_zero for c in folded)
+
+
 @st.composite
 def route_cases(draw):
-    q = draw(st.sampled_from([2, 3, 4]))
+    q = draw(st.sampled_from([2, 3, 4, 8]))
     F = field_of_order(q)
-    dim = draw(st.integers(1, 2))
+    dim = draw(st.integers(0, 2))
     cell = st.tuples(*[st.integers(0, q - 1)] * dim)
     table = [[draw(cell) for _ in range(dim)] for _ in range(dim)]
     A = Algebra(F, dim, table)
     flavor = draw(st.sampled_from(list(Flavor)))
     n = draw(st.integers(1, 2))
     leaf = st.integers(1, n)
+    # in one variable a term can pass 2q leaves, so the fold fires twice
+    leaves = 2 * q + 2 if n == 1 else 4
     if flavor is Flavor.ASSOC:
-        term = st.lists(leaf, min_size=1, max_size=4).map(tuple)
+        term = st.lists(leaf, min_size=1, max_size=leaves).map(tuple)
     else:
-        term = st.recursive(leaf, lambda t: st.tuples(t, t), max_leaves=4)
+        term = st.recursive(leaf, lambda t: st.tuples(t, t), max_leaves=leaves)
     terms = draw(st.dictionaries(term, st.integers(1, q - 1), max_size=3))
     # lie input on a plain table is read through the commutator
     return FreePoly(F, flavor, n, terms), A, flavor is Flavor.LIE
