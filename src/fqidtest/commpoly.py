@@ -25,6 +25,9 @@ lane is q.bit_length() + 1 bits and a product folds every lane that
 reaches q back by q - 1 (x^q = x) at once, through a bias that sets the
 lane's guard bit; symbolic, a lane holds Q's degree and nothing folds.
 Only the final coordinates are unpacked to {exps: coeff} dicts.
+reduced_degrees unpacks nothing: it reads each reduced coordinate's
+total degree off the packed ints, a bit count over GF(2) and a sum of
+lanes otherwise, and builds no exponent tuple and no CommPoly.
 
 zero_counter counts the common zeros of a list of polynomials over all of
 F^n.  Over GF(2) it is bit-sliced: variable i is an int with bit k set
@@ -418,7 +421,24 @@ def reduced_coordinates(Q: FreePoly, A, commutator: bool = False) -> list[CommPo
     return _coordinates(Q, A, commutator, reduced=True)
 
 
+def reduced_degrees(Q: FreePoly, A, commutator: bool = False) -> list[int | None]:
+    """The total degree of each of reduced_coordinates(Q, A, commutator),
+    or None where the coordinate is zero.
+
+    The degrees are read off the packed monomials, so no coordinate is
+    unpacked.  Like reduced_coordinates it reads only A.table.
+    """
+    ring, coords = _packed_coordinates(Q, A, commutator, reduced=True)
+    return [ring.degree(c) if c else None for c in coords]
+
+
 def _coordinates(Q: FreePoly, A, commutator: bool, reduced: bool) -> list[CommPoly]:
+    ring, coords = _packed_coordinates(Q, A, commutator, reduced)
+    return [CommPoly._trusted(A.field, ring.width, ring.unpack(c)) for c in coords]
+
+
+def _packed_coordinates(Q: FreePoly, A, commutator: bool, reduced: bool):
+    """The monomial ring and the dim coordinates of e_Q in it, packed."""
     if Q.field != A.field:
         raise FieldMismatch(f"{Q.field!r} vs {A.field!r}")
     f = A.field
@@ -455,7 +475,7 @@ def _coordinates(Q: FreePoly, A, commutator: bool, reduced: bool) -> list[CommPo
     coords = [ring.zero() for _ in range(dim)]
     for term, coeff in Q.terms.items():
         combine(coords, vector(term), coeff)
-    return [CommPoly._trusted(f, width, ring.unpack(c)) for c in coords]
+    return ring, coords
 
 
 class _BitMonomials:
@@ -502,6 +522,11 @@ class _BitMonomials:
     def unpack(self, poly: set) -> dict:
         shifts = range(self.width)
         return {tuple([m >> s & 1 for s in shifts]): 1 for m in poly}
+
+    @staticmethod
+    def degree(poly: set) -> int:
+        """The total degree of a nonzero polynomial."""
+        return max(map(int.bit_count, poly))
 
 
 def _odd_terms(terms: list) -> set:
@@ -582,3 +607,9 @@ class _LaneMonomials:
         shifts = range(0, self.width * self.bits, self.bits)
         mask = (1 << self.bits) - 1
         return {tuple([m >> s & mask for s in shifts]): c for m, c in poly.items()}
+
+    def degree(self, poly: dict) -> int:
+        """The total degree of a nonzero polynomial: its greatest sum of lanes."""
+        shifts = range(0, self.width * self.bits, self.bits)
+        mask = (1 << self.bits) - 1
+        return max(sum([m >> s & mask for s in shifts]) for m in poly)

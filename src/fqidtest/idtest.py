@@ -12,10 +12,12 @@ range(q**dim) at its position in the canonical order elements() walks, so
 0 is the zero element.  _evaluate_raw, on coordinate tuples, is the
 reference the index kernel is tested against.  The routes that
 cross-check the kernel's answers stay off it: evaluate and the block
-tallies run _evaluate_raw, while functional_zero_fraction, dixon_verdict's
-second route and descent's final check on the restricted algebra build
-reduced coordinate polynomials from the structure constants
-(commpoly.reduced_coordinates), which call none of _kernel, _evaluate_raw
+tallies run _evaluate_raw, while functional_zero_fraction and descent's
+final check on the restricted algebra build reduced coordinate
+polynomials from the structure constants (commpoly.reduced_coordinates),
+and dixon_verdict's second route reads each reduced coordinate's degree
+off the same packed monomials without unpacking them
+(commpoly.reduced_degrees).  None of these calls _kernel, _evaluate_raw
 or Algebra.mul.
 
 zero_probability counts slice by slice where it can.  If some variable
@@ -79,7 +81,7 @@ from .algebra import (
     vec_sub,
 )
 from .bound import chunk_ranges, floor_fraction, pool_map
-from .commpoly import reduced_coordinates, zero_counter
+from .commpoly import reduced_coordinates, reduced_degrees, zero_counter
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -664,6 +666,16 @@ def _count_exact(Q, A, commutator, workers):
     return sum(pool_map(_count_range, payloads, workers))
 
 
+def _exact_total(Q: FreePoly, A: Algebra, cap: int, commutator: bool) -> int:
+    """The order**n points of an exact count, after the flavor gate and
+    the cap check."""
+    _product_fn(Q, A, commutator)  # fail fast on flavor problems
+    total = A.order() ** Q.n
+    if total > cap:
+        raise SearchSpaceTooLarge(total, cap)
+    return total
+
+
 def zero_probability(
     Q: FreePoly,
     A: Algebra,
@@ -675,16 +687,13 @@ def zero_probability(
     commutator: bool = False,
 ) -> EvalReport:
     """The exact (or sampled) fraction of A^n mapped to zero by e_Q."""
+    if samples is None:
+        total = _exact_total(Q, A, cap, commutator)
+        return _exact_report(_count_exact(Q, A, commutator, workers), total, _poly_degree(Q))
+
     _product_fn(Q, A, commutator)  # fail fast on flavor problems
     degree = _poly_degree(Q)
     n = Q.n
-
-    if samples is None:
-        total = A.order() ** n
-        if total > cap:
-            raise SearchSpaceTooLarge(total, cap)
-        return _exact_report(_count_exact(Q, A, commutator, workers), total, degree)
-
     if samples < 1:
         raise ValueError("samples must be a positive integer")
     if seed is None:
@@ -745,21 +754,24 @@ def dixon_verdict(
 ) -> EvalReport:
     """Exact verdict with a dual-route cross-check.
 
-    Route one counts the zeros of e_Q on A^n (zero_probability: slice by
-    slice where e_Q is affine in a variable, point by point otherwise).
-    Route two builds the reduced coordinate polynomials
-    (commpoly.reduced_coordinates): all zero iff e_Q is an identity, and
-    otherwise each nonzero coordinate forces the nonzero fraction up to its
-    density floor.  The floor does not increase with the degree, so the
-    strongest one is taken at the least degree.  Disagreement on either
-    route is an implementation bug and raises TheoremViolation, whose
-    witness holds the algebra document, the polynomial text, its variable
-    count n (the text drops unused trailing variables), its flavor, the
-    commutator flag, the zero count and the count route, so that the count
-    can be replayed.
+    Route one counts the zeros of e_Q on A^n (zero_probability's count:
+    slice by slice where e_Q is affine in a variable, point by point
+    otherwise).  Route two reads the degree of each reduced coordinate
+    polynomial off its packed monomials (commpoly.reduced_degrees): all
+    zero iff e_Q is an identity, and otherwise each nonzero coordinate
+    forces the nonzero fraction up to its density floor.  The floor does
+    not increase with the degree, so the strongest one is taken at the
+    least degree.  Both bounds are compared on integers.  Disagreement on
+    either route is an implementation bug and raises TheoremViolation,
+    whose witness holds the algebra document, the polynomial text, its
+    variable count n (the text drops unused trailing variables), its
+    flavor, the commutator flag, the zero count and the count route, so
+    that the count can be replayed.
     """
-    report = zero_probability(Q, A, cap=cap, workers=workers, commutator=commutator)
-    nonzero = [c for c in reduced_coordinates(Q, A, commutator=commutator) if not c.is_zero]
+    total = _exact_total(Q, A, cap, commutator)
+    zeros = _count_exact(Q, A, commutator, workers)
+    degrees = [d for d in reduced_degrees(Q, A, commutator) if d is not None]
+    degree = _poly_degree(Q)
 
     def violation(message):
         return TheoremViolation(message, witness={
@@ -768,36 +780,33 @@ def dixon_verdict(
             "flavor": Q.flavor.value,
             "commutator": commutator,
             "algebra": to_json_dict(A),
-            "zero_count": report.zero_count,
-            "total": report.total,
+            "zero_count": zeros,
+            "total": total,
             "route": "points" if _slice_variable(Q, A) is None else "slice",
-            "probability": str(report.probability),
-            "threshold": str(report.threshold),
+            "probability": str(Fraction(zeros, total)),
+            "threshold": str(_threshold(degree)),
         })
 
-    if (not nonzero) != report.is_identity:
+    if (not degrees) != (zeros == total):
         raise violation("enumeration and coordinate reduction disagree on identity-ness")
-    if report.is_identity:
-        return _exact_report(
-            report.zero_count, report.total, report.degree, functional_consistent=True
-        )
+    if not degrees:
+        return _exact_report(zeros, total, degree, functional_consistent=True)
 
-    floor = floor_fraction(A.field.q, min(c.degree for c in nonzero)).value
-    if 1 - report.probability < floor:
+    floor = floor_fraction(A.field.q, min(degrees)).value
+    # the nonzero fraction 1 - zeros/total under the floor
+    if (total - zeros) * floor.denominator < floor.numerator * total:
         raise violation(
-            f"nonzero fraction {1 - report.probability} under the "
+            f"nonzero fraction {1 - Fraction(zeros, total)} under the "
             f"coordinate density floor {floor}"
         )
-    if report.probability > report.threshold:
+    # the zero fraction zeros/total above 1 - 2^-degree
+    if zeros << degree > ((1 << degree) - 1) * total:
         raise violation(
-            f"non-identity with zero probability {report.probability} "
-            f"above 1 - 2^-{report.degree}"
+            f"non-identity with zero probability {Fraction(zeros, total)} "
+            f"above 1 - 2^-{degree}"
         )
-    if not report.verdict_consistent:
-        raise violation("inconsistent verdict flags")
     return _exact_report(
-        report.zero_count, report.total, report.degree,
-        functional_floor=floor, functional_consistent=True,
+        zeros, total, degree, functional_floor=floor, functional_consistent=True,
     )
 
 

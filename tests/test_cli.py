@@ -155,6 +155,11 @@ def test_theorem_violation_exits_one_with_witness(capsys, monkeypatch):
     assert doc["witness"] == {"poly": "x1*x1"}
 
 
+def all_zero_degrees(Q, A, commutator=False):
+    """A coordinate route that finds every coordinate zero."""
+    return [None] * A.dim
+
+
 @pytest.mark.parametrize(
     "spec, flavor, text, commutator, route",
     [
@@ -170,7 +175,7 @@ def test_dixon_witness_replays_through_the_cli(
     Q = parse(text, Flavor(flavor), A.field)
     A = from_json_dict(to_json_dict(A))  # unnamed, as the sweep's tables are
     # forced disagreement: the coordinate route claims e_Q is an identity
-    monkeypatch.setattr(idtest, "reduced_coordinates", lambda *a, **k: [])
+    monkeypatch.setattr(idtest, "reduced_degrees", all_zero_degrees)
     with pytest.raises(TheoremViolation) as info:
         idtest.dixon_verdict(Q, A, commutator=commutator)
     monkeypatch.undo()
@@ -193,7 +198,7 @@ def test_dixon_witness_records_the_variable_count(monkeypatch):
     # rebuilds the count
     T = truncated(2, 3)
     Q = parse("x1*x1", Flavor.FREE, T.field, n=2)
-    monkeypatch.setattr(idtest, "reduced_coordinates", lambda *a, **k: [])
+    monkeypatch.setattr(idtest, "reduced_degrees", all_zero_degrees)
     with pytest.raises(TheoremViolation) as info:
         idtest.dixon_verdict(Q, T)
     monkeypatch.undo()

@@ -3,7 +3,9 @@
 reduced_coordinates and symbolic_coordinates build packed monomials; they
 must give the dicts of the tuple-keyed core they ran on before, restated
 here as reference_coordinates, which folds exponents through a table as
-monomials multiply.  zero_counter (bit-sliced over GF(2)) must give the
+monomials multiply.  reduced_degrees, which reads the degrees off the
+packed monomials, must give the degrees of the reference's reduced
+coordinates.  zero_counter (bit-sliced over GF(2)) must give the
 zero count of the point loop over CommPoly.eval that
 functional_zero_fraction, count_nonzeros and the exhaustive scan ran
 before, restated here.
@@ -27,7 +29,13 @@ from fqidtest.algebra import (
 )
 from fqidtest.bound import floor_fraction
 from fqidtest.cli import battery_for, library
-from fqidtest.commpoly import CommPoly, reduced_coordinates, symbolic_coordinates, zero_counter
+from fqidtest.commpoly import (
+    CommPoly,
+    reduced_coordinates,
+    reduced_degrees,
+    symbolic_coordinates,
+    zero_counter,
+)
 from fqidtest.freepoly import Flavor, FreePoly, engel, parse
 from fqidtest.gf import field_of_order
 
@@ -127,8 +135,9 @@ def reference_coordinates(Q, A, commutator, reduced):
 
 
 def assert_coordinates_match(Q, A, commutator=False):
-    """Both coordinate functions give the reference's dicts; returns the
-    reduced and the symbolic coordinates."""
+    """Both coordinate functions give the reference's dicts and
+    reduced_degrees their degrees; returns the reduced and the symbolic
+    coordinates."""
     width = Q.n * A.dim
     folded = reduced_coordinates(Q, A, commutator=commutator)
     symbolic = symbolic_coordinates(Q, A, commutator=commutator)
@@ -136,6 +145,9 @@ def assert_coordinates_match(Q, A, commutator=False):
         assert all(c.field == A.field and c.nvars == width for c in got)
         assert [c.monomials for c in got] == reference_coordinates(Q, A, commutator, reduced)
     assert folded == [c.reduce() for c in symbolic]
+    # folded holds the reference's reduced dicts, so these are its degrees
+    want = [None if c.is_zero else c.degree for c in folded]
+    assert reduced_degrees(Q, A, commutator=commutator) == want
     return folded, symbolic
 
 
@@ -202,6 +214,8 @@ def test_fold_fires_repeatedly():
         for A in (field_as_algebra(q), upper_triangular(2, q), Algebra(F, 0, [])):
             for Q in polys:
                 folded, symbolic = assert_coordinates_match(Q, A)
+                if not Q.terms or not A.dim:
+                    assert reduced_degrees(Q, A) == [None] * A.dim
                 assert all(max(e) < q for c in folded for e in c.monomials)
                 if Q.terms and A.dim:
                     assert max(max(e) for c in symbolic for e in c.monomials) > q

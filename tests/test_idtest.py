@@ -38,7 +38,7 @@ from fqidtest.errors import (
     TheoremViolation,
     WitnessInvalid,
 )
-from fqidtest.freepoly import Flavor, parse, power_word, zero
+from fqidtest.freepoly import Flavor, FreePoly, parse, power_word, zero
 from fqidtest.gf import field_of_order
 from fqidtest.idtest import (
     _BLOCK_CEILING,
@@ -370,6 +370,58 @@ def test_dixon_nonhomogeneous_accepted():
     assert rep.verdict_consistent
 
 
+def reference_dixon(Q, A, *, cap=idtest.EXACT_CAP, workers=1, commutator=False):
+    """dixon_verdict as it was before its second route read degrees off the
+    packed monomials: zero_probability's report, the unpacked reduced
+    coordinates, and the bounds compared on Fractions.  It looks the count
+    and the floor up on idtest, so a test that patches them patches both."""
+    report = idtest.zero_probability(Q, A, cap=cap, workers=workers, commutator=commutator)
+    nonzero = [c for c in reduced_coordinates(Q, A, commutator=commutator) if not c.is_zero]
+
+    def violation(message):
+        return TheoremViolation(message, witness={
+            "poly": Q.to_text(),
+            "n": Q.n,
+            "flavor": Q.flavor.value,
+            "commutator": commutator,
+            "algebra": idtest.to_json_dict(A),
+            "zero_count": report.zero_count,
+            "total": report.total,
+            "route": "points" if idtest._slice_variable(Q, A) is None else "slice",
+            "probability": str(report.probability),
+            "threshold": str(report.threshold),
+        })
+
+    if (not nonzero) != report.is_identity:
+        raise violation("enumeration and coordinate reduction disagree on identity-ness")
+    if report.is_identity:
+        return idtest._exact_report(
+            report.zero_count, report.total, report.degree, functional_consistent=True
+        )
+    floor = idtest.floor_fraction(A.field.q, min(c.degree for c in nonzero)).value
+    if 1 - report.probability < floor:
+        raise violation(
+            f"nonzero fraction {1 - report.probability} under the "
+            f"coordinate density floor {floor}"
+        )
+    if report.probability > report.threshold:
+        raise violation(
+            f"non-identity with zero probability {report.probability} "
+            f"above 1 - 2^-{report.degree}"
+        )
+    if not report.verdict_consistent:
+        raise violation("inconsistent verdict flags")
+    return idtest._exact_report(
+        report.zero_count, report.total, report.degree,
+        functional_floor=floor, functional_consistent=True,
+    )
+
+
+def assert_matches_reference(Q, A, commutator=False):
+    got = dixon_verdict(Q, A, commutator=commutator)
+    assert got == reference_dixon(Q, A, commutator=commutator), (Q.to_text(), A.table)
+
+
 def test_dixon_report_is_the_count_report_with_the_functional_fields():
     # the report was zero_probability's copied by dataclasses.replace, the
     # reference here; _exact_report now builds it, equal field for field
@@ -384,8 +436,139 @@ def test_dixon_report_is_the_count_report_with_the_functional_fields():
                 degree = min(c.degree for c in reduced_coordinates(Q, A) if not c.is_zero)
                 floor = floor_fraction(2, degree).value
                 want = replace(count, functional_floor=floor, functional_consistent=True)
-            assert dixon_verdict(Q, A) == want, (tbl, Q.to_text())
+            assert dixon_verdict(Q, A) == want == reference_dixon(Q, A), (tbl, Q.to_text())
     assert idtest._threshold(3) is idtest._threshold(3) == Fraction(7, 8)
+
+
+def test_dixon_matches_the_reference_through_the_commutator():
+    brackets = [parse(text, Flavor.LIE, F2) for text in ("[x1,x2]", "[[x1,x2],x1]")]
+    cells = list(product(range(2), repeat=2))
+    for tbl in product(cells, repeat=4):
+        A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
+        for Q in brackets:
+            assert_matches_reference(Q, A, commutator=True)
+
+
+def test_dixon_matches_the_reference_on_the_library():
+    for Q, A in cli.two_path_pairs(1 << 16):
+        assert_matches_reference(Q, A)
+
+
+@st.composite
+def dixon_cases(draw):
+    """Random tables over GF(2), GF(3) and GF(4) with polynomials that mix a
+    linear term and terms of degree 2 to 4."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    F = field_of_order(q)
+    dim = draw(st.integers(1, 2))
+    cell = st.tuples(*[st.integers(0, q - 1)] * dim)
+    A = Algebra(F, dim, [[draw(cell) for _ in range(dim)] for _ in range(dim)])
+    flavor = draw(st.sampled_from(list(Flavor)))
+    n = draw(st.integers(1, 2))
+    leaf = st.integers(1, n)
+    if flavor is Flavor.ASSOC:
+        term = st.lists(leaf, min_size=2, max_size=4).map(tuple)
+    else:
+        term = st.tuples(leaf, leaf) | st.tuples(st.tuples(leaf, leaf), leaf)
+        term = term | st.tuples(st.tuples(leaf, leaf), st.tuples(leaf, leaf))
+    coeff = st.integers(1, q - 1)
+    terms = draw(st.dictionaries(term, coeff, min_size=1, max_size=3))
+    linear = (draw(leaf),) if flavor is Flavor.ASSOC else draw(leaf)
+    terms[linear] = draw(coeff)
+    # lie input on a plain table is read through the commutator
+    return FreePoly(F, flavor, n, terms), A, flavor is Flavor.LIE
+
+
+@settings(max_examples=80, deadline=None)
+@given(dixon_cases())
+def test_dixon_matches_the_reference_on_random_tables(case):
+    Q, A, commutator = case
+    assert_matches_reference(Q, A, commutator)
+
+
+def forced_verdicts(monkeypatch, Q, A, zeros, floor=None):
+    """dixon_verdict and reference_dixon with the count forced to zeros and,
+    when given, every density floor forced to floor: each side's report, or
+    the (message, witness) of the TheoremViolation it raised."""
+    monkeypatch.setattr(idtest, "_count_exact", lambda *args: zeros)
+    if floor is not None:
+        real = idtest.floor_fraction
+
+        def forced(q, d):
+            dec = real(q, d)
+            return type(dec)(dec.q, dec.d, dec.m, dec.r, floor)
+
+        monkeypatch.setattr(idtest, "floor_fraction", forced)
+    out = []
+    for verdict in (dixon_verdict, reference_dixon):
+        try:
+            out.append(verdict(Q, A))
+        except TheoremViolation as exc:
+            out.append((str(exc), exc.witness))
+    monkeypatch.undo()
+    return out
+
+
+def test_dixon_floor_boundary(monkeypatch):
+    # a nonzero fraction exactly on the coordinate floor passes, and one
+    # nonzero point fewer falls under it
+    cases = [
+        (parse("x1*x1", Flavor.FREE, F2, n=2), BOUNDARY, Fraction(1, 4)),  # 4 of 16
+        (parse("x1*x2", Flavor.FREE, F3), field_as_algebra(3), Fraction(1, 3)),  # 3 of 9
+    ]
+    for Q, A, floor in cases:
+        total = A.order() ** Q.n
+        degree = min(c.degree for c in reduced_coordinates(Q, A) if not c.is_zero)
+        assert floor_fraction(A.field.q, degree).value == floor
+        assert (floor * total).denominator == 1
+        on_floor = total - int(floor * total)
+        got, want = forced_verdicts(monkeypatch, Q, A, on_floor)
+        assert got == want and got.functional_floor == floor
+        assert got.zero_count == on_floor and 1 - got.probability == floor
+        got, want = forced_verdicts(monkeypatch, Q, A, on_floor + 1)
+        assert got == want
+        message, witness = got
+        below = Fraction(total - on_floor - 1, total)
+        assert message == f"nonzero fraction {below} under the coordinate density floor {floor}"
+        assert witness["probability"] == str(1 - below)
+        assert witness["threshold"] == str(1 - Fraction(1, 4))
+        assert witness["zero_count"] == on_floor + 1 and witness["total"] == total
+    # a floor of 1/3 puts 16/3 nonzero points of 16 on no count: 6 pass, 5 fail
+    Q = parse("x1*x1", Flavor.FREE, F2, n=2)
+    got, want = forced_verdicts(monkeypatch, Q, BOUNDARY, 10, floor=Fraction(1, 3))
+    assert got == want and got.functional_floor == Fraction(1, 3)
+    got, want = forced_verdicts(monkeypatch, Q, BOUNDARY, 11, floor=Fraction(1, 3))
+    assert got == want
+    assert got[0] == "nonzero fraction 5/16 under the coordinate density floor 1/3"
+
+
+def test_dixon_threshold_boundary(monkeypatch):
+    # on BOUNDARY the true count sits exactly on 1 - 2^-2 and passes; the
+    # threshold test can only fail once the floor test passes, so with n = 2
+    # the floor is forced down to 1/16 and one zero past the bound raises
+    Q = free("x1*x1")
+    got, want = forced_verdicts(monkeypatch, Q, BOUNDARY, 3)
+    assert got == want and got.probability == got.threshold == Fraction(3, 4)
+    Q = parse("x1*x1", Flavor.FREE, F2, n=2)
+    got, want = forced_verdicts(monkeypatch, Q, BOUNDARY, 12, floor=Fraction(1, 16))
+    assert got == want and got.probability == got.threshold == Fraction(3, 4)
+    assert got.functional_floor == Fraction(1, 16)
+    got, want = forced_verdicts(monkeypatch, Q, BOUNDARY, 13, floor=Fraction(1, 16))
+    assert got == want
+    message, witness = got
+    assert message == "non-identity with zero probability 13/16 above 1 - 2^-2"
+    assert (witness["probability"], witness["threshold"]) == ("13/16", "3/4")
+    assert (witness["zero_count"], witness["total"], witness["n"]) == (13, 16, 2)
+    # over GF(3) no count sits on 1 - 2^-1 = 1/2 of 3 points: 1 zero passes, 2 fail
+    Q = parse("x1", Flavor.FREE, F3)
+    A = field_as_algebra(3)
+    got, want = forced_verdicts(monkeypatch, Q, A, 1, floor=Fraction(1, 9))
+    assert got == want and got.probability == Fraction(1, 3)
+    got, want = forced_verdicts(monkeypatch, Q, A, 2, floor=Fraction(1, 9))
+    assert got == want
+    message, witness = got
+    assert message == "non-identity with zero probability 2/3 above 1 - 2^-1"
+    assert (witness["probability"], witness["threshold"]) == ("2/3", "1/2")
 
 
 # ---------------------------------------------------------------------------
