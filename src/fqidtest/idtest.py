@@ -666,16 +666,6 @@ def _count_exact(Q, A, commutator, workers):
     return sum(pool_map(_count_range, payloads, workers))
 
 
-def _exact_total(Q: FreePoly, A: Algebra, cap: int, commutator: bool) -> int:
-    """The order**n points of an exact count, after the flavor gate and
-    the cap check."""
-    _product_fn(Q, A, commutator)  # fail fast on flavor problems
-    total = A.order() ** Q.n
-    if total > cap:
-        raise SearchSpaceTooLarge(total, cap)
-    return total
-
-
 def zero_probability(
     Q: FreePoly,
     A: Algebra,
@@ -687,13 +677,16 @@ def zero_probability(
     commutator: bool = False,
 ) -> EvalReport:
     """The exact (or sampled) fraction of A^n mapped to zero by e_Q."""
-    if samples is None:
-        total = _exact_total(Q, A, cap, commutator)
-        return _exact_report(_count_exact(Q, A, commutator, workers), total, _poly_degree(Q))
-
     _product_fn(Q, A, commutator)  # fail fast on flavor problems
     degree = _poly_degree(Q)
     n = Q.n
+
+    if samples is None:
+        total = A.order() ** n
+        if total > cap:
+            raise SearchSpaceTooLarge(total, cap)
+        return _exact_report(_count_exact(Q, A, commutator, workers), total, degree)
+
     if samples < 1:
         raise ValueError("samples must be a positive integer")
     if seed is None:
@@ -754,24 +747,23 @@ def dixon_verdict(
 ) -> EvalReport:
     """Exact verdict with a dual-route cross-check.
 
-    Route one counts the zeros of e_Q on A^n (zero_probability's count:
-    slice by slice where e_Q is affine in a variable, point by point
-    otherwise).  Route two reads the degree of each reduced coordinate
-    polynomial off its packed monomials (commpoly.reduced_degrees): all
-    zero iff e_Q is an identity, and otherwise each nonzero coordinate
-    forces the nonzero fraction up to its density floor.  The floor does
-    not increase with the degree, so the strongest one is taken at the
-    least degree.  Both bounds are compared on integers.  Disagreement on
-    either route is an implementation bug and raises TheoremViolation,
-    whose witness holds the algebra document, the polynomial text, its
-    variable count n (the text drops unused trailing variables), its
-    flavor, the commutator flag, the zero count and the count route, so
-    that the count can be replayed.
+    Route one counts the zeros of e_Q on A^n (zero_probability: slice by
+    slice where e_Q is affine in a variable, point by point otherwise).
+    Route two reads the degree of each reduced coordinate polynomial off
+    its packed monomials (commpoly.reduced_degrees): all zero iff e_Q is
+    an identity, and otherwise each nonzero coordinate forces the nonzero
+    fraction up to its density floor.  The floor does not increase with
+    the degree, so the strongest one is taken at the least degree.  Both
+    bounds are compared on the integer counts.  Disagreement on either
+    route is an implementation bug and raises TheoremViolation, whose
+    witness holds the algebra document, the polynomial text, its variable
+    count n (the text drops unused trailing variables), its flavor, the
+    commutator flag, the zero count and the count route, so that the count
+    can be replayed.
     """
-    total = _exact_total(Q, A, cap, commutator)
-    zeros = _count_exact(Q, A, commutator, workers)
+    report = zero_probability(Q, A, cap=cap, workers=workers, commutator=commutator)
+    zeros, total, degree = report.zero_count, report.total, report.degree
     degrees = [d for d in reduced_degrees(Q, A, commutator) if d is not None]
-    degree = _poly_degree(Q)
 
     def violation(message):
         return TheoremViolation(message, witness={
@@ -783,11 +775,11 @@ def dixon_verdict(
             "zero_count": zeros,
             "total": total,
             "route": "points" if _slice_variable(Q, A) is None else "slice",
-            "probability": str(Fraction(zeros, total)),
-            "threshold": str(_threshold(degree)),
+            "probability": str(report.probability),
+            "threshold": str(report.threshold),
         })
 
-    if (not degrees) != (zeros == total):
+    if (not degrees) != report.is_identity:
         raise violation("enumeration and coordinate reduction disagree on identity-ness")
     if not degrees:
         return _exact_report(zeros, total, degree, functional_consistent=True)
@@ -796,13 +788,13 @@ def dixon_verdict(
     # the nonzero fraction 1 - zeros/total under the floor
     if (total - zeros) * floor.denominator < floor.numerator * total:
         raise violation(
-            f"nonzero fraction {1 - Fraction(zeros, total)} under the "
+            f"nonzero fraction {1 - report.probability} under the "
             f"coordinate density floor {floor}"
         )
     # the zero fraction zeros/total above 1 - 2^-degree
     if zeros << degree > ((1 << degree) - 1) * total:
         raise violation(
-            f"non-identity with zero probability {Fraction(zeros, total)} "
+            f"non-identity with zero probability {report.probability} "
             f"above 1 - 2^-{degree}"
         )
     return _exact_report(

@@ -22,7 +22,7 @@ from fqidtest.algebra import (
     zero_ideal,
 )
 from fqidtest.cli import battery_for, descent_library
-from fqidtest.commpoly import reduced_coordinates
+from fqidtest.commpoly import reduced_coordinates, reduced_degrees
 from fqidtest.errors import FieldMismatch, FlavorMismatch, SearchSpaceTooLarge
 from fqidtest.freepoly import Flavor, FreePoly, parse, power_word, term_sort_key, zero
 from fqidtest.gf import Field, field_of_order
@@ -791,6 +791,7 @@ def test_cross_check_routes_do_not_use_the_kernel(monkeypatch):
     bracket = parse("[[x1,x2],x1]", Flavor.LIE, F)
     for P, B, commutator in ((Q, A, False), (bracket, H, False), (bracket, A, True)):
         reduced_coordinates(P, B, commutator=commutator)
+        reduced_degrees(P, B, commutator=commutator)
         idtest.functional_zero_fraction(P, B, commutator=commutator)
     assert calls == [] and other == []
     evaluate(Q, A, [(1, 0), (0, 1)])  # the recorders do see the reference route
