@@ -32,6 +32,7 @@ from .errors import (
     ShapeMismatch,
     UnknownBuilder,
 )
+from .freepoly import parse_literal
 from .gf import Field, field_of_order
 
 Vec = tuple[int, ...]
@@ -698,7 +699,7 @@ def from_json_dict(doc: dict, name=None) -> Algebra:
         for cell in row:
             if not isinstance(cell, list):
                 raise ShapeMismatch("table cells must be coordinate lists")
-            cells.append([f.parse_literal(str(c)) for c in cell])
+            cells.append([parse_literal(str(c), f) for c in cell])
         table.append(cells)
     return Algebra(f, dim, table, bracket=bracket, name=name, basis_names=names)
 

@@ -140,24 +140,19 @@ def _scalar_text(v) -> str:
 
 def _human_lines(value, indent: str = ""):
     if isinstance(value, dict):
-        lines = []
-        for k, v in value.items():
-            if isinstance(v, (dict, list)):
-                lines.append(f"{indent}{k}:")
-                lines.extend(_human_lines(v, indent + "  "))
-            else:
-                lines.append(f"{indent}{k}: {_scalar_text(v)}")
-        return lines
-    if isinstance(value, list):
-        lines = []
-        for v in value:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{indent}-")
-                lines.extend(_human_lines(v, indent + "  "))
-            else:
-                lines.append(f"{indent}- {_scalar_text(v)}")
-        return lines
-    return [f"{indent}{_scalar_text(value)}"]
+        items = [(f"{k}:", v) for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [("-", v) for v in value]
+    else:
+        return [f"{indent}{_scalar_text(value)}"]
+    lines = []
+    for head, v in items:
+        if isinstance(v, (dict, list)):
+            lines.append(f"{indent}{head}")
+            lines.extend(_human_lines(v, indent + "  "))
+        else:
+            lines.append(f"{indent}{head} {_scalar_text(v)}")
+    return lines
 
 
 def render(payload, out: str) -> str:
@@ -170,7 +165,7 @@ def render(payload, out: str) -> str:
 # flag plumbing
 
 def _resolved_cap(args) -> int:
-    cap = getattr(args, "cap", None)
+    cap = args.cap
     if cap is None:
         env = os.environ.get("FQIDTEST_CAP")
         cap = int(env) if env is not None else EXACT_CAP
@@ -180,7 +175,7 @@ def _resolved_cap(args) -> int:
 
 
 def _resolved_workers(args) -> int:
-    workers = getattr(args, "workers", 1)
+    workers = args.workers
     if workers < 1:
         raise ValueError("workers must be positive")
     return workers

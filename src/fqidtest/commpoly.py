@@ -57,7 +57,7 @@ from .errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from .freepoly import Flavor, FreePoly, _Parser, term_degree, tokenize
+from .freepoly import Flavor, FreePoly, _Parser, coeff_text, term_degree, tokenize
 from .gf import Field
 
 TUPLE_CAP = 1 << 24
@@ -224,16 +224,12 @@ class CommPoly:
                 elif e > 1:
                     factors.append(f"x{i + 1}^{e}")
             if not factors:
-                parts.append(self._coeff_text(c))
+                parts.append(coeff_text(self.field, c))
             elif c == 1:
                 parts.append("*".join(factors))
             else:
-                parts.append(self._coeff_text(c) + "*" + "*".join(factors))
+                parts.append(coeff_text(self.field, c) + "*" + "*".join(factors))
         return " + ".join(parts)
-
-    def _coeff_text(self, c: int) -> str:
-        lit = self.field.format_literal(c)
-        return f"({lit})" if "+" in lit else lit
 
     def __str__(self):
         return self.to_text()

@@ -20,9 +20,11 @@ must be parenthesized when used as coefficients, and [a,b,c] abbreviates
 the left-normed [[a,b],c].  One tokenizer and one recursive-descent
 walker, _Parser, read both this language and the commutative one of
 commpoly; the free parser adds and multiplies term maps with the helpers
-FreePoly's own + and * use.  Term trees nest at most MAX_DEPTH products
-deep and text at most MAX_DEPTH groups deep, so that every recursive walk
-over a tree or the text stays far inside Python's recursion limit.
+FreePoly's own + and * use.  A field literal, as in an algebra file's
+table, is this language without variables and reads through the same
+parser.  Term trees nest at most MAX_DEPTH products deep and text at most
+MAX_DEPTH groups deep, so that every recursive walk over a tree or the
+text stays far inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -238,10 +240,7 @@ class FreePoly:
             if coeff == 1:
                 parts.append(body)
             else:
-                lit = self.field.format_literal(coeff)
-                if "+" in lit:
-                    lit = f"({lit})"
-                parts.append(f"{lit}*{body}")
+                parts.append(f"{coeff_text(self.field, coeff)}*{body}")
         return " + ".join(parts)
 
     def __str__(self):
@@ -566,3 +565,27 @@ def parse(text: str, flavor, field: Field, n: int | None = None) -> FreePoly:
     if n is not None and parser.maxvar > n:
         raise UnknownVariable(f"x{parser.maxvar}")
     return FreePoly(field, flavor, max(parser.maxvar, n or 0), terms)
+
+
+# ---------------------------------------------------------------------------
+# field literals: the scalar part of the polynomial language
+
+def parse_literal(text: str, field: Field) -> int:
+    """The field element that text, e.g. "2*g^2+g+2", denotes.
+
+    A literal is polynomial text without variables, so sums, products,
+    powers of g and parentheses read as they do in a coefficient.
+    """
+    tokens = tokenize(text)
+    for kind, _, pos in tokens:
+        if kind == "var":
+            raise ParseError("a field literal has no variables", pos)
+    scalar, _, _ = _FreeParser(tokens, Flavor.FREE, field).parse()
+    return scalar
+
+
+def coeff_text(field: Field, c: int) -> str:
+    """The literal for c, parenthesized when it is a sum, as it is written
+    before a '*' in polynomial text."""
+    lit = field.format_literal(c)
+    return f"({lit})" if "+" in lit else lit

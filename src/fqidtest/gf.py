@@ -75,10 +75,15 @@ class Field:
     """GF(p^k) with int-encoded elements and exact table arithmetic."""
 
     def __init__(self, p: int, k: int = 1, modulus=None):
+        # p and k are bounded before the trial division and the power
+        if p > MAX_ORDER:
+            raise ValueError(f"characteristic {p} exceeds the supported field order {MAX_ORDER}")
         if not _is_prime(p):
             raise NotPrime(p)
         if k < 1:
             raise ValueError("extension degree k must be >= 1")
+        if k > MAX_ORDER.bit_length():
+            raise ValueError(f"field order {p}^{k} exceeds the supported limit {MAX_ORDER}")
         q = p**k
         if q > MAX_ORDER:
             raise ValueError(f"field order {q} exceeds the supported limit {MAX_ORDER}")
@@ -236,7 +241,8 @@ class Field:
             out = out * self.p + c
         return out
 
-    # literal text, e.g. "0", "2", "g", "g+1", "2*g^2+g+2"
+    # literal text, e.g. "0", "2", "g", "g+1", "2*g^2+g+2"; freepoly.parse_literal
+    # reads it back
 
     def format_literal(self, a: int) -> str:
         cs = self.coeffs(a)
@@ -252,64 +258,6 @@ class Field:
             else:
                 parts.append(f"g^{i}" if c == 1 else f"{c}*g^{i}")
         return "+".join(parts) if parts else "0"
-
-    def parse_literal(self, text: str) -> int:
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError("empty field literal")
-        total = 0
-        sign = 1
-        i = 0
-        if s[0] in "+-":
-            sign = -1 if s[0] == "-" else 1
-            i = 1
-        while i <= len(s):
-            j = i
-            while j < len(s) and s[j] not in "+-":
-                j += 1
-            term = s[i:j]
-            total = self.add(total, self._parse_monomial(term, sign, text))
-            if j == len(s):
-                break
-            sign = -1 if s[j] == "-" else 1
-            i = j + 1
-            if i == len(s):
-                raise ValueError(f"dangling sign in field literal {text!r}")
-        return total
-
-    def _parse_monomial(self, term: str, sign: int, original: str) -> int:
-        if not term:
-            raise ValueError(f"empty term in field literal {original!r}")
-        coeff = 1
-        rest = term
-        digits = ""
-        while rest and rest[0].isdigit():
-            digits += rest[0]
-            rest = rest[1:]
-        if digits:
-            coeff = int(digits) % self.p
-            if rest.startswith("*"):
-                rest = rest[1:]
-        if not rest:
-            value = coeff % self.p
-        else:
-            if rest[0] != "g":
-                raise ValueError(f"bad field literal {original!r}")
-            rest = rest[1:]
-            e = 1
-            if rest.startswith("^"):
-                if not rest[1:].isdigit():
-                    raise ValueError(f"bad exponent in field literal {original!r}")
-                e = int(rest[1:])
-                rest = ""
-            if rest:
-                raise ValueError(f"bad field literal {original!r}")
-            if self.k == 1:
-                raise ValueError(f"generator symbol in a literal for prime field GF({self.p})")
-            value = self.mul(coeff, self.pow(self.p, e))
-        if sign < 0:
-            value = self.neg(value)
-        return value
 
     # identity and hashing: two fields are interchangeable iff p, k, modulus agree
 
@@ -338,6 +286,8 @@ def field_of_order(q: int) -> Field:
     key = ("order", q)
     f = _FIELD_CACHE.get(key)
     if f is None:
+        if q > MAX_ORDER:
+            raise ValueError(f"field order {q} exceeds the supported limit {MAX_ORDER}")
         p, k = _factor_prime_power(q)
         f = Field(p, k)
         _FIELD_CACHE[key] = f

@@ -737,6 +737,21 @@ def functional_zero_fraction(
 # ---------------------------------------------------------------------------
 # the threshold verdict
 
+def _witness(Q: FreePoly, A: Algebra, commutator: bool, **found) -> dict:
+    """A TheoremViolation witness that rebuilds the (Q, A) pair: the
+    polynomial text, its variable count n (the text drops unused trailing
+    variables), flavor and commutator flag and the algebra document, then
+    what failed.  --out human prints the keys in this order."""
+    return {
+        "poly": Q.to_text(),
+        "n": Q.n,
+        "flavor": Q.flavor.value,
+        "commutator": commutator,
+        "algebra": to_json_dict(A),
+        **found,
+    }
+
+
 def dixon_verdict(
     Q: FreePoly,
     A: Algebra,
@@ -756,28 +771,22 @@ def dixon_verdict(
     the degree, so the strongest one is taken at the least degree.  Both
     bounds are compared on the integer counts.  Disagreement on either
     route is an implementation bug and raises TheoremViolation, whose
-    witness holds the algebra document, the polynomial text, its variable
-    count n (the text drops unused trailing variables), its flavor, the
-    commutator flag, the zero count and the count route, so that the count
-    can be replayed.
+    witness holds _witness's fields, the zero count and the count route,
+    so that the count can be replayed.
     """
     report = zero_probability(Q, A, cap=cap, workers=workers, commutator=commutator)
     zeros, total, degree = report.zero_count, report.total, report.degree
     degrees = [d for d in reduced_degrees(Q, A, commutator) if d is not None]
 
     def violation(message):
-        return TheoremViolation(message, witness={
-            "poly": Q.to_text(),
-            "n": Q.n,
-            "flavor": Q.flavor.value,
-            "commutator": commutator,
-            "algebra": to_json_dict(A),
-            "zero_count": zeros,
-            "total": total,
-            "route": "points" if _slice_variable(Q, A) is None else "slice",
-            "probability": str(report.probability),
-            "threshold": str(report.threshold),
-        })
+        return TheoremViolation(message, witness=_witness(
+            Q, A, commutator,
+            zero_count=zeros,
+            total=total,
+            route="points" if _slice_variable(Q, A) is None else "slice",
+            probability=str(report.probability),
+            threshold=str(report.threshold),
+        ))
 
     if (not degrees) != report.is_identity:
         raise violation("enumeration and coordinate reduction disagree on identity-ness")
@@ -917,22 +926,17 @@ def _descent_steps(n: int) -> tuple:
 
 
 def _descent_violation(message, Q, A, witness, commutator, **found) -> TheoremViolation:
-    """A failed descent, with a witness that rebuilds it: the algebra
-    document, the polynomial text, its variable count n (the text drops
-    unused trailing variables), flavor and commutator flag, the ideal's
-    basis and the representatives, plus what failed (the stage and its
-    arguments, or the first nonzero coordinate on the restricted algebra).
+    """A failed descent, with a witness that rebuilds it: _witness's
+    fields, the ideal's basis and the representatives, plus what failed
+    (the stage and its arguments, or the first nonzero coordinate on the
+    restricted algebra).
     """
-    return TheoremViolation(message, witness={
-        "poly": Q.to_text(),
-        "n": Q.n,
-        "flavor": Q.flavor.value,
-        "commutator": commutator,
-        "algebra": to_json_dict(A),
-        "ideal": witness.ideal.basis,
-        "representatives": witness.representatives,
+    return TheoremViolation(message, witness=_witness(
+        Q, A, commutator,
+        ideal=witness.ideal.basis,
+        representatives=witness.representatives,
         **found,
-    })
+    ))
 
 
 def multilinear_descent(

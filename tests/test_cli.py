@@ -554,6 +554,57 @@ def test_algebra_file_with_wrong_json_types_is_a_usage_error(capsys, tmp_path, k
 
 
 @pytest.mark.parametrize(
+    "cell, message",
+    [("2*", "expected a variable"), ("x1", "a field literal has no variables"),
+     ("[g,1]", "brackets are only meaningful"), ("h", "unknown variable 'h'")],
+)
+def test_algebra_file_with_a_refused_cell_is_a_usage_error(capsys, tmp_path, cell, message):
+    doc = to_json_dict(truncated(2, 3))
+    doc["table"][0][0][0] = cell
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "dixon", "--algebra", str(path), "--poly", "x1*x1")
+    assert (rc, out) == (2, "")
+    assert message in err
+
+
+def test_algebra_file_cells_read_products(capsys, tmp_path):
+    # GF(4) as an algebra over itself, its one cell 1 = g^3 = (g+1)^3
+    # written as products
+    doc = to_json_dict(field_as_algebra(4))
+    assert doc["table"] == [[["1"]]]
+    doc["table"] = [[["g*g*g + (g+1)*(g+1)*(g+1) + 1"]]]
+    path = tmp_path / "gf4.json"
+    path.write_text(json.dumps(doc))
+    assert from_json_dict(doc) == field_as_algebra(4)
+    rc, _, _ = run_cli(capsys, "dixon", "--algebra", str(path), "--poly", "x1*x1")
+    assert rc == 0
+
+
+BIG_PRIME = 1000000000000000003
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [(["bound", "--q", str(BIG_PRIME), "--d", "1"], None),
+     (["dixon", "--algebra", f"builtin:field({BIG_PRIME})", "--poly", "x1"], None),
+     (["dixon", "--poly", "x1"], {"p": BIG_PRIME}),
+     (["dixon", "--poly", "x1"], {"p": 2, "k": 100000000000})],
+    ids=["bound-q", "builtin-field", "file-p", "file-k"],
+)
+def test_oversized_field_is_a_usage_error(capsys, tmp_path, argv, field):
+    # refused on its size before trial division or p**k, which ran for
+    # longer than the suite could wait
+    if field is not None:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"field": field, "dim": 1, "table": [[[0]]]}))
+        argv = argv + ["--algebra", str(path)]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "exceeds the supported" in err
+
+
+@pytest.mark.parametrize(
     "spec, dim",
     [("truncated(2,300)", 299), ("upper_triangular(30,2)", 465), ("truncated(2,99999)", 99998)],
 )

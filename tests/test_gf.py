@@ -2,8 +2,16 @@
 
 import pytest
 
-from fqidtest.errors import DivisionByZero, NoDefaultModulus, NotPrime, ReducibleModulus
-from fqidtest.gf import DEFAULT_MODULI, Field, field_of_order
+from fqidtest.errors import (
+    DivisionByZero,
+    NoDefaultModulus,
+    NotPrime,
+    ParseError,
+    ReducibleModulus,
+    UnknownVariable,
+)
+from fqidtest.freepoly import parse_literal
+from fqidtest.gf import DEFAULT_MODULI, MAX_ORDER, Field, field_of_order
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]
 
@@ -139,21 +147,37 @@ def test_coeffs_round_trip(field):
 def test_literal_round_trip(field):
     f = field
     for a in f.elements():
-        assert f.parse_literal(f.format_literal(a)) == a
+        assert parse_literal(f.format_literal(a), f) == a
 
 
 def test_literal_variants():
     f = Field(3, 3)
-    assert f.parse_literal("2*g^2+g+2") == f.from_coeffs((2, 1, 2))
-    assert f.parse_literal("2g^2 + g + 2") == f.from_coeffs((2, 1, 2))
-    assert f.parse_literal("g^2-g") == f.from_coeffs((0, 2, 1))
-    assert f.parse_literal("-1") == 2
-    with pytest.raises(ValueError):
-        f.parse_literal("h+1")
-    with pytest.raises(ValueError):
-        f.parse_literal("")
-    with pytest.raises(ValueError):
-        Field(5).parse_literal("g")
+    assert parse_literal("2*g^2+g+2", f) == f.from_coeffs((2, 1, 2))
+    assert parse_literal("2g^2 + g + 2", f) == f.from_coeffs((2, 1, 2))
+    assert parse_literal("g^2-g", f) == f.from_coeffs((0, 2, 1))
+    assert parse_literal("-1", f) == 2
+    with pytest.raises(UnknownVariable):
+        parse_literal("h+1", f)
+    with pytest.raises(ParseError):
+        parse_literal("", f)
+    with pytest.raises(ParseError):
+        parse_literal("g", Field(5))
+
+
+def test_literal_products_read_as_in_a_coefficient():
+    # a literal is the scalar part of the polynomial language
+    f = Field(3, 3)
+    g = f.from_coeffs((0, 1, 0))
+    assert parse_literal("g*g", f) == f.mul(g, g) == parse_literal("g^2", f)
+    assert parse_literal("(g+1)*(g+2)", f) == f.mul(f.add(g, 1), f.add(g, 2))
+    assert parse_literal("g2", f) == parse_literal("2*g", f)
+    assert parse_literal("4", f) == parse_literal("1", f) == 1
+
+
+@pytest.mark.parametrize("text", ["2*", "x1", "x1 - x1", "[g,1]", "g+", "(g", "g^"])
+def test_malformed_literals_are_refused(text):
+    with pytest.raises(ParseError):
+        parse_literal(text, Field(3, 3))
 
 
 def test_pow_matches_repeated_multiplication(field):
@@ -191,3 +215,26 @@ def test_prime_power_factoring():
         field_of_order(12)
     with pytest.raises(NotPrime):
         field_of_order(1)
+
+
+def test_oversized_fields_are_refused_before_any_search():
+    # each of these ran trial division or p**k for longer than a test
+    # could wait before the bounds were checked first
+    big = 1000000000000000003
+    with pytest.raises(ValueError, match="exceeds the supported"):
+        Field(big)
+    with pytest.raises(ValueError, match="exceeds the supported"):
+        Field(2, 100000000000)
+    with pytest.raises(ValueError, match="exceeds the supported"):
+        field_of_order(big)
+    with pytest.raises(ValueError, match="exceeds the supported"):
+        field_of_order(MAX_ORDER + 1)
+    # orders at the bound pass it
+    assert Field(65521).q == 65521
+    with pytest.raises(NoDefaultModulus):
+        field_of_order(MAX_ORDER)
+    # the refusals inside the bound keep their types
+    with pytest.raises(NotPrime):
+        Field(65535, 100000000000)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        Field(2, 0)
