@@ -145,10 +145,12 @@ class Ideal:
 # the algebra itself
 
 class Algebra:
-    # _ideals memoises enumerate_ideals and _index_tables holds idtest's
-    # element-index tables; both are built on first use
+    # _ideals memoises enumerate_ideals, _index_tables holds idtest's
+    # element-index tables and _cells commpoly's nonzero structure
+    # constants; all three are built on first use
     __slots__ = (
-        "field", "dim", "table", "bracket", "name", "basis_names", "_ideals", "_index_tables"
+        "field", "dim", "table", "bracket", "name", "basis_names", "_ideals", "_index_tables",
+        "_cells",
     )
 
     def __init__(self, field, dim, table, bracket=False, name=None, basis_names=None):
@@ -186,6 +188,7 @@ class Algebra:
         self.basis_names = basis_names
         self._ideals = None
         self._index_tables = None
+        self._cells = None
         if self.bracket:
             self._validate_lie()
 
@@ -199,6 +202,7 @@ class Algebra:
         self.field, self.dim, self.table, self.bracket, self.name, self.basis_names = state
         self._ideals = None
         self._index_tables = None
+        self._cells = None
 
     def _validate_lie(self):
         f = self.field
@@ -311,9 +315,16 @@ def full_ideal(A: Algebra) -> Ideal:
 
 
 def _is_coordinate_vector(A: Algebra, v) -> bool:
-    """v has A.dim entries, each a field element of A."""
+    """v has A.dim entries, each a field element of A: an int in range(q)."""
+    if len(v) != A.dim:
+        return False
     q = A.field.q
-    return len(v) == A.dim and all(0 <= c < q for c in v)
+    # a plain loop: descent checks every representative, and all() over a
+    # generator costs about twice as much
+    for c in v:
+        if not (isinstance(c, int) and 0 <= c < q):
+            return False
+    return True
 
 
 def _coordinate_vectors(A: Algebra, vectors, what: str) -> list[Vec]:

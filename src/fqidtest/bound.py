@@ -15,8 +15,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from multiprocessing import get_all_start_methods, get_context
 
 from .commpoly import CommPoly, zero_counter
 from .errors import (
@@ -44,8 +44,13 @@ class FloorDecomposition:
     value: Fraction
 
 
+# typed: 3 and 3.0 hash alike, and a float degree is still refused
+@lru_cache(maxsize=256, typed=True)
 def floor_fraction(q: int, d: int) -> FloorDecomposition:
-    """The density floor (q - r) / q^(m+1) for degree d over order q."""
+    """The density floor (q - r) / q^(m+1) for degree d over order q.
+
+    Floors are memoised: dixon_verdict asks for the same few on every
+    call, and the decomposition is frozen, so callers can share it."""
     field_of_order(q)  # validates that q is a prime power
     if d < 0:
         raise ValueError("degree must be >= 0")
@@ -180,9 +185,15 @@ def pool_map(fn, payloads, workers: int) -> list:
     process is worth starting and the platform can fork; serially
     otherwise, with the same results."""
     size = pool_size(workers, len(payloads))
-    if size < 2 or "fork" not in get_all_start_methods():
+    if size < 2:
         return [fn(p) for p in payloads]
-    with get_context("fork").Pool(size) as pool:
+    # imported only once a pool may start: at the top of the module it
+    # would add about 15 ms to every process start
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(p) for p in payloads]
+    with multiprocessing.get_context("fork").Pool(size) as pool:
         return pool.map(fn, payloads)
 
 

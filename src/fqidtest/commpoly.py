@@ -24,7 +24,9 @@ variable owns a lane of bits and a product adds the ints; reduced, a
 lane is q.bit_length() + 1 bits and a product folds every lane that
 reaches q back by q - 1 (x^q = x) at once, through a bias that sets the
 lane's guard bit; symbolic, a lane holds Q's degree and nothing folds.
-Only the final coordinates are unpacked to {exps: coeff} dicts.
+Only the final coordinates are unpacked to {exps: coeff} dicts.  The
+nonzero structure constants these builds walk depend only on A.table, so
+the algebra keeps them (_cells).
 reduced_degrees unpacks nothing: it reads each reduced coordinate's
 total degree off the packed ints, a bit count over GF(2) and a sum of
 lanes otherwise, and builds no exponent tuple and no CommPoly.
@@ -440,12 +442,13 @@ def _packed_coordinates(Q: FreePoly, A, commutator: bool, reduced: bool):
     f = A.field
     dim = A.dim
     width = Q.n * dim
+    cells = _cells(A)
     if reduced and f.q == 2:
-        ring = _BitMonomials(A.table, width)
+        ring = _BitMonomials(cells, width)
     elif reduced:
-        ring = _LaneMonomials(f, A.table, width, None)
+        ring = _LaneMonomials(f, cells, width, None)
     else:
-        ring = _LaneMonomials(f, A.table, width, max(map(term_degree, Q.terms), default=1))
+        ring = _LaneMonomials(f, cells, width, max(map(term_degree, Q.terms), default=1))
     minus_one = f.neg(1)
     generic = [  # coordinate s of argument i is the variable x_{i*dim+s+1}
         [ring.variable(k) for k in range(i * dim, (i + 1) * dim)] for i in range(Q.n)
@@ -474,6 +477,28 @@ def _packed_coordinates(Q: FreePoly, A, commutator: bool, reduced: bool):
     return ring, coords
 
 
+def _cells(A) -> tuple:
+    """A's nonzero structure constants, row by row: row i holds (j, ks, cs)
+    for each nonzero cell (i, j), ks the k with a nonzero entry c_k and cs
+    those entries.
+
+    They depend only on A.table, so A keeps them (Algebra._cells) and
+    every coordinate build on A after the first reads them as they are.
+    """
+    cells = A._cells
+    if cells is None:
+        rows = []
+        for row in A.table:
+            nonzero = []
+            for j, cell in enumerate(row):
+                ks = tuple(k for k, c in enumerate(cell) if c)
+                if ks:
+                    nonzero.append((j, ks, tuple(cell[k] for k in ks)))
+            rows.append(tuple(nonzero))
+        cells = A._cells = tuple(rows)
+    return cells
+
+
 class _BitMonomials:
     """Reduced coordinates over GF(2).
 
@@ -485,11 +510,8 @@ class _BitMonomials:
 
     zero = set
 
-    def __init__(self, table, width: int):
-        self.cells = [  # row i: (j, the k with a 1 in cell (i, j)) for its nonzero cells
-            [(j, [k for k, c in enumerate(cell) if c]) for j, cell in enumerate(row) if any(cell)]
-            for row in table
-        ]
+    def __init__(self, cells: tuple, width: int):
+        self.cells = cells  # _cells(A); every entry is 1
         self.width = width
 
     @staticmethod
@@ -501,7 +523,7 @@ class _BitMonomials:
         out = [[] for _ in u]
         for ui, row in zip(u, self.cells):
             if ui:
-                for j, ks in row:
+                for j, ks, _ in row:
                     vj = v[j]
                     if vj:
                         terms = [a | b for a in ui for b in vj]
@@ -548,13 +570,11 @@ class _LaneMonomials:
 
     zero = dict
 
-    def __init__(self, field: Field, table, width: int, degree: int | None):
-        """Reduced when degree is None; else no exponent passes degree."""
+    def __init__(self, field: Field, cells: tuple, width: int, degree: int | None):
+        """Reduced when degree is None; else no exponent passes degree.
+        cells is _cells(A)."""
         self.field = field
-        self.cells = [  # row i: (j, the nonzero (k, c) of cell (i, j)) for its nonzero cells
-            [(j, [(k, c) for k, c in enumerate(cell) if c]) for j, cell in enumerate(row) if any(cell)]
-            for row in table
-        ]
+        self.cells = cells
         self.width = width
         if degree is None:
             top = field.q.bit_length()
@@ -578,7 +598,7 @@ class _LaneMonomials:
         for ui, row in zip(u, self.cells):
             if not ui:
                 continue
-            for j, kcs in row:
+            for j, ks, cs in row:
                 vj = v[j]
                 if not vj:
                     continue
@@ -588,7 +608,7 @@ class _LaneMonomials:
                         e = e1 + e2
                         e -= (((e + bias) & guard) >> top) * span
                         prod[e] = add(prod.get(e, 0), mul(c1, c2))
-                for k, c in kcs:
+                for k, c in zip(ks, cs):
                     acc = out[k]
                     for e, x in prod.items():
                         acc[e] = add(acc.get(e, 0), x if c == 1 else mul(c, x))

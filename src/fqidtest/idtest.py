@@ -490,7 +490,8 @@ class EvalReport:
     In sampled mode probability is the observed fraction and the two
     verdict fields are None (a sample cannot certify an identity).
     functional_floor / functional_consistent are filled in by
-    dixon_verdict only.
+    dixon_verdict only.  idtest builds reports through _new_report, which
+    names every field: a new field goes there too.
     """
 
     zero_count: int
@@ -508,7 +509,7 @@ class EvalReport:
 
 
 def _poly_degree(Q: FreePoly) -> int:
-    return 0 if Q.is_zero else Q.degree
+    return 0 if Q.is_zero else Q.analyze().degree  # analyze() is kept on Q
 
 
 @cache
@@ -516,22 +517,44 @@ def _threshold(degree: int) -> Fraction:
     return 1 - Fraction(1, 1 << degree)
 
 
-def _exact_report(zero_count: int, total: int, degree: int, **functional) -> EvalReport:
-    """The exact-mode report of a zero count, with dixon_verdict's
-    functional fields when given."""
-    probability = Fraction(zero_count, total)
-    threshold = _threshold(degree)
-    is_identity = zero_count == total
-    return EvalReport(
+def _new_report(
+    zero_count, total, probability, degree, threshold, is_identity, verdict_consistent, mode,
+    samples, seed, functional_floor, functional_consistent,
+) -> EvalReport:
+    """EvalReport of these fields, built without the frozen dataclass's
+    __init__, which sets each field through object.__setattr__: the
+    instance dict is filled in one update.  The report is the one the
+    constructor builds, field for field, so ==, hash, replace and the
+    encoder see no difference."""
+    report = object.__new__(EvalReport)
+    report.__dict__.update(
         zero_count=zero_count,
         total=total,
         probability=probability,
         degree=degree,
         threshold=threshold,
         is_identity=is_identity,
-        verdict_consistent=is_identity or probability <= threshold,
-        mode="exact",
-        **functional,
+        verdict_consistent=verdict_consistent,
+        mode=mode,
+        samples=samples,
+        seed=seed,
+        functional_floor=functional_floor,
+        functional_consistent=functional_consistent,
+    )
+    return report
+
+
+def _exact_report(
+    zero_count: int, total: int, degree: int, functional_floor=None, functional_consistent=None
+) -> EvalReport:
+    """The exact-mode report of a zero count, with dixon_verdict's
+    functional fields when given."""
+    is_identity = zero_count == total
+    return _new_report(
+        zero_count, total, Fraction(zero_count, total), degree, _threshold(degree), is_identity,
+        # the probability zero_count/total at most 1 - 2^-degree, on the integers
+        is_identity or zero_count << degree <= ((1 << degree) - 1) * total,
+        "exact", None, None, functional_floor, functional_consistent,
     )
 
 
@@ -700,17 +723,9 @@ def zero_probability(
     else:
         points = repeat((), samples)
     zero_count = sum(map(not_, map(e, points)))
-    return EvalReport(
-        zero_count=zero_count,
-        total=samples,
-        probability=Fraction(zero_count, samples),
-        degree=degree,
-        threshold=_threshold(degree),
-        is_identity=None,
-        verdict_consistent=None,
-        mode="sampled",
-        samples=samples,
-        seed=seed,
+    return _new_report(
+        zero_count, samples, Fraction(zero_count, samples), degree, _threshold(degree), None,
+        None, "sampled", samples, seed, None, None,
     )
 
 

@@ -286,6 +286,9 @@ def test_ideal_constructors_take_only_coordinate_vectors():
         (Z, (1,)),
         (T, (0, 5, 0)),  # once an IndexError in Field.inv
         (T, (0, 1, 0, 0)),
+        (T, (0, 0.5, 0)),  # entries must be ints: once a TypeError
+        (T, (0, 1.0, 0)),
+        (Z, ("1", 0)),
     ]
     for A, v in cases:
         for build, what in ((ideal_generated, "generator"), (as_ideal, "vector")):

@@ -46,6 +46,11 @@ def test_floor_rejects_bad_input():
         floor_fraction(6, 2)
     with pytest.raises(ValueError):
         floor_fraction(2, -1)
+    # floors are memoised, yet a float degree equal to a memoised one is
+    # refused as before
+    assert floor_fraction(2, 3) is floor_fraction(2, 3)
+    with pytest.raises(TypeError):
+        floor_fraction(2, 3.0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

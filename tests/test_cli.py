@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -689,9 +691,13 @@ def test_corpus_is_byte_identical_across_runs_and_workers(capsys):
 
 
 def test_console_entry_point_runs():
+    # the child does not inherit pytest's pythonpath setting, so it is
+    # given the source directory itself
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fqidtest", "bound", "--q", "2", "--d", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == '"1/2"\n'

@@ -8,23 +8,27 @@ packed monomials, must give the degrees of the reference's reduced
 coordinates.  zero_counter (bit-sliced over GF(2)) must give the
 zero count of the point loop over CommPoly.eval that
 functional_zero_fraction, count_nonzeros and the exhaustive scan ran
-before, restated here.
+before, restated here.  The nonzero structure constants the coordinate
+builds kept on the algebra must be the ones they read out of A.table on
+every call before.
 """
 
 import operator
+import pickle
 from fractions import Fraction
 from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqidtest import idtest
+from fqidtest import commpoly, idtest
 from fqidtest.algebra import (
     Algebra,
     field_as_algebra,
     heisenberg,
     matrix_algebra,
     strictly_upper_triangular_lie,
+    truncated,
     upper_triangular,
 )
 from fqidtest.bound import floor_fraction
@@ -134,12 +138,28 @@ def reference_coordinates(Q, A, commutator, reduced):
     return coords
 
 
+def reference_cells(A):
+    """Each row's (j, ks, cs) of its nonzero cells, as the coordinate builds
+    read them out of A.table on every call before the algebra kept them."""
+    return [
+        [
+            (j, [k for k, c in enumerate(cell) if c], [c for c in cell if c])
+            for j, cell in enumerate(row)
+            if any(cell)
+        ]
+        for row in A.table
+    ]
+
+
 def assert_coordinates_match(Q, A, commutator=False):
     """Both coordinate functions give the reference's dicts and
-    reduced_degrees their degrees; returns the reduced and the symbolic
-    coordinates."""
+    reduced_degrees their degrees, reading the cells the algebra keeps;
+    returns the reduced and the symbolic coordinates."""
     width = Q.n * A.dim
     folded = reduced_coordinates(Q, A, commutator=commutator)
+    cells = A._cells
+    assert commpoly._cells(A) is cells  # kept by the first build
+    assert [[(j, list(ks), list(cs)) for j, ks, cs in row] for row in cells] == reference_cells(A)
     symbolic = symbolic_coordinates(Q, A, commutator=commutator)
     for got, reduced in ((folded, True), (symbolic, False)):
         assert all(c.field == A.field and c.nvars == width for c in got)
@@ -191,6 +211,46 @@ def test_route_on_the_library():
             assert_coordinates_match(Q, A)
         if not A.bracket:
             assert_coordinates_match(parse("[[x1,x2],x1]", Flavor.LIE, A.field), A, commutator=True)
+
+
+def test_pickled_algebras_give_the_same_degrees():
+    # the kept cells stay out of pickles, and the copy builds its own
+    brackets = [parse(text, Flavor.LIE, F2) for text in BRACKETS]
+    for A in [*dimension_two_tables(), *library()]:
+        cases = [(Q, False) for Q in battery_for(A)]
+        if not A.bracket and A.field.q == 2:
+            cases += [(Q, True) for Q in brackets]
+        want = [reduced_degrees(Q, A, commutator=c) for Q, c in cases]
+        assert A._cells is not None
+        B = pickle.loads(pickle.dumps(A))
+        assert B == A and B._cells is None and B._index_tables is None
+        assert [reduced_degrees(Q, B, commutator=c) for Q, c in cases] == want
+        assert B._cells == A._cells
+
+
+def test_warm_reduced_degrees_stay_off_the_kernel(monkeypatch):
+    # with the index tables and the cells both built, the coordinate route
+    # still reads the cells and nothing else
+    cases = [
+        (parse("[[x1,x2],x1]", Flavor.LIE, F2), heisenberg(2), False),
+        (parse("[[x1,x2],x1]", Flavor.LIE, F2), upper_triangular(2, 2), True),
+        (parse("x1*x2*x1 + x2", Flavor.FREE, F2), truncated(2, 4), False),
+    ]
+    want = []
+    for Q, A, commutator in cases:
+        idtest.dixon_verdict(Q, A, commutator=commutator)
+        assert A._index_tables is not None and A._cells is not None
+        want.append(reduced_degrees(Q, A, commutator=commutator))
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+        return call
+
+    monkeypatch.setattr(idtest, "_kernel", refuse("_kernel"))
+    monkeypatch.setattr(idtest, "_evaluate_raw", refuse("_evaluate_raw"))
+    monkeypatch.setattr(Algebra, "mul", refuse("Algebra.mul"))
+    assert [reduced_degrees(Q, A, commutator=c) for Q, A, c in cases] == want
 
 
 def left_comb(leaves):

@@ -226,10 +226,21 @@ def test_malformed_representative_is_an_invalid_witness():
     U = upper_triangular(2, 2)
     Q = parse("x1*x2", Flavor.FREE, U.field)
     I = ideal_generated(U, [(0, 1, 0)])
-    for bad in (((0, 0), (0, 0, 0)), ((0, 0, 2), (0, 0, 0))):
+    for bad in (((0, 0), (0, 0, 0)), ((0, 0, 2), (0, 0, 0)), ((0, 0, 0.5), (0, 0, 0))):
         w = CosetWitness(ideal=I, representatives=bad, codim=2, trivial=False)
         with pytest.raises(WitnessInvalid, match="is not a coordinate vector of length 3"):
             multilinear_descent(Q, U, w)
+    # a float equal to an int was once accepted: ((1, 0), (0, 0)) is a
+    # witness on truncated(3,3), and ((1.0, 0), (0, 0)) descended as one
+    T = truncated(3, 3)
+    Q = parse("x1*x2", Flavor.FREE, T.field)
+    I = ideal_generated(T, [(0, 1)])
+    good = CosetWitness(ideal=I, representatives=((1, 0), (0, 0)), codim=1, trivial=False)
+    assert multilinear_descent(Q, T, good).identity_on_ideal
+    for bad in (((1.0, 0), (0, 0)), (("1", 0), (0, 0))):
+        w = CosetWitness(ideal=I, representatives=bad, codim=1, trivial=False)
+        with pytest.raises(WitnessInvalid, match="is not a coordinate vector of length 2"):
+            multilinear_descent(Q, T, w)
 
 
 def test_failed_stage_message_is_the_reference_message(monkeypatch):

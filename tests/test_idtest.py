@@ -1,8 +1,10 @@
 """Tests for evaluation, zero probabilities, and the theorem checks."""
 
+import inspect
 import json
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import islice, product
 
@@ -44,6 +46,7 @@ from fqidtest.idtest import (
     _BLOCK_CEILING,
     _FIRST_BLOCK,
     CosetWitness,
+    EvalReport,
     SplitMix64,
     block_statistics,
     coset_identity_search,
@@ -211,6 +214,9 @@ def test_evaluate_argument_validation():
         evaluate(Q, A, ((1, 0), (1,)))  # wrong vector length
     with pytest.raises(DimensionMismatch):
         evaluate(Q, A, ((2,), (1,)))  # coordinate out of range
+    for v in ((0.5,), (1.0,), ("1",)):  # not an int: once a TypeError or an answer
+        with pytest.raises(DimensionMismatch):
+            evaluate(Q, A, (v, (1,)))
     with pytest.raises(FieldMismatch):
         evaluate(parse("x1*x2", Flavor.ASSOC, F3), A, ((1,), (1,)))
 
@@ -438,6 +444,90 @@ def test_dixon_report_is_the_count_report_with_the_functional_fields():
                 want = replace(count, functional_floor=floor, functional_consistent=True)
             assert dixon_verdict(Q, A) == want == reference_dixon(Q, A), (tbl, Q.to_text())
     assert idtest._threshold(3) is idtest._threshold(3) == Fraction(7, 8)
+
+
+def constructor_report(zero_count, total, degree, **functional):
+    """_exact_report as it was: through EvalReport's constructor, with the
+    verdict compared on Fractions.  The reference for the reports that
+    idtest builds by filling the instance dict."""
+    probability = Fraction(zero_count, total)
+    threshold = 1 - Fraction(1, 2**degree)
+    is_identity = zero_count == total
+    return EvalReport(
+        zero_count=zero_count,
+        total=total,
+        probability=probability,
+        degree=degree,
+        threshold=threshold,
+        is_identity=is_identity,
+        verdict_consistent=is_identity or probability <= threshold,
+        mode="exact",
+        **functional,
+    )
+
+
+def assert_same_report(got, want):
+    """got is the report want is, to every reader of a report."""
+    assert type(got) is EvalReport
+    names = [f.name for f in fields(EvalReport)]
+    values = [getattr(got, name) for name in names]
+    assert values == [getattr(want, name) for name in names]
+    assert list(map(type, values)) == [type(getattr(want, name)) for name in names]
+    assert list(vars(got).items()) == list(vars(want).items())  # same keys, same order
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert cli._jsonable(got) == cli._jsonable(want)
+    assert pickle.loads(pickle.dumps(got)) == want
+    assert replace(got, zero_count=0) == replace(want, zero_count=0)
+    with pytest.raises(FrozenInstanceError):
+        got.zero_count = 0
+
+
+def test_reports_are_the_constructors_reports():
+    # the builder takes every field, in declared order
+    assert list(inspect.signature(idtest._new_report).parameters) == [
+        f.name for f in fields(EvalReport)
+    ]
+    # exact reports on the dimension-2 sweep, the degree walked off the terms
+    cells = list(product(range(2), repeat=2))
+    for tbl in product(cells, repeat=4):
+        A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
+        for Q in cli.battery_for(A):
+            count = zero_probability(Q, A)
+            degree = 0 if Q.is_zero else Q.degree
+            assert_same_report(count, constructor_report(count.zero_count, count.total, degree))
+            got = dixon_verdict(Q, A)
+            functional = {"functional_consistent": True}
+            if not got.is_identity:
+                low = min(c.degree for c in reduced_coordinates(Q, A) if not c.is_zero)
+                functional["functional_floor"] = floor_fraction(2, low).value
+            assert_same_report(got, constructor_report(got.zero_count, got.total, degree, **functional))
+    # the verdict on the integers, on counts either side of every threshold
+    for degree in range(6):
+        for total in range(1, 2**degree + 3):
+            for zero_count in range(total + 1):
+                assert_same_report(
+                    idtest._exact_report(zero_count, total, degree),
+                    constructor_report(zero_count, total, degree),
+                )
+    # sampled reports
+    H = heisenberg(3)
+    for text in ("[x1,x2]", "[[x1,x2],x3] + 2*[x2,x1]"):
+        Q = parse(text, Flavor.LIE, H.field)
+        for samples, seed in ((1, 0), (50, 7), (400, 2**64 + 3)):
+            got = zero_probability(Q, H, samples=samples, seed=seed)
+            want = EvalReport(
+                zero_count=got.zero_count,
+                total=samples,
+                probability=Fraction(got.zero_count, samples),
+                degree=Q.degree,
+                threshold=1 - Fraction(1, 2**Q.degree),
+                is_identity=None,
+                verdict_consistent=None,
+                mode="sampled",
+                samples=samples,
+                seed=seed,
+            )
+            assert_same_report(got, want)
 
 
 def test_dixon_matches_the_reference_through_the_commutator():

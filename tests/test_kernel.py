@@ -1,5 +1,6 @@
 """The element-index kernel against the reference evaluator, point by point."""
 
+import multiprocessing
 import os
 import random
 import re
@@ -723,8 +724,8 @@ def test_counts_fork_once_the_points_walked_reach_fork_points(monkeypatch):
     # points, and the point walk order**n; each forks from FORK_POINTS on
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     started = []
-    fork_context = bound.get_context
-    monkeypatch.setattr(bound, "get_context", lambda method: started.append(method) or fork_context(method))
+    fork_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: started.append(method) or fork_context(method))
     H, M = heisenberg(3), matrix_algebra(2, 2)
     for A, flavor, text, walked in [
         (H, Flavor.LIE, "[[x1,x3],x2] + 2*[x2,x1]", 4 * 27**2),  # of 27**3 points
@@ -750,9 +751,13 @@ def test_pool_map_runs_serially_where_fork_is_missing(pooled_counts, monkeypatch
     def no_pool(method):
         raise AssertionError(f"a {method} pool was started")
 
-    monkeypatch.setattr(bound, "get_all_start_methods", lambda: ["spawn", "forkserver"])
-    monkeypatch.setattr(bound, "get_context", no_pool)
+    asked = []  # pool_map must read the patched name, or it would fork unseen
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: asked.append(1) or ["spawn", "forkserver"]
+    )
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     assert (bound.exhaustive_min(2, 3, 3, workers=2), zero_probability(Q, M, workers=2)) == pooled
+    assert len(asked) == 2
 
 
 # ---------------------------------------------------------------------------
