@@ -36,8 +36,8 @@ F^n.  Over GF(2) it is bit-sliced: variable i is an int with bit k set
 when x_i = 1 at point k, a monomial is an AND of those masks, a
 polynomial the XOR of its monomials, and a point is a common zero when
 its bit is clear in the OR of the polynomials.  The masks take n * 2^n
-bits, 48 MB at the 2^24-point cap.  Other fields walk the points with a
-table of powers.
+bits, 48 MB at the 2^24-point cap.  Other fields walk the points with the
+powers of every element for each reduced exponent that occurs.
 
 parse_comm reads text with the walker the free flavors use,
 freepoly._Parser; only the atoms (powers allowed, brackets refused) and
@@ -277,8 +277,9 @@ def zero_counter(field: Field, nvars: int, cap: int = TUPLE_CAP):
     """A function from a list of {exps: coeff} dicts in nvars variables to
     the number of points of F^nvars where all of them vanish.
 
-    The bit masks (GF(2)) or the power table (other fields) are built
-    here, once for every call of the returned function.  Raises
+    The bit masks (GF(2)) are built here, once for every call of the
+    returned function; other fields build, on each call, the powers of
+    every element for the reduced exponents its polynomials use.  Raises
     SearchSpaceTooLarge when q^nvars exceeds cap.
     """
     q = field.q
@@ -287,8 +288,7 @@ def zero_counter(field: Field, nvars: int, cap: int = TUPLE_CAP):
         raise SearchSpaceTooLarge(total, cap)
     if q == 2:
         return partial(_count_gf2, _bit_masks(nvars), (1 << total) - 1, total)
-    pows = [[field.pow(x, e) for e in range(q)] for x in field.elements()]
-    return partial(_count_points, field, nvars, pows)
+    return partial(_count_points, field, nvars)
 
 
 def _bit_masks(nvars: int) -> list[int]:
@@ -320,12 +320,14 @@ def _count_gf2(masks, full, total, polys) -> int:
     return total - nonzero.bit_count()
 
 
-def _count_points(field, nvars, pows, polys) -> int:
+def _count_points(field, nvars, polys) -> int:
     add, mul = field.add, field.mul
     span = field.q - 1
+    used = {(e - 1) % span + 1 for monomials in polys for exps in monomials for e in exps if e}
+    columns = {e: [field.pow(x, e) for x in field.elements()] for e in used}
     prepared = [
         [
-            (c, [(i, (e - 1) % span + 1) for i, e in enumerate(exps) if e])
+            (c, [(i, columns[(e - 1) % span + 1]) for i, e in enumerate(exps) if e])
             for exps, c in monomials.items()
         ]
         for monomials in polys
@@ -336,8 +338,8 @@ def _count_points(field, nvars, pows, polys) -> int:
             value = 0
             for c, factors in terms:
                 v = c
-                for i, e in factors:
-                    v = mul(v, pows[point[i]][e])
+                for i, column in factors:
+                    v = mul(v, column[point[i]])
                     if not v:
                         break
                 value = add(value, v)

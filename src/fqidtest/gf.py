@@ -282,7 +282,13 @@ _FIELD_CACHE: dict[tuple, Field] = {}
 
 
 def field_of_order(q: int) -> Field:
-    """The field of order q with the default modulus, cached."""
+    """The field of order q with the default modulus, cached.
+
+    Only an int order is read: 2.0 and True hash as 2 and 1, so the type
+    is checked before the cache lookup, which would otherwise accept a
+    float equal to an order already cached."""
+    if type(q) is not int:
+        raise TypeError(f"field order must be an int, not {type(q).__name__}")
     key = ("order", q)
     f = _FIELD_CACHE.get(key)
     if f is None:

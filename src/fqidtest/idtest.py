@@ -80,7 +80,7 @@ from .algebra import (
     vec_scale,
     vec_sub,
 )
-from .bound import chunk_ranges, floor_fraction, pool_map
+from .bound import FORK_POINTS, chunk_ranges, floor_fraction, pool_map
 from .commpoly import reduced_coordinates, reduced_degrees, zero_counter
 from .errors import (
     DimensionMismatch,
@@ -96,11 +96,6 @@ from .errors import (
 from .freepoly import Flavor, FreePoly, engel, power_word
 
 EXACT_CAP = 1 << 24
-
-# points walked from which an exact count forks its pool: on two CPUs a
-# count of 2**20 points ran 2.0x faster on two workers than on one, and
-# one of 262,144 points 1.2x slower
-FORK_POINTS = 1 << 20
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

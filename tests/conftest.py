@@ -4,7 +4,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from fqidtest import idtest
+from fqidtest import bound, idtest
 
 _CRITERIA = []
 
@@ -29,9 +29,12 @@ def criterion():
 
 @pytest.fixture
 def pooled_counts(monkeypatch):
-    """Exact counts with workers > 1 fork their pool whatever their size, as
-    counts of idtest.FORK_POINTS points walked and more do."""
+    """Exact counts and exhaustive scans with workers > 1 fork their pool
+    whatever their size, as those of FORK_POINTS points walked (candidates
+    times points, for a scan) and more do.  idtest binds the constant
+    under its own name, so both modules are patched."""
     monkeypatch.setattr(idtest, "FORK_POINTS", 0)
+    monkeypatch.setattr(bound, "FORK_POINTS", 0)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,21 +1,37 @@
-"""Density floor: closed form, brute-force oracle, extremal witnesses."""
+"""Density floor: closed form, brute-force oracle, extremal witnesses.
 
+The exhaustive scan counts each candidate with one AND and one bit count
+against a table of one-hot ints; reference_scan below is the scan it
+replaced, which counted every candidate's zeros through
+commpoly.zero_counter.  The two must give the same (least count, its
+first index, violations) on every range.
+"""
+
+import os
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqidtest import bound
 from fqidtest.bound import (
+    TABLE_BITS,
     FloorDecomposition,
     POLY_CAP,
+    _monomials_for,
+    _scan_range,
+    _terms_at,
+    chunk_ranges,
     exhaustive_min,
     extremal_poly,
     floor_fraction,
     minimize_sequences,
 )
-from fqidtest.commpoly import CommPoly
+from fqidtest.commpoly import CommPoly, zero_counter
 from fqidtest.errors import (
     BudgetExceeded,
     NotEnoughVariables,
@@ -211,3 +227,158 @@ def test_theorem_violation_artifact():
     monomials = _monomials_for(2, 1, 1)
     best, index, violations = _scan_range((2, 1, monomials, 1, 4, 3, 1))
     assert violations  # every poly fails a floor of 3
+
+
+# ---------------------------------------------------------------------------
+# the one-hot scan against the zero_counter scan it replaced
+
+# perfbench's SWEEP_GRID: (q, n, d) -> minimum, with the witness the
+# zero_counter scan reported
+SWEEP_GRID = {
+    (2, 2, 1): (2, "x1"),
+    (2, 2, 2): (1, "x1*x2"),
+    (2, 3, 2): (2, "x1*x2"),
+    (3, 2, 2): (3, "x1^2 + x1"),
+    (3, 2, 3): (2, "x1^2*x2 + x1*x2^2"),
+    (3, 2, 4): (1, "x1^2*x2^2 + x1^2*x2 + x1*x2^2 + x1*x2"),
+}
+# larger scans, no variables, and the extension fields, whose coefficient
+# codes the scan splits into base-p digits.  Over GF(4) reversing those
+# digits is g times the Frobenius map, which keeps every count, and on
+# affine polynomials any bijection of the coefficients does; so GF(8) and
+# GF(9) are scanned at degree 2, where the order of the digits shows.
+SCAN_CASES = [
+    *SWEEP_GRID,
+    (4, 2, 2),
+    (5, 2, 2),
+    (2, 0, 0),
+    (3, 0, 2),
+    (5, 0, 1),
+    (8, 1, 2),
+    (9, 1, 2),
+    (16, 1, 1),
+    (27, 1, 0),
+]
+
+
+@lru_cache(maxsize=None)
+def _reference_counts(q, n, monomials):
+    """The nonzero count of every candidate index, zero_counter on its terms."""
+    points = q**n
+    zeros = zero_counter(field_of_order(q), n, points)
+    indices = range(q ** len(monomials))
+    return [points - zeros([_terms_at(index, q, monomials)]) for index in indices]
+
+
+def reference_scan(payload):
+    """The scan before the one-hot tables: each candidate's terms counted
+    by zero_counter (memoised per index here, so that many ranges of one
+    scan pay for its counts once)."""
+    q, n, monomials, start, stop, floor_num, floor_den = payload
+    points = q**n
+    counts = _reference_counts(q, n, tuple(monomials))
+    best = None
+    best_index = None
+    violations = []
+    for index in range(start, stop):
+        count = counts[index]
+        # count * floor_den >= floor_num * q^n, kept in integers
+        if count * floor_den < floor_num * points:
+            violations.append(index)
+        if best is None or count < best:
+            best = count
+            best_index = index
+    return best, best_index, violations
+
+
+def _payloads(q, n, d, floor=None, workers=1):
+    monomials = _monomials_for(q, n, d)
+    floor = floor_fraction(q, d).value if floor is None else floor
+    return [
+        (q, n, monomials, start, stop, floor.numerator, floor.denominator)
+        for start, stop in chunk_ranges(1, q ** len(monomials), workers)
+    ]
+
+
+@pytest.mark.parametrize("q,n,d", SCAN_CASES)
+def test_scan_matches_the_reference_on_every_split(q, n, d, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    (whole,) = _payloads(q, n, d)
+    assert _scan_range(whole) == reference_scan(whole)
+    for workers in (2, 3, 4):
+        chunks = _payloads(q, n, d, workers=workers)
+        bounds = [(payload[3], payload[4]) for payload in chunks]
+        assert [a for a, _ in bounds] == [1] + [b for _, b in bounds[:-1]]
+        assert bounds[-1][1] == whole[4] and (len(bounds) > 1 or whole[4] == 2)
+        for payload in chunks:
+            assert _scan_range(payload) == reference_scan(payload)
+
+
+@pytest.mark.parametrize("q,n,d", SCAN_CASES)
+def test_scan_finds_the_reference_violations(q, n, d, monkeypatch):
+    # fake floors: one put the minimum and every count up to one above it
+    # under the floor, one every count short of all points, one every count
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    points = q**n
+    least = reference_scan(_payloads(q, n, d)[0])[0]
+    for floor in (Fraction(least + 2, points), Fraction(1), Fraction(3)):
+        for workers in (1, 3):
+            for payload in _payloads(q, n, d, floor, workers):
+                got = _scan_range(payload)
+                assert got == reference_scan(payload)
+                if floor > 1:
+                    assert got[2] == list(range(payload[3], payload[4]))
+
+
+@pytest.mark.parametrize("grid", sorted(SWEEP_GRID))
+def test_exhaustive_min_on_the_sweep_grid(grid):
+    q, n, d = grid
+    minimum, witness = SWEEP_GRID[grid]
+    got = exhaustive_min(q, n, d)
+    assert (got.minimum, got.witness.to_text()) == (minimum, witness)
+    assert got.candidates == q ** len(_monomials_for(q, n, d)) - 1
+    assert got.bound == floor_fraction(q, d).value * q**n == minimum
+
+
+def test_exhaustive_min_reports_the_first_violation(monkeypatch):
+    # with a floor of 1 every polynomial with a zero undercuts it
+    one = lambda q, d: FloorDecomposition(q, d, 0, 0, Fraction(1))
+    monkeypatch.setattr(bound, "floor_fraction", one)
+    (payload,) = _payloads(3, 2, 2, Fraction(1))
+    first = reference_scan(payload)[2][0]
+    with pytest.raises(TheoremViolation) as err:
+        exhaustive_min(3, 2, 2)
+    assert err.value.witness == bound._poly_at(first, field_of_order(3), payload[2], 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5]), n=st.integers(0, 3), data=st.data())
+def test_scan_matches_the_reference_on_random_ranges(q, n, data):
+    in_cap = [
+        d for d in range(n * (q - 1) + 1)
+        if (q ** len(_monomials_for(q, n, d)) - 1) * q**n <= 1 << 13
+    ]
+    d = data.draw(st.sampled_from(in_cap), label="d")
+    total = q ** len(_monomials_for(q, n, d))
+    start = data.draw(st.integers(1, total - 1), label="start")
+    stop = data.draw(st.integers(start + 1, total), label="stop")
+    num = data.draw(st.integers(0, 2 * q**n), label="floor_num")
+    den = data.draw(st.integers(1, q**n), label="floor_den")
+    payload = (q, n, _monomials_for(q, n, d), start, stop, num, den)
+    assert _scan_range(payload) == reference_scan(payload)
+
+
+def test_scan_memory_stays_within_the_table_budget():
+    # at half its one monomial, the table of exhaustive_min(65521, 0, 0)
+    # would hold 65,521 ints of 65,521 bits; the budget cuts it to the
+    # zero combination, and the constants are walked
+    got = exhaustive_min(65521, 0, 0)
+    assert (got.minimum, got.witness.to_text(), got.candidates, got.bound) == (1, "1", 65520, 1)
+    tracemalloc.start()
+    try:
+        best, index, violations = _scan_range((65521, 0, [()], 63000, 65521, 1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (best, index, violations) == (1, 63000, [])
+    assert peak < TABLE_BITS // 8

@@ -129,6 +129,23 @@ def test_count_nonzeros():
         parse_comm("x1", F2, nvars=30).count_nonzeros(cap=100)
 
 
+def test_point_counts_power_only_the_exponents_they_use(monkeypatch):
+    # a q x q table of powers took 5 s to build at q = 1021; the count
+    # needs the powers of each element for the reduced exponents that occur
+    calls = []
+    pow_ = Field.pow
+    monkeypatch.setattr(Field, "pow", lambda self, a, e: calls.append(e) or pow_(self, a, e))
+    F = Field(1021)
+    assert parse_comm("x1^2 - 1", F).count_nonzeros() == 1019
+    assert sorted(set(calls)) == [2] and len(calls) == 1021
+    calls.clear()
+    # x^1021 = x and x^2040 = x^1020 as functions on F_1021, so the
+    # exponents fold before any power is taken; x + 3*x^1020 vanishes at
+    # 0 and -3
+    assert parse_comm("x1^1021 + 3*x1^2040", F).count_nonzeros() == 1019
+    assert sorted(set(calls)) == [1, 1020] and len(calls) == 2 * 1021
+
+
 def test_parse_comm():
     p = parse_comm("1 + x1^2*x2", F3)
     assert p.monomials == {(0, 0): 1, (2, 1): 1}

@@ -238,3 +238,21 @@ def test_oversized_fields_are_refused_before_any_search():
         Field(65535, 100000000000)
     with pytest.raises(ValueError, match="k must be >= 1"):
         Field(2, 0)
+
+
+@pytest.mark.parametrize("order", [2.0, 3.0, True, "2"])
+def test_orders_that_are_not_ints_are_refused_cold_and_warm(order, monkeypatch):
+    # 2.0 and True hash as 2 and 1, so a cache lookup alone would return
+    # GF(2) once it is cached; the type is checked before it
+    from fqidtest import bound, gf
+
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    for _ in ("cold", "warm"):
+        with pytest.raises(TypeError, match="field order must be an int"):
+            field_of_order(order)
+        with pytest.raises(TypeError):
+            bound.floor_fraction(order, 3)
+        with pytest.raises(TypeError):
+            bound.exhaustive_min(order, 2, 2)
+        field_of_order(2), field_of_order(3)
+    assert field_of_order(2).q == 2

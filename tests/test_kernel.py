@@ -742,6 +742,25 @@ def test_counts_fork_once_the_points_walked_reach_fork_points(monkeypatch):
         started.clear()
 
 
+def test_exhaustive_scans_fork_once_candidates_times_points_reach_fork_points(monkeypatch):
+    # exhaustive_min(3, 2, 2) has 728 candidates on 9 points; at the
+    # default FORK_POINTS (2^20) no in-cap scan forks
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = []
+    fork_context = multiprocessing.get_context
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda method: started.append(method) or fork_context(method)
+    )
+    serial = bound.exhaustive_min(3, 2, 2)
+    assert bound.exhaustive_min(3, 2, 2, workers=2) == serial
+    monkeypatch.setattr(bound, "FORK_POINTS", 728 * 9 + 1)
+    assert bound.exhaustive_min(3, 2, 2, workers=2) == serial
+    assert started == []
+    monkeypatch.setattr(bound, "FORK_POINTS", 728 * 9)
+    assert bound.exhaustive_min(3, 2, 2, workers=2) == serial
+    assert started == ["fork"]
+
+
 def test_pool_map_runs_serially_where_fork_is_missing(pooled_counts, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     M = matrix_algebra(2, 2)
