@@ -140,6 +140,24 @@ class Ideal:
     def __le__(self, other: "Ideal") -> bool:
         return all(other.contains(row) for row in self.basis)
 
+    def __hash__(self):
+        # the hash the dataclass would compute; the fields never change, so
+        # the first one is kept as _hash, as FreePoly keeps its own: coset
+        # search and descent key their memos by the ideal on every call,
+        # and Field.__hash__ is a Python call
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.field, self.ambient_dim, self.basis, self.pivots))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        # the hash memo stays behind, as FreePoly's does
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
 
 # ---------------------------------------------------------------------------
 # the algebra itself
@@ -293,7 +311,7 @@ def _is_invariant(A: Algebra, rows, pivots) -> bool:
 
 
 def _check_ambient(A: Algebra, ideal: Ideal):
-    if ideal.field != A.field:
+    if not (ideal.field is A.field or ideal.field == A.field):
         raise FieldMismatch("ideal and algebra live over different fields")
     if ideal.ambient_dim != A.dim:
         raise DimensionMismatch("ideal ambient dimension differs from the algebra")
@@ -319,8 +337,8 @@ def _is_coordinate_vector(A: Algebra, v) -> bool:
     if len(v) != A.dim:
         return False
     q = A.field.q
-    # a plain loop: descent checks every representative, and all() over a
-    # generator costs about twice as much
+    # a plain loop: all() over a generator costs about twice as much
+    # (idtest._rep_indices runs the same test as it reads off indices)
     for c in v:
         if not (isinstance(c, int) and 0 <= c < q):
             return False

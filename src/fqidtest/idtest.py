@@ -61,7 +61,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import count, islice, product, repeat
+from itertools import count, filterfalse, islice, product, repeat
 from operator import add, itemgetter, mod, mul, not_
 
 from .algebra import (
@@ -193,7 +193,9 @@ def _low_words(z: int, lanes: int):
 
 def _product_fn(Q: FreePoly, A: Algebra, commutator: bool):
     """Flavor gate: the binary product a term tree is read with."""
-    if Q.field != A.field:
+    # the identity test first: a polynomial parsed over A.field holds that
+    # very object, and Field.__eq__ is a Python call
+    if not (Q.field is A.field or Q.field == A.field):
         raise FieldMismatch(f"{Q.field!r} vs {A.field!r}")
     if commutator:
         if Q.flavor is not Flavor.LIE:
@@ -374,8 +376,12 @@ def _tables(A: Algebra) -> _Tables:
 def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
     """e_Q on element indices: a function from n indices to the value's index.
 
-    The flavor gate runs on every call.  The function is compiled on the
-    first call for (Q, commutator) and kept on the algebra's tables.
+    Per call: the field and flavor gate (_product_fn) and one lookup in
+    the algebra's tables; the gate compares fields by identity first, so
+    a polynomial parsed over A.field costs no Field.__eq__ call.  Per
+    (Q, commutator): the function is compiled on the first call and kept
+    on the algebra's tables, so a coset search and all its descents
+    compile e_Q once.
     """
     prod = _product_fn(Q, A, commutator)
     tables = _tables(A)
@@ -824,6 +830,9 @@ def dixon_verdict(
 # ---------------------------------------------------------------------------
 # coset identities
 
+_set_field = object.__setattr__
+
+
 @dataclass(frozen=True)
 class CosetWitness:
     """A coset product (a_1+I) x ... x (a_n+I) on which e_Q vanishes.
@@ -837,6 +846,21 @@ class CosetWitness:
     representatives: tuple
     codim: int
     trivial: bool
+
+
+def _new_witness(ideal, representatives, codim, trivial) -> CosetWitness:
+    """CosetWitness of these fields, built without the constructor's call:
+    each field is set by object.__setattr__, as the frozen dataclass's
+    __init__ sets it, so the witness is the one the constructor builds.
+    It does not fill the instance dict in one update, as _new_report
+    does: reading __dict__ gives each instance a dict object of its own,
+    about 135 bytes more per witness, and a search keeps thousands."""
+    witness = object.__new__(CosetWitness)
+    _set_field(witness, "ideal", ideal)
+    _set_field(witness, "representatives", representatives)
+    _set_field(witness, "codim", codim)
+    _set_field(witness, "trivial", trivial)
+    return witness
 
 
 def _canonical_reps(A: Algebra, ideal: Ideal):
@@ -864,6 +888,13 @@ def coset_identity_search(
     visited ideal, and is checked as the ideal walk finds each one: the
     work only grows, so an over-cap search is refused without finishing
     the walk, and the size it reports is the work found so far.
+
+    Per ideal, the representatives, each coset's member indices and the
+    codimension are found once.  Per representative tuple, e_Q runs on
+    the kernel over every point of the coset product until one is
+    nonzero.  The zero ideal's cosets are single points, so its witnesses
+    are the zeros of e_Q, found by one walk over the element indices in
+    canonical order, and are all trivial.
     """
     if max_codim < 0:
         raise ValueError(f"max_codim must be >= 0, got {max_codim}")
@@ -885,21 +916,21 @@ def coset_identity_search(
     witnesses = []
     for ideal in ideals:
         reps = _canonical_reps(A, ideal)
+        codim = ideal.codim
+        if not ideal.basis:
+            # every element is its own representative, reps[i] has index i
+            witnesses.extend(
+                _new_witness(ideal, tuple(map(reps.__getitem__, point)), codim, True)
+                for point in filterfalse(e, product(range(len(reps)), repeat=n))
+            )
+            continue
         members = tables.members(ideal)
         # each representative's coset, as element indices, built once
         cosets = [tables.shift(tables.index(rep), members) for rep in reps]
         for rep_tuple, lists in zip(product(reps, repeat=n), product(cosets, repeat=n)):
-            if any(map(e, product(*lists))):
-                continue
-            trivial = ideal.rank == 0 or all(vec_is_zero(r) for r in rep_tuple)
-            witnesses.append(
-                CosetWitness(
-                    ideal=ideal,
-                    representatives=rep_tuple,
-                    codim=ideal.codim,
-                    trivial=trivial,
-                )
-            )
+            if not any(map(e, product(*lists))):
+                trivial = not any(map(any, rep_tuple))  # every representative is zero
+                witnesses.append(_new_witness(ideal, rep_tuple, codim, trivial))
     return witnesses
 
 
@@ -920,11 +951,10 @@ class DescentCertificate:
 
 
 @cache
-def _descent_steps(n: int) -> tuple:
-    """The verified stage records of an n-variable descent, stages 1..n.
-
-    They depend on n alone, so every certificate of arity n shares one tuple.
-    """
+def _certificate(n: int) -> DescentCertificate:
+    """The certificate of every passed n-variable descent: its verified
+    stage records, stages 1..n, depend on n alone, and it is frozen, so
+    every descent of arity n returns this one object."""
     steps = []
     for s in range(1, n + 1):
         head = ", ".join(f"y_{i}" for i in range(1, s + 1))
@@ -932,7 +962,27 @@ def _descent_steps(n: int) -> tuple:
         inside = head if not tail else f"{head}, {tail}"
         statement = f"e_Q({inside}) = 0 for all ({head}) in I^{s}"
         steps.append(DescentStep(stage=s, statement=statement, verified=True))
-    return tuple(steps)
+    return DescentCertificate(steps=tuple(steps), identity_on_ideal=True)
+
+
+def _rep_indices(A: Algebra, reps) -> list:
+    """The element indices of the representatives, each refused with
+    WitnessInvalid unless it is a coordinate vector of A
+    (_is_coordinate_vector's test, run as the index is read off)."""
+    q, dim = A.field.q, A.dim
+    ids = []
+    for r in reps:
+        if len(r) == dim:
+            index = 0
+            for c in r:
+                if not (isinstance(c, int) and 0 <= c < q):
+                    break
+                index = index * q + c
+            else:
+                ids.append(index)
+                continue
+        raise WitnessInvalid(f"representative {r!r} is not a coordinate vector of length {dim}")
+    return ids
 
 
 def _descent_violation(message, Q, A, witness, commutator, **found) -> TheoremViolation:
@@ -964,10 +1014,20 @@ def multilinear_descent(
     A's kernel; the final claim is checked by coordinate reduction, not
     by enumerating restrict(A, I)^n: every reduced coordinate polynomial
     of e_Q on it is zero (exact: a reduced polynomial is zero iff its
-    function is).  Stage n and this check depend only on (Q, I), so they
-    run once per (Q, I) per algebra: the first descent that passes both
-    records the key, and later ones run the coset check and stages 1..n-1.
-    A failure of either raises _descent_violation's TheoremViolation.
+    function is).  A failure of either raises _descent_violation's
+    TheoremViolation.
+
+    What runs when:
+    - per witness: the field, flavor, multilinearity, ambient and
+      representative checks, the coset re-check over every point of the
+      coset product, and stages 1..n-1, all on the kernel.  Over the zero
+      ideal the coset product and each stage are single points, each
+      evaluated by one kernel call.
+    - per ideal: its member indices, kept on the algebra's tables.
+    - per (Q, I): stage n and the final check run on the first descent
+      that reaches them; passing both records the key, and later descents
+      over the same ideal skip them.
+    - per n: the certificate, one shared frozen object.
     """
     e = _kernel(Q, A, commutator)
     if not Q.analyze().multilinear:
@@ -978,17 +1038,16 @@ def multilinear_descent(
     reps = witness.representatives
     if len(reps) != n:
         raise WitnessInvalid(f"expected {n} representatives, got {len(reps)}")
-    for r in reps:
-        if not _is_coordinate_vector(A, r):
-            raise WitnessInvalid(
-                f"representative {r!r} is not a coordinate vector of length {A.dim}"
-            )
+    rep_ids = _rep_indices(A, reps)
     tables = _tables(A)
-    members = tables.members(ideal)
-    rep_ids = [tables.index(r) for r in reps]
 
-    cosets = [tables.shift(r, members) for r in rep_ids]
-    bad = next(filter(e, product(*cosets)), None)
+    if ideal.basis:
+        members = tables.members(ideal)
+        cosets = [tables.shift(r, members) for r in rep_ids]
+        bad = next(filter(e, product(*cosets)), None)
+    else:
+        members = None  # the zero ideal: every coset is one point
+        bad = tuple(rep_ids) if e(rep_ids) else None
     if bad is not None:
         args = tuple(map(tables.vec, bad))
         raise WitnessInvalid(f"e_Q does not vanish on the coset product at {args!r}")
@@ -996,8 +1055,12 @@ def multilinear_descent(
     key = (Q, ideal, commutator)
     known = key in tables.verified
     for s in range(1, n if known else n + 1):
-        slots = [members] * s + [(r,) for r in rep_ids[s:]]
-        bad = next(filter(e, product(*slots)), None)
+        if members is None:
+            point = [0] * s + rep_ids[s:]  # index 0 is the zero element
+            bad = tuple(point) if e(point) else None
+        else:
+            slots = [members] * s + [(r,) for r in rep_ids[s:]]
+            bad = next(filter(e, product(*slots)), None)
         if bad is not None:
             args = tuple(map(tables.vec, bad))
             message = f"descent stage {s} failed at {args!r}"
@@ -1012,7 +1075,7 @@ def multilinear_descent(
                 Q, A, witness, commutator, coordinate=nonzero[0].to_text(),
             )
         tables.verified.add(key)
-    return DescentCertificate(steps=_descent_steps(n), identity_on_ideal=True)
+    return _certificate(n)
 
 
 # ---------------------------------------------------------------------------

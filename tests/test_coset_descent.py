@@ -7,9 +7,10 @@ reference_descent still enumerates the restricted algebra, which descent
 itself now checks by coordinate reduction.
 """
 
+import inspect
 import json
 import pickle
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import product
 
 import pytest
@@ -35,10 +36,13 @@ from fqidtest.algebra import (
     upper_triangular,
     vec_add,
     vec_is_zero,
+    zero_ideal,
 )
 from fqidtest.cli import battery_for
 from fqidtest.commpoly import reduced_coordinates
 from fqidtest.errors import (
+    FieldMismatch,
+    FlavorMismatch,
     NotAnIdeal,
     NotMultilinear,
     SearchSpaceTooLarge,
@@ -46,13 +50,14 @@ from fqidtest.errors import (
     WitnessInvalid,
 )
 from fqidtest.freepoly import Flavor, FreePoly, parse
-from fqidtest.gf import field_of_order
+from fqidtest.gf import Field, field_of_order
 from fqidtest.idtest import (
     CosetWitness,
     DescentCertificate,
     DescentStep,
     _canonical_reps,
     _evaluate_raw,
+    _new_witness,
     _product_fn,
     coset_identity_search,
     multilinear_descent,
@@ -196,6 +201,119 @@ def test_bracket_table_over_gf4_matches_the_reference():
 
 
 # ---------------------------------------------------------------------------
+# the zero ideal: its witnesses are the zeros of e_Q
+
+# not homogeneous, not multilinear, zero, and without variables
+ZERO_IDEAL_TEXTS = ("x1*x2 + x1", "x1*x1 + x2", "x1", "x1*x2", "0")
+
+
+def assert_zero_ideal_route_matches(Q, A, max_codim):
+    got = coset_identity_search(Q, A, max_codim)
+    want = reference_search(Q, A, max_codim)
+    # == compares ideal, representatives, codim and trivial, in order
+    assert got == want, (Q.to_text(), Q.n, A.table, max_codim)
+    for g, w in zip(got, want):
+        assert (type(g.codim), type(g.trivial)) == (int, bool)
+        assert list(vars(g).items()) == list(vars(w).items())
+    zeros = [w for w in got if w.ideal.rank == 0]
+    assert all(w.trivial and w.codim == A.dim for w in zeros)
+    if max_codim >= A.dim:
+        # one witness per zero of e_Q, in canonical order
+        points = product(list(A.elements()), repeat=Q.n)
+        prod = _product_fn(Q, A, False)
+        expected = [p for p in points if vec_is_zero(_evaluate_raw(Q, A, p, prod))]
+        assert [w.representatives for w in zeros] == expected
+    return got
+
+
+@st.composite
+def zero_ideal_cases(draw):
+    q = draw(st.sampled_from([2, 3, 4]))
+    F = field_of_order(q)
+    dim = draw(st.integers(0, 2 if q > 2 else 3))
+    cell = st.tuples(*[st.integers(0, q - 1)] * dim)
+    if draw(st.booleans()):
+        table = [[(0,) * dim] * dim for _ in range(dim)]  # every product is zero
+    else:
+        table = [[draw(cell) for _ in range(dim)] for _ in range(dim)]
+    A = Algebra(F, dim, table)
+    Q = parse(draw(st.sampled_from(ZERO_IDEAL_TEXTS)), Flavor.FREE, F)
+    if not Q.is_zero:
+        Q = Q.scale(draw(st.integers(1, q - 1)))
+    if Q.n == 0 and draw(st.booleans()):
+        Q = FreePoly(F, Flavor.FREE, draw(st.integers(1, 2)), {})  # zero, in variables
+    return Q, A, draw(st.integers(0, dim))
+
+
+@settings(max_examples=80, deadline=None)
+@given(zero_ideal_cases())
+def test_zero_ideal_route_matches_the_reference(case):
+    Q, A, max_codim = case
+    assert_zero_ideal_route_matches(Q, A, max_codim)
+
+
+def test_zero_ideal_route_on_zero_product_tables_and_zero_polynomials():
+    for q, dim in ((2, 3), (3, 2), (4, 2)):
+        F = field_of_order(q)
+        A = Algebra(F, dim, [[(0,) * dim] * dim for _ in range(dim)])
+        for text in ZERO_IDEAL_TEXTS:
+            Q = parse(text, Flavor.FREE, F)
+            found = assert_zero_ideal_route_matches(Q, A, dim)
+            zeros = [w for w in found if w.ideal.rank == 0]
+            # a polynomial with a linear term vanishes where that variable does
+            linear = any(isinstance(term, int) or len(term) == 1 for term in Q.terms)
+            vanishing = A.order() ** (Q.n - linear)
+            assert len(zeros) == vanishing, text
+    # no variables: the one empty tuple witnesses every ideal, trivially
+    Q = parse("0", Flavor.FREE, F2)
+    assert Q.n == 0
+    H = heisenberg(2)
+    found = assert_zero_ideal_route_matches(Q, H, H.dim)
+    assert [w.representatives for w in found] == [()] * len(enumerate_ideals(H))
+    assert all(w.trivial for w in found)
+
+
+def test_zero_ideal_route_on_the_library_pairs():
+    for spec in ("heisenberg(3)", "truncated(3,3)", "upper_triangular(2,2)"):
+        A = builtin(spec)
+        for text in ("x1*x2 + x1", "x1*x2 - x2*x1"):
+            assert_zero_ideal_route_matches(parse(text, Flavor.FREE, A.field), A, A.dim)
+
+
+# ---------------------------------------------------------------------------
+# witnesses built field by field, without the constructor's call
+
+def assert_same_witness(got, want):
+    """got is the witness want is, to every reader of a witness."""
+    assert type(got) is CosetWitness
+    names = [f.name for f in fields(CosetWitness)]
+    assert [getattr(got, name) for name in names] == [getattr(want, name) for name in names]
+    assert list(vars(got).items()) == list(vars(want).items())  # same keys, same order
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert cli._jsonable(got) == cli._jsonable(want)
+    assert pickle.loads(pickle.dumps(got)) == want
+    assert replace(got, trivial=not got.trivial) == replace(want, trivial=not want.trivial)
+    with pytest.raises(FrozenInstanceError):
+        got.trivial = False
+
+
+def test_witnesses_are_the_constructors_witnesses():
+    # the builder takes every field, in declared order
+    assert list(inspect.signature(_new_witness).parameters) == [
+        f.name for f in fields(CosetWitness)
+    ]
+    for A, flavor, text in (
+        (heisenberg(3), Flavor.LIE, "[x1,x2]"),
+        (upper_triangular(2, 2), Flavor.FREE, "x1*x2 + x1"),
+        (truncated(3, 3), Flavor.FREE, "x1*x2"),
+    ):
+        found = coset_identity_search(parse(text, flavor, A.field), A, A.dim)
+        assert {w.ideal.rank == 0 for w in found} == {True, False}
+        for w in found:
+            assert_same_witness(w, CosetWitness(w.ideal, w.representatives, w.codim, w.trivial))
+
+
+# ---------------------------------------------------------------------------
 # errors and their messages
 
 def _error(fn, *args):
@@ -264,6 +382,108 @@ def test_failed_stage_message_is_the_reference_message(monkeypatch):
             assert got.startswith("descent stage 1 failed at ((")
             return
     pytest.fail("no coset on which the stage check fails")
+
+
+def test_refusals_are_unchanged_cold_and_warm():
+    H = heisenberg(3)
+    Q = parse("[x1,x2]", Flavor.LIE, H.field)
+    zero, center = zero_ideal(H), ideal_generated(H, [(0, 0, 1)])
+    # [b1,b2] = b3: a zero-ideal witness at a point where e_Q is nonzero
+    forged = CosetWitness(ideal=zero, representatives=((1, 0, 0), (0, 1, 0)), codim=3, trivial=True)
+    malformed = {
+        ((0, 0, 0),): "expected 2 representatives, got 1",
+        ((0, 0, 0),) * 3: "expected 2 representatives, got 3",
+    }
+    for bad in ((0, 0), (0, 0, 0, 0), (0, 0, 0.0), (0, "1", 0), (0, -1, 0), (0, 0, 3), (3, 0, 0)):
+        for reps in ((bad, (0, 0, 0)), ((0, 0, 0), bad)):
+            malformed[reps] = f"representative {bad!r} is not a coordinate vector of length 3"
+
+    def refusals():
+        got = [_error(multilinear_descent, Q, H, forged)]
+        for ideal in (zero, center):
+            for reps in malformed:
+                w = CosetWitness(ideal, reps, ideal.codim, False)
+                got.append(_error(multilinear_descent, Q, H, w))
+        return got
+
+    cold = refusals()
+    assert cold[0] == _error(reference_descent, Q, H, forged)
+    assert cold[0] == (
+        WitnessInvalid, "e_Q does not vanish on the coset product at ((1, 0, 0), (0, 1, 0))"
+    )
+    assert cold[1:] == [(WitnessInvalid, text) for text in malformed.values()] * 2
+    # warm: both ideals verified, and every refusal is the cold one
+    for w in coset_identity_search(Q, H, H.dim):
+        multilinear_descent(Q, H, w)
+    assert {(Q, zero, False), (Q, center, False)} <= H._index_tables.verified
+    assert refusals() == cold
+    # a bool is an int, as it always was
+    w = CosetWitness(center, ((True, 0, 0), (0, 0, 0)), 2, False)
+    assert multilinear_descent(Q, H, w) == reference_descent(Q, H, w)
+
+
+def test_field_and_flavor_gates_run_on_a_warm_kernel():
+    H = heisenberg(2)
+    Q = parse("[x1,x2]", Flavor.LIE, H.field)
+    for w in coset_identity_search(Q, H, H.dim):
+        multilinear_descent(Q, H, w)
+    assert (Q, False) in H._index_tables.kernels
+    w = next(w for w in coset_identity_search(Q, H, H.dim) if w.ideal.rank == 0)
+    # an equal field that is another object passes the gates
+    F = Field(2)
+    assert F == H.field and F is not H.field
+    same = parse("[x1,x2]", Flavor.LIE, F)
+    assert multilinear_descent(same, H, w) == multilinear_descent(Q, H, w)
+    assert multilinear_descent(Q, H, replace(w, ideal=replace(w.ideal, field=F))).identity_on_ideal
+    Q3 = parse("[x1,x2]", Flavor.LIE, field_of_order(3))
+    with pytest.raises(FieldMismatch, match=r"^GF\(3\) vs GF\(2\)$"):
+        multilinear_descent(Q3, H, w)
+    assert (Q3, False) not in H._index_tables.kernels  # refused before compiling
+    with pytest.raises(FieldMismatch, match="different fields"):
+        multilinear_descent(Q, H, replace(w, ideal=replace(w.ideal, field=field_of_order(3))))
+    with pytest.raises(FlavorMismatch, match="plain product table"):
+        multilinear_descent(Q, H, w, commutator=True)
+    # GF(8) under its other modulus: a field of the same order, refused by ==
+    E, other = field_of_order(8), Field(2, 3, (1, 0, 1, 1))
+    assert other != E and other.q == E.q
+    T = Algebra(E, 1, [[(0,)]])
+    P = parse("x1*x2", Flavor.FREE, E)
+    ws = coset_identity_search(P, T, T.dim)
+    multilinear_descent(P, T, ws[0])
+    with pytest.raises(FieldMismatch):
+        multilinear_descent(parse("x1*x2", Flavor.FREE, other), T, ws[0])
+    with pytest.raises(FlavorMismatch, match="associative input on a bracket algebra"):
+        multilinear_descent(parse("x1*x2", Flavor.ASSOC, H.field), H, w)
+    with pytest.raises(FlavorMismatch, match="non-bracket algebra"):
+        multilinear_descent(parse("[x1,x2]", Flavor.LIE, E), T, ws[0])
+
+
+def test_certificates_are_shared_per_arity_and_frozen():
+    H = heisenberg(3)
+    Q = parse("[x1,x2]", Flavor.LIE, H.field)
+    certificates = [multilinear_descent(Q, H, w) for w in coset_identity_search(Q, H, H.dim)]
+    first = certificates[0]
+    assert all(c is first for c in certificates)
+    for w in coset_identity_search(Q, H, H.dim)[::37]:
+        assert reference_descent(Q, H, w) == first
+    assert first == DescentCertificate(
+        steps=(
+            DescentStep(1, "e_Q(y_1, a_2) = 0 for all (y_1) in I^1", True),
+            DescentStep(2, "e_Q(y_1, y_2) = 0 for all (y_1, y_2) in I^2", True),
+        ),
+        identity_on_ideal=True,
+    )
+    with pytest.raises(FrozenInstanceError):
+        first.identity_on_ideal = False
+    with pytest.raises(FrozenInstanceError):
+        first.steps[0].verified = False
+    assert isinstance(first.steps, tuple)
+    # another arity has its own certificate
+    T = truncated(3, 3)
+    P = parse("x1*x2*x3", Flavor.FREE, T.field)
+    w = coset_identity_search(P, T, T.dim)[0]
+    three = multilinear_descent(P, T, w)
+    assert three == reference_descent(P, T, w) and len(three.steps) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +675,27 @@ def test_early_stage_failure_is_raised_after_its_ideal_is_verified(monkeypatch):
         assert got[1].startswith("descent stage 1 failed at ((")
 
 
+def test_zero_ideal_stage_failure_is_the_reference_failure(monkeypatch):
+    # x1*x2 + x2*x2 read as multilinear, with b2*b2 = b2: it vanishes at the
+    # point (b2, b2), the zero ideal's coset there, but stage 1 reads it at
+    # (0, b2), where it is b2
+    A = Algebra(F2, 2, [[(0, 0), (0, 0)], [(0, 0), (0, 1)]])
+    Q = parse("x1*x2 + x2*x2", Flavor.FREE, F2)
+    monkeypatch.setattr(Q, "_analysis", replace(Q.analyze(), multilinear=True))
+    zero = zero_ideal(A)
+    good = CosetWitness(ideal=zero, representatives=((0, 0), (0, 0)), codim=2, trivial=True)
+    bad = CosetWitness(ideal=zero, representatives=((0, 1), (0, 1)), codim=2, trivial=True)
+    found = coset_identity_search(Q, A, A.dim)
+    assert good in found and bad in found
+    cold = _error(multilinear_descent, Q, A, bad)
+    assert cold == _error(reference_descent, Q, A, bad)
+    assert cold == (TheoremViolation, "descent stage 1 failed at ((0, 0), (0, 1))")
+    assert multilinear_descent(Q, A, good) == reference_descent(Q, A, good)
+    assert (Q, zero, False) in A._index_tables.verified
+    for _ in range(2):
+        assert _error(multilinear_descent, Q, A, bad) == cold
+
+
 def test_a_subspace_that_is_not_an_ideal_is_refused_on_every_call():
     # b1*b2 = b2: span(b1) squares to zero, so the coset and stage checks
     # pass on it, but it is not invariant
@@ -493,6 +734,10 @@ def test_pickling_drops_every_memo():
     tables = H._index_tables
     assert H._ideals and tables.ideal_members and tables.verified and hash(Q)
     assert list(tables.kernels) == [(Q, False)]
+    # every ideal a search visits keeps its hash; a pickled one leaves it behind
+    assert all("_hash" in vars(ideal) for ideal in H._ideals)
+    for ideal in H._ideals:
+        assert "_hash" not in vars(pickle.loads(pickle.dumps(ideal)))
     copy = pickle.loads(pickle.dumps(H))
     assert copy == H
     assert copy._ideals is None and copy._index_tables is None
@@ -502,6 +747,37 @@ def test_pickling_drops_every_memo():
     assert copy._index_tables.kernels[Q, False] is not tables.kernels[Q, False]
     for w in witnesses:
         assert multilinear_descent(Q, copy, w) == multilinear_descent(Q, H, w)
+
+
+def test_ideal_hash_memo_is_safe():
+    H = heisenberg(3)
+    zero = zero_ideal(H)
+    for ideal in (zero, ideal_generated(H, [(0, 0, 1)])):
+        ideals = [
+            ideal,
+            next(J for J in enumerate_ideals(H) if J.basis == ideal.basis),
+            ideal_generated(H, list(ideal.basis)),
+            as_ideal(H, list(ideal.basis)),
+            replace(ideal),
+            pickle.loads(pickle.dumps(ideal)),
+        ]
+        # the hash the dataclass computes from the fields, memo or not
+        want = hash((ideal.field, ideal.ambient_dim, ideal.basis, ideal.pivots))
+        for J in ideals:
+            assert J == ideal and hash(J) == want
+            assert vars(J)["_hash"] == want and hash(J) == want  # the memo, read back
+            copy = pickle.loads(pickle.dumps(J))  # a hashed ideal pickles without the memo
+            assert "_hash" not in vars(copy) and copy == J and hash(copy) == want
+            assert "_hash" not in vars(replace(J))
+        assert len(set(ideals)) == 1
+    # replacing a field of a hashed ideal gives the new fields' hash, not the memo
+    hash(zero)
+    other = replace(zero, ambient_dim=2)
+    assert hash(other) == hash((zero.field, 2, (), ())) and other != zero
+    assert [f.name for f in fields(Ideal)] == ["field", "ambient_dim", "basis", "pivots"]
+    assert repr(zero) == f"Ideal(field={H.field!r}, ambient_dim=3, basis=(), pivots=())"
+    with pytest.raises(FrozenInstanceError):
+        zero.basis = ()
 
 
 def test_verification_is_kept_per_polynomial(monkeypatch):
