@@ -333,16 +333,11 @@ def full_ideal(A: Algebra) -> Ideal:
 
 
 def _is_coordinate_vector(A: Algebra, v) -> bool:
-    """v has A.dim entries, each a field element of A: an int in range(q)."""
-    if len(v) != A.dim:
-        return False
+    """v has A.dim entries, each a field element of A: an int in range(q).
+    (idtest._rep_indices runs the same test inline as it reads off element
+    indices.)"""
     q = A.field.q
-    # a plain loop: all() over a generator costs about twice as much
-    # (idtest._rep_indices runs the same test as it reads off indices)
-    for c in v:
-        if not (isinstance(c, int) and 0 <= c < q):
-            return False
-    return True
+    return len(v) == A.dim and all(isinstance(c, int) and 0 <= c < q for c in v)
 
 
 def _coordinate_vectors(A: Algebra, vectors, what: str) -> list[Vec]:
@@ -482,14 +477,6 @@ def quotient(A: Algebra, ideal: Ideal):
 @dataclass(frozen=True)
 class InclusionMap:
     ideal: Ideal
-
-    def include(self, u: Vec) -> Vec:
-        f = self.ideal.field
-        v = (0,) * self.ideal.ambient_dim
-        for c, row in zip(u, self.ideal.basis):
-            if c:
-                v = vec_add(f, v, vec_scale(f, c, row))
-        return v
 
     def coordinates(self, v: Vec) -> Vec:
         if not self.ideal.contains(v):

@@ -62,8 +62,6 @@ from .errors import (
 from .freepoly import Flavor, FreePoly, _Parser, coeff_text, term_degree, tokenize
 from .gf import Field
 
-TUPLE_CAP = 1 << 24
-
 
 class CommPoly:
     __slots__ = ("field", "nvars", "monomials")
@@ -120,14 +118,6 @@ class CommPoly:
         if not self.monomials:
             raise ZeroPolynomial()
         return max(sum(e) for e in self.monomials)
-
-    def per_variable_degrees(self) -> tuple[int, ...]:
-        out = [0] * self.nvars
-        for exps in self.monomials:
-            for i, e in enumerate(exps):
-                if e > out[i]:
-                    out[i] = e
-        return tuple(out)
 
     def _check_compatible(self, other: "CommPoly"):
         if self.field != other.field:
@@ -197,10 +187,6 @@ class CommPoly:
                         break
             total = f.add(total, v)
         return total
-
-    def count_nonzeros(self, cap: int = TUPLE_CAP) -> int:
-        count = zero_counter(self.field, self.nvars, cap)
-        return self.field.q**self.nvars - count([self.monomials])
 
     def __eq__(self, other):
         return (
@@ -273,7 +259,7 @@ def _mul_terms(field: Field, a: dict, b: dict) -> dict:
 # ---------------------------------------------------------------------------
 # counting common zeros
 
-def zero_counter(field: Field, nvars: int, cap: int = TUPLE_CAP):
+def zero_counter(field: Field, nvars: int, cap: int):
     """A function from a list of {exps: coeff} dicts in nvars variables to
     the number of points of F^nvars where all of them vanish.
 

@@ -230,17 +230,6 @@ class Field:
             a //= self.p
         return tuple(out)
 
-    def from_coeffs(self, cs) -> int:
-        cs = tuple(cs)
-        if len(cs) != self.k:
-            raise ValueError(f"expected {self.k} coefficients, got {len(cs)}")
-        out = 0
-        for c in reversed(cs):
-            if not 0 <= c < self.p:
-                raise ValueError(f"coefficient {c} out of range mod {self.p}")
-            out = out * self.p + c
-        return out
-
     # literal text, e.g. "0", "2", "g", "g+1", "2*g^2+g+2"; freepoly.parse_literal
     # reads it back
 

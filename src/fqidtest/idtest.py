@@ -6,19 +6,20 @@ numbers against the proven density bounds from bound.py.  Every check
 here is a theorem, so a failure is reported as TheoremViolation (an
 implementation bug), never as a finding.
 
-zero_probability, coset_identity_search and the coset and stage checks of
-multilinear_descent evaluate on element indices: an element is the int in
-range(q**dim) at its position in the canonical order elements() walks, so
-0 is the zero element.  _evaluate_raw, on coordinate tuples, is the
-reference the index kernel is tested against.  The routes that
-cross-check the kernel's answers stay off it: evaluate and the block
-tallies run _evaluate_raw, while functional_zero_fraction and descent's
-final check on the restricted algebra build reduced coordinate
+zero_probability, coset_identity_search, the coset and stage checks of
+multilinear_descent and the block tally of block_statistics evaluate on
+element indices: an element is the int in range(q**dim) at its position
+in the canonical order elements() walks, so 0 is the zero element.
+_evaluate_raw, on coordinate tuples, is the reference the index kernel is
+tested against.  The routes that cross-check the kernel's answers stay
+off it: evaluate and the outer zero test of each block run _evaluate_raw,
+while functional_zero_fraction (which also checks the block average) and
+descent's final check on the restricted algebra build reduced coordinate
 polynomials from the structure constants (commpoly.reduced_coordinates),
 and dixon_verdict's second route reads each reduced coordinate's degree
 off the same packed monomials without unpacking them
-(commpoly.reduced_degrees).  None of these calls _kernel, _evaluate_raw
-or Algebra.mul.
+(commpoly.reduced_degrees).  None of these coordinate routes calls
+_kernel, _evaluate_raw or Algebra.mul.
 
 zero_probability counts slice by slice where it can.  If some variable
 occurs at most once in every term, e_Q is affine in it, so with the other
@@ -80,7 +81,8 @@ from .algebra import (
     vec_scale,
     vec_sub,
 )
-from .bound import FORK_POINTS, chunk_ranges, floor_fraction, pool_map
+from . import bound
+from .bound import chunk_ranges, floor_fraction, pool_map
 from .commpoly import reduced_coordinates, reduced_degrees, zero_counter
 from .errors import (
     DimensionMismatch,
@@ -677,7 +679,8 @@ def _slice_zeros(tables: _Tables) -> _Memo:
 
 def _count_exact(Q, A, commutator, workers):
     """Zeros of e_Q over A^n, on a fork pool once the points the count
-    walks (probes on the slice route) reach FORK_POINTS."""
+    walks (probes on the slice route) reach bound.FORK_POINTS, read at
+    call time so that one binding sets the threshold for every job."""
     order = A.order()
     j = _slice_variable(Q, A)
     if j is None:
@@ -685,7 +688,7 @@ def _count_exact(Q, A, commutator, workers):
     else:
         walked, points = Q.n - 1, (A.dim + 1) * order ** (Q.n - 1)
     first = order if walked else 1
-    ranges = chunk_ranges(0, first, workers if points >= FORK_POINTS else 1)
+    ranges = chunk_ranges(0, first, workers if points >= bound.FORK_POINTS else 1)
     payloads = [(Q, A, commutator, j, start, stop) for start, stop in ranges]
     return sum(pool_map(_count_range, payloads, workers))
 
@@ -1118,6 +1121,19 @@ def block_statistics(
     cap: int = EXACT_CAP,
     commutator: bool = False,
 ) -> BlockReport:
+    """Zero counts of Q over A/J, tallied into blocks over the points of A/I.
+
+    The tally runs on A/J's kernel and keys each point through one list
+    from an element index of A/J to its image in A/I.  Three routes check
+    it, none of them the kernel: each block's outer zero test evaluates
+    A/I on _evaluate_raw, the block average is compared with
+    functional_zero_fraction on A/J's coordinates, and the decay inequality
+    is then read off both.  A failure raises TheoremViolation, whose
+    witness holds _witness's fields and both ideals' bases (as_ideal reads
+    them back), then what failed: the block's key, zero count and total;
+    or the weighted average and f_inner; or f_inner, f_outer and the
+    threshold.
+    """
     _product_fn(Q, A, commutator)
     _check_ambient(A, ideal_i)
     _check_ambient(A, ideal_j)
@@ -1132,16 +1148,20 @@ def block_statistics(
     if inner_alg.order() ** n > cap:
         raise SearchSpaceTooLarge(inner_alg.order() ** n, cap)
 
-    inner_prod = _product_fn(Q, inner_alg, commutator)
-    outer_prod = _product_fn(Q, outer_alg, commutator)
+    def violation(message, **found):
+        return TheoremViolation(message, witness=_witness(
+            Q, A, commutator, ideal_i=ideal_i.basis, ideal_j=ideal_j.basis, **found,
+        ))
 
+    e = _kernel(Q, inner_alg, commutator)
+    outer_prod = _product_fn(Q, outer_alg, commutator)
+    # the image in A/I of each element of A/J, by its element index
+    image = [outer_map.project(inner_map.lift(v)) for v in inner_alg.elements()]
     tallies = {}
-    inner_elems = list(inner_alg.elements())
-    for args in product(inner_elems, repeat=n):
-        key = tuple(outer_map.project(inner_map.lift(v)) for v in args)
-        bucket = tallies.setdefault(key, [0, 0])
+    for point in product(range(len(image)), repeat=n):
+        bucket = tallies.setdefault(tuple(map(image.__getitem__, point)), [0, 0])
         bucket[1] += 1
-        if vec_is_zero(_evaluate_raw(Q, inner_alg, args, inner_prod)):
+        if not e(point):
             bucket[0] += 1
 
     block_size = (ideal_i.size() // ideal_j.size()) ** n
@@ -1149,22 +1169,21 @@ def block_statistics(
     outer_zero_keys = 0
     for key in product(list(outer_alg.elements()), repeat=n):
         zeros, total = tallies[key]
+        counts = {"key": key, "zero_count": zeros, "total": total}
         if total != block_size:
-            raise TheoremViolation(
-                f"block over {key!r} has {total} points, expected {block_size}"
-            )
+            raise violation(f"block over {key!r} has {total} points, expected {block_size}", **counts)
         outer_zero = vec_is_zero(_evaluate_raw(Q, outer_alg, key, outer_prod))
         outer_zero_keys += outer_zero
         if not outer_zero and zeros:
-            raise TheoremViolation(
-                f"zeros in a block over a nonzero of the outer quotient: {key!r}"
+            raise violation(
+                f"zeros in a block over a nonzero of the outer quotient: {key!r}", **counts
             )
         fraction = Fraction(zeros, total)
         identically_zero = zeros == total
         if not identically_zero and fraction > threshold:
-            raise TheoremViolation(
-                f"non-vanishing block over {key!r} has zero fraction "
-                f"{fraction} above {threshold}"
+            raise violation(
+                f"non-vanishing block over {key!r} has zero fraction {fraction} above {threshold}",
+                **counts,
             )
         blocks.append(
             BlockStat(
@@ -1178,20 +1197,25 @@ def block_statistics(
         )
 
     f_outer = Fraction(outer_zero_keys, outer_alg.order() ** n)
-    f_inner = zero_probability(Q, inner_alg, cap=cap, commutator=commutator).probability
+    f_inner = functional_zero_fraction(Q, inner_alg, cap=cap, commutator=commutator)
     weighted = Fraction(sum(b.zero_count for b in blocks), inner_alg.order() ** n)
     if weighted != f_inner:
-        raise TheoremViolation(
+        raise violation(
             f"block zero counts average to {weighted}, "
-            f"direct enumeration gives {f_inner}"
+            f"direct enumeration gives {f_inner}",
+            weighted=str(weighted),
+            f_inner=str(f_inner),
         )
 
     decay_hypothesis = not any(b.outer_zero and b.identically_zero for b in blocks)
     decay_holds = f_inner <= threshold * f_outer
     if decay_hypothesis and not decay_holds:
-        raise TheoremViolation(
+        raise violation(
             f"decay f(Q,J) <= (1 - 2^-{degree}) f(Q,I) fails: "
-            f"{f_inner} vs {threshold * f_outer}"
+            f"{f_inner} vs {threshold * f_outer}",
+            f_inner=str(f_inner),
+            f_outer=str(f_outer),
+            threshold=str(threshold),
         )
     return BlockReport(
         degree=degree,

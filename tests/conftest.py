@@ -4,7 +4,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from fqidtest import bound, idtest
+from fqidtest import bound
 
 _CRITERIA = []
 
@@ -31,9 +31,8 @@ def criterion():
 def pooled_counts(monkeypatch):
     """Exact counts and exhaustive scans with workers > 1 fork their pool
     whatever their size, as those of FORK_POINTS points walked (candidates
-    times points, for a scan) and more do.  idtest binds the constant
-    under its own name, so both modules are patched."""
-    monkeypatch.setattr(idtest, "FORK_POINTS", 0)
+    times points, for a scan) and more do.  bound.FORK_POINTS is the one
+    binding both read."""
     monkeypatch.setattr(bound, "FORK_POINTS", 0)
 
 

@@ -357,7 +357,6 @@ def test_restrict_truncated():
     sub, inc = restrict(A, ideal)
     assert sub.dim == 1
     assert sub.mul((1,), (1,)) == (0,)
-    assert inc.include((1,)) == (0, 1)
     assert inc.coordinates((0, 1)) == (1,)
     with pytest.raises(DimensionMismatch):
         inc.coordinates((1, 0))

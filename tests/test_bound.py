@@ -42,6 +42,11 @@ from fqidtest.errors import (
 from fqidtest.gf import field_of_order
 
 
+def count_nonzeros(p):
+    """The points of F^nvars where p is nonzero, by zero_counter."""
+    return p.field.q**p.nvars - zero_counter(p.field, p.nvars, p.field.q**p.nvars)([p.monomials])
+
+
 def test_floor_spot_values():
     assert floor_fraction(2, 3).value == Fraction(1, 8)
     assert floor_fraction(3, 3).value == Fraction(2, 9)
@@ -131,14 +136,14 @@ def test_extremal_poly_attains_floor(q, n, d):
     assert p.reduce() == p
     if d > 0:
         assert p.degree == d
-    count = p.count_nonzeros()
+    count = count_nonzeros(p)
     assert Fraction(count, q**n) == floor_fraction(q, d).value
 
 
 def test_extremal_poly_shape():
     p = extremal_poly(3, 1, 1)
     # x1 - 1 up to sign convention: nonzero away from one point
-    assert p.count_nonzeros() == 2
+    assert count_nonzeros(p) == 2
     with pytest.raises(NotEnoughVariables):
         extremal_poly(2, 1, 2)
     with pytest.raises(NotEnoughVariables):
@@ -214,10 +219,10 @@ def test_random_polynomials_respect_the_floor(q, data):
     p = CommPoly(field, n, monomials)
     r = p.reduce()
     if r.is_zero:
-        assert p.count_nonzeros() == 0
+        assert count_nonzeros(p) == 0
     else:
         floor = floor_fraction(q, r.degree).value
-        assert Fraction(p.count_nonzeros(), q**n) >= floor
+        assert Fraction(count_nonzeros(p), q**n) >= floor
 
 
 def test_theorem_violation_artifact():

@@ -7,10 +7,9 @@ monomials multiply.  reduced_degrees, which reads the degrees off the
 packed monomials, must give the degrees of the reference's reduced
 coordinates.  zero_counter (bit-sliced over GF(2)) must give the
 zero count of the point loop over CommPoly.eval that
-functional_zero_fraction, count_nonzeros and the exhaustive scan ran
-before, restated here.  The nonzero structure constants the coordinate
-builds kept on the algebra must be the ones they read out of A.table on
-every call before.
+functional_zero_fraction and the exhaustive scan ran before, restated
+here.  The nonzero structure constants the coordinate builds kept on the
+algebra must be the ones they read out of A.table on every call before.
 """
 
 import operator
@@ -174,7 +173,7 @@ def assert_coordinates_match(Q, A, commutator=False):
 def assert_route_matches(Q, A, commutator=False):
     folded, _ = assert_coordinates_match(Q, A, commutator)
     width = Q.n * A.dim
-    zeros = zero_counter(A.field, width)([c.monomials for c in folded])
+    zeros = zero_counter(A.field, width, idtest.EXACT_CAP)([c.monomials for c in folded])
     assert zeros == point_loop_zeros(A.field, width, folded)
     got = idtest.functional_zero_fraction(Q, A, commutator=commutator)
     assert got == Fraction(zeros, A.field.q**width)
@@ -325,10 +324,10 @@ def comm_polys(draw):
 @given(comm_polys())
 def test_zero_count_matches_the_point_loop(case):
     F, nvars, polys = case
-    count = zero_counter(F, nvars)
+    count = zero_counter(F, nvars, F.q**nvars)
     assert count([p.monomials for p in polys]) == point_loop_zeros(F, nvars, polys)
     for p in polys:
-        assert p.count_nonzeros() == F.q**nvars - point_loop_zeros(F, nvars, [p])
+        assert count([p.monomials]) == point_loop_zeros(F, nvars, [p])
 
 
 def test_dixon_floor_is_the_largest_coordinate_floor():

@@ -140,8 +140,8 @@ def test_coeffs_round_trip(field):
     f = field
     for a in f.elements():
         cs = f.coeffs(a)
-        assert len(cs) == f.k
-        assert f.from_coeffs(cs) == a
+        assert len(cs) == f.k and all(0 <= c < f.p for c in cs)
+        assert sum(c * f.p**i for i, c in enumerate(cs)) == a
 
 
 def test_literal_round_trip(field):
@@ -152,9 +152,10 @@ def test_literal_round_trip(field):
 
 def test_literal_variants():
     f = Field(3, 3)
-    assert parse_literal("2*g^2+g+2", f) == f.from_coeffs((2, 1, 2))
-    assert parse_literal("2g^2 + g + 2", f) == f.from_coeffs((2, 1, 2))
-    assert parse_literal("g^2-g", f) == f.from_coeffs((0, 2, 1))
+    # an element is its base-3 digits, lowest degree first: 2 + 1*3 + 2*9
+    assert parse_literal("2*g^2+g+2", f) == 23
+    assert parse_literal("2g^2 + g + 2", f) == 23
+    assert parse_literal("g^2-g", f) == 0 + 2 * 3 + 1 * 9
     assert parse_literal("-1", f) == 2
     with pytest.raises(UnknownVariable):
         parse_literal("h+1", f)
@@ -167,7 +168,7 @@ def test_literal_variants():
 def test_literal_products_read_as_in_a_coefficient():
     # a literal is the scalar part of the polynomial language
     f = Field(3, 3)
-    g = f.from_coeffs((0, 1, 0))
+    g = 3  # the digits (0, 1, 0)
     assert parse_literal("g*g", f) == f.mul(g, g) == parse_literal("g^2", f)
     assert parse_literal("(g+1)*(g+2)", f) == f.mul(f.add(g, 1), f.add(g, 2))
     assert parse_literal("g2", f) == parse_literal("2*g", f)

@@ -20,7 +20,6 @@ from fqidtest.algebra import (
     ideal_generated,
     matrix_algebra,
     truncated,
-    zero_ideal,
 )
 from fqidtest.cli import battery_for, descent_library
 from fqidtest.commpoly import reduced_coordinates, reduced_degrees
@@ -733,10 +732,10 @@ def test_counts_fork_once_the_points_walked_reach_fork_points(monkeypatch):
     ]:
         Q = parse(text, flavor, A.field)
         serial = zero_probability(Q, A).zero_count
-        monkeypatch.setattr(idtest, "FORK_POINTS", walked + 1)
+        monkeypatch.setattr(bound, "FORK_POINTS", walked + 1)
         assert zero_probability(Q, A, workers=2).zero_count == serial
         assert started == []
-        monkeypatch.setattr(idtest, "FORK_POINTS", walked)
+        monkeypatch.setattr(bound, "FORK_POINTS", walked)
         assert zero_probability(Q, A, workers=2).zero_count == serial
         assert started == ["fork"]
         started.clear()
@@ -862,10 +861,24 @@ def test_cross_check_routes_do_not_use_the_kernel(monkeypatch):
     assert len(seen) < len(witnesses)
     assert raw == [] and multiplied and all(B is A for B in multiplied)
     monkeypatch.setattr(Algebra, "mul", algebra_mul)
-    # the block tallies run on the reference evaluator; the one kernel call
-    # is the direct count of the inner quotient they are checked against
+    # the block tally is the one kernel call, on the inner quotient A/J; its
+    # average is checked on the coordinates of that same algebra, and each
+    # block's outer zero test runs on the reference evaluator over A/I, so
+    # no check shares the tally's route, and nothing counts through
+    # zero_probability
     calls.clear()
+    reduced.clear()
+    raw.clear()
+    counted = []
+    monkeypatch.setattr(idtest, "zero_probability", lambda *args, **kwargs: counted.append(args))
     T = truncated(2, 4)
     I = ideal_generated(T, [(0, 1, 0), (0, 0, 1)])
-    idtest.block_statistics(parse("x1*x1", Flavor.FREE, T.field), T, I, zero_ideal(T))
+    J = ideal_generated(T, [(0, 0, 1)])
+    idtest.block_statistics(parse("x1*x1", Flavor.FREE, T.field), T, I, J)
     assert len(calls) == 1
+    inner = calls[0][1]
+    assert inner is not T and inner.dim == T.dim - J.rank
+    assert reduced == [inner]
+    assert raw and all(B is raw[0] for B in raw)
+    assert raw[0] is not inner and raw[0] is not T and raw[0].dim == T.dim - I.rank
+    assert counted == []
