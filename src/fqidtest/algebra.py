@@ -164,11 +164,12 @@ class Ideal:
 
 class Algebra:
     # _ideals memoises enumerate_ideals, _index_tables holds idtest's
-    # element-index tables and _cells commpoly's nonzero structure
-    # constants; all three are built on first use
+    # element-index tables, _lane_tables the lanes module's structure
+    # constants over GF(2), and _cells commpoly's nonzero structure
+    # constants; all four are built on first use
     __slots__ = (
         "field", "dim", "table", "bracket", "name", "basis_names", "_ideals", "_index_tables",
-        "_cells",
+        "_lane_tables", "_cells",
     )
 
     def __init__(self, field, dim, table, bracket=False, name=None, basis_names=None):
@@ -206,6 +207,7 @@ class Algebra:
         self.basis_names = basis_names
         self._ideals = None
         self._index_tables = None
+        self._lane_tables = None
         self._cells = None
         if self.bracket:
             self._validate_lie()
@@ -220,6 +222,7 @@ class Algebra:
         self.field, self.dim, self.table, self.bracket, self.name, self.basis_names = state
         self._ideals = None
         self._index_tables = None
+        self._lane_tables = None
         self._cells = None
 
     def _validate_lie(self):
@@ -476,12 +479,10 @@ def quotient(A: Algebra, ideal: Ideal):
 
 @dataclass(frozen=True)
 class InclusionMap:
-    ideal: Ideal
+    """The ideal a restricted algebra spans in A: the restricted algebra's
+    basis vector i is the ideal's basis row i."""
 
-    def coordinates(self, v: Vec) -> Vec:
-        if not self.ideal.contains(v):
-            raise DimensionMismatch("vector is not a member of the ideal")
-        return tuple(v[p] for p in self.ideal.pivots)
+    ideal: Ideal
 
 
 def restrict(A: Algebra, ideal: Ideal):

@@ -383,11 +383,13 @@ def exhaustive_min(
     best, best_index = min((b, i) for b, i, _ in results)
     violations = [i for _, _, v in results for i in v]
     if violations:
-        witness = _poly_at(violations[0], field, monomials, n)
+        # the scan replays from (q, n, d): bound --q Q --d D --exhaustive N
+        first = violations[0]
+        poly = _poly_at(first, field, monomials, n).to_text()
         raise TheoremViolation(
-            f"polynomial {witness.to_text()} takes nonzero values below the floor "
+            f"polynomial {poly} takes nonzero values below the floor "
             f"{floor.value} of degree {d} over order {q}",
-            witness,
+            {"check": "bound", "q": q, "n": n, "d": d, "candidate": first, "poly": poly},
         )
     return ExhaustiveMinimum(
         q=q,

@@ -19,18 +19,26 @@ polynomials from the structure constants (commpoly.reduced_coordinates),
 and dixon_verdict's second route reads each reduced coordinate's degree
 off the same packed monomials without unpacking them
 (commpoly.reduced_degrees).  None of these coordinate routes calls
-_kernel, _evaluate_raw or Algebra.mul.
+_kernel, _evaluate_raw, Algebra.mul or the lanes module, and the lanes
+route calls none of them and no coordinate helper.
 
-zero_probability counts slice by slice where it can.  If some variable
-occurs at most once in every term, e_Q is affine in it, so with the other
+zero_probability's exact count takes one of three routes (_count_route).
+Over characteristic 2 it counts on lanes (fqidtest.lanes): each point of
+A^n is one bit of a Python int, and e_Q runs once on all the points of a
+block, one AND per nonzero GF(2) structure constant and product.  A
+kernel product costs one lookup per point instead, so the lanes route is
+taken once the points reach lanes.RATIO times the constants.  Otherwise
+the count runs slice by slice where it can.  If some variable occurs at
+most once in every term, e_Q is affine in it, so with the other
 arguments fixed it is v -> L(v) + c: the kernel runs at v = 0 and at the
 dim basis vectors only, and the slice has q**(dim - rank L) zeros when c
 lies in the image of L, none otherwise.  That evaluates (dim + 1) *
 order**(n-1) points instead of order**n.  The verdicts are memoised for
 one count call only.  The point walk remains for the zero polynomial, for
 polynomials with no affine variable and for slices too small to pay, and
-it is the reference the slices are tested against.  Either way the count
-is exact, and the coordinate route that checks it is unchanged.
+it is the reference the slices and the lanes are tested against.  Each
+route's count is exact, and the coordinate route that checks it is
+unchanged.
 
 The kernel is one generated function per (Q, commutator): its body
 unpacks the argument indices into locals and gives each distinct product
@@ -81,7 +89,7 @@ from .algebra import (
     vec_scale,
     vec_sub,
 )
-from . import bound
+from . import bound, lanes
 from .bound import chunk_ranges, floor_fraction, pool_map
 from .commpoly import reduced_coordinates, reduced_degrees, zero_counter
 from .errors import (
@@ -677,12 +685,32 @@ def _slice_zeros(tables: _Tables) -> _Memo:
     return _Memo(zeros)
 
 
-def _count_exact(Q, A, commutator, workers):
-    """Zeros of e_Q over A^n, on a fork pool once the points the count
-    walks (probes on the slice route) reach bound.FORK_POINTS, read at
-    call time so that one binding sets the threshold for every job."""
-    order = A.order()
+def _count_route(Q: FreePoly, A: Algebra, commutator: bool):
+    """(route, j): how _count_exact counts e_Q's zeros.  "lanes" over
+    characteristic 2 once the points reach lanes.RATIO times the product's
+    nonzero GF(2) structure constants, else "slice" along x_{j+1} where
+    _slice_variable gives j, else "points"; j is None but on the slice
+    route."""
+    if A.field.p == 2 and A.order() ** Q.n >= lanes.RATIO * lanes.cost(A, commutator):
+        return "lanes", None
     j = _slice_variable(Q, A)
+    return ("points", None) if j is None else ("slice", j)
+
+
+def _count_exact(Q, A, commutator, workers):
+    """Zeros of e_Q over A^n, by the route _count_route gives.
+
+    On the point and slice routes the chunks are ranges of the first
+    walked argument's index, and a serial count is one chunk.  They fork
+    once the points they walk (probes on the slice route) reach
+    bound.FORK_POINTS, read at call time so that one binding sets the
+    threshold for every job.  The lanes route chunks and forks by its own
+    blocks (lanes.count).
+    """
+    route, j = _count_route(Q, A, commutator)
+    if route == "lanes":
+        return lanes.count(Q, A, commutator, workers)
+    order = A.order()
     if j is None:
         walked, points = Q.n, order**Q.n
     else:
@@ -703,7 +731,14 @@ def zero_probability(
     workers: int = 1,
     commutator: bool = False,
 ) -> EvalReport:
-    """The exact (or sampled) fraction of A^n mapped to zero by e_Q."""
+    """The exact (or sampled) fraction of A^n mapped to zero by e_Q.
+
+    An exact count takes _count_route's route: lanes over characteristic 2
+    once the points reach lanes.RATIO times the product's nonzero GF(2)
+    structure constants, slices where e_Q is affine in a variable, points
+    otherwise.  A sampled count draws its points from SplitMix64 and runs
+    each on the kernel.
+    """
     _product_fn(Q, A, commutator)  # fail fast on flavor problems
     degree = _poly_degree(Q)
     n = Q.n
@@ -781,8 +816,9 @@ def dixon_verdict(
 ) -> EvalReport:
     """Exact verdict with a dual-route cross-check.
 
-    Route one counts the zeros of e_Q on A^n (zero_probability: slice by
-    slice where e_Q is affine in a variable, point by point otherwise).
+    Route one counts the zeros of e_Q on A^n (zero_probability: on lanes
+    over characteristic 2, slice by slice where e_Q is affine in a
+    variable, point by point otherwise).
     Route two reads the degree of each reduced coordinate polynomial off
     its packed monomials (commpoly.reduced_degrees): all zero iff e_Q is
     an identity, and otherwise each nonzero coordinate forces the nonzero
@@ -802,7 +838,7 @@ def dixon_verdict(
             Q, A, commutator,
             zero_count=zeros,
             total=total,
-            route="points" if _slice_variable(Q, A) is None else "slice",
+            route=_count_route(Q, A, commutator)[0],
             probability=str(report.probability),
             threshold=str(report.threshold),
         ))

@@ -4,7 +4,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from fqidtest import bound
+from fqidtest import bound, lanes
 
 _CRITERIA = []
 
@@ -32,8 +32,12 @@ def pooled_counts(monkeypatch):
     """Exact counts and exhaustive scans with workers > 1 fork their pool
     whatever their size, as those of FORK_POINTS points walked (candidates
     times points, for a scan) and more do.  bound.FORK_POINTS is the one
-    binding both read."""
+    binding both read.  A lanes count forks from lanes.FORK_WORK,
+    and its blocks are cut to 16 points, so that a count of more points
+    has blocks to split."""
     monkeypatch.setattr(bound, "FORK_POINTS", 0)
+    monkeypatch.setattr(lanes, "FORK_WORK", 0)
+    monkeypatch.setattr(lanes, "BLOCK_BITS", 4)
 
 
 def pytest_terminal_summary(terminalreporter):

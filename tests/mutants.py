@@ -40,6 +40,7 @@ BLOCKS = "tests/test_blocks.py"
 FORCED = BLOCKS + "::test_forced_violation_replays_from_its_witness"
 COSETS = "tests/test_coset_descent.py"
 BOUND = "tests/test_bound.py"
+LANES = "tests/test_lanes.py"
 
 MUTANTS = (
     # block statistics: the tally, its keys and its checks
@@ -173,6 +174,56 @@ MUTANTS = (
         "            h = hash((self.field, self.ambient_dim, self.basis, self.pivots))",
         "            h = hash((self.ambient_dim, self.basis, self.pivots))",
         (COSETS + "::test_ideal_hash_memo_is_safe",),
+    ),
+    # bit-sliced counts over characteristic 2
+    Mutant(
+        "lanes-commutator-read-as-ab",
+        "src/fqidtest/lanes.py",
+        "lanes = m[a][b] ^ m[b][a] if commutator else m[a][b]",
+        "lanes = m[a][b]",
+        (LANES + "::test_lanes_match_points_on_every_dimension_two_table",),
+    ),
+    Mutant(
+        "lanes-and-across-coordinates",
+        "src/fqidtest/lanes.py",
+        "zeros += size - reduce(or_, acc, 0).bit_count()",
+        "zeros += size - reduce(int.__and__, acc, full).bit_count()",
+        (LANES + "::test_lanes_match_points_on_every_dimension_two_table",),
+    ),
+    Mutant(
+        "lanes-last-block-dropped",
+        "src/fqidtest/lanes.py",
+        "    blocks = 1 << (total - BLOCK_BITS)",
+        "    blocks = max(1, (1 << (total - BLOCK_BITS)) - 1)",
+        (LANES + "::test_every_block_split_gives_the_count",),
+    ),
+    Mutant(
+        "lanes-coefficient-map-identity",
+        "src/fqidtest/lanes.py",
+        "                    v = f.mul(c, 1 << i)",
+        "                    v = 1 << i",
+        (LANES + "::test_lanes_match_points_with_coefficients_over_gf4_and_gf8",),
+    ),
+    Mutant(
+        "lanes-constants-not-expanded",
+        "src/fqidtest/lanes.py",
+        "v = f.mul(f.mul(1 << i, 1 << j), c) if k > 1 else c",
+        "v = c",
+        (LANES + "::test_lanes_match_points_with_coefficients_over_gf4_and_gf8",),
+    ),
+    Mutant(
+        "lanes-crossover-strict",
+        "src/fqidtest/idtest.py",
+        "A.order() ** Q.n >= lanes.RATIO *",
+        "A.order() ** Q.n > lanes.RATIO *",
+        (LANES + "::test_route_takes_lanes_from_the_crossover_on",),
+    ),
+    Mutant(
+        "lanes-fork-gate-strict",
+        "src/fqidtest/lanes.py",
+        "workers if work >= FORK_WORK else 1",
+        "workers if work > FORK_WORK else 1",
+        ("tests/test_kernel.py::test_counts_fork_once_the_points_walked_reach_fork_points",),
     ),
     # the exhaustive scan's one-hot tables
     Mutant(

@@ -353,7 +353,8 @@ def test_exhaustive_min_reports_the_first_violation(monkeypatch):
     first = reference_scan(payload)[2][0]
     with pytest.raises(TheoremViolation) as err:
         exhaustive_min(3, 2, 2)
-    assert err.value.witness == bound._poly_at(first, field_of_order(3), payload[2], 2)
+    poly = bound._poly_at(first, field_of_order(3), payload[2], 2).to_text()
+    assert err.value.witness == {"check": "bound", "q": 3, "n": 2, "d": 2, "candidate": first, "poly": poly}
 
 
 @settings(max_examples=80, deadline=None)

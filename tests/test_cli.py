@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqidtest import algebra, cli, idtest
+from fqidtest import algebra, bound, cli, idtest, lanes
 from fqidtest.algebra import (
     BUILDERS,
     STRUCTURE_CAP,
@@ -24,6 +25,7 @@ from fqidtest.algebra import (
 )
 from fqidtest.errors import TheoremViolation
 from fqidtest.freepoly import MAX_DEPTH, Flavor, parse
+from fqidtest.gf import field_of_order
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +159,26 @@ def test_theorem_violation_exits_one_with_witness(capsys, monkeypatch):
     assert doc["witness"] == {"poly": "x1*x1"}
 
 
+def test_exhaustive_violation_exits_one_with_a_replayable_witness(capsys, monkeypatch):
+    # a floor of 1 puts every polynomial with a zero under it; the witness
+    # names the scan and its first offending candidate, whose polynomial
+    # the scan order rebuilds
+    one = lambda q, d: bound.FloorDecomposition(q, d, 0, 0, Fraction(1))
+    monkeypatch.setattr(bound, "floor_fraction", one)
+    rc, out, _ = run_cli(capsys, "bound", "--q", "2", "--d", "2", "--exhaustive", "2")
+    assert rc == 1
+    doc = json.loads(out)
+    witness = doc["witness"]
+    assert witness == {"check": "bound", "q": 2, "n": 2, "d": 2, "candidate": 1, "poly": "x1*x2"}
+    assert doc["theorem_violation"] == "polynomial x1*x2 takes nonzero values below the floor 1 of degree 2 over order 2"
+    monomials = bound._monomials_for(2, 2, 2)
+    replayed = bound._poly_at(witness["candidate"], field_of_order(2), monomials, 2)
+    assert replayed.to_text() == witness["poly"]
+    monkeypatch.undo()
+    rc, out, _ = run_cli(capsys, "bound", "--q", "2", "--d", "2", "--exhaustive", "2")
+    assert rc == 0
+
+
 def all_zero_degrees(Q, A, commutator=False):
     """A coordinate route that finds every coordinate zero."""
     return [None] * A.dim
@@ -168,6 +190,8 @@ def all_zero_degrees(Q, A, commutator=False):
         ("heisenberg(3)", "lie", "[x1,x2] + [[x1,x2],x2]", False, "slice"),
         ("matrix(2,2)", "lie", "[x1,x2]", True, "slice"),
         ("truncated(2,3)", "free", "x1*x1 + x1*x1*x1", False, "points"),
+        ("matrix(2,2)", "free", "x1*x2*x3 - x3*x2*x1", False, "lanes"),
+        ("matrix(2,4)", "lie", "[x1,x2]", True, "lanes"),
     ],
 )
 def test_dixon_witness_replays_through_the_cli(
@@ -176,6 +200,10 @@ def test_dixon_witness_replays_through_the_cli(
     A = builtin(spec)
     Q = parse(text, Flavor(flavor), A.field)
     A = from_json_dict(to_json_dict(A))  # unnamed, as the sweep's tables are
+    if route != "lanes":
+        # characteristic 2 counts these on lanes; the witness of a count on
+        # the point or slice route replays on whichever route the CLI takes
+        monkeypatch.setattr(lanes, "RATIO", 1 << 64)
     # forced disagreement: the coordinate route claims e_Q is an identity
     monkeypatch.setattr(idtest, "reduced_degrees", all_zero_degrees)
     with pytest.raises(TheoremViolation) as info:

@@ -20,7 +20,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqidtest import commpoly, idtest
+from fqidtest import commpoly, idtest, lanes
 from fqidtest.algebra import (
     Algebra,
     field_as_algebra,
@@ -228,8 +228,8 @@ def test_pickled_algebras_give_the_same_degrees():
 
 
 def test_warm_reduced_degrees_stay_off_the_kernel(monkeypatch):
-    # with the index tables and the cells both built, the coordinate route
-    # still reads the cells and nothing else
+    # with the index tables, the lane tables and the cells all built, the
+    # coordinate route still reads the cells and nothing else
     cases = [
         (parse("[[x1,x2],x1]", Flavor.LIE, F2), heisenberg(2), False),
         (parse("[[x1,x2],x1]", Flavor.LIE, F2), upper_triangular(2, 2), True),
@@ -237,8 +237,9 @@ def test_warm_reduced_degrees_stay_off_the_kernel(monkeypatch):
     ]
     want = []
     for Q, A, commutator in cases:
-        idtest.dixon_verdict(Q, A, commutator=commutator)
-        assert A._index_tables is not None and A._cells is not None
+        idtest.dixon_verdict(Q, A, commutator=commutator)  # counts on lanes
+        idtest.zero_probability(Q, A, samples=8, seed=1, commutator=commutator)  # on the kernel
+        assert A._index_tables is not None and A._lane_tables is not None and A._cells is not None
         want.append(reduced_degrees(Q, A, commutator=commutator))
 
     def refuse(name):
@@ -246,8 +247,10 @@ def test_warm_reduced_degrees_stay_off_the_kernel(monkeypatch):
             raise AssertionError(f"{name} was called")
         return call
 
-    monkeypatch.setattr(idtest, "_kernel", refuse("_kernel"))
-    monkeypatch.setattr(idtest, "_evaluate_raw", refuse("_evaluate_raw"))
+    for name in ("_kernel", "_evaluate_raw"):
+        monkeypatch.setattr(idtest, name, refuse(name))
+    for name in ("_tables", "_product", "_masks", "_count_blocks", "count", "cost"):
+        monkeypatch.setattr(lanes, name, refuse(f"lanes.{name}"))
     monkeypatch.setattr(Algebra, "mul", refuse("Algebra.mul"))
     assert [reduced_degrees(Q, A, commutator=c) for Q, A, c in cases] == want
 

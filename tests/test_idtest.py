@@ -393,7 +393,7 @@ def reference_dixon(Q, A, *, cap=idtest.EXACT_CAP, workers=1, commutator=False):
             "algebra": idtest.to_json_dict(A),
             "zero_count": report.zero_count,
             "total": report.total,
-            "route": "points" if idtest._slice_variable(Q, A) is None else "slice",
+            "route": idtest._count_route(Q, A, commutator)[0],
             "probability": str(report.probability),
             "threshold": str(report.threshold),
         })

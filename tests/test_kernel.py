@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqidtest import bound, cli, freepoly, idtest
+from fqidtest import bound, cli, freepoly, idtest, lanes
 from fqidtest.algebra import (
     Algebra,
     field_as_algebra,
@@ -720,17 +720,20 @@ def test_callers_size_payloads_by_the_clamped_pool(pooled_counts, monkeypatch):
 
 def test_counts_fork_once_the_points_walked_reach_fork_points(monkeypatch):
     # the slice route walks (dim + 1) * order**(n-1) probes, not order**n
-    # points, and the point walk order**n; each forks from FORK_POINTS on
+    # points, and the point walk order**n; each forks from FORK_POINTS on.
+    # A lanes count forks from lanes.FORK_WORK on, its blocks times product
+    # steps times constants, and never from FORK_POINTS
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     started = []
     fork_context = multiprocessing.get_context
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: started.append(method) or fork_context(method))
-    H, M = heisenberg(3), matrix_algebra(2, 2)
+    H, T = heisenberg(3), truncated(3, 3)
     for A, flavor, text, walked in [
         (H, Flavor.LIE, "[[x1,x3],x2] + 2*[x2,x1]", 4 * 27**2),  # of 27**3 points
-        (M, Flavor.FREE, "x1*x1*x2*x2", 16**2),  # no affine variable
+        (T, Flavor.FREE, "x1*x1*x2*x2", 9**2),  # no affine variable
     ]:
         Q = parse(text, flavor, A.field)
+        assert idtest._count_route(Q, A, False)[0] != "lanes"
         serial = zero_probability(Q, A).zero_count
         monkeypatch.setattr(bound, "FORK_POINTS", walked + 1)
         assert zero_probability(Q, A, workers=2).zero_count == serial
@@ -739,6 +742,21 @@ def test_counts_fork_once_the_points_walked_reach_fork_points(monkeypatch):
         assert zero_probability(Q, A, workers=2).zero_count == serial
         assert started == ["fork"]
         started.clear()
+    # matrix(2,2) x1*x1*x2*x2, which forked from FORK_POINTS on the point
+    # walk, is a lanes count: 256 points in 16 blocks of 16, 3 steps, and 8
+    # constants per step
+    M = matrix_algebra(2, 2)
+    Q = parse("x1*x1*x2*x2", Flavor.FREE, M.field)
+    assert idtest._count_route(Q, M, False)[0] == "lanes"
+    serial = zero_probability(Q, M).zero_count
+    monkeypatch.setattr(lanes, "BLOCK_BITS", 4)
+    monkeypatch.setattr(bound, "FORK_POINTS", 0)
+    monkeypatch.setattr(lanes, "FORK_WORK", 16 * 3 * 8 + 1)
+    assert zero_probability(Q, M, workers=2).zero_count == serial
+    assert started == []
+    monkeypatch.setattr(lanes, "FORK_WORK", 16 * 3 * 8)
+    assert zero_probability(Q, M, workers=2).zero_count == serial
+    assert started == ["fork"]
 
 
 def test_exhaustive_scans_fork_once_candidates_times_points_reach_fork_points(monkeypatch):
