@@ -165,11 +165,12 @@ class Ideal:
 class Algebra:
     # _ideals memoises enumerate_ideals, _index_tables holds idtest's
     # element-index tables, _lane_tables the lanes module's structure
-    # constants over GF(2), and _cells commpoly's nonzero structure
-    # constants; all four are built on first use
+    # constants over GF(2) and _lane_costs their count per reading, and
+    # _cells commpoly's nonzero structure constants; all five are built on
+    # first use
     __slots__ = (
         "field", "dim", "table", "bracket", "name", "basis_names", "_ideals", "_index_tables",
-        "_lane_tables", "_cells",
+        "_lane_tables", "_lane_costs", "_cells",
     )
 
     def __init__(self, field, dim, table, bracket=False, name=None, basis_names=None):
@@ -208,6 +209,7 @@ class Algebra:
         self._ideals = None
         self._index_tables = None
         self._lane_tables = None
+        self._lane_costs = None
         self._cells = None
         if self.bracket:
             self._validate_lie()
@@ -223,6 +225,7 @@ class Algebra:
         self._ideals = None
         self._index_tables = None
         self._lane_tables = None
+        self._lane_costs = None
         self._cells = None
 
     def _validate_lie(self):

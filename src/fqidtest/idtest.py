@@ -27,18 +27,21 @@ Over characteristic 2 it counts on lanes (fqidtest.lanes): each point of
 A^n is one bit of a Python int, and e_Q runs once on all the points of a
 block, one AND per nonzero GF(2) structure constant and product.  A
 kernel product costs one lookup per point instead, so the lanes route is
-taken once the points reach lanes.RATIO times the constants.  Otherwise
-the count runs slice by slice where it can.  If some variable occurs at
-most once in every term, e_Q is affine in it, so with the other
-arguments fixed it is v -> L(v) + c: the kernel runs at v = 0 and at the
-dim basis vectors only, and the slice has q**(dim - rank L) zeros when c
-lies in the image of L, none otherwise.  That evaluates (dim + 1) *
-order**(n-1) points instead of order**n.  The verdicts are memoised for
-one count call only.  The point walk remains for the zero polynomial, for
-polynomials with no affine variable and for slices too small to pay, and
-it is the reference the slices and the lanes are tested against.  Each
-route's count is exact, and the coordinate route that checks it is
-unchanged.
+taken once the points reach lanes.RATIO times the constants and
+lanes.MIN_POINTS, below which the few microseconds lanes save are lost
+again to verdicts whose counts switch routes.  A lanes count runs in the
+calling process whatever the workers, as it is already faster than a
+forked point walk.  Otherwise the count runs slice by slice where it
+can.  If some variable occurs at most once in every term, e_Q is affine
+in it, so with the other arguments fixed it is v -> L(v) + c: the kernel
+runs at v = 0 and at the dim basis vectors only, and the slice has
+q**(dim - rank L) zeros when c lies in the image of L, none
+otherwise.  That evaluates (dim + 1) * order**(n-1) points instead of
+order**n.  The verdicts are memoised for one count call only.  The point
+walk remains for the zero polynomial, for polynomials with no affine
+variable and for slices too small to pay, and it is the reference the
+slices and the lanes are tested against.  Each route's count is exact,
+and the coordinate route that checks it is unchanged.
 
 The kernel is one generated function per (Q, commutator): its body
 unpacks the argument indices into locals and gives each distinct product
@@ -687,12 +690,14 @@ def _slice_zeros(tables: _Tables) -> _Memo:
 
 def _count_route(Q: FreePoly, A: Algebra, commutator: bool):
     """(route, j): how _count_exact counts e_Q's zeros.  "lanes" over
-    characteristic 2 once the points reach lanes.RATIO times the product's
-    nonzero GF(2) structure constants, else "slice" along x_{j+1} where
-    _slice_variable gives j, else "points"; j is None but on the slice
-    route."""
-    if A.field.p == 2 and A.order() ** Q.n >= lanes.RATIO * lanes.cost(A, commutator):
-        return "lanes", None
+    characteristic 2 once the points reach lanes.MIN_POINTS and
+    lanes.RATIO times the product's nonzero GF(2) structure constants, else
+    "slice" along x_{j+1} where _slice_variable gives j, else "points"; j
+    is None but on the slice route."""
+    if A.field.p == 2:
+        points = A.order() ** Q.n
+        if points >= lanes.MIN_POINTS and points >= lanes.RATIO * lanes.cost(A, commutator):
+            return "lanes", None
     j = _slice_variable(Q, A)
     return ("points", None) if j is None else ("slice", j)
 
@@ -704,12 +709,12 @@ def _count_exact(Q, A, commutator, workers):
     walked argument's index, and a serial count is one chunk.  They fork
     once the points they walk (probes on the slice route) reach
     bound.FORK_POINTS, read at call time so that one binding sets the
-    threshold for every job.  The lanes route chunks and forks by its own
-    blocks (lanes.count).
+    threshold for every job.  The lanes route runs its blocks in process
+    and never forks (lanes.count).
     """
     route, j = _count_route(Q, A, commutator)
     if route == "lanes":
-        return lanes.count(Q, A, commutator, workers)
+        return lanes.count(Q, A, commutator)
     order = A.order()
     if j is None:
         walked, points = Q.n, order**Q.n
@@ -734,9 +739,9 @@ def zero_probability(
     """The exact (or sampled) fraction of A^n mapped to zero by e_Q.
 
     An exact count takes _count_route's route: lanes over characteristic 2
-    once the points reach lanes.RATIO times the product's nonzero GF(2)
-    structure constants, slices where e_Q is affine in a variable, points
-    otherwise.  A sampled count draws its points from SplitMix64 and runs
+    once the points reach lanes.MIN_POINTS and lanes.RATIO times the
+    product's nonzero GF(2) structure constants, slices where e_Q is
+    affine in a variable, points otherwise.  A sampled count draws its points from SplitMix64 and runs
     each on the kernel.
     """
     _product_fn(Q, A, commutator)  # fail fast on flavor problems

@@ -10,11 +10,15 @@ a GF(2)-linear map on each coordinate's k lanes; and the block's zeros are
 its points less the bit count of the OR of the value's coordinates.
 
 A block holds at most 2**BLOCK_BITS points, the points whose index shares
-its high bits, so no lane int passes 128 KiB.  Blocks are the chunks that
-bound.pool_map runs, so a serial count is the one-chunk case.  The
-structure constants, each coefficient's map and each (Q, commutator)'s
-plan are built once per algebra and kept on it (Algebra._lane_tables),
-never pickled.
+its high bits, so no lane int passes 128 KiB, and a node of e_Q is dropped
+after the last step or term that reads it, so a block keeps only the
+nodes still to be read.  The blocks run one after another in the calling
+process: a count never forks, as a serial lanes count of 2**24 points
+takes tens of milliseconds.  The structure constants and each
+coefficient's map are built once per algebra, when a count first runs on
+lanes, and kept on it (Algebra._lane_tables), never pickled; e_Q's plan
+reads Q alone and is shared by all algebras; the crossover's cost is read
+from A.table alone and kept on the algebra as one int per reading.
 
 This is the enumeration side of the cross-checks that idtest runs against
 the coordinate polynomials, so it reads A.table and the field's
@@ -25,7 +29,6 @@ commpoly's helpers.
 from functools import lru_cache, reduce
 from operator import or_, xor
 
-from . import bound
 from .freepoly import Flavor
 
 # Points per block: a lane int holds at most 2**BLOCK_BITS bits (128 KiB)
@@ -36,10 +39,13 @@ BLOCK_BITS = 20
 # ratio came within 1.5% of the faster route's total, where lanes alone took
 # 15% more and the kernel alone 18 times as much
 RATIO = 2
-# Blocks times product steps times constants from which a count forks its
-# pool: on two CPUs counts of 2**24 points forked 1.09-1.33x faster from
-# about 6,000 on, and broke even or lost at 3,000 and under
-FORK_WORK = 1 << 13
+# Points from which idtest counts on lanes at all: on the 1,024 verdicts of
+# the sweep benchmark (the 256 dimension-2 GF(2) tables times the battery),
+# lanes saved 2-4 us of a 4- or 16-point count, but verdicts whose counts
+# alternated between the two routes lost more than that, and the verdicts
+# took 6-7% longer in all than on the kernel alone; from 64 points lanes
+# save 7 us and more per count
+MIN_POINTS = 32
 
 
 class _Tables:
@@ -55,7 +61,7 @@ class _Tables:
     in srcs[t], or None for c = 1.
     """
 
-    __slots__ = ("field", "width", "constants", "products", "scales", "plans")
+    __slots__ = ("field", "width", "constants", "products", "scales")
 
     def __init__(self, A):
         f, dim, k = A.field, A.dim, A.field.k
@@ -74,27 +80,24 @@ class _Tables:
                                 v << (dim - 1 - t) * k
                             )
         self.constants = constants
-        self.products = {}  # commutator flag -> (rows, cost)
+        self.products = {}  # commutator flag -> rows
         self.scales = {}  # coefficient -> srcs
-        self.plans = {}  # (Q, commutator) -> (rows, steps, terms)
 
     def rows(self, commutator: bool):
-        """(rows, cost): the product's rows and its nonzero constants, the
-        XORs one product of two elements takes."""
+        """The product's rows."""
         rows = self.products.get(commutator)
         if rows is None:
             m, width = self.constants, self.width
-            rows, cost = [], 0
+            rows = []
             for a in range(width):
                 row = []
                 for b in range(width):
                     lanes = m[a][b] ^ m[b][a] if commutator else m[a][b]
                     if lanes:
                         row.append((b, tuple(t for t in range(width) if lanes >> t & 1)))
-                        cost += lanes.bit_count()
                 if row:
                     rows.append((a, tuple(row)))
-            rows = self.products[commutator] = (tuple(rows), cost)
+            rows = self.products[commutator] = tuple(rows)
         return rows
 
     def scale(self, c: int):
@@ -112,17 +115,6 @@ class _Tables:
                             srcs[base + m].append(base + i)
             srcs = self.scales[c] = tuple(map(tuple, srcs))
         return srcs
-
-    def plan(self, Q, commutator: bool):
-        """(rows, steps, terms): the product's rows and _plan's steps and
-        terms, each term's coefficient read as its srcs."""
-        key = (Q, commutator)
-        plan = self.plans.get(key)
-        if plan is None:
-            steps, terms = _plan(Q)
-            terms = [(node, self.scale(c)) for node, c in terms]
-            plan = self.plans[key] = (self.rows(commutator)[0], steps, terms)
-        return plan
 
 
 def _tables(A) -> _Tables:
@@ -146,12 +138,15 @@ def _product(rows, width, u, v):
     return out
 
 
+@lru_cache(maxsize=256)
 def _plan(Q):
     """e_Q as straight-line steps on nodes: nodes 0..n-1 are the arguments,
-    each (left, right) step appends the product of two nodes, and e_Q is
-    the sum of (node, coefficient) over its terms.  A product node that
-    several terms share is one step, as in idtest's kernel; an assoc word
-    is folded left."""
+    each (left, right, dead) step appends the product of two nodes, and e_Q
+    is the sum of (node, coefficient, dead) over its terms.  dead holds the
+    nodes that step or term reads last.  A product node that several terms
+    share is one step, as in idtest's kernel; an assoc word is folded
+    left.  The plan reads Q alone, so algebras share it; the cache keeps
+    the last 256."""
     steps, nodes = [], {}
 
     def node(left, right):
@@ -171,7 +166,19 @@ def _plan(Q):
         return acc
 
     compile_term = word if Q.flavor is Flavor.ASSOC else tree
-    return steps, [(compile_term(term), coeff) for term, coeff in Q.terms.items()]
+    terms = [(compile_term(term), coeff) for term, coeff in Q.terms.items()]
+    last = {}  # node -> the last step or term (numbered after the steps) to read it
+    for i, (left, right) in enumerate(steps):
+        last[left] = last[right] = i
+    for i, (node, _) in enumerate(terms, len(steps)):
+        last[node] = i
+    dead = [[] for _ in range(len(steps) + len(terms))]
+    for node, i in last.items():
+        dead[i].append(node)
+    return (
+        tuple((left, right, tuple(dead[i])) for i, (left, right) in enumerate(steps)),
+        tuple((node, coeff, tuple(dead[i])) for i, (node, coeff) in enumerate(terms, len(steps))),
+    )
 
 
 @lru_cache(maxsize=4)
@@ -195,19 +202,20 @@ def _masks(bits: int) -> tuple:
     return tuple(masks)
 
 
-def _count_blocks(payload):
+def _count_blocks(Q, A, commutator: bool, bits: int, start: int, stop: int) -> int:
     """Count zeros of e_Q over A^n on the blocks range(start, stop) of
-    2**bits points each (worker-safe).
+    2**bits points each.
 
     Point p is bit p of a lane in canonical order, so bit
     (n - 1 - i) * width + b of p is lane b of argument i.  In a block a
     low variable bit is a periodic mask, and a high one, a bit of the
     block's number, is all ones or all zeros.
     """
-    Q, A, commutator, bits, start, stop = payload
     tables = _tables(A)
     width, n = tables.width, Q.n
-    rows, steps, terms = tables.plan(Q, commutator)
+    rows = tables.rows(commutator)
+    steps, terms = _plan(Q)
+    terms = [(node, tables.scale(c), dead) for node, c, dead in terms]  # c as its srcs
     masks = _masks(bits)
     size = 1 << bits
     full = (1 << size) - 1
@@ -216,11 +224,15 @@ def _count_blocks(payload):
     for block in range(start, stop):
         variables = [*masks, *[full if block >> v & 1 else 0 for v in high]] if high else masks
         values = [variables[(n - 1 - i) * width : (n - i) * width] for i in range(n)]
-        for left, right in steps:
+        for left, right, dead in steps:
             values.append(_product(rows, width, values[left], values[right]))
+            for node in dead:
+                values[node] = None
         acc = [0] * width
-        for node, srcs in terms:
+        for node, srcs, dead in terms:
             value = values[node]
+            for node in dead:
+                values[node] = None
             if srcs is not None:  # the coefficient's linear map
                 value = [reduce(xor, map(value.__getitem__, lanes), 0) for lanes in srcs]
             acc = list(map(xor, acc, value))
@@ -230,24 +242,40 @@ def _count_blocks(payload):
 
 def cost(A, commutator: bool) -> int:
     """The XORs one product of two elements of A takes on lanes: its
-    nonzero GF(2) structure constants."""
-    return _tables(A).rows(commutator)[1]
+    nonzero GF(2) structure constants.  Constant c of A.table spreads to
+    the k * k products g^i * g^j * c, each as many constants as it has
+    bits; the commutator reading adds the constants of (a, b) and (b, a),
+    c + c' for the cells (s, r) and (r, s).  Read from A.table alone and
+    kept on A (Algebra._lane_costs), so that a count the route gives the
+    kernel builds no lane tables."""
+    costs = A._lane_costs
+    if costs is None:
+        costs = A._lane_costs = {}
+    total = costs.get(commutator)
+    if total is None:
+        f, k, table = A.field, A.field.k, A.table
+        spread = {0: 0}  # c -> its constants
+        total = 0
+        for s, row in enumerate(table):
+            for r, cell in enumerate(row):
+                for t, c in enumerate(cell):
+                    if commutator:
+                        c ^= table[r][s][t]
+                    w = spread.get(c)
+                    if w is None:
+                        w = spread[c] = sum(
+                            f.mul(f.mul(1 << i, 1 << j), c).bit_count() for i in range(k) for j in range(k)
+                        )
+                    total += w
+        costs[commutator] = total
+    return total
 
 
-def count(Q, A, commutator: bool, workers: int) -> int:
-    """Zeros of e_Q over A^n, for A over a field of characteristic 2.
-
-    A count of at most 2**BLOCK_BITS points is one block.  A larger one is
-    cut into blocks of that size, which fork on bound.pool_map once the
-    blocks times product steps times constants reach FORK_WORK, read at
-    call time.
-    """
+def count(Q, A, commutator: bool) -> int:
+    """Zeros of e_Q over A^n, for A over a field of characteristic 2: one
+    block if the count has at most 2**BLOCK_BITS points, else blocks of
+    that size one after another."""
     total = Q.n * A.dim * A.field.k
-    if total <= BLOCK_BITS:  # one block
-        return _count_blocks((Q, A, commutator, total, 0, 1))
-    blocks = 1 << (total - BLOCK_BITS)
-    tables = _tables(A)
-    work = blocks * len(tables.plan(Q, commutator)[1]) * tables.rows(commutator)[1]
-    ranges = bound.chunk_ranges(0, blocks, workers if work >= FORK_WORK else 1)
-    payloads = [(Q, A, commutator, BLOCK_BITS, start, stop) for start, stop in ranges]
-    return sum(bound.pool_map(_count_blocks, payloads, workers))
+    bits = min(total, BLOCK_BITS)
+    blocks = 1 << (total - bits)
+    return _count_blocks(Q, A, commutator, bits, 0, blocks)

@@ -32,12 +32,11 @@ def pooled_counts(monkeypatch):
     """Exact counts and exhaustive scans with workers > 1 fork their pool
     whatever their size, as those of FORK_POINTS points walked (candidates
     times points, for a scan) and more do.  bound.FORK_POINTS is the one
-    binding both read.  A lanes count forks from lanes.FORK_WORK,
-    and its blocks are cut to 16 points, so that a count of more points
-    has blocks to split."""
+    binding both read.  A lanes count never forks, so counts over
+    characteristic 2 are kept off lanes (lanes.RATIO out of reach) and
+    fork on the point and slice walks."""
     monkeypatch.setattr(bound, "FORK_POINTS", 0)
-    monkeypatch.setattr(lanes, "FORK_WORK", 0)
-    monkeypatch.setattr(lanes, "BLOCK_BITS", 4)
+    monkeypatch.setattr(lanes, "RATIO", 1 << 64)
 
 
 def pytest_terminal_summary(terminalreporter):

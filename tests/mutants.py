@@ -193,8 +193,8 @@ MUTANTS = (
     Mutant(
         "lanes-last-block-dropped",
         "src/fqidtest/lanes.py",
-        "    blocks = 1 << (total - BLOCK_BITS)",
-        "    blocks = max(1, (1 << (total - BLOCK_BITS)) - 1)",
+        "    blocks = 1 << (total - bits)",
+        "    blocks = max(1, (1 << (total - bits)) - 1)",
         (LANES + "::test_every_block_split_gives_the_count",),
     ),
     Mutant(
@@ -212,18 +212,32 @@ MUTANTS = (
         (LANES + "::test_lanes_match_points_with_coefficients_over_gf4_and_gf8",),
     ),
     Mutant(
-        "lanes-crossover-strict",
+        "lanes-cost-commutator-ignored",
+        "src/fqidtest/lanes.py",
+        "                        c ^= table[r][s][t]",
+        "                        c ^= 0",
+        (LANES + "::test_cost_is_the_constants_of_the_lane_tables",),
+    ),
+    Mutant(
+        "lanes-node-never-dropped",
+        "src/fqidtest/lanes.py",
+        "                values[node] = None\n        acc",
+        "                pass\n        acc",
+        (LANES + "::test_a_block_keeps_only_the_nodes_still_to_be_read",),
+    ),
+    Mutant(
+        "lanes-floor-strict",
         "src/fqidtest/idtest.py",
-        "A.order() ** Q.n >= lanes.RATIO *",
-        "A.order() ** Q.n > lanes.RATIO *",
+        "points >= lanes.MIN_POINTS",
+        "points > lanes.MIN_POINTS",
         (LANES + "::test_route_takes_lanes_from_the_crossover_on",),
     ),
     Mutant(
-        "lanes-fork-gate-strict",
-        "src/fqidtest/lanes.py",
-        "workers if work >= FORK_WORK else 1",
-        "workers if work > FORK_WORK else 1",
-        ("tests/test_kernel.py::test_counts_fork_once_the_points_walked_reach_fork_points",),
+        "lanes-crossover-strict",
+        "src/fqidtest/idtest.py",
+        "points >= lanes.RATIO *",
+        "points > lanes.RATIO *",
+        (LANES + "::test_route_takes_lanes_from_the_crossover_on",),
     ),
     # the exhaustive scan's one-hot tables
     Mutant(

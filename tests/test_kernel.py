@@ -721,8 +721,7 @@ def test_callers_size_payloads_by_the_clamped_pool(pooled_counts, monkeypatch):
 def test_counts_fork_once_the_points_walked_reach_fork_points(monkeypatch):
     # the slice route walks (dim + 1) * order**(n-1) probes, not order**n
     # points, and the point walk order**n; each forks from FORK_POINTS on.
-    # A lanes count forks from lanes.FORK_WORK on, its blocks times product
-    # steps times constants, and never from FORK_POINTS
+    # A lanes count never forks
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     started = []
     fork_context = multiprocessing.get_context
@@ -743,20 +742,16 @@ def test_counts_fork_once_the_points_walked_reach_fork_points(monkeypatch):
         assert started == ["fork"]
         started.clear()
     # matrix(2,2) x1*x1*x2*x2, which forked from FORK_POINTS on the point
-    # walk, is a lanes count: 256 points in 16 blocks of 16, 3 steps, and 8
-    # constants per step
+    # walk, is a lanes count, and stays in process in 16 blocks of 16 points
     M = matrix_algebra(2, 2)
     Q = parse("x1*x1*x2*x2", Flavor.FREE, M.field)
     assert idtest._count_route(Q, M, False)[0] == "lanes"
     serial = zero_probability(Q, M).zero_count
     monkeypatch.setattr(lanes, "BLOCK_BITS", 4)
     monkeypatch.setattr(bound, "FORK_POINTS", 0)
-    monkeypatch.setattr(lanes, "FORK_WORK", 16 * 3 * 8 + 1)
+    monkeypatch.setattr(idtest, "pool_map", lambda *args: pytest.fail("a lanes count reached pool_map"))
     assert zero_probability(Q, M, workers=2).zero_count == serial
     assert started == []
-    monkeypatch.setattr(lanes, "FORK_WORK", 16 * 3 * 8)
-    assert zero_probability(Q, M, workers=2).zero_count == serial
-    assert started == ["fork"]
 
 
 def test_exhaustive_scans_fork_once_candidates_times_points_reach_fork_points(monkeypatch):

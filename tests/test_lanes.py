@@ -6,6 +6,7 @@ against, count for count.
 """
 
 import pickle
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -37,9 +38,7 @@ def lanes_count(Q, A, commutator=False, bits=None, split=None):
     bits = total if bits is None else bits
     blocks = 1 << (total - bits)
     cuts = [0, blocks] if split is None else [0, split, blocks]
-    return sum(
-        _count_blocks((Q, A, commutator, bits, start, stop)) for start, stop in zip(cuts, cuts[1:])
-    )
+    return sum(_count_blocks(Q, A, commutator, bits, start, stop) for start, stop in zip(cuts, cuts[1:]))
 
 
 def assert_lanes_match_points(Q, A, commutator=False):
@@ -138,37 +137,117 @@ def test_lanes_match_points_on_random_tables(case):
 # ---------------------------------------------------------------------------
 # the crossover and the blocks
 
+def constants_table(dim, nonzero):
+    """A GF(2) table of the given dimension whose first nonzero constants,
+    in (s, r, t) order, are 1."""
+    slots = [1] * nonzero + [0] * (dim**3 - nonzero)
+    return Algebra(F2, dim, [[slots[(s * dim + r) * dim:(s * dim + r + 1) * dim] for r in range(dim)] for s in range(dim)])
+
+
 def test_route_takes_lanes_from_the_crossover_on(monkeypatch):
-    # matrix(2,2) has 8 nonzero structure constants: x1*x1 counts 16 points,
-    # exactly lanes.RATIO * 8, and runs on lanes; a table of 3 constants
-    # counts x1*x1's 4 points on the kernel, and its 16 points of x1*x2 on
-    # lanes
-    assert lanes.RATIO == 2
+    # lanes from lanes.MIN_POINTS (32) points on, and from lanes.RATIO (2)
+    # times the product's constants: matrix(2,2) has 8, so x1*x1's 16
+    # points stay on the kernel and x1*x2's 256 run on lanes; a table of 3
+    # constants counts x1*x2's 16 points on the kernel and x1*x2*x3's 64 on
+    # lanes; x1*x1 counts 32 points on a dimension-5 table, on lanes with
+    # 16 constants and on the kernel with 17
+    assert (lanes.MIN_POINTS, lanes.RATIO) == (32, 2)
     M = matrix_algebra(2, 2)
     B = Algebra(F2, 2, [[(1, 1), (0, 1)], [(0, 0), (0, 0)]])
-    assert lanes._tables(M).rows(False)[1] == 8 and lanes._tables(B).rows(False)[1] == 3
+    sparse, dense = constants_table(5, 16), constants_table(5, 17)
+    assert [lanes.cost(A, False) for A in (M, B, sparse, dense)] == [8, 3, 16, 17]
+    x1x1, x1x2 = (parse(text, Flavor.FREE, F2) for text in ("x1*x1", "x1*x2"))
     cases = [
-        (parse("x1*x1", Flavor.FREE, F2), M, "lanes"),
-        (parse("x1*x1*x1", Flavor.FREE, F2), M, "lanes"),
-        (parse("x1*x1", Flavor.FREE, F2), B, "points"),
-        (parse("x1*x2", Flavor.FREE, F2), B, "lanes"),
+        (x1x1, M, "points"),
+        (parse("x1*x1*x1", Flavor.FREE, F2), M, "points"),
+        (x1x2, M, "lanes"),
         (parse("x1*x2*x3 - x3*x2*x1", Flavor.FREE, F2), M, "lanes"),
+        (x1x1, B, "points"),
+        (x1x2, B, "points"),
+        (parse("x1*x2*x3", Flavor.FREE, F2), B, "lanes"),
+        (x1x1, sparse, "lanes"),
+        (x1x1, dense, "points"),
     ]
     # over GF(3) the route is the slice or point walk it was
     H = builtin("heisenberg(3)")
     cases.append((parse("[x1,x2]", Flavor.LIE, H.field), H, "slice"))
     for Q, A, route in cases:
-        assert _count_route(Q, A, False)[0] == route
+        assert _count_route(Q, A, False)[0] == route, (Q.to_text(), A.table)
         counts = set()
-        for ratio in (0, lanes.RATIO, 1 << 64):  # lanes, as chosen, the kernel
+        for floor, ratio in ((0, 0), (lanes.MIN_POINTS, lanes.RATIO), (1 << 64, 0)):  # lanes, as chosen, the kernel
+            monkeypatch.setattr(lanes, "MIN_POINTS", floor)
             monkeypatch.setattr(lanes, "RATIO", ratio)
             counts.add(zero_probability(Q, A).zero_count)
         monkeypatch.undo()
         assert counts == {points_count(Q, A)}
     # the commutator reading has constants of its own: on B, [b1,b2] and
     # [b2,b1] are b2, and the squares cancel
-    assert lanes._tables(B).rows(True)[1] == 2
-    assert _count_route(parse("[x1,x2]", Flavor.LIE, F2), B, True)[0] == "lanes"
+    assert lanes.cost(B, True) == 2
+    assert _count_route(parse("[x1,x2]", Flavor.LIE, F2), B, True)[0] != "lanes"  # 16 points
+    assert _count_route(parse("[[x1,x2],x3]", Flavor.LIE, F2), B, True)[0] == "lanes"
+
+
+def table_constants(A, commutator):
+    """The constants of A's lane tables: each (b, outs) of a row is one XOR
+    per lane in outs."""
+    return sum(len(outs) for _, row in lanes._Tables(A).rows(commutator) for _, outs in row)
+
+
+def test_cost_is_the_constants_of_the_lane_tables():
+    tables = [*dimension_two_tables(), *(A for A in cli.library() if A.field.p == 2)]
+    for q in (4, 8):
+        F = field_of_order(q)
+        tables.append(Algebra(F, 2, [[(1, 2), (0, 3)], [(2, 0), (1, q - 1)]]))
+        tables.append(Algebra(F, 2, [[(q - 1, 1), (2, 0)], [(3 % q, 1), (0, 0)]]))
+    for A in tables:
+        for commutator in (False, True):
+            assert lanes.cost(A, commutator) == table_constants(A, commutator), (A.table, commutator)
+
+
+def test_a_kernel_count_builds_no_lane_tables():
+    # the route reads the cost from A.table, and below lanes.MIN_POINTS not
+    # at all, so an algebra whose counts all stay on the kernel keeps the
+    # kernel's tables alone
+    Q = parse("x1*x1", Flavor.FREE, F2)
+    B, dense = Algebra(F2, 2, [[(1, 1), (0, 1)], [(0, 0), (0, 0)]]), constants_table(5, 17)
+    for A, costs in ((B, None), (dense, {False: 17})):
+        assert _count_route(Q, A, False)[0] == "points"
+        assert zero_probability(Q, A).zero_count == points_count(Q, A)
+        idtest.dixon_verdict(Q, A)
+        assert A._lane_tables is None and A._index_tables is not None
+        assert A._lane_costs == costs
+
+
+def test_a_block_keeps_only_the_nodes_still_to_be_read():
+    # x1*x1*...*x5*x5 on matrix(2,2) is one block of 2**20 points and a
+    # chain of 9 products, each 4 lane ints of 128 KiB: a product is
+    # dropped once the next one is built, so the count peaks under 4
+    # products' worth, where keeping them all took over 10
+    M = matrix_algebra(2, 2)
+    Q = parse("x1*x1*x2*x2*x3*x3*x4*x4*x5*x5", Flavor.FREE, M.field)
+    assert Q.n * M.dim == lanes.BLOCK_BITS == 20
+    zeros = lanes.count(Q, M, False)  # the masks and tables, built before tracing
+    tracemalloc.start()
+    try:
+        assert lanes.count(Q, M, False) == zeros == 902_464
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * M.dim * (1 << 20) // 8
+    # each node is dropped by the step or term that reads it last, where a
+    # term may read a node that a step reads too
+    for flavor, text in [
+        (Flavor.FREE, "x1*x1*x2*x2*x3*x3*x4*x4*x5*x5"),
+        (Flavor.FREE, "x1*x2 + x1*x2*x3 + x3*x2*x1"),
+        (Flavor.ASSOC, "x1*x2 + x1*x2*x1 + x2"),
+        (Flavor.LIE, "[[x1,x2],x3] + [x3,x1] + [x1,x2]"),
+    ]:
+        steps, terms = lanes._plan(parse(text, flavor, F2))
+        reads = [(left, right) for left, right, _ in steps] + [(node,) for node, _, _ in terms]
+        deads = [dead for *_, dead in steps] + [dead for *_, dead in terms]
+        for node in {x for read in reads for x in read}:
+            last = max(i for i, read in enumerate(reads) if node in read)
+            assert [i for i, dead in enumerate(deads) if node in dead] == [last], (text, node)
 
 
 @pytest.mark.parametrize(
@@ -224,11 +303,12 @@ def test_lane_tables_are_kept_and_not_pickled():
     Q = parse("x1*x2*x3 - x3*x2*x1", Flavor.FREE, M.field)
     zeros = zero_probability(Q, M).zero_count
     tables = M._lane_tables
-    assert tables is not None and (Q, False) in tables.plans
+    assert tables is not None and False in tables.products
     assert zero_probability(Q, M).zero_count == zeros and M._lane_tables is tables
     assert M._index_tables is None  # the count never built the kernel
     copy = pickle.loads(pickle.dumps(M))
-    assert copy == M and copy._lane_tables is None
+    assert M._lane_costs == {False: 8}
+    assert copy == M and copy._lane_tables is None and copy._lane_costs is None
     assert zero_probability(Q, copy).zero_count == zeros
 
 
@@ -266,7 +346,7 @@ def test_lanes_and_coordinate_routes_share_no_helper(monkeypatch):
                 m.setattr(module, name, refuse(name))
         m.setattr(Algebra, "mul", refuse("Algebra.mul"))
         for (Q, A, commutator), zeros in zip(cases, want):
-            A._lane_tables = None  # cold: the lane tables are read from A.table
+            A._lane_tables = A._lane_costs = None  # cold: both are read from A.table
             assert zero_probability(Q, A, commutator=commutator).zero_count == zeros
     # and the coordinate routes call no lane helper
     for name in ("_tables", "_plan", "_product", "_masks", "_count_blocks", "count", "cost"):
