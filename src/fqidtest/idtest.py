@@ -73,8 +73,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import count, filterfalse, islice, product, repeat
-from operator import add, itemgetter, mod, mul, not_
+from itertools import count, filterfalse, product, repeat
+from operator import add, itemgetter, mul, not_
 
 from .algebra import (
     Algebra,
@@ -115,15 +115,16 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# indices per packed block: the first block is small, later ones grow to
-# the ceiling, so a short run draws little and memory stays flat
-_FIRST_BLOCK = 64
+# element indices per packed block, rounded down to whole points (one point
+# per block when it has more arguments), so memory stays flat
 _BLOCK_CEILING = 256
 
-# a lane's low 64-bit word among the native words of its 16 bytes: the
-# first of each pair little-endian; big-endian the int's bytes run from
-# the last lane's high word down, so every other word from the end
-_LOW_STRIDE = 2 if sys.byteorder == "little" else -2
+# the fold leaves each lane below (2**32 - 1) * q < 2**_FOLD_BITS for every
+# q <= gf.MAX_ORDER (2**16)
+_FOLD_BITS = 49
+
+# big-endian an int's native bytes run from its last 64-bit lane down
+_WORD_STEP = 1 if sys.byteorder == "little" else -1
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,7 @@ class SplitMix64:
 
     Draws are fully determined by the seed, so sampled runs are
     reproducible bit for bit.  Coordinates are drawn per sample, per
-    argument, per coordinate, each as next64() mod q.
+    argument, per coordinate, each as the next 64-bit output mod q.
     """
 
     __slots__ = ("state",)
@@ -142,63 +143,98 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
-    def next64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+    def points(self, q: int, dim: int, n: int, samples: int):
+        """samples points of A^n, |A| = q**dim, in blocks: each block an
+        iterator of n-tuples of element indices.
 
-    def below(self, n: int) -> int:
-        return self.next64() % n
-
-    def indices(self, q: int, dim: int):
-        """Endless element indices of q**dim elements, each digit below(q).
-
-        The digits are drawn most significant first, as the coordinates of
-        elements() order, and self.state is stored before each index is
-        yielded: the stream is the one repeated below(q) calls give.  It is
-        generated in packed blocks, one Python int per block with each draw
-        in a 128-bit lane: the Weyl states are state * R + k * gamma, and the
-        three mixing rounds run on the whole int, each lane masked to 64 bits
-        before each multiply, so no product reaches the next lane.  Blocks
-        grow from _FIRST_BLOCK to _BLOCK_CEILING indices.
+        Each coordinate is the next 64-bit output mod q, drawn per point,
+        per argument, most significant coordinate first (elements() order),
+        so the stream is the one drawn one output at a time.  A block holds
+        whole points, up to _BLOCK_CEILING indices, and the last block only
+        the points left; self.state is stored once per block, before it is
+        yielded.  A block is one Python int with each draw in a 128-bit
+        lane: the Weyl states are state * R + k * gamma, the three mixing
+        rounds run on the whole int, each lane masked to 64 bits before each
+        multiply so that no product reaches the next lane, and _lane_mod
+        reduces every lane mod q at once.  The indices are Horner steps on
+        packed ints too: digit j of every index is gathered into one int of
+        64-bit lanes, and acc * q + digits_j runs on all indices at once, in
+        groups of digits whose value fits a 64-bit lane (_reduction); an
+        index of several groups joins them per index.  A zero-dimensional
+        algebra has one element and a polynomial without variables one
+        point, so they draw nothing.
         """
         state = self.state
-        if not dim:  # a zero-dimensional algebra has one element and draws nothing
-            while True:
+        per_block = max(1, _BLOCK_CEILING // n) if n else samples
+        group = _reduction(q)[3]
+        for start in range(0, samples, per_block):
+            count = min(per_block, samples - start)
+            if not (n and dim):
                 self.state = state
-                yield 0
-        count = _FIRST_BLOCK
-        while True:
-            draws = count * dim
-            ones, R, steps = _lanes(draws)
+                yield repeat((0,) * n, count)
+                continue
+            draws = count * n * dim
+            ones, R, steps, low32 = _lanes(draws)
             s = (state * R + steps) & ones
             z = ((s ^ (s >> 30)) & ones) * _MIX1 & ones
             z = ((z ^ (z >> 27)) & ones) * _MIX2 & ones
-            digits = list(map(mod, _low_words(z ^ (z >> 31), draws), repeat(q)))
-            index = digits[0::dim]
-            for j in range(1, dim):
-                index = map(add, map(mul, index, repeat(q)), digits[j::dim])
-            states = _low_words(s, draws)[dim - 1::dim]  # the state after each index
-            state = states[-1]
-            for self.state, i in zip(states, index):
-                yield i
-            count = min(4 * count, _BLOCK_CEILING)
+            digits = _lane_mod(z ^ (z >> 31), q, low32)
+            # 64-bit words, little-endian: word 2 * (i * dim + j) is digit j of index i
+            low = memoryview(digits.to_bytes(16 * draws, "little")).cast("Q")
+            index = None
+            for first in range(0, dim, group):
+                last = min(first + group, dim)
+                acc = 0
+                for j in range(first, last):
+                    acc = acc * q + int.from_bytes(low[2 * j::2 * dim], "little")
+                part = _words(acc, count * n)
+                index = part if index is None else map(add, map(mul, index, repeat(q ** (last - first))), part)
+            state = self.state = (state + draws * _GAMMA) & _MASK64
+            yield zip(*[iter(index)] * n)
+
+
+@lru_cache(maxsize=16)
+def _lanes(draws: int):
+    """The lane constants of a block of draws: the 64-bit mask of every
+    lane, R with 1 in every lane, k * gamma mod 2**64 in lane k - 1, and
+    the 32-bit mask of every lane.  A run's last block may be shorter than
+    the others, so the cache is bounded."""
+    R = ((1 << (128 * draws)) - 1) // ((1 << 128) - 1)
+    steps = b"".join((k * _GAMMA & _MASK64).to_bytes(16, "little") for k in range(1, draws + 1))
+    return R * _MASK64, R, int.from_bytes(steps, "little"), R * 0xFFFFFFFF
 
 
 @cache
-def _lanes(draws: int):
-    """The lane constants of a block of draws: the 64-bit mask of every
-    lane, R with 1 in every lane, and k * gamma mod 2**64 in lane k - 1."""
-    R = ((1 << (128 * draws)) - 1) // ((1 << 128) - 1)
-    steps = b"".join((k * _GAMMA & _MASK64).to_bytes(16, "little") for k in range(1, draws + 1))
-    return R * _MASK64, R, int.from_bytes(steps, "little")
+def _reduction(q: int):
+    """(r, m, shift, group) for q <= gf.MAX_ORDER.  r = 2**32 mod q and
+    m = 2**shift // q + 1 with shift = _FOLD_BITS + (q - 1).bit_length()
+    are _lane_mod's constants; group is the most digits whose Horner value
+    fits a 64-bit word, q**group <= 2**64."""
+    shift = _FOLD_BITS + (q - 1).bit_length()
+    group = 1
+    while q ** (group + 1) <= 1 << 64:
+        group += 1
+    return pow(2, 32, q), (1 << shift) // q + 1, shift, group
 
 
-def _low_words(z: int, lanes: int):
-    """The low 64 bits of each 128-bit lane of z, first lane first."""
-    return memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[::_LOW_STRIDE]
+def _lane_mod(z: int, q: int, low32: int) -> int:
+    """The low 64-bit word of each 128-bit lane of z, mod q, lane by lane;
+    low32 is the 32-bit mask of every lane, and the bits above each low
+    word are ignored.
+
+    A word hi * 2**32 + lo folds to y = hi * r + lo, congruent mod q, with
+    y <= (2**32 - 1) * q < 2**49.  Granlund and Montgomery: since
+    m * q - 2**shift <= q <= 2**(shift - 49), y * m >> shift is y // q for
+    every y < 2**49, and y * m < 2**99 stays in its lane.
+    """
+    r, m, shift, _ = _reduction(q)
+    y = (z >> 32 & low32) * r + (z & low32)
+    return y - ((y * m >> shift) & low32) * q
+
+
+def _words(z: int, lanes: int):
+    """The lanes of z as 64-bit words, first lane first."""
+    return memoryview(z.to_bytes(8 * lanes, sys.byteorder)).cast("Q")[::_WORD_STEP]
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +777,10 @@ def zero_probability(
     An exact count takes _count_route's route: lanes over characteristic 2
     once the points reach lanes.MIN_POINTS and lanes.RATIO times the
     product's nonzero GF(2) structure constants, slices where e_Q is
-    affine in a variable, points otherwise.  A sampled count draws its points from SplitMix64 and runs
-    each on the kernel.
+    affine in a variable, points otherwise.  A sampled count checks the
+    cap before any draw, then streams its points from SplitMix64(seed) in
+    blocks of whole points (SplitMix64.points) and runs each block on the
+    kernel, so its memory stays bounded whatever the samples.
     """
     _product_fn(Q, A, commutator)  # fail fast on flavor problems
     degree = _poly_degree(Q)
@@ -761,12 +799,8 @@ def zero_probability(
     if samples > cap:
         raise SearchSpaceTooLarge(samples, cap)
     e = _kernel(Q, A, commutator)
-    if n:
-        draws = SplitMix64(seed).indices(A.field.q, A.dim)
-        points = islice(zip(*[draws] * n), samples)
-    else:
-        points = repeat((), samples)
-    zero_count = sum(map(not_, map(e, points)))
+    blocks = SplitMix64(seed).points(A.field.q, A.dim, n, samples)
+    zero_count = sum([sum(map(not_, map(e, block))) for block in blocks])
     return _new_report(
         zero_count, samples, Fraction(zero_count, samples), degree, _threshold(degree), None,
         None, "sampled", samples, seed, None, None,

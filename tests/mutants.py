@@ -41,6 +41,8 @@ FORCED = BLOCKS + "::test_forced_violation_replays_from_its_witness"
 COSETS = "tests/test_coset_descent.py"
 BOUND = "tests/test_bound.py"
 LANES = "tests/test_lanes.py"
+SAMPLER = "tests/test_idtest.py"
+SAMPLED = "tests/test_kernel.py::test_sampled_mode_matches_the_recount_at_block_edges"
 
 MUTANTS = (
     # block statistics: the tally, its keys and its checks
@@ -274,6 +276,49 @@ MUTANTS = (
         "    while low and p**low * q * points > TABLE_BITS:",
         "    while False:",
         (BOUND + "::test_scan_memory_stays_within_the_table_budget",),
+    ),
+    # the sampler's packed blocks: lane mod q, Horner digits, the state
+    Mutant(
+        "sampler-barrett-plus-one-dropped",
+        "src/fqidtest/idtest.py",
+        "(1 << shift) // q + 1",
+        "(1 << shift) // q",
+        (SAMPLER + "::test_lane_mod_at_the_edge_values", SAMPLED),
+    ),
+    Mutant(
+        "sampler-fold-by-one",
+        "src/fqidtest/idtest.py",
+        "return pow(2, 32, q), ",
+        "return 1, ",
+        (SAMPLER + "::test_lane_mod_at_the_edge_values",),
+    ),
+    Mutant(
+        "sampler-horner-digits-reversed",
+        "src/fqidtest/idtest.py",
+        "for j in range(first, last):",
+        "for j in reversed(range(first, last)):",
+        (SAMPLER + "::test_packed_indices_match_the_scalar_loop", SAMPLED),
+    ),
+    Mutant(
+        "sampler-state-not-carried",
+        "src/fqidtest/idtest.py",
+        "state = self.state = (state + draws * _GAMMA) & _MASK64",
+        "self.state = (state + draws * _GAMMA) & _MASK64",
+        (SAMPLER + "::test_splitmix64_indices_are_repeated_below_draws", SAMPLED),
+    ),
+    Mutant(
+        "sampler-group-weight-full",
+        "src/fqidtest/idtest.py",
+        "repeat(q ** (last - first))",
+        "repeat(q ** group)",
+        (SAMPLER + "::test_packed_indices_match_the_scalar_loop_over_several_digit_groups",),
+    ),
+    Mutant(
+        "sampler-group-past-64-bits",
+        "src/fqidtest/idtest.py",
+        "while q ** (group + 1) <= 1 << 64:",
+        "while q ** (group + 1) <= 1 << 65:",
+        (SAMPLER + "::test_packed_indices_match_the_scalar_loop_over_several_digit_groups",),
     ),
 )
 

@@ -798,8 +798,11 @@ def cli_argvs(draw):
     if command in ("check-identity", "probability", "dixon", "coset-search", "descent", "blocks"):
         argv += draw(poly_args())
     if command == "probability":
-        # from 65 samples the draws pass the first block of 64 indices
-        argv += _optional(draw, "--samples", st.integers(0, 16) | st.integers(60, 72))
+        # a block holds 256, 128 or 85 whole points of one, two or three
+        # arguments; the last nine lengths straddle those block edges
+        edges = st.sampled_from((84, 85, 86, 127, 128, 129, 255, 256, 257))
+        samples = st.integers(0, 16) | st.integers(60, 72) | edges
+        argv += _optional(draw, "--samples", samples)
         argv += _optional(draw, "--seed", st.integers(0, 99))
     if command in ("coset-search", "descent"):
         argv += _optional(draw, "--max-codim", st.integers(-2, 4))

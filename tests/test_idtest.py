@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import pickle
+import random
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import islice, product
@@ -11,6 +12,9 @@ from itertools import islice, product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import splitmix_reference
+from splitmix_reference import ScalarSplitMix64
 
 from fqidtest import cli, idtest
 from fqidtest.bound import floor_fraction
@@ -44,7 +48,6 @@ from fqidtest.freepoly import Flavor, FreePoly, parse, power_word, zero
 from fqidtest.gf import field_of_order
 from fqidtest.idtest import (
     _BLOCK_CEILING,
-    _FIRST_BLOCK,
     CosetWitness,
     EvalReport,
     SplitMix64,
@@ -77,81 +80,156 @@ BOUNDARY = Algebra(F2, 2, [[(0, 0), (1, 0)], [(0, 0), (0, 0)]], name="boundary")
 # the generator
 
 def test_splitmix64_reference_stream():
-    # first outputs for seed 0 of the standard split-mix constants
-    rng = SplitMix64(0)
+    # first outputs for seed 0 of the standard split-mix constants, on the
+    # scalar reference; the packed stream shares its constants and is
+    # checked against it draw by draw below
+    rng = ScalarSplitMix64(0)
     assert rng.next64() == 0xE220A8397B1DCDAF
     assert rng.next64() == 0x6E789E6AA1B965F4
     assert rng.next64() == 0x06C45D188009454F
+    assert (idtest._MASK64, idtest._GAMMA, idtest._MIX1, idtest._MIX2) == (
+        splitmix_reference.MASK64,
+        splitmix_reference.GAMMA,
+        splitmix_reference.MIX1,
+        splitmix_reference.MIX2,
+    )
 
 
 def test_splitmix64_below_is_deterministic():
-    a = SplitMix64(42)
-    b = SplitMix64(42)
+    a = ScalarSplitMix64(42)
+    b = ScalarSplitMix64(42)
     assert [a.below(5) for _ in range(20)] == [b.below(5) for _ in range(20)]
 
 
-def scalar_indices(rng, q, dim):
-    """SplitMix64.indices one draw at a time: the reference for the packed
-    blocks."""
-    mask = (1 << 64) - 1
-    state = rng.state
-    while True:
-        index = 0
-        for _ in range(dim):
-            state = (state + 0x9E3779B97F4A7C15) & mask
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            index = index * q + (z ^ (z >> 31)) % q
-        rng.state = state
-        yield index
+def points_per_block(n):
+    """Whole points per full block: up to _BLOCK_CEILING indices, and at
+    least one point; a polynomial without variables is one block."""
+    return max(1, _BLOCK_CEILING // n) if n else None
 
 
-# past the end of the first block and of the second, the first at the ceiling
-TWO_BLOCK_EDGES = _FIRST_BLOCK + _BLOCK_CEILING
+def assert_blocks_match_the_reference(seed, q, dim, n, samples):
+    """Every index of SplitMix64(seed).points against the scalar
+    reference's indices, in order, and the state after every block; the
+    blocks hold whole points, per_block of them but the last."""
+    stream, reference = SplitMix64(seed), ScalarSplitMix64(seed)
+    expected = reference.indices(q, dim)
+    sizes = []
+    for block in stream.points(q, dim, n, samples):
+        points = list(block)
+        for point in points:
+            assert point == tuple(islice(expected, n))
+        assert stream.state == reference.state
+        sizes.append(len(points))
+    per_block = points_per_block(n) or samples
+    assert sizes == [per_block] * (samples // per_block) + [samples % per_block] * (samples % per_block > 0)
+
+
+# past two block edges of one-argument points (256 indices a block) and of
+# three-argument points (85 points, 255 indices)
+TWO_BLOCK_EDGES = {1: 2 * _BLOCK_CEILING + 3, 3: 2 * (_BLOCK_CEILING // 3) + 3}
 
 
 @pytest.mark.parametrize("seed", [0, -3, 1 << 64, (1 << 64) + 12345])
 def test_splitmix64_indices_are_repeated_below_draws(seed):
     for q in (2, 3, 4, 5):
         for dim in (1, 2, 3):
-            stream, reference = SplitMix64(seed), SplitMix64(seed)
-            indices = stream.indices(q, dim)
-            for _ in range(TWO_BLOCK_EDGES + 3):
-                index = 0
-                for _ in range(dim):
-                    index = index * q + reference.below(q)
-                assert next(indices) == index
-                assert stream.state == reference.state
+            for n, samples in TWO_BLOCK_EDGES.items():
+                stream, reference = SplitMix64(seed), ScalarSplitMix64(seed)
+                for block in stream.points(q, dim, n, samples):
+                    for point in block:
+                        for index in point:
+                            expected = 0
+                            for _ in range(dim):
+                                expected = expected * q + reference.below(q)
+                            assert index == expected
+                    assert stream.state == reference.state
 
 
-def _stream_lengths():
-    """Lengths that end just before, at or just after a block edge."""
-    edges = [_FIRST_BLOCK, TWO_BLOCK_EDGES, TWO_BLOCK_EDGES + _BLOCK_CEILING]
-    return st.sampled_from(edges).flatmap(lambda e: st.integers(e - 2, e + 2)) | st.integers(0, 40)
+@st.composite
+def _runs(draw):
+    """(n, samples): a point width, and a length just before, at or just
+    after one of its first three block edges, or a short one."""
+    n = draw(st.integers(0, 5))
+    per_block = points_per_block(n) or 64
+    edge = draw(st.integers(1, 3)) * per_block
+    return n, draw(st.integers(max(1, edge - 2), edge + 2) | st.integers(1, 40))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(-(1 << 70), -1) | st.integers(0, 1 << 66) | st.integers(1 << 64, 1 << 80),
-    q=st.sampled_from((2, 3, 4, 5, 7, 8, 9)),
-    dim=st.integers(0, 4),
-    length=_stream_lengths(),
+    q=st.sampled_from((2, 3, 4, 5, 7, 8, 9, 65521, 65536)),
+    dim=st.integers(0, 32),
+    run=_runs(),
 )
-def test_packed_indices_match_the_scalar_loop(seed, q, dim, length):
-    stream, reference = SplitMix64(seed), SplitMix64(seed)
-    expected = scalar_indices(reference, q, dim)
-    for index in islice(stream.indices(q, dim), length):
-        assert index == next(expected)
-        assert stream.state == reference.state
+def test_packed_indices_match_the_scalar_loop(seed, q, dim, run):
+    assert_blocks_match_the_reference(seed, q, dim, *run)
 
 
 @pytest.mark.parametrize("q", [2, 9])
 def test_packed_indices_match_the_scalar_loop_in_dimension_32(q):
-    stream, reference = SplitMix64(-(1 << 64) - 5), SplitMix64(-(1 << 64) - 5)
-    expected = scalar_indices(reference, q, 32)
-    for index in islice(stream.indices(q, 32), TWO_BLOCK_EDGES + 1):
-        assert index == next(expected)
-        assert stream.state == reference.state
+    # 2**32 is one digit group, 9**32 two (20 and 12 digits)
+    assert_blocks_match_the_reference(-(1 << 64) - 5, q, 32, 1, 2 * _BLOCK_CEILING + 1)
+
+
+@pytest.mark.parametrize("q, dim", [(65536, 5), (65521, 9), (3, 41), (2, 65)])
+def test_packed_indices_match_the_scalar_loop_over_several_digit_groups(q, dim):
+    # each order passes 2**64, so its indices join two or three groups
+    assert q**dim > 1 << 64
+    assert_blocks_match_the_reference((1 << 64) + 7, q, dim, 2, _BLOCK_CEILING // 2 + 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 85, 86, 256, 257, 300])
+@pytest.mark.parametrize("dim", [0, 2])
+def test_blocks_hold_whole_points_up_to_the_ceiling(n, dim):
+    # a zero-dimensional algebra, or a polynomial without variables, draws
+    # nothing: the reference's state stays at the seed
+    per_block = points_per_block(n) or 150
+    assert per_block * n <= max(n, _BLOCK_CEILING)
+    assert_blocks_match_the_reference(11, 3, dim, n, 2 * per_block + 1)
+
+
+# 2 and small primes, powers of 2 and 3, and the orders at and near the
+# field limit 2**16
+EDGE_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 251, 256, 257, 65521, 65536)
+
+
+def _edge_words(q):
+    """64-bit words at the edges of the lane mod: 0, q - 1, q, 2**32 - 1,
+    2**32, 2**64 - 1, the multiples of q near 2**64 and one off them, and
+    words that fold (high word times 2**32 mod q, plus the low word) to the
+    multiples of q near the fold bound and one off them."""
+    words = {0, q - 1, q, (1 << 32) - 1, 1 << 32, (1 << 64) - 1}
+    top = (1 << 64) - 1
+    for k in range(3):
+        multiple = top - top % q - k * q
+        words |= {multiple - 1, multiple, multiple + 1}
+    r, low = pow(2, 32, q), (1 << 32) - 1
+    bound = low * (r + 1)  # the fold of 2**64 - 1, (2**32 - 1) * q when r = q - 1
+    for k in range(3):
+        multiple = bound - bound % q - k * q
+        for folded in (multiple - 1, multiple, multiple + 1):
+            if low * r <= folded <= bound:
+                words.add(low << 32 | (folded - low * r))
+    return sorted(w for w in words if 0 <= w <= top)
+
+
+@pytest.mark.parametrize("q", EDGE_QS)
+def test_lane_mod_at_the_edge_values(q):
+    words = _edge_words(q)
+    lanes = len(words)
+    # garbage above each low word, as the last mixing round leaves there
+    garbage = random.Random(q).getrandbits(64 * lanes)
+    z = 0
+    for k, w in enumerate(words):
+        z |= (w | ((garbage >> 64 * k) & ((1 << 64) - 1)) << 64) << 128 * k
+    digits = idtest._lane_mod(z, q, idtest._lanes(lanes)[3])
+    lane = (1 << 128) - 1
+    assert [(digits >> 128 * k) & lane for k in range(lanes)] == [w % q for w in words]
+    assert digits >> 128 * lanes == 0
+    # one Horner group reaches every order up to 2**64
+    group = idtest._reduction(q)[3]
+    assert q**group <= 1 << 64 < q ** (group + 1)
 
 
 # ---------------------------------------------------------------------------

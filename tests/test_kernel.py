@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitmix_reference import ScalarSplitMix64
+
 from fqidtest import bound, cli, freepoly, idtest, lanes
 from fqidtest.algebra import (
     Algebra,
@@ -120,8 +122,9 @@ def assert_kernel_matches(Q, A, commutator=False):
 
 
 def sampled_recount(Q, A, samples, seed, commutator=False):
-    """Zeros at the SplitMix64 draws, per sample, argument and coordinate."""
-    rng = SplitMix64(seed)
+    """Zeros at the SplitMix64 draws, per sample, argument and coordinate,
+    drawn one at a time by the scalar reference."""
+    rng = ScalarSplitMix64(seed)
     q = A.field.q
     zeros = 0
     for _ in range(samples):
@@ -589,17 +592,17 @@ def test_sampled_mode_matches_an_evaluate_recount():
 @pytest.mark.parametrize(
     "text, samples",
     [
-        # two arguments: 32 samples fill the first block of 64 indices, and
-        # 160 the second, of 256
-        *[("[x1,x2] + [[x1,x2],x2]", s) for s in (31, 32, 33, 159, 160, 161)],
-        # three arguments: the 22nd sample straddles the first block's edge
-        *[("[x1,x2] + [[x1,x3],x2]", s) for s in (21, 22, 23)],
+        # two arguments: a block holds 128 whole points, so 128 samples fill
+        # the first and 256 the second; 31-33 and 159-161 end mid-block
+        *[("[x1,x2] + [[x1,x2],x2]", s) for s in (31, 32, 33, 127, 128, 129, 159, 160, 161, 255, 256, 257)],
+        # three arguments: 85 whole points a block; 21-23 end mid-block
+        *[("[x1,x2] + [[x1,x3],x2]", s) for s in (21, 22, 23, 84, 85, 86, 169, 170, 171)],
     ],
 )
 def test_sampled_mode_matches_the_recount_at_block_edges(text, samples):
     H = heisenberg(3)
     Q = parse(text, Flavor.LIE, H.field)
-    assert idtest._FIRST_BLOCK == 64 and idtest._BLOCK_CEILING == 256
+    assert idtest._BLOCK_CEILING == 256
     rep = zero_probability(Q, H, samples=samples, seed=-(1 << 64) - 9)
     assert rep.zero_count == sampled_recount(Q, H, samples, -(1 << 64) - 9)
 
@@ -610,10 +613,10 @@ def test_sampled_mode_is_capped_before_any_draw(monkeypatch):
     rep = zero_probability(Q, H, samples=64, seed=5, cap=64)
     assert rep.zero_count == sampled_recount(Q, H, 64, 5)
 
-    def no_draws(self, q, dim):
+    def no_draws(self, q, dim, n, samples):
         raise AssertionError("drew before the cap check")
 
-    monkeypatch.setattr(SplitMix64, "indices", no_draws)
+    monkeypatch.setattr(SplitMix64, "points", no_draws)
     with pytest.raises(SearchSpaceTooLarge) as info:
         zero_probability(Q, H, samples=65, seed=5, cap=64)
     assert (info.value.size, info.value.cap) == (65, 64)
