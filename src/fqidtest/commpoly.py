@@ -17,9 +17,17 @@ already.
 
 reduced_coordinates and symbolic_coordinates build the coordinate
 polynomials of an evaluation map from the structure constants on packed
-monomials: one Python int per monomial, never an exponent tuple.  Over
-GF(2), reduced, a monomial is the bit set of its variables, a product an
-OR (x^2 = x) and a sum a parity, with no field calls.  Otherwise each
+monomials: one Python int per monomial, never an exponent tuple.  One
+driver, _packed_coordinates, serves them and reduced_degrees on every
+ring: it runs the step plan of Q (_plan), read off Q alone and memoised,
+in which a subterm that several terms share is one node and each product
+step records whether its factors share an argument.  Over GF(2), reduced,
+a monomial is the bit set of its variables, a product an OR (x^2 = x)
+and a sum a parity, with no field calls; a product of factors with no
+argument in common is a plain set of ORs, as no two pairs of monomials
+give the same one, and only overlapping factors count parities.  The
+plan is commpoly's own: it shares nothing with lanes' plan or idtest's
+compiled kernel, the other sides of the cross-checks.  Otherwise each
 variable owns a lane of bits and a product adds the ints; reduced, a
 lane is q.bit_length() + 1 bits and a product folds every lane that
 reaches q back by q - 1 (x^q = x) at once, through a bias that sets the
@@ -48,7 +56,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 from itertools import compress, product
 
 from .errors import (
@@ -423,11 +431,60 @@ def _coordinates(Q: FreePoly, A, commutator: bool, reduced: bool) -> list[CommPo
     return [CommPoly._trusted(A.field, ring.width, ring.unpack(c)) for c in coords]
 
 
+@lru_cache(maxsize=256)
+def _plan(Q: FreePoly):
+    """e_Q as straight-line steps on nodes, read off Q alone: nodes
+    0..n-1 are the generic arguments, each (left, right, disjoint) step
+    appends the product of two nodes, and e_Q is the sum of
+    (node, coefficient) over its terms.  A subterm that several terms
+    share is one node: a tree is keyed by itself and an assoc word, folded
+    left, by each of its prefixes.  disjoint is True when the two factors
+    share no argument, so that no two pairs of their monomials have the
+    same product.  The cache keeps the last 256 plans; a polynomial equal
+    to a cached one, its terms in another order, reads the cached plan,
+    which adds the same terms in that one's order."""
+    n = Q.n
+    steps, nodes = [], {}
+    args = [1 << i for i in range(n)]  # node -> the bit set of its arguments
+
+    def step(key, left, right):
+        node = nodes[key] = n + len(steps)
+        steps.append((left, right, not args[left] & args[right]))
+        args.append(args[left] | args[right])
+        return node
+
+    def tree(t):
+        if isinstance(t, int):
+            return t - 1
+        node = nodes.get(t)
+        return step(t, tree(t[0]), tree(t[1])) if node is None else node
+
+    def chain(word):
+        node = word[0] - 1
+        for end in range(2, len(word) + 1):
+            prefix = word[:end]
+            known = nodes.get(prefix)
+            node = step(prefix, node, word[end - 1] - 1) if known is None else known
+        return node
+
+    read = chain if Q.flavor is Flavor.ASSOC else tree
+    terms = tuple((read(term), coeff) for term, coeff in Q.terms.items())
+    return tuple(steps), terms
+
+
 def _packed_coordinates(Q: FreePoly, A, commutator: bool, reduced: bool):
-    """The monomial ring and the dim coordinates of e_Q in it, packed."""
-    if Q.field != A.field:
-        raise FieldMismatch(f"{Q.field!r} vs {A.field!r}")
+    """The monomial ring and the dim coordinates of e_Q in it, packed.
+
+    The steps of _plan(Q) run in order on vectors of packed coordinates,
+    starting from the ring's generic arguments, each product by the
+    structure constants; with commutator=True a step adds -1 times its
+    reversed product.  The coordinates start as the entries of the first
+    term's vector when its coefficient is 1, and the other terms are added
+    to them; a sum may change those entries in place, as no step runs
+    after the terms and no two terms are one node."""
     f = A.field
+    if not (Q.field is f or Q.field == f):
+        raise FieldMismatch(f"{Q.field!r} vs {f!r}")
     dim = A.dim
     width = Q.n * dim
     cells = _cells(A)
@@ -437,31 +494,26 @@ def _packed_coordinates(Q: FreePoly, A, commutator: bool, reduced: bool):
         ring = _LaneMonomials(f, cells, width, None)
     else:
         ring = _LaneMonomials(f, cells, width, max(map(term_degree, Q.terms), default=1))
-    minus_one = f.neg(1)
-    generic = [  # coordinate s of argument i is the variable x_{i*dim+s+1}
-        [ring.variable(k) for k in range(i * dim, (i + 1) * dim)] for i in range(Q.n)
-    ]
+    steps, terms = _plan(Q)
+    values = list(ring.arguments(Q.n, dim))
     mul, combine = ring.mul, ring.combine
-
-    def tree(t):
-        if isinstance(t, int):
-            return generic[t - 1]
-        left, right = tree(t[0]), tree(t[1])
-        out = mul(left, right)
-        if commutator:
-            combine(out, mul(right, left), minus_one)
-        return out
-
-    def chain(term):
-        vec = generic[term[0] - 1]
-        for i in term[1:]:
-            vec = mul(vec, generic[i - 1])
-        return vec
-
-    vector = chain if Q.flavor is Flavor.ASSOC else tree
-    coords = [ring.zero() for _ in range(dim)]
-    for term, coeff in Q.terms.items():
-        combine(coords, vector(term), coeff)
+    if commutator:
+        minus_one = f.neg(1)
+        for left, right, disjoint in steps:
+            u, v = values[left], values[right]
+            out = mul(u, v, disjoint)
+            combine(out, mul(v, u, disjoint), minus_one)
+            values.append(out)
+    else:
+        for left, right, disjoint in steps:
+            values.append(mul(values[left], values[right], disjoint))
+    if terms and terms[0][1] == 1:
+        (node, _), *terms = terms
+        coords = list(values[node])
+    else:
+        coords = [ring.zero() for _ in range(dim)]
+    for node, coeff in terms:
+        combine(coords, values[node], coeff)
     return ring, coords
 
 
@@ -493,37 +545,59 @@ class _BitMonomials:
     A monomial is an int with bit k set when x_{k+1} divides it; as x^2 = x
     on GF(2), the reduced product of two monomials is their OR.  Every
     coefficient is 1, so a polynomial is the set of its monomials and a sum
-    keeps the monomials that occur an odd number of times.
+    keeps the monomials that occur an odd number of times: sets are added
+    by XOR.  Factors that share no argument have disjoint bits, so their
+    products are distinct and need no parity count.  No set is changed
+    once built: a sum replaces the entries of its vector, so vectors, and
+    the kept generic arguments, may share sets.
     """
 
-    zero = set
+    zero = frozenset
 
     def __init__(self, cells: tuple, width: int):
         self.cells = cells  # _cells(A); every entry is 1
         self.width = width
 
     @staticmethod
-    def variable(k: int) -> set:
-        return {1 << k}
+    @lru_cache(maxsize=64)
+    def arguments(n: int, dim: int) -> tuple:
+        """The n generic arguments: coordinate s of argument i is the
+        variable x_{i*dim+s+1}.  No set is changed once built, so the
+        cache keeps them for every build in n arguments of dimension dim."""
+        return tuple(
+            tuple(frozenset((1 << k,)) for k in range(i * dim, (i + 1) * dim)) for i in range(n)
+        )
 
-    def mul(self, u: list, v: list) -> list:
-        """u * v for vectors of coordinate sets, by the structure constants."""
-        out = [[] for _ in u]
+    def mul(self, u: list, v: list, disjoint: bool) -> list:
+        """u * v for vectors of coordinate sets, by the structure constants.
+
+        Each nonzero cell's product is one set, XORed into its output
+        coordinates.  When the factors share no argument, every pair of
+        monomials gives a different product, so the set is built as it
+        is; otherwise the products that occur an even number of times
+        cancel, as in x1 * x1."""
+        out = [frozenset()] * len(u)
         for ui, row in zip(u, self.cells):
             if ui:
                 for j, ks, _ in row:
                     vj = v[j]
                     if vj:
-                        terms = [a | b for a in ui for b in vj]
+                        if disjoint:
+                            terms = {a | b for a in ui for b in vj}
+                        else:
+                            terms = _odd_terms([a | b for a in ui for b in vj])
                         for k in ks:
-                            out[k] += terms
-        return list(map(_odd_terms, out))
+                            acc = out[k]
+                            out[k] = acc ^ terms if acc else terms
+        return out
 
     @staticmethod
     def combine(acc: list, part: list, c: int):
-        """acc += c * part, in place; c is 1."""
-        for a, p in zip(acc, part):
-            a ^= p
+        """acc += c * part, replacing acc's entries; c is 1."""
+        for s, p in enumerate(part):
+            if p:
+                a = acc[s]
+                acc[s] = a ^ p if a else p
 
     def unpack(self, poly: set) -> dict:
         shifts = range(self.width)
@@ -575,11 +649,17 @@ class _LaneMonomials:
             self.bits = degree.bit_length()
             self.guard = self.bias = self.top = 0
 
-    def variable(self, k: int) -> dict:
-        return {1 << (k * self.bits): 1}
+    def arguments(self, n: int, dim: int) -> list:
+        """The n generic arguments: coordinate s of argument i is the
+        variable x_{i*dim+s+1}."""
+        bits = self.bits
+        return [[{1 << (k * bits): 1} for k in range(i * dim, (i + 1) * dim)] for i in range(n)]
 
-    def mul(self, u: list, v: list) -> list:
-        """u * v for vectors of coordinate dicts, by the structure constants."""
+    def mul(self, u: list, v: list, disjoint: bool) -> list:
+        """u * v for vectors of coordinate dicts, by the structure constants.
+
+        disjoint is not read: skipping the fold and the accumulation for
+        factors with no argument in common measured no faster here."""
         add, mul = self.field.add, self.field.mul
         bias, guard, top, span = self.bias, self.guard, self.top, self.field.q - 1
         out = [{} for _ in u]

@@ -206,7 +206,7 @@ class FreePoly:
     def __eq__(self, other):
         return (
             isinstance(other, FreePoly)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.flavor is other.flavor
             and self.n == other.n
             and self.terms == other.terms

@@ -885,7 +885,7 @@ def dixon_verdict(
     if (not degrees) != report.is_identity:
         raise violation("enumeration and coordinate reduction disagree on identity-ness")
     if not degrees:
-        return _exact_report(zeros, total, degree, functional_consistent=True)
+        return _verdict_report(report, None)
 
     floor = floor_fraction(A.field.q, min(degrees)).value
     # the nonzero fraction 1 - zeros/total under the floor
@@ -900,8 +900,16 @@ def dixon_verdict(
             f"non-identity with zero probability {report.probability} "
             f"above 1 - 2^-{degree}"
         )
-    return _exact_report(
-        zeros, total, degree, functional_floor=floor, functional_consistent=True,
+    return _verdict_report(report, floor)
+
+
+def _verdict_report(report: EvalReport, floor) -> EvalReport:
+    """zero_probability's exact report with dixon_verdict's functional
+    fields: the floor and a consistent second route.  Its probability and
+    threshold are the count's, so no second Fraction is built."""
+    return _new_report(
+        report.zero_count, report.total, report.probability, report.degree, report.threshold,
+        report.is_identity, report.verdict_consistent, "exact", None, None, floor, True,
     )
 
 

@@ -43,6 +43,7 @@ BOUND = "tests/test_bound.py"
 LANES = "tests/test_lanes.py"
 SAMPLER = "tests/test_idtest.py"
 SAMPLED = "tests/test_kernel.py::test_sampled_mode_matches_the_recount_at_block_edges"
+COORDS = "tests/test_coordinates.py"
 
 MUTANTS = (
     # block statistics: the tally, its keys and its checks
@@ -240,6 +241,35 @@ MUTANTS = (
         "points >= lanes.RATIO *",
         "points > lanes.RATIO *",
         (LANES + "::test_route_takes_lanes_from_the_crossover_on",),
+    ),
+    # the coordinate route's plan and its products
+    Mutant(
+        "coords-disjoint-flag-forced",
+        "src/fqidtest/commpoly.py",
+        "steps.append((left, right, not args[left] & args[right]))",
+        "steps.append((left, right, True))",
+        (COORDS + "::test_route_on_explicit_plans",),
+    ),
+    Mutant(
+        "coords-chain-key-drops-last-letter",
+        "src/fqidtest/commpoly.py",
+        "            prefix = word[:end]",
+        "            prefix = word[:end - 1]",
+        (COORDS + "::test_route_on_explicit_plans",),
+    ),
+    Mutant(
+        "coords-commutator-reverse-dropped",
+        "src/fqidtest/commpoly.py",
+        "            combine(out, mul(v, u, disjoint), minus_one)\n",
+        "",
+        (COORDS + "::test_route_on_explicit_plans",),
+    ),
+    Mutant(
+        "coords-first-coefficient-ignored",
+        "src/fqidtest/commpoly.py",
+        "    if terms and terms[0][1] == 1:",
+        "    if terms:",
+        (COORDS + "::test_route_on_explicit_plans",),
     ),
     # the exhaustive scan's one-hot tables
     Mutant(

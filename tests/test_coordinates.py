@@ -10,6 +10,9 @@ zero count of the point loop over CommPoly.eval that
 functional_zero_fraction and the exhaustive scan ran before, restated
 here.  The nonzero structure constants the coordinate builds kept on the
 algebra must be the ones they read out of A.table on every call before.
+The step plan the builds run is checked on its own, and on polynomials
+whose plans share subterms, multiply disjoint and overlapping factors and
+start from a first term whose coefficient is not 1.
 """
 
 import operator
@@ -247,9 +250,9 @@ def test_warm_reduced_degrees_stay_off_the_kernel(monkeypatch):
             raise AssertionError(f"{name} was called")
         return call
 
-    for name in ("_kernel", "_evaluate_raw"):
+    for name in ("_kernel", "_compile", "_evaluate_raw"):
         monkeypatch.setattr(idtest, name, refuse(name))
-    for name in ("_tables", "_product", "_masks", "_count_blocks", "count", "cost"):
+    for name in ("_tables", "_plan", "_product", "_masks", "_count_blocks", "count", "cost"):
         monkeypatch.setattr(lanes, name, refuse(f"lanes.{name}"))
     monkeypatch.setattr(Algebra, "mul", refuse("Algebra.mul"))
     assert [reduced_degrees(Q, A, commutator=c) for Q, A, c in cases] == want
@@ -284,6 +287,97 @@ def test_fold_fires_repeatedly():
                     assert any(not c.is_zero for c in folded)
 
 
+def test_plan_shares_subterms_and_flags_disjoint_factors():
+    # an equal polynomial read earlier, its terms in another order, would
+    # give its own plan; this test reads the plans of these texts
+    commpoly._plan.cache_clear()
+
+    def plan(text, flavor):
+        return commpoly._plan(parse(text, flavor, F2))
+
+    # one step per product; a step's factors are disjoint when they share
+    # no argument
+    assert plan("x1*x2", Flavor.FREE) == (((0, 1, True),), ((2, 1),))
+    assert plan("x1*x1", Flavor.FREE) == (((0, 0, False),), ((1, 1),))
+    assert plan("[[x1,x2],x1]", Flavor.LIE) == (((0, 1, True), (2, 0, False)), ((3, 1),))
+    assert plan("x1*x2*x1", Flavor.ASSOC) == (((0, 1, True), (2, 0, False)), ((3, 1),))
+    # a subterm that several terms share is one node: x1*x2 is node 4,
+    # read by both terms' last steps
+    for flavor in (Flavor.FREE, Flavor.ASSOC):
+        steps, terms = plan("x1*x2*x3 + x1*x2*x4", flavor)
+        assert steps == ((0, 1, True), (4, 2, True), (4, 3, True)) and terms == ((5, 1), (6, 1))
+    steps, terms = plan("[x1,x2] + [[x1,x2],x3]", Flavor.LIE)
+    assert steps == ((0, 1, True), (3, 2, True)) and terms == ((3, 1), (4, 1))
+    # a bare variable is its argument's node, and needs no step
+    assert plan("x1 + x1*x2", Flavor.FREE) == (((0, 1, True),), ((0, 1), (2, 1)))
+    assert plan("x2 + x1", Flavor.ASSOC) == ((), ((1, 1), (0, 1)))
+    # distinct words share no node, even where their prefixes overlap
+    steps, terms = plan("x1*x2*x3 + x1*x3*x2", Flavor.ASSOC)
+    assert len(steps) == 4 and len(set(node for node, _ in terms)) == 2
+    # the plan is read off Q alone: equal polynomials share it
+    Q = parse("x1*x2 + x2*x1", Flavor.FREE, F2)
+    assert commpoly._plan(Q) is commpoly._plan(parse("x1*x2 + x2*x1", Flavor.FREE, F2))
+    F3 = field_of_order(3)
+    assert commpoly._plan(parse("x1*x2", Flavor.FREE, F3))[0] == plan("x1*x2", Flavor.FREE)[0]
+
+
+def test_route_on_explicit_plans():
+    F3, F4 = field_of_order(3), field_of_order(4)
+    tables = [*dimension_two_tables()][::17]
+    algebras = {
+        2: [*tables, upper_triangular(2, 2), Algebra(F2, 0, [])],
+        3: [upper_triangular(2, 3), Algebra(F3, 1, [[(2,)]]), Algebra(F3, 0, [])],
+        4: [upper_triangular(2, 4), Algebra(F4, 0, [])],
+    }
+    cases = {  # (flavor, n, terms, commutator), terms in the order e_Q adds them
+        2: [
+            # shared subterms, in words and in trees
+            (Flavor.ASSOC, 4, {(1, 2, 3): 1, (1, 2, 4): 1}, False),
+            (Flavor.FREE, 4, {((1, 2), 3): 1, ((1, 2), 4): 1}, False),
+            # [x1,x2] + [[x1,x2],x3] read as a commutator
+            (Flavor.LIE, 3, {(1, 2): 1, ((1, 2), 3): 1}, True),
+            (Flavor.LIE, 2, {((1, 2), 1): 1, ((1, 2), (2, 1)): 1}, True),
+            # overlapping and disjoint factors, a bare variable first and last;
+            # x1*x1 times x1 multiplies coordinates of several monomials
+            # whose products meet, and only their parity survives
+            (Flavor.FREE, 1, {((1, 1), 1): 1}, False),
+            (Flavor.ASSOC, 1, {(1, 1, 1): 1}, False),
+            (Flavor.LIE, 2, {((1, 2), 1): 1}, False),
+            (Flavor.FREE, 2, {1: 1, (1, 1): 1, (1, 2): 1}, False),
+            (Flavor.ASSOC, 2, {(1, 2, 1): 1, (2, 2): 1, (2,): 1}, False),
+            (Flavor.FREE, 1, {1: 1}, False),
+            # the zero polynomial, in no variables and in two
+            (Flavor.FREE, 0, {}, False),
+            (Flavor.LIE, 2, {}, True),
+        ],
+        3: [
+            # first terms whose coefficient is not 1
+            (Flavor.FREE, 2, {(1, 2): 2, (2, 1): 1}, False),
+            (Flavor.ASSOC, 3, {(1, 2, 3): 2, (1, 2): 1, (3,): 2}, False),
+            (Flavor.LIE, 3, {(1, 2): 2, ((1, 2), 3): 1}, True),
+            (Flavor.FREE, 2, {1: 2, (1, 1): 1}, False),
+        ],
+        4: [
+            (Flavor.FREE, 2, {(1, 2): 2, (1, 1): 3, 2: 1}, False),
+            (Flavor.LIE, 2, {((1, 2), 1): 3, (1, 2): 1}, True),
+        ],
+    }
+    commpoly._plan.cache_clear()  # so that each plan adds the terms in this order
+    for q, polys in cases.items():
+        F = field_of_order(q)
+        for flavor, n, terms, commutator in polys:
+            Q = FreePoly(F, flavor, n, terms)
+            assert [c for _, c in commpoly._plan(Q)[1]] == list(terms.values())
+            for A in algebras[q]:
+                folded, symbolic = assert_coordinates_match(Q, A, commutator)
+                # the coordinates start from a term's own vector, so a
+                # second build must find nothing left of the first
+                assert reduced_coordinates(Q, A, commutator=commutator) == folded
+                assert symbolic_coordinates(Q, A, commutator=commutator) == symbolic
+                if not terms or not A.dim:
+                    assert reduced_degrees(Q, A, commutator=commutator) == [None] * A.dim
+
+
 @st.composite
 def route_cases(draw):
     q = draw(st.sampled_from([2, 3, 4, 8]))
@@ -293,7 +387,9 @@ def route_cases(draw):
     table = [[draw(cell) for _ in range(dim)] for _ in range(dim)]
     A = Algebra(F, dim, table)
     flavor = draw(st.sampled_from(list(Flavor)))
-    n = draw(st.integers(1, 2))
+    # three arguments where the count stays within 4,096 points, so that
+    # terms share subterms and multiply disjoint and overlapping factors
+    n = draw(st.integers(1, 3 if q ** (3 * dim) <= 4096 else 2))
     leaf = st.integers(1, n)
     # in one variable a term can pass 2q leaves, so the fold fires twice
     leaves = 2 * q + 2 if n == 1 else 4
@@ -301,7 +397,7 @@ def route_cases(draw):
         term = st.lists(leaf, min_size=1, max_size=leaves).map(tuple)
     else:
         term = st.recursive(leaf, lambda t: st.tuples(t, t), max_leaves=leaves)
-    terms = draw(st.dictionaries(term, st.integers(1, q - 1), max_size=3))
+    terms = draw(st.dictionaries(term, st.integers(1, q - 1), max_size=4))
     # lie input on a plain table is read through the commutator
     return FreePoly(F, flavor, n, terms), A, flavor is Flavor.LIE
 

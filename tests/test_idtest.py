@@ -506,21 +506,34 @@ def assert_matches_reference(Q, A, commutator=False):
     assert got == reference_dixon(Q, A, commutator=commutator), (Q.to_text(), A.table)
 
 
-def test_dixon_report_is_the_count_report_with_the_functional_fields():
-    # the report was zero_probability's copied by dataclasses.replace, the
-    # reference here; _exact_report now builds it, equal field for field
+def test_dixon_report_is_the_count_report_with_the_functional_fields(monkeypatch):
+    # the verdict's report is its count's with the functional fields: the
+    # count's own probability and threshold, no second Fraction, and field
+    # for field the exact report with those fields
+    counted = []
+
+    def recording(*args, **kwargs):
+        counted.append(count(*args, **kwargs))
+        return counted[-1]
+
+    count = idtest.zero_probability
+    monkeypatch.setattr(idtest, "zero_probability", recording)
     cells = list(product(range(2), repeat=2))
     for tbl in product(cells, repeat=4):
         A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
         for Q in cli.battery_for(A):
-            count = zero_probability(Q, A)
-            if count.is_identity:
-                want = replace(count, functional_consistent=True)
-            else:
-                degree = min(c.degree for c in reduced_coordinates(Q, A) if not c.is_zero)
-                floor = floor_fraction(2, degree).value
-                want = replace(count, functional_floor=floor, functional_consistent=True)
-            assert dixon_verdict(Q, A) == want == reference_dixon(Q, A), (tbl, Q.to_text())
+            got = dixon_verdict(Q, A)
+            (report,) = counted
+            assert got.probability is report.probability and got.threshold is report.threshold
+            degrees = [c.degree for c in reduced_coordinates(Q, A) if not c.is_zero]
+            floor = floor_fraction(2, min(degrees)).value if degrees else None
+            want = replace(report, functional_floor=floor, functional_consistent=True)
+            assert got == want == reference_dixon(Q, A), (tbl, Q.to_text())
+            counted.clear()
+            assert_same_report(got, idtest._exact_report(
+                got.zero_count, got.total, Q.degree,
+                functional_floor=floor, functional_consistent=True,
+            ))
     assert idtest._threshold(3) is idtest._threshold(3) == Fraction(7, 8)
 
 
