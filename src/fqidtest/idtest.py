@@ -31,17 +31,20 @@ taken once the points reach lanes.RATIO times the constants and
 lanes.MIN_POINTS, below which the few microseconds lanes save are lost
 again to verdicts whose counts switch routes.  A lanes count runs in the
 calling process whatever the workers, as it is already faster than a
-forked point walk.  Otherwise the count runs slice by slice where it
-can.  If some variable occurs at most once in every term, e_Q is affine
-in it, so with the other arguments fixed it is v -> L(v) + c: the kernel
-runs at v = 0 and at the dim basis vectors only, and the slice has
-q**(dim - rank L) zeros when c lies in the image of L, none
-otherwise.  That evaluates (dim + 1) * order**(n-1) points instead of
-order**n.  The verdicts are memoised for one count call only.  The point
-walk remains for the zero polynomial, for polynomials with no affine
-variable and for slices too small to pay, and it is the reference the
-slices and the lanes are tested against.  Each route's count is exact,
-and the coordinate route that checks it is unchanged.
+forked point walk.  Otherwise one walker (_count_range) counts on the
+kernel, slice by slice where it can.  If some variable occurs at most
+once in every term, e_Q is affine in it, so with the other arguments
+fixed it is v -> L(v) + c: the kernel runs at v = 0 and at the dim basis
+vectors only, and the slice has q**(dim - rank L) zeros when c lies in
+the image of L, none otherwise.  That evaluates (dim + 1) * order**(n-1)
+points instead of order**n.  The verdicts are memoised for one count
+call only.  For the zero polynomial, with no affine variable and where
+slices are too small to pay, the walker calls the kernel at every point,
+and this point walk is the reference the slices and the lanes are tested
+against.  Over characteristic 2 a slice count is only ever c*x1: slices
+pay from order 8, where order**2 passes lanes.RATIO times a product's
+at most (k * dim)**3 constants.  Each route's count is exact, and the
+coordinate route that checks it is unchanged.
 
 The kernel is one generated function per (Q, commutator): its body
 unpacks the argument indices into locals and gives each distinct product
@@ -594,23 +597,20 @@ def _new_report(
     return report
 
 
-def _exact_report(
-    zero_count: int, total: int, degree: int, functional_floor=None, functional_consistent=None
-) -> EvalReport:
-    """The exact-mode report of a zero count, with dixon_verdict's
-    functional fields when given."""
+def _exact_report(zero_count: int, total: int, degree: int) -> EvalReport:
+    """The exact-mode report of a zero count."""
     is_identity = zero_count == total
     return _new_report(
         zero_count, total, Fraction(zero_count, total), degree, _threshold(degree), is_identity,
         # the probability zero_count/total at most 1 - 2^-degree, on the integers
         is_identity or zero_count << degree <= ((1 << degree) - 1) * total,
-        "exact", None, None, functional_floor, functional_consistent,
+        "exact", None, None, None, None,
     )
 
 
 def _slice_variable(Q: FreePoly, A: Algebra):
-    """The index j of the variable e_Q is counted along, slice by slice, or
-    None to walk every point.
+    """The index j of the variable _count_range counts e_Q along, slice by
+    slice, or None to walk every point.
 
     Products are bilinear, so a term in which x_{j+1} occurs at most once is
     linear in it or constant, and e_Q is affine in it.  The last such
@@ -619,6 +619,7 @@ def _slice_variable(Q: FreePoly, A: Algebra):
     about as much as four to eight kernel calls, so a slice is walked point
     by point unless it holds more than three times as many points as
     probes: over GF(2) from dimension 4, over GF(3) from dimension 3.
+    Over characteristic 2 lanes take all of these counts but c*x1's.
     """
     if Q.is_zero or A.order() <= 3 * (A.dim + 1):
         return None
@@ -630,53 +631,28 @@ def _count_range(payload):
     """Count zeros of e_Q over A^n with the first walked argument's index in
     range(start, stop) (worker-safe).
 
-    Slice by slice along x_{j+1} where _slice_variable gives j, point by
-    point where it gives None; a polynomial with one argument and an affine
-    variable walks no argument, and its one slice is the range (0, 1).
+    Every argument but x_{j+1} is walked in canonical order, the first of
+    them over range(start, stop); with none to walk, the walk is the one
+    empty point.  With j None the kernel runs once per point.  Otherwise
+    x_{j+1} runs innermost over the probes 0 and the basis vectors
+    b_1..b_dim: on a slice e_Q is v -> L(v) + c for a linear map L, so the
+    probes give c and L(b_i) + c, and the slice has q**(dim - rank L)
+    zeros if c is in the image of L and none otherwise.
     """
     Q, A, commutator, j, start, stop = payload
-    if j is None:
-        return _count_points(Q, A, commutator, start, stop)
-    return _count_slices(Q, A, commutator, j, start, stop)
-
-
-def _count_points(Q, A, commutator, start, stop):
-    """Count zeros with the first argument's index in range(start, stop),
-    walking the points in canonical order.
-
-    The zero polynomial has no arguments and its one point, the empty
-    tuple, is the range (0, 1).
-    """
-    e = _kernel(Q, A, commutator)
-    if Q.n:
-        rest = [range(A.order())] * (Q.n - 1)
-        points = product(range(start, stop), *rest)
-    else:
-        points = [()] * (stop - start)
-    return sum(map(not_, map(e, points)))
-
-
-def _count_slices(Q, A, commutator, j, start, stop):
-    """Count zeros slice by slice along x_{j+1}, in which e_Q is affine.
-
-    The other arguments are walked in canonical order, the first of them
-    over range(start, stop), and x_{j+1} runs innermost over the probes 0
-    and the basis vectors b_1..b_dim.  On a slice e_Q is v -> L(v) + c for
-    a linear map L, so the probes give c and L(b_i) + c, and the slice has
-    q**(dim - rank L) zeros if c is in the image of L and none otherwise.
-    """
     e = _kernel(Q, A, commutator)
     tables = _tables(A)
     order, dim, n = tables.order, tables.dim, Q.n
+    walked = [range(order)] * (n if j is None else n - 1)
+    if walked:
+        walked[0] = range(start, stop)
+    if j is None:
+        return sum(map(not_, map(e, product(*walked))))
     probes = [0] + [order // tables.field.q ** i for i in range(1, dim + 1)]
-    if n == 1:
-        points = [(p,) for p in probes] * (stop - start)
-    else:
-        rest = [range(order)] * (n - 2)
-        points = product(range(start, stop), *rest, probes)
-        if j != n - 1:
-            # the probe is walked last; move it into argument slot j
-            points = map(itemgetter(*range(j), n - 1, *range(j, n - 1)), points)
+    points = product(*walked, probes)
+    if j != n - 1:
+        # the probe is walked last; move it into argument slot j
+        points = map(itemgetter(*range(j), n - 1, *range(j, n - 1)), points)
     slices = zip(*[map(e, points)] * (dim + 1))
     return sum(map(_slice_zeros(tables).__getitem__, slices))
 
@@ -686,25 +662,12 @@ def _slice_zeros(tables: _Tables) -> _Memo:
     zero count, built for one count call and dropped after it.
 
     The image of L is spanned one L(b_i) at a time as a set of element
-    indices, so the slice has order // |im L| zeros when c is in it.  Over
-    GF(2) indices add as XOR and 1 is the only nonzero scalar.  Any other
-    field adds and scales on the algebra's tables: XOR alone would span
-    over GF(2), not over GF(q), even in characteristic 2.
+    indices, adding and scaling on the algebra's tables (XOR alone would
+    span over GF(2), not GF(q)), so the slice has order // |im L| zeros
+    when c is in it.
     """
     order = tables.order
     f = tables.field
-    if f.q == 2:
-        def zeros(key):
-            c = key[0]
-            image = {0}
-            for r in key[1:]:
-                v = r ^ c  # L(b_i)
-                if v not in image:
-                    image |= {a ^ v for a in image}
-            return order // len(image) if c in image else 0
-
-        return _Memo(zeros)
-
     add = tables.add()
     negate = tables.scale(f.neg(1))
     scales = [tables.scale(s) for s in range(2, f.q)]
@@ -741,8 +704,9 @@ def _count_route(Q: FreePoly, A: Algebra, commutator: bool):
 def _count_exact(Q, A, commutator, workers):
     """Zeros of e_Q over A^n, by the route _count_route gives.
 
-    On the point and slice routes the chunks are ranges of the first
-    walked argument's index, and a serial count is one chunk.  They fork
+    The point and slice routes are the one walker _count_range, on j None
+    or on the slice variable j.  Its chunks are ranges of the first walked
+    argument's index, and a serial count is one chunk.  They fork
     once the points they walk (probes on the slice route) reach
     bound.FORK_POINTS, read at call time so that one binding sets the
     threshold for every job.  The lanes route runs its blocks in process
@@ -776,8 +740,9 @@ def zero_probability(
 
     An exact count takes _count_route's route: lanes over characteristic 2
     once the points reach lanes.MIN_POINTS and lanes.RATIO times the
-    product's nonzero GF(2) structure constants, slices where e_Q is
-    affine in a variable, points otherwise.  A sampled count checks the
+    product's nonzero GF(2) structure constants, else _count_range's walk:
+    slices where e_Q is affine in a variable (over characteristic 2 only
+    c*x1), points otherwise.  A sampled count checks the
     cap before any draw, then streams its points from SplitMix64(seed) in
     blocks of whole points (SplitMix64.points) and runs each block on the
     kernel, so its memory stays bounded whatever the samples.

@@ -44,6 +44,7 @@ LANES = "tests/test_lanes.py"
 SAMPLER = "tests/test_idtest.py"
 SAMPLED = "tests/test_kernel.py::test_sampled_mode_matches_the_recount_at_block_edges"
 COORDS = "tests/test_coordinates.py"
+SLICES = "tests/test_kernel.py::test_slices_match_points_on_random_tables"
 
 MUTANTS = (
     # block statistics: the tally, its keys and its checks
@@ -114,12 +115,27 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_coset_descent.py::test_final_check_failure_witness_replays",),
     ),
+    # the exact-count walker and its slice memo
     Mutant(
-        "slice-zeros-xor-over-gf-q",
+        "slice-zeros-offset-dropped",
         "src/fqidtest/idtest.py",
-        "    if f.q == 2:\n        def zeros(key):",
-        "    if f.p == 2:\n        def zeros(key):",
-        ("tests/test_kernel.py::test_slices_match_points_on_random_tables",),
+        "v = add[r * order + minus_c] if c else r",
+        "v = r",
+        (SLICES,),
+    ),
+    Mutant(
+        "walker-probe-slot-not-moved",
+        "src/fqidtest/idtest.py",
+        "    if j != n - 1:",
+        "    if False:",
+        (SLICES,),
+    ),
+    Mutant(
+        "walker-chunk-range-ignored",
+        "src/fqidtest/idtest.py",
+        "walked[0] = range(start, stop)",
+        "walked[0] = range(order)",
+        ("tests/test_kernel.py::test_chunks_and_workers_give_the_serial_count",),
     ),
     # coset search and descent over the zero ideal, and their memos and gates
     Mutant(

@@ -479,8 +479,9 @@ def reference_dixon(Q, A, *, cap=idtest.EXACT_CAP, workers=1, commutator=False):
     if (not nonzero) != report.is_identity:
         raise violation("enumeration and coordinate reduction disagree on identity-ness")
     if report.is_identity:
-        return idtest._exact_report(
-            report.zero_count, report.total, report.degree, functional_consistent=True
+        return replace(
+            idtest._exact_report(report.zero_count, report.total, report.degree),
+            functional_consistent=True,
         )
     floor = idtest.floor_fraction(A.field.q, min(c.degree for c in nonzero)).value
     if 1 - report.probability < floor:
@@ -495,8 +496,8 @@ def reference_dixon(Q, A, *, cap=idtest.EXACT_CAP, workers=1, commutator=False):
         )
     if not report.verdict_consistent:
         raise violation("inconsistent verdict flags")
-    return idtest._exact_report(
-        report.zero_count, report.total, report.degree,
+    return replace(
+        idtest._exact_report(report.zero_count, report.total, report.degree),
         functional_floor=floor, functional_consistent=True,
     )
 
@@ -530,8 +531,8 @@ def test_dixon_report_is_the_count_report_with_the_functional_fields(monkeypatch
             want = replace(report, functional_floor=floor, functional_consistent=True)
             assert got == want == reference_dixon(Q, A), (tbl, Q.to_text())
             counted.clear()
-            assert_same_report(got, idtest._exact_report(
-                got.zero_count, got.total, Q.degree,
+            assert_same_report(got, replace(
+                idtest._exact_report(got.zero_count, got.total, Q.degree),
                 functional_floor=floor, functional_consistent=True,
             ))
     assert idtest._threshold(3) is idtest._threshold(3) == Fraction(7, 8)

@@ -31,9 +31,7 @@ from fqidtest.gf import Field, field_of_order
 from fqidtest.idtest import (
     EXACT_CAP,
     SplitMix64,
-    _count_points,
     _count_range,
-    _count_slices,
     _evaluate_raw,
     _kernel,
     _product_fn,
@@ -458,10 +456,10 @@ def affine_variables(Q):
 
 def assert_slices_match_points(Q, A, commutator=False):
     """Counting along each affine variable gives the point walk's count."""
-    points = _count_points(Q, A, commutator, 0, A.order())
+    points = _count_range((Q, A, commutator, None, 0, A.order()))
     first = A.order() if Q.n > 1 else 1
     for j in affine_variables(Q):
-        assert _count_slices(Q, A, commutator, j, 0, first) == points, (Q.to_text(), j)
+        assert _count_range((Q, A, commutator, j, 0, first)) == points, (Q.to_text(), j)
     return points
 
 
@@ -522,7 +520,7 @@ def test_slice_route_counts_nonhomogeneous_polynomials_over_gf4():
         Q = parse(text, Flavor.FREE, A.field)
         assert _slice_variable(Q, A) is not None
         order = A.order()
-        brute = sum(_count_points(Q, A, False, start, start + 1) for start in range(order))
+        brute = sum(_count_range((Q, A, False, None, start, start + 1)) for start in range(order))
         assert zero_probability(Q, A).zero_count == brute, text
 
 
@@ -575,7 +573,7 @@ def test_workers_give_the_serial_count_on_the_slice_route(pooled_counts, A, flav
     serial = zero_probability(Q, A, workers=1).zero_count
     assert zero_probability(Q, A, workers=3).zero_count == serial
     assert serial == sum(
-        _count_points(Q, A, False, start, start + 1) for start in range(A.order())
+        _count_range((Q, A, False, None, start, start + 1)) for start in range(A.order())
     )
 
 

@@ -1,11 +1,12 @@
 """Bit-sliced counts over characteristic 2 against the point walk.
 
 The lanes route counts e_Q's zeros with each point one bit of a lane int;
-_count_points, the kernel's point walk, is the reference it is checked
-against, count for count.
+the kernel's point walk (_count_range with no slice variable) is the
+reference it is checked against, count for count.
 """
 
 import pickle
+import random
 import tracemalloc
 from itertools import product
 
@@ -17,9 +18,9 @@ from fqidtest import cli, commpoly, idtest, lanes
 from fqidtest.algebra import Algebra, builtin, matrix_algebra
 from fqidtest.cli import battery_for, two_path_pairs
 from fqidtest.commpoly import reduced_degrees
-from fqidtest.freepoly import Flavor, FreePoly, parse
+from fqidtest.freepoly import Flavor, FreePoly, engel, parse
 from fqidtest.gf import field_of_order
-from fqidtest.idtest import _count_points, _count_route, zero_probability
+from fqidtest.idtest import _count_range, _count_route, zero_probability
 from fqidtest.lanes import _count_blocks
 
 F2 = field_of_order(2)
@@ -27,7 +28,7 @@ BRACKETS = ("[x1,x2]", "[[x1,x2],x1]", "[x1,x2] + [[x2,x1],x2]")
 
 
 def points_count(Q, A, commutator=False):
-    return _count_points(Q, A, commutator, 0, A.order() if Q.n else 1)
+    return _count_range((Q, A, commutator, None, 0, A.order() if Q.n else 1))
 
 
 def lanes_count(Q, A, commutator=False, bits=None, split=None):
@@ -187,6 +188,41 @@ def test_route_takes_lanes_from_the_crossover_on(monkeypatch):
     assert _count_route(parse("[[x1,x2],x3]", Flavor.LIE, F2), B, True)[0] == "lanes"
 
 
+def test_slices_over_characteristic_two_are_only_ever_c_x1():
+    # idtest._slice_zeros spans on the tables over every field: over
+    # characteristic 2 lanes take every count of two or more arguments
+    # that could slice, dense tables included, and only x1 is left to it
+    rng = random.Random(26)
+    algebras = [A for A in cli.library() if A.field.p == 2]
+    for q in (2, 4, 8):
+        F = field_of_order(q)
+        for dim in range(1, 5):
+            algebras.append(Algebra(F, dim, [[(q - 1,) * dim] * dim] * dim))
+            for _ in range(3):
+                cells = [tuple(rng.randrange(q) for _ in range(dim)) for _ in range(dim * dim)]
+                algebras.append(Algebra(F, dim, [cells[s * dim:(s + 1) * dim] for s in range(dim)]))
+    affine = ("x1*x2", "x2*x1*x2 + x1", "x1*x1*x2 + x2", "x2*x1 + x1*x1 + x3", "x1*x2*x3 + x3*x3")
+    sliceable = 0
+    for A in algebras:
+        cases = [(Q, False) for Q in battery_for(A)]
+        if A.bracket:
+            cases += [(engel(k, A.field), False) for k in (1, 2)]
+        else:
+            cases += [(parse(text, Flavor.FREE, A.field), False) for text in affine]
+            cases += [(parse(text, Flavor.LIE, A.field), True) for text in BRACKETS]
+        for Q, commutator in cases:
+            if Q.n < 2:
+                continue
+            sliceable += idtest._slice_variable(Q, A) is not None
+            assert _count_route(Q, A, commutator)[0] != "slice", (Q.to_text(), A.table)
+    assert sliceable >= 300
+    # x1 on a dimension-4 GF(2) table: 16 points, under lanes.MIN_POINTS
+    A = constants_table(4, 64)
+    Q = parse("x1", Flavor.FREE, F2)
+    assert _count_route(Q, A, False) == ("slice", 0)
+    assert zero_probability(Q, A).zero_count == points_count(Q, A) == 1
+
+
 def table_constants(A, commutator):
     """The constants of A's lane tables: each (b, outs) of a row is one XOR
     per lane in outs."""
@@ -336,7 +372,7 @@ def test_lanes_and_coordinate_routes_share_no_helper(monkeypatch):
     coordinate_side = {
         commpoly: ("_cells", "_plan", "_bit_masks", "_count_gf2", "_count_points", "zero_counter"),
         idtest: (
-            "_kernel", "_compile", "_evaluate_raw", "_count_points", "_count_slices",
+            "_kernel", "_compile", "_evaluate_raw", "_count_range",
             "reduced_coordinates", "reduced_degrees", "zero_counter",
         ),
     }

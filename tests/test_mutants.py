@@ -3,8 +3,9 @@
 tests/mutants.py runs each mutant against the tests it names, which takes
 minutes, so it stays out of this suite.  This reads its table and checks
 what a refactor could silently break: the ids are unique, each mutant's
-old text occurs exactly once in its file under src/, and each named test
-is still defined where the table says.
+old text occurs exactly once in its file under src/, the file still
+parses with the mutant applied, and each named test is still defined
+where the table says.
 """
 
 import ast
@@ -33,6 +34,14 @@ def test_each_mutant_changes_text_that_occurs_once_in_src():
     for m in _table():
         assert m.path.startswith("src/fqidtest/") and m.old != m.new, m.id
         assert (ROOT / m.path).read_text().count(m.old) == 1, f"{m.id} is stale"
+
+
+def test_each_mutant_still_parses():
+    # a mutant that only breaks the syntax fails every test it names, so it
+    # would count as killed without showing that any test reads the spot
+    for m in _table():
+        text = (ROOT / m.path).read_text()
+        ast.parse(text.replace(m.old, m.new, 1), filename=m.path)
 
 
 def test_each_named_test_exists():
