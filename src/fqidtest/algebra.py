@@ -163,15 +163,10 @@ class Ideal:
 # the algebra itself
 
 class Algebra:
-    # _ideals memoises enumerate_ideals, _index_tables holds idtest's
-    # element-index tables, _lane_tables the lanes module's structure
-    # constants over GF(2) and _lane_costs their count per reading, and
-    # _cells commpoly's nonzero structure constants; all five are built on
-    # first use
-    __slots__ = (
-        "field", "dim", "table", "bracket", "name", "basis_names", "_ideals", "_index_tables",
-        "_lane_tables", "_lane_costs", "_cells",
-    )
+    # _memo holds what other code derives from the table, each entry under
+    # a key its owner picks and built on first use; it is not part of the
+    # algebra's value, so equality, hashing and pickles leave it out
+    __slots__ = ("field", "dim", "table", "bracket", "name", "basis_names", "_memo")
 
     def __init__(self, field, dim, table, bracket=False, name=None, basis_names=None):
         if dim < 0:
@@ -206,27 +201,19 @@ class Algebra:
             if len(basis_names) != dim:
                 raise ShapeMismatch("basis_names length differs from dimension")
         self.basis_names = basis_names
-        self._ideals = None
-        self._index_tables = None
-        self._lane_tables = None
-        self._lane_costs = None
-        self._cells = None
+        self._memo = {}
         if self.bracket:
             self._validate_lie()
 
     def __getstate__(self):
-        # the memos stay behind: the index tables hold closures and
+        # the memo stays behind: idtest's tables hold closures and
         # generated kernels, which do not pickle, and a worker process
         # builds its own
         return (self.field, self.dim, self.table, self.bracket, self.name, self.basis_names)
 
     def __setstate__(self, state):
         self.field, self.dim, self.table, self.bracket, self.name, self.basis_names = state
-        self._ideals = None
-        self._index_tables = None
-        self._lane_tables = None
-        self._lane_costs = None
-        self._cells = None
+        self._memo = {}
 
     def _validate_lie(self):
         f = self.field
@@ -420,8 +407,9 @@ def _walk_ideals(A: Algebra, cap: int = SUBSPACE_CAP):
     total = count_subspaces(f.q, d)
     if total > cap:
         raise SearchSpaceTooLarge(total, cap)
-    if A._ideals is not None:
-        yield from A._ideals
+    ideals = A._memo.get(_walk_ideals)
+    if ideals is not None:
+        yield from ideals
         return
     found = []
     for r in range(d + 1):
@@ -444,7 +432,7 @@ def _walk_ideals(A: Algebra, cap: int = SUBSPACE_CAP):
                     found.append(Ideal(f, d, rows, pivots))
                     yield found[-1]
     found.sort(key=_ideal_order)
-    A._ideals = tuple(found)
+    A._memo[_walk_ideals] = tuple(found)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ reaches q back by q - 1 (x^q = x) at once, through a bias that sets the
 lane's guard bit; symbolic, a lane holds Q's degree and nothing folds.
 Only the final coordinates are unpacked to {exps: coeff} dicts.  The
 nonzero structure constants these builds walk depend only on A.table, so
-the algebra keeps them (_cells).
+the algebra keeps them in its memo (_cells).
 reduced_degrees unpacks nothing: it reads each reduced coordinate's
 total degree off the packed ints, a bit count over GF(2) and a sum of
 lanes otherwise, and builds no exponent tuple and no CommPoly.
@@ -522,10 +522,11 @@ def _cells(A) -> tuple:
     for each nonzero cell (i, j), ks the k with a nonzero entry c_k and cs
     those entries.
 
-    They depend only on A.table, so A keeps them (Algebra._cells) and
-    every coordinate build on A after the first reads them as they are.
+    They depend only on A.table, so A keeps them in its memo under the
+    key _cells, and every coordinate build on A after the first reads them
+    as they are.
     """
-    cells = A._cells
+    cells = A._memo.get(_cells)
     if cells is None:
         rows = []
         for row in A.table:
@@ -535,7 +536,7 @@ def _cells(A) -> tuple:
                 if ks:
                     nonzero.append((j, ks, tuple(cell[k] for k in ks)))
             rows.append(tuple(nonzero))
-        cells = A._cells = tuple(rows)
+        cells = A._memo[_cells] = tuple(rows)
     return cells
 
 

@@ -38,13 +38,18 @@ fixed it is v -> L(v) + c: the kernel runs at v = 0 and at the dim basis
 vectors only, and the slice has q**(dim - rank L) zeros when c lies in
 the image of L, none otherwise.  That evaluates (dim + 1) * order**(n-1)
 points instead of order**n.  The verdicts are memoised for one count
-call only.  For the zero polynomial, with no affine variable and where
-slices are too small to pay, the walker calls the kernel at every point,
-and this point walk is the reference the slices and the lanes are tested
-against.  Over characteristic 2 a slice count is only ever c*x1: slices
-pay from order 8, where order**2 passes lanes.RATIO times a product's
-at most (k * dim)**3 constants.  Each route's count is exact, and the
-coordinate route that checks it is unchanged.
+call only.  A slice pays only when it holds more than three times as
+many points as probes, and a count of one argument never slices: its
+one affine polynomial is c*x1, whose one verdict spans im(c * id), all
+of A, and builds a scale table per nonzero scalar.  For the zero
+polynomial, with no affine variable and where slices do not pay, the
+walker calls the kernel at every point, and this point walk is the
+reference the slices and the lanes are tested against.  Over
+characteristic 2 no count slices: slices pay from order 8, where
+order**2 passes lanes.RATIO times a product's at most (k * dim)**3
+constants, so lanes take every count of two or more arguments that
+could slice.  Each route's count is exact, and the coordinate route
+that checks it is unchanged.
 
 The kernel is one generated function per (Q, commutator): its body
 unpacks the argument indices into locals and gives each distinct product
@@ -338,7 +343,8 @@ class _Tables:
     a * order + b.  Beside them sit the compiled kernel of each
     (Q, commutator), each ideal's member indices and the
     (Q, ideal, commutator) keys whose descent to the ideal is verified.
-    None of it is pickled: Algebra.__getstate__ leaves the tables behind.
+    The algebra keeps them in its memo under the key _Tables; none of it
+    is pickled, as Algebra.__getstate__ leaves the memo behind.
     """
 
     __slots__ = (
@@ -419,10 +425,11 @@ class _Tables:
 
 
 def _tables(A: Algebra) -> _Tables:
-    tables = A._index_tables
-    if tables is None:
-        tables = A._index_tables = _Tables(A)
-    return tables
+    try:
+        return A._memo[_Tables]
+    except KeyError:
+        tables = A._memo[_Tables] = _Tables(A)
+        return tables
 
 
 def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
@@ -610,18 +617,17 @@ def _exact_report(zero_count: int, total: int, degree: int) -> EvalReport:
 
 def _slice_variable(Q: FreePoly, A: Algebra):
     """The index j of the variable _count_range counts e_Q along, slice by
-    slice, or None to walk every point.
+    slice, or None to walk every point (the policy is _count_route's).
 
     Products are bilinear, so a term in which x_{j+1} occurs at most once is
     linear in it or constant, and e_Q is affine in it.  The last such
-    variable is taken.  The zero polynomial has none.  A slice trades its
-    order points for dim + 1 probes and a verdict, and a verdict costs
-    about as much as four to eight kernel calls, so a slice is walked point
-    by point unless it holds more than three times as many points as
-    probes: over GF(2) from dimension 4, over GF(3) from dimension 3.
-    Over characteristic 2 lanes take all of these counts but c*x1's.
+    variable is taken.  The zero polynomial has none, and a count of one
+    argument takes none.  A slice trades its order points for dim + 1
+    probes and a verdict, and a verdict costs about as much as four to
+    eight kernel calls, so a slice is walked point by point unless it
+    holds more than three times as many points as probes.
     """
-    if Q.is_zero or A.order() <= 3 * (A.dim + 1):
+    if Q.n < 2 or Q.is_zero or A.order() <= 3 * (A.dim + 1):
         return None
     degrees = Q.analyze().multidegree
     return next((j for j in range(Q.n - 1, -1, -1) if degrees[j] <= 1), None)
@@ -688,11 +694,11 @@ def _slice_zeros(tables: _Tables) -> _Memo:
 
 
 def _count_route(Q: FreePoly, A: Algebra, commutator: bool):
-    """(route, j): how _count_exact counts e_Q's zeros.  "lanes" over
-    characteristic 2 once the points reach lanes.MIN_POINTS and
-    lanes.RATIO times the product's nonzero GF(2) structure constants, else
-    "slice" along x_{j+1} where _slice_variable gives j, else "points"; j
-    is None but on the slice route."""
+    """(route, j): how _count_exact counts e_Q's zeros, as the module
+    docstring sets out.  "lanes" over characteristic 2 once the points
+    reach lanes.MIN_POINTS and lanes.RATIO times lanes.cost, else "slice"
+    along x_{j+1} where _slice_variable gives j, else "points"; j is None
+    but on the slice route."""
     if A.field.p == 2:
         points = A.order() ** Q.n
         if points >= lanes.MIN_POINTS and points >= lanes.RATIO * lanes.cost(A, commutator):
@@ -738,14 +744,11 @@ def zero_probability(
 ) -> EvalReport:
     """The exact (or sampled) fraction of A^n mapped to zero by e_Q.
 
-    An exact count takes _count_route's route: lanes over characteristic 2
-    once the points reach lanes.MIN_POINTS and lanes.RATIO times the
-    product's nonzero GF(2) structure constants, else _count_range's walk:
-    slices where e_Q is affine in a variable (over characteristic 2 only
-    c*x1), points otherwise.  A sampled count checks the
-    cap before any draw, then streams its points from SplitMix64(seed) in
-    blocks of whole points (SplitMix64.points) and runs each block on the
-    kernel, so its memory stays bounded whatever the samples.
+    An exact count takes the route _count_route gives (_count_exact).  A
+    sampled count checks the cap before any draw, then streams its points
+    from SplitMix64(seed) in blocks of whole points (SplitMix64.points)
+    and runs each block on the kernel, so its memory stays bounded
+    whatever the samples.
     """
     _product_fn(Q, A, commutator)  # fail fast on flavor problems
     degree = _poly_degree(Q)
@@ -820,9 +823,8 @@ def dixon_verdict(
 ) -> EvalReport:
     """Exact verdict with a dual-route cross-check.
 
-    Route one counts the zeros of e_Q on A^n (zero_probability: on lanes
-    over characteristic 2, slice by slice where e_Q is affine in a
-    variable, point by point otherwise).
+    Route one counts the zeros of e_Q on A^n (zero_probability, by the
+    route _count_route gives).
     Route two reads the degree of each reduced coordinate polynomial off
     its packed monomials (commpoly.reduced_degrees): all zero iff e_Q is
     an identity, and otherwise each nonzero coordinate forces the nonzero

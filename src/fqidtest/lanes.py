@@ -15,10 +15,11 @@ after the last step or term that reads it, so a block keeps only the
 nodes still to be read.  The blocks run one after another in the calling
 process: a count never forks, as a serial lanes count of 2**24 points
 takes tens of milliseconds.  The structure constants and each
-coefficient's map are built once per algebra, when a count first runs on
-lanes, and kept on it (Algebra._lane_tables), never pickled; e_Q's plan
-reads Q alone and is shared by all algebras; the crossover's cost is read
-from A.table alone and kept on the algebra as one int per reading.
+coefficient's map are built once per algebra, when a count or the
+crossover's cost first reads them, and kept in its memo under the key
+_Tables, never pickled; the cost is the constants in the product's rows,
+counted once per reading and kept beside them; e_Q's plan reads Q alone
+and is shared by all algebras.
 
 This is the enumeration side of the cross-checks that idtest runs against
 the coordinate polynomials, so it reads A.table and the field's
@@ -61,7 +62,7 @@ class _Tables:
     in srcs[t], or None for c = 1.
     """
 
-    __slots__ = ("field", "width", "constants", "products", "scales")
+    __slots__ = ("field", "width", "constants", "products", "costs", "scales")
 
     def __init__(self, A):
         f, dim, k = A.field, A.dim, A.field.k
@@ -81,6 +82,7 @@ class _Tables:
                             )
         self.constants = constants
         self.products = {}  # commutator flag -> rows
+        self.costs = {}  # commutator flag -> the constants in its rows
         self.scales = {}  # coefficient -> srcs
 
     def rows(self, commutator: bool):
@@ -118,10 +120,11 @@ class _Tables:
 
 
 def _tables(A) -> _Tables:
-    tables = A._lane_tables
-    if tables is None:
-        tables = A._lane_tables = _Tables(A)
-    return tables
+    try:
+        return A._memo[_Tables]
+    except KeyError:
+        tables = A._memo[_Tables] = _Tables(A)
+        return tables
 
 
 def _product(rows, width, u, v):
@@ -241,33 +244,14 @@ def _count_blocks(Q, A, commutator: bool, bits: int, start: int, stop: int) -> i
 
 
 def cost(A, commutator: bool) -> int:
-    """The XORs one product of two elements of A takes on lanes: its
-    nonzero GF(2) structure constants.  Constant c of A.table spreads to
-    the k * k products g^i * g^j * c, each as many constants as it has
-    bits; the commutator reading adds the constants of (a, b) and (b, a),
-    c + c' for the cells (s, r) and (r, s).  Read from A.table alone and
-    kept on A (Algebra._lane_costs), so that a count the route gives the
-    kernel builds no lane tables."""
-    costs = A._lane_costs
-    if costs is None:
-        costs = A._lane_costs = {}
-    total = costs.get(commutator)
+    """The XORs one product of two elements of A takes on lanes: the
+    constants in the rows of its lane tables, one per lane of each
+    (b, outs), counted once per reading and kept in the tables."""
+    tables = _tables(A)
+    total = tables.costs.get(commutator)
     if total is None:
-        f, k, table = A.field, A.field.k, A.table
-        spread = {0: 0}  # c -> its constants
-        total = 0
-        for s, row in enumerate(table):
-            for r, cell in enumerate(row):
-                for t, c in enumerate(cell):
-                    if commutator:
-                        c ^= table[r][s][t]
-                    w = spread.get(c)
-                    if w is None:
-                        w = spread[c] = sum(
-                            f.mul(f.mul(1 << i, 1 << j), c).bit_count() for i in range(k) for j in range(k)
-                        )
-                    total += w
-        costs[commutator] = total
+        rows = tables.rows(commutator)
+        total = tables.costs[commutator] = sum(len(outs) for _, row in rows for _, outs in row)
     return total
 
 

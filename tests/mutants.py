@@ -181,6 +181,13 @@ MUTANTS = (
         (COSETS + "::test_field_and_flavor_gates_run_on_a_warm_kernel",),
     ),
     Mutant(
+        "walk-ideals-memo-before-end",
+        "src/fqidtest/algebra.py",
+        "    found = []\n    for r in range(d + 1):",
+        "    found = A._memo[_walk_ideals] = []\n    for r in range(d + 1):",
+        (COSETS + "::test_enumerate_ideals_memo_keeps_the_cap_and_hands_out_copies",),
+    ),
+    Mutant(
         "ideal-hash-memo-pickled",
         "src/fqidtest/algebra.py",
         '        state.pop("_hash", None)',
@@ -233,9 +240,16 @@ MUTANTS = (
     Mutant(
         "lanes-cost-commutator-ignored",
         "src/fqidtest/lanes.py",
-        "                        c ^= table[r][s][t]",
-        "                        c ^= 0",
+        "m[a][b] ^ m[b][a] if commutator",
+        "m[a][b] if commutator",
         (LANES + "::test_cost_is_the_constants_of_the_lane_tables",),
+    ),
+    Mutant(
+        "lanes-cost-reading-ignored",
+        "src/fqidtest/lanes.py",
+        "total = tables.costs.get(commutator)",
+        "total = next(iter(tables.costs.values()), None)",
+        (LANES + "::test_route_takes_lanes_from_the_crossover_on",),
     ),
     Mutant(
         "lanes-node-never-dropped",

@@ -159,7 +159,7 @@ def assert_coordinates_match(Q, A, commutator=False):
     returns the reduced and the symbolic coordinates."""
     width = Q.n * A.dim
     folded = reduced_coordinates(Q, A, commutator=commutator)
-    cells = A._cells
+    cells = A._memo[commpoly._cells]
     assert commpoly._cells(A) is cells  # kept by the first build
     assert [[(j, list(ks), list(cs)) for j, ks, cs in row] for row in cells] == reference_cells(A)
     symbolic = symbolic_coordinates(Q, A, commutator=commutator)
@@ -223,11 +223,11 @@ def test_pickled_algebras_give_the_same_degrees():
         if not A.bracket and A.field.q == 2:
             cases += [(Q, True) for Q in brackets]
         want = [reduced_degrees(Q, A, commutator=c) for Q, c in cases]
-        assert A._cells is not None
+        assert commpoly._cells in A._memo
         B = pickle.loads(pickle.dumps(A))
-        assert B == A and B._cells is None and B._index_tables is None
+        assert B == A and B._memo == {}
         assert [reduced_degrees(Q, B, commutator=c) for Q, c in cases] == want
-        assert B._cells == A._cells
+        assert B._memo[commpoly._cells] == A._memo[commpoly._cells]
 
 
 def test_warm_reduced_degrees_stay_off_the_kernel(monkeypatch):
@@ -242,7 +242,7 @@ def test_warm_reduced_degrees_stay_off_the_kernel(monkeypatch):
     for Q, A, commutator in cases:
         idtest.dixon_verdict(Q, A, commutator=commutator)  # counts on lanes
         idtest.zero_probability(Q, A, samples=8, seed=1, commutator=commutator)  # on the kernel
-        assert A._index_tables is not None and A._lane_tables is not None and A._cells is not None
+        assert {idtest._Tables, lanes._Tables, commpoly._cells} <= A._memo.keys()
         want.append(reduced_degrees(Q, A, commutator=commutator))
 
     def refuse(name):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqidtest import cli, idtest
+from fqidtest import algebra, cli, commpoly, idtest, lanes
 from fqidtest.algebra import (
     Algebra,
     Ideal,
@@ -415,7 +415,7 @@ def test_refusals_are_unchanged_cold_and_warm():
     # warm: both ideals verified, and every refusal is the cold one
     for w in coset_identity_search(Q, H, H.dim):
         multilinear_descent(Q, H, w)
-    assert {(Q, zero, False), (Q, center, False)} <= H._index_tables.verified
+    assert {(Q, zero, False), (Q, center, False)} <= H._memo[idtest._Tables].verified
     assert refusals() == cold
     # a bool is an int, as it always was
     w = CosetWitness(center, ((True, 0, 0), (0, 0, 0)), 2, False)
@@ -427,7 +427,7 @@ def test_field_and_flavor_gates_run_on_a_warm_kernel():
     Q = parse("[x1,x2]", Flavor.LIE, H.field)
     for w in coset_identity_search(Q, H, H.dim):
         multilinear_descent(Q, H, w)
-    assert (Q, False) in H._index_tables.kernels
+    assert (Q, False) in H._memo[idtest._Tables].kernels
     w = next(w for w in coset_identity_search(Q, H, H.dim) if w.ideal.rank == 0)
     # an equal field that is another object passes the gates
     F = Field(2)
@@ -438,7 +438,7 @@ def test_field_and_flavor_gates_run_on_a_warm_kernel():
     Q3 = parse("[x1,x2]", Flavor.LIE, field_of_order(3))
     with pytest.raises(FieldMismatch, match=r"^GF\(3\) vs GF\(2\)$"):
         multilinear_descent(Q3, H, w)
-    assert (Q3, False) not in H._index_tables.kernels  # refused before compiling
+    assert (Q3, False) not in H._memo[idtest._Tables].kernels  # refused before compiling
     with pytest.raises(FieldMismatch, match="different fields"):
         multilinear_descent(Q, H, replace(w, ideal=replace(w.ideal, field=field_of_order(3))))
     with pytest.raises(FlavorMismatch, match="plain product table"):
@@ -556,10 +556,10 @@ def test_filled_tables_do_not_travel_to_pool_workers(pooled_counts):
     Q = parse("x1*x2*x3 - x3*x2*x1", Flavor.FREE, M.field)
     fresh = zero_probability(Q, matrix_algebra(2, 2)).zero_count
     coset_identity_search(parse("x1*x2", Flavor.FREE, M.field), M, 1)
-    assert M._index_tables is not None
-    assert M._index_tables.products[False]
+    assert idtest._Tables in M._memo
+    assert M._memo[idtest._Tables].products[False]
     copy = pickle.loads(pickle.dumps(M))
-    assert copy == M and copy._index_tables is None
+    assert copy == M and copy._memo == {}
     assert zero_probability(Q, M, workers=2).zero_count == fresh
     assert zero_probability(Q, M).zero_count == fresh
 
@@ -571,11 +571,11 @@ def test_tables_are_shared_between_calls():
     Q = parse("[[x1,x2],x1] + [[x2,x1],x2]", Flavor.LIE, H.field)
     assert idtest._slice_variable(Q, H) is None
     zero_probability(Q, H)
-    tables = H._index_tables
+    tables = H._memo[idtest._Tables]
     filled = len(tables.products[False])
     assert filled == H.order() ** 2
     coset_identity_search(Q, H, 1)
-    assert H._index_tables is tables
+    assert H._memo[idtest._Tables] is tables
     assert len(tables.products[False]) == filled
 
 
@@ -614,7 +614,7 @@ def test_warm_algebras_match_fresh_copies_on_every_dimension_two_table():
         for Q in battery_for(A):
             if Q.analyze().multilinear:
                 descents += len(assert_warm_matches_fresh(Q, A))
-        assert A._index_tables.verified
+        assert A._memo[idtest._Tables].verified
     assert descents > 0
 
 
@@ -630,7 +630,7 @@ def test_warm_commutator_reading_matches_a_fresh_copy():
     U = upper_triangular(2, 3)
     Q = parse("[x1,x2] + 2*[x2,x1]", Flavor.LIE, U.field)
     assert assert_warm_matches_fresh(Q, U, commutator=True)
-    assert all(key[2] for key in U._index_tables.verified)
+    assert all(key[2] for key in U._memo[idtest._Tables].verified)
 
 
 @pytest.mark.parametrize(
@@ -647,7 +647,7 @@ def test_forged_witness_is_invalid_after_its_ideal_is_verified(spec, flavor, tex
     I = ideal_generated(A, [generator])
     genuine = next(w for w in coset_identity_search(Q, A, A.dim) if w.ideal == I)
     multilinear_descent(Q, A, genuine)
-    assert (Q, I, False) in A._index_tables.verified
+    assert (Q, I, False) in A._memo[idtest._Tables].verified
     forged = CosetWitness(ideal=I, representatives=reps, codim=A.dim - 1, trivial=False)
     for _ in range(2):
         got = _error(multilinear_descent, Q, A, forged)
@@ -667,7 +667,7 @@ def test_early_stage_failure_is_raised_after_its_ideal_is_verified(monkeypatch):
     assert good in coset_identity_search(Q, A, A.dim)
     assert bad in coset_identity_search(Q, A, A.dim)
     multilinear_descent(Q, A, good)
-    assert (Q, I, False) in A._index_tables.verified
+    assert (Q, I, False) in A._memo[idtest._Tables].verified
     for _ in range(2):
         got = _error(multilinear_descent, Q, A, bad)
         assert got == _error(reference_descent, Q, A, bad)
@@ -691,7 +691,7 @@ def test_zero_ideal_stage_failure_is_the_reference_failure(monkeypatch):
     assert cold == _error(reference_descent, Q, A, bad)
     assert cold == (TheoremViolation, "descent stage 1 failed at ((0, 0), (0, 1))")
     assert multilinear_descent(Q, A, good) == reference_descent(Q, A, good)
-    assert (Q, zero, False) in A._index_tables.verified
+    assert (Q, zero, False) in A._memo[idtest._Tables].verified
     for _ in range(2):
         assert _error(multilinear_descent, Q, A, bad) == cold
 
@@ -706,13 +706,19 @@ def test_a_subspace_that_is_not_an_ideal_is_refused_on_every_call():
     for _ in range(3):
         with pytest.raises(NotAnIdeal):
             multilinear_descent(Q, A, w)
-    assert not A._index_tables.verified
+    assert not A._memo[idtest._Tables].verified
 
 
 def test_enumerate_ideals_memo_keeps_the_cap_and_hands_out_copies():
     H = heisenberg(2)
+    Q = parse("[x1,x2]", Flavor.LIE, H.field)
+    # a search refused mid-walk (64 points per ideal, refused at the third
+    # of six ideals) leaves no ideals behind, and the next walk runs in full
+    with pytest.raises(SearchSpaceTooLarge, match="size 192 exceeds cap 128"):
+        coset_identity_search(Q, H, H.dim, cap=128)
+    assert algebra._walk_ideals not in H._memo
     first = enumerate_ideals(H)
-    assert H._ideals is not None
+    assert len(first) == 6 and H._memo[algebra._walk_ideals] == tuple(first)
     # the cap guards the subspace count (16 in dimension 3 over GF(2)) on a
     # warm algebra too
     with pytest.raises(SearchSpaceTooLarge, match="size 16 exceeds cap 10"):
@@ -731,22 +737,51 @@ def test_pickling_drops_every_memo():
     Q = parse("[x1,x2]", Flavor.LIE, H.field)
     for w in coset_identity_search(Q, H, H.dim):
         multilinear_descent(Q, H, w)
-    tables = H._index_tables
-    assert H._ideals and tables.ideal_members and tables.verified and hash(Q)
+    tables = H._memo[idtest._Tables]
+    ideals = H._memo[algebra._walk_ideals]
+    assert ideals and tables.ideal_members and tables.verified and hash(Q)
     assert list(tables.kernels) == [(Q, False)]
     # every ideal a search visits keeps its hash; a pickled one leaves it behind
-    assert all("_hash" in vars(ideal) for ideal in H._ideals)
-    for ideal in H._ideals:
+    assert all("_hash" in vars(ideal) for ideal in ideals)
+    for ideal in ideals:
         assert "_hash" not in vars(pickle.loads(pickle.dumps(ideal)))
     copy = pickle.loads(pickle.dumps(H))
     assert copy == H
-    assert copy._ideals is None and copy._index_tables is None
+    assert copy._memo == {}
     assert pickle.loads(pickle.dumps(Q))._hash is None
     # the copy compiles its own kernel, and its descents match
     witnesses = coset_identity_search(Q, copy, copy.dim)
-    assert copy._index_tables.kernels[Q, False] is not tables.kernels[Q, False]
+    assert copy._memo[idtest._Tables].kernels[Q, False] is not tables.kernels[Q, False]
     for w in witnesses:
         assert multilinear_descent(Q, copy, w) == multilinear_descent(Q, H, w)
+
+
+def test_one_memo_holds_every_owners_entry():
+    # every kind of entry: a lanes count, a kernel count, coset search and
+    # descent, reduced_degrees, a completed ideal walk and both cost
+    # readings, each under its owner's key in the one memo
+    assert Algebra.__slots__ == ("field", "dim", "table", "bracket", "name", "basis_names", "_memo")
+    M = matrix_algebra(2, 2)
+    pair, square = (parse(text, Flavor.FREE, M.field) for text in ("x1*x2", "x1*x1"))
+    assert [idtest._count_route(Q, M, False)[0] for Q in (pair, square)] == ["lanes", "points"]
+
+    def answers(A):
+        return (
+            [zero_probability(Q, A).zero_count for Q in (pair, square)],
+            [(w, multilinear_descent(pair, A, w)) for w in coset_identity_search(pair, A, A.dim)],
+            commpoly.reduced_degrees(pair, A),
+            enumerate_ideals(A),
+            [lanes.cost(A, False), lanes.cost(A, True)],
+        )
+
+    want = answers(M)
+    owners = [algebra._walk_ideals, idtest._Tables, lanes._Tables, commpoly._cells]
+    assert len(set(owners)) == 4 and set(M._memo) == set(owners)
+    assert set(M._memo[lanes._Tables].costs) == {False, True}
+    copy = pickle.loads(pickle.dumps(M))
+    assert copy == M and copy._memo == {}
+    assert answers(copy) == want
+    assert set(copy._memo) == set(owners)
 
 
 def test_ideal_hash_memo_is_safe():

@@ -147,7 +147,7 @@ def test_kernel_matches_reference_on_every_dimension_two_table():
             for Q in brackets:
                 assert_kernel_matches(Q, A, commutator=True)
         # each flag has its own entries
-        assert set(A._index_tables.kernels) == (
+        assert set(A._memo[idtest._Tables].kernels) == (
             {(Q, False) for Q in plain} | {(Q, True) for Q in brackets}
         )
 
@@ -198,7 +198,7 @@ def test_kernel_is_compiled_once_per_polynomial_and_flag():
     assert _kernel(twin, A, False) is e
     bracket = parse("[x1,x2]", Flavor.LIE, A.field)
     assert _kernel(bracket, A, True) is not e
-    assert list(A._index_tables.kernels) == [(Q, False), (bracket, True)]
+    assert list(A._memo[idtest._Tables].kernels) == [(Q, False), (bracket, True)]
     # a fresh algebra equal to A compiles its own
     assert _kernel(Q, matrix_algebra(2, 2), False) is not e
 
@@ -207,7 +207,7 @@ def test_gates_still_raise_after_a_compile():
     A = matrix_algebra(2, 2)
     bracket = parse("[x1,x2]", Flavor.LIE, A.field)
     _kernel(bracket, A, True)
-    kernels = dict(A._index_tables.kernels)
+    kernels = dict(A._memo[idtest._Tables].kernels)
     with pytest.raises(FlavorMismatch, match="pass commutator=True"):
         _kernel(bracket, A, False)
     with pytest.raises(FlavorMismatch, match="only applies to lie-flavor input"):
@@ -218,8 +218,8 @@ def test_gates_still_raise_after_a_compile():
     _kernel(bracket, H, False)
     with pytest.raises(FlavorMismatch, match="plain product table"):
         _kernel(bracket, H, True)
-    assert A._index_tables.kernels == kernels
-    assert list(H._index_tables.kernels) == [(bracket, False)]
+    assert A._memo[idtest._Tables].kernels == kernels
+    assert list(H._memo[idtest._Tables].kernels) == [(bracket, False)]
 
 
 def test_search_and_descents_compile_each_kernel_once(monkeypatch):

@@ -191,7 +191,8 @@ def test_route_takes_lanes_from_the_crossover_on(monkeypatch):
 def test_slices_over_characteristic_two_are_only_ever_c_x1():
     # idtest._slice_zeros spans on the tables over every field: over
     # characteristic 2 lanes take every count of two or more arguments
-    # that could slice, dense tables included, and only x1 is left to it
+    # that could slice, dense tables included, and a count of one argument
+    # never slices, so no count there is left to it
     rng = random.Random(26)
     algebras = [A for A in cli.library() if A.field.p == 2]
     for q in (2, 4, 8):
@@ -211,22 +212,52 @@ def test_slices_over_characteristic_two_are_only_ever_c_x1():
             cases += [(parse(text, Flavor.FREE, A.field), False) for text in affine]
             cases += [(parse(text, Flavor.LIE, A.field), True) for text in BRACKETS]
         for Q, commutator in cases:
-            if Q.n < 2:
-                continue
             sliceable += idtest._slice_variable(Q, A) is not None
             assert _count_route(Q, A, commutator)[0] != "slice", (Q.to_text(), A.table)
     assert sliceable >= 300
-    # x1 on a dimension-4 GF(2) table: 16 points, under lanes.MIN_POINTS
+    # x1 on a dimension-4 GF(2) table: 16 points, under lanes.MIN_POINTS,
+    # and one argument, so the point walk
     A = constants_table(4, 64)
     Q = parse("x1", Flavor.FREE, F2)
-    assert _count_route(Q, A, False) == ("slice", 0)
+    assert _count_route(Q, A, False) == ("points", None)
     assert zero_probability(Q, A).zero_count == points_count(Q, A) == 1
 
 
-def table_constants(A, commutator):
-    """The constants of A's lane tables: each (b, outs) of a row is one XOR
-    per lane in outs."""
-    return sum(len(outs) for _, row in lanes._Tables(A).rows(commutator) for _, outs in row)
+def test_one_argument_counts_never_slice():
+    # the one affine polynomial of one argument is c*x1, whose one verdict
+    # spans all of A and built a scale table per nonzero scalar: 4,091 of
+    # them on field(4093), where the point walk needs one
+    for A in [*cli.library(), builtin("field(4093)")]:
+        flavor = Flavor.LIE if A.bracket else Flavor.FREE
+        for c in sorted({1, A.field.q - 1}):
+            Q = FreePoly(A.field, flavor, 1, {1: c})
+            A._memo.clear()
+            route = _count_route(Q, A, False)[0]
+            # lanes take x1 on strictly_upper_triangular_lie(4,2), 64 points
+            assert route == "points" or (route == "lanes" and A.field.p == 2), (A.name, c)
+            assert zero_probability(Q, A).zero_count == 1  # c*x1 vanishes at 0 alone
+            tables = A._memo.get(idtest._Tables)
+            assert tables is None or len(tables.scales) <= 1, (A.name, c)
+            assert points_count(Q, A) == 1
+    Q = parse("x1", Flavor.FREE, field_of_order(65521))
+    assert _count_route(Q, builtin("field(65521)"), False) == ("points", None)
+
+
+def reference_cost(A, commutator):
+    """A product's nonzero GF(2) structure constants, read from A.table:
+    constant c spreads to the k * k products g^i * g^j * c, each as many
+    constants as it has bits, and the commutator reading adds the
+    constants of (a, b) and (b, a), c + c' for the cells (s, r) and
+    (r, s)."""
+    f, k, table = A.field, A.field.k, A.table
+    total = 0
+    for s, row in enumerate(table):
+        for r, cell in enumerate(row):
+            for t, c in enumerate(cell):
+                if commutator:
+                    c ^= table[r][s][t]
+                total += sum(f.mul(f.mul(1 << i, 1 << j), c).bit_count() for i in range(k) for j in range(k))
+    return total
 
 
 def test_cost_is_the_constants_of_the_lane_tables():
@@ -237,21 +268,27 @@ def test_cost_is_the_constants_of_the_lane_tables():
         tables.append(Algebra(F, 2, [[(q - 1, 1), (2, 0)], [(3 % q, 1), (0, 0)]]))
     for A in tables:
         for commutator in (False, True):
-            assert lanes.cost(A, commutator) == table_constants(A, commutator), (A.table, commutator)
+            assert lanes.cost(A, commutator) == reference_cost(A, commutator), (A.table, commutator)
+        # both readings are counted once and kept in the lane tables
+        assert A._memo[lanes._Tables].costs == {c: reference_cost(A, c) for c in (False, True)}
 
 
 def test_a_kernel_count_builds_no_lane_tables():
-    # the route reads the cost from A.table, and below lanes.MIN_POINTS not
-    # at all, so an algebra whose counts all stay on the kernel keeps the
-    # kernel's tables alone
+    # below lanes.MIN_POINTS the route reads no cost, so an algebra whose
+    # counts all stay there keeps the kernel's tables alone; from it the
+    # cost is read off the lane tables, so a dense table whose 32 points
+    # stay on the kernel builds them, and counts nothing on them
     Q = parse("x1*x1", Flavor.FREE, F2)
     B, dense = Algebra(F2, 2, [[(1, 1), (0, 1)], [(0, 0), (0, 0)]]), constants_table(5, 17)
-    for A, costs in ((B, None), (dense, {False: 17})):
+    assert B.order() < lanes.MIN_POINTS == dense.order()
+    for A in (B, dense):
         assert _count_route(Q, A, False)[0] == "points"
         assert zero_probability(Q, A).zero_count == points_count(Q, A)
         idtest.dixon_verdict(Q, A)
-        assert A._lane_tables is None and A._index_tables is not None
-        assert A._lane_costs == costs
+        assert idtest._Tables in A._memo
+    assert lanes._Tables not in B._memo
+    tables = dense._memo[lanes._Tables]
+    assert tables.costs == {False: 17} and set(tables.products) == {False} and not tables.scales
 
 
 def test_a_block_keeps_only_the_nodes_still_to_be_read():
@@ -338,13 +375,12 @@ def test_lane_tables_are_kept_and_not_pickled():
     M = matrix_algebra(2, 2)
     Q = parse("x1*x2*x3 - x3*x2*x1", Flavor.FREE, M.field)
     zeros = zero_probability(Q, M).zero_count
-    tables = M._lane_tables
-    assert tables is not None and False in tables.products
-    assert zero_probability(Q, M).zero_count == zeros and M._lane_tables is tables
-    assert M._index_tables is None  # the count never built the kernel
+    tables = M._memo[lanes._Tables]
+    assert False in tables.products and tables.costs == {False: 8}
+    assert zero_probability(Q, M).zero_count == zeros and M._memo[lanes._Tables] is tables
+    assert set(M._memo) == {lanes._Tables}  # the count never built the kernel
     copy = pickle.loads(pickle.dumps(M))
-    assert M._lane_costs == {False: 8}
-    assert copy == M and copy._lane_tables is None and copy._lane_costs is None
+    assert copy == M and copy._memo == {}
     assert zero_probability(Q, copy).zero_count == zeros
 
 
@@ -382,13 +418,13 @@ def test_lanes_and_coordinate_routes_share_no_helper(monkeypatch):
                 m.setattr(module, name, refuse(name))
         m.setattr(Algebra, "mul", refuse("Algebra.mul"))
         for (Q, A, commutator), zeros in zip(cases, want):
-            A._lane_tables = A._lane_costs = None  # cold: both are read from A.table
+            A._memo.pop(lanes._Tables)  # cold: the tables and the cost are read from A.table
             assert zero_probability(Q, A, commutator=commutator).zero_count == zeros
     # and the coordinate routes call no lane helper
     for name in ("_tables", "_plan", "_product", "_masks", "_count_blocks", "count", "cost"):
         monkeypatch.setattr(lanes, name, refuse(f"lanes.{name}"))
     for (Q, A, commutator), zeros in zip(cases, want):
-        A._cells = None
+        A._memo.pop(commpoly._cells)
         reduced_degrees(Q, A, commutator=commutator)
         fraction = idtest.functional_zero_fraction(Q, A, commutator=commutator)
         assert fraction * A.order() ** Q.n == zeros
