@@ -308,7 +308,10 @@ def _scan_range(payload):
     of its one-hot int with the negated high part's (one XOR over GF(2);
     see _vectors).  The low table holds every low part's packed int: L is
     half the digits, rounded up and cut until the table fits TABLE_BITS.
-    The high parts are walked, not stored.
+    The high parts are walked, not stored.  Where every high basis vector
+    is constant (the constant monomial's alone is high), so is every high
+    part, and the one-hot int of the constant x is the zero vector's
+    shifted x bits: its code is walked, and no lanes are joined per part.
     """
     q, n, monomials, start, stop, floor_num, floor_den = payload
     field = field_of_order(q)
@@ -329,7 +332,13 @@ def _scan_range(payload):
     # count * floor_den >= floor_num * q^n, kept in integers
     limit = points + (-floor_num * points) // floor_den
     most, best_index, violations = -1, None, []
-    highs = _walk(add, p, list(map(neg, basis[:cut])) if neg else basis[:cut], zero, high)
+    vectors = list(map(neg, basis[:cut])) if neg else basis[:cut]  # the negated high basis
+    if pack and all(min(v) == max(v) for v in vectors):
+        ones = pack(zero)
+        highs = _walk(field.add, p, [v[0] for v in vectors], 0, high)
+        against = lambda x: (ones << x).__and__
+    else:
+        highs = _walk(add, p, vectors, zero, high)
     for base, negated in zip(range(high * span, stop, span), highs):
         zeros = list(map(int.bit_count, map(against(negated), table[lo : stop - base])))
         top = max(zeros)

@@ -23,33 +23,35 @@ _kernel, _evaluate_raw, Algebra.mul or the lanes module, and the lanes
 route calls none of them and no coordinate helper.
 
 zero_probability's exact count takes one of three routes (_count_route).
-Over characteristic 2 it counts on lanes (fqidtest.lanes): each point of
+Over GF(2^k) and GF(3) it counts on lanes (fqidtest.lanes): each point of
 A^n is one bit of a Python int, and e_Q runs once on all the points of a
-block, one AND per nonzero GF(2) structure constant and product.  A
-kernel product costs one lookup per point instead, so the lanes route is
-taken once the points reach lanes.RATIO times the constants and
-lanes.MIN_POINTS, below which the few microseconds lanes save are lost
-again to verdicts whose counts switch routes.  A lanes count runs in the
-calling process whatever the workers, as it is already faster than a
-forked point walk.  Otherwise one walker (_count_range) counts on the
-kernel, slice by slice where it can.  If some variable occurs at most
-once in every term, e_Q is affine in it, so with the other arguments
-fixed it is v -> L(v) + c: the kernel runs at v = 0 and at the dim basis
-vectors only, and the slice has q**(dim - rank L) zeros when c lies in
-the image of L, none otherwise.  That evaluates (dim + 1) * order**(n-1)
-points instead of order**n.  The verdicts are memoised for one count
-call only.  A slice pays only when it holds more than three times as
-many points as probes, and a count of one argument never slices: its
-one affine polynomial is c*x1, whose one verdict spans im(c * id), all
-of A, and builds a scale table per nonzero scalar.  For the zero
-polynomial, with no affine variable and where slices do not pay, the
-walker calls the kernel at every point, and this point walk is the
-reference the slices and the lanes are tested against.  Over
-characteristic 2 no count slices: slices pay from order 8, where
-order**2 passes lanes.RATIO times a product's at most (k * dim)**3
-constants, so lanes take every count of two or more arguments that
-could slice.  Each route's count is exact, and the coordinate route
-that checks it is unchanged.
+block, a few plane operations per nonzero structure constant and product
+(lanes.cost).  A kernel product costs one lookup per point instead, so
+the lanes route is taken once the points reach lanes.RATIO times the
+cost and lanes.MIN_POINTS, below which the few microseconds lanes save
+are lost again to verdicts whose counts switch routes.  A lanes count
+runs in the calling process whatever the workers, as it is already
+faster than a forked point walk.  Otherwise one walker (_count_range)
+counts on the kernel, slice by slice where it can.  If some variable
+occurs at most once in every term, e_Q is affine in it, so with the
+other arguments fixed it is v -> L(v) + c: the kernel runs at v = 0 and
+at the dim basis vectors only, and the slice has q**(dim - rank L) zeros
+when c lies in the image of L, none otherwise.  That evaluates
+(dim + 1) * order**(n-1) points instead of order**n.  The verdicts are
+memoised for one count call only.  A slice pays only when it holds more
+than three times as many points as probes, and a count of one argument
+never slices: its one affine polynomial is c*x1, whose one verdict spans
+all of A.  For the zero polynomial, with no affine variable and where
+slices do not pay, the walker calls the kernel at every point, and this
+point walk is the reference the slices and the lanes are tested against.
+Over GF(2^k) and GF(3) no count slices: slices pay from order 8 and 27,
+where order**2 passes lanes.RATIO times a product's cost, at most
+(k * dim)**3 XORs or 12 * dim**3 operations.  Each route's count is
+exact, and the coordinate route that checks it is unchanged.  A sampled
+count streams its points from SplitMix64(seed) in blocks of whole
+points, and the same gate, read at the number of samples, sends it to
+lanes (lanes.sampled, on SplitMix64.digits) or to the kernel
+(SplitMix64.points); both read the one stream.
 
 The kernel is one generated function per (Q, commutator): its body
 unpacks the argument indices into locals and gives each distinct product
@@ -115,6 +117,7 @@ from .errors import (
     WitnessInvalid,
 )
 from .freepoly import Flavor, FreePoly, engel, power_word
+from .gf import primitive_element
 
 EXACT_CAP = 1 << 24
 
@@ -124,8 +127,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 # element indices per packed block, rounded down to whole points (one point
-# per block when it has more arguments), so memory stays flat
-_BLOCK_CEILING = 256
+# per block when it has more arguments), so memory stays flat: a sampled
+# count on lanes ran about 10% faster at 512 than at 256 and 5% slower than
+# at 1,024, whose blocks took 2.3 times the memory
+_BLOCK_CEILING = 512
 
 # the fold leaves each lane below (2**32 - 1) * q < 2**_FOLD_BITS for every
 # q <= gf.MAX_ORDER (2**16)
@@ -151,35 +156,32 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
-    def points(self, q: int, dim: int, n: int, samples: int):
-        """samples points of A^n, |A| = q**dim, in blocks: each block an
-        iterator of n-tuples of element indices.
+    def digits(self, q: int, dim: int, n: int, samples: int):
+        """samples points of A^n, |A| = q**dim, drawn in blocks: each block
+        a pair (count, buffer) of its points and its draws.
 
         Each coordinate is the next 64-bit output mod q, drawn per point,
         per argument, most significant coordinate first (elements() order),
         so the stream is the one drawn one output at a time.  A block holds
-        whole points, up to _BLOCK_CEILING indices, and the last block only
-        the points left; self.state is stored once per block, before it is
-        yielded.  A block is one Python int with each draw in a 128-bit
-        lane: the Weyl states are state * R + k * gamma, the three mixing
-        rounds run on the whole int, each lane masked to 64 bits before each
-        multiply so that no product reaches the next lane, and _lane_mod
-        reduces every lane mod q at once.  The indices are Horner steps on
-        packed ints too: digit j of every index is gathered into one int of
-        64-bit lanes, and acc * q + digits_j runs on all indices at once, in
-        groups of digits whose value fits a 64-bit lane (_reduction); an
-        index of several groups joins them per index.  A zero-dimensional
-        algebra has one element and a polynomial without variables one
-        point, so they draw nothing.
+        whole points, up to _BLOCK_CEILING element indices, and the last
+        block only the points left; self.state is stored once per block,
+        before it is yielded.  A block is one Python int with each draw in
+        a 128-bit lane: the Weyl states are state * R + k * gamma, the
+        three mixing rounds run on the whole int, each lane masked to 64
+        bits before each multiply so that no product reaches the next
+        lane, and _lane_mod reduces every lane mod q at once.  buffer is
+        that int's little-endian bytes: draw (i * n + a) * dim + s,
+        coordinate s of argument a of point i, is 16 of them.  A
+        zero-dimensional algebra or a polynomial without variables draws
+        nothing, and buffer is empty.
         """
         state = self.state
         per_block = max(1, _BLOCK_CEILING // n) if n else samples
-        group = _reduction(q)[3]
         for start in range(0, samples, per_block):
             count = min(per_block, samples - start)
             if not (n and dim):
                 self.state = state
-                yield repeat((0,) * n, count)
+                yield count, b""
                 continue
             draws = count * n * dim
             ones, R, steps, low32 = _lanes(draws)
@@ -187,8 +189,26 @@ class SplitMix64:
             z = ((s ^ (s >> 30)) & ones) * _MIX1 & ones
             z = ((z ^ (z >> 27)) & ones) * _MIX2 & ones
             digits = _lane_mod(z ^ (z >> 31), q, low32)
+            state = self.state = (state + draws * _GAMMA) & _MASK64
+            yield count, digits.to_bytes(16 * draws, "little")
+
+    def points(self, q: int, dim: int, n: int, samples: int):
+        """The points of digits(q, dim, n, samples), block by block: each
+        block an iterator of n-tuples of element indices.
+
+        The indices are Horner steps on packed ints: digit j of every index
+        is gathered into one int of 64-bit lanes, and acc * q + digits_j
+        runs on all indices at once, in groups of digits whose value fits
+        a 64-bit lane (_reduction); an index of several groups joins them
+        per index.
+        """
+        group = _reduction(q)[3]
+        for count, buffer in self.digits(q, dim, n, samples):
+            if not buffer:
+                yield repeat((0,) * n, count)
+                continue
             # 64-bit words, little-endian: word 2 * (i * dim + j) is digit j of index i
-            low = memoryview(digits.to_bytes(16 * draws, "little")).cast("Q")
+            low = memoryview(buffer).cast("Q")
             index = None
             for first in range(0, dim, group):
                 last = min(first + group, dim)
@@ -197,7 +217,6 @@ class SplitMix64:
                     acc = acc * q + int.from_bytes(low[2 * j::2 * dim], "little")
                 part = _words(acc, count * n)
                 index = part if index is None else map(add, map(mul, index, repeat(q ** (last - first))), part)
-            state = self.state = (state + draws * _GAMMA) & _MASK64
             yield zip(*[iter(index)] * n)
 
 
@@ -668,15 +687,17 @@ def _slice_zeros(tables: _Tables) -> _Memo:
     zero count, built for one count call and dropped after it.
 
     The image of L is spanned one L(b_i) at a time as a set of element
-    indices, adding and scaling on the algebra's tables (XOR alone would
-    span over GF(2), not GF(q)), so the slice has order // |im L| zeros
-    when c is in it.
+    indices, adding on the algebra's tables (XOR alone would span over
+    GF(2), not GF(q)), so the slice has order // |im L| zeros when c is in
+    it.  The nonzero multiples of L(b_i) are its images under repeated
+    scaling by a generator g of GF(q)*, so the algebra keeps two scale
+    tables, of -1 and of g, whatever q.
     """
     order = tables.order
     f = tables.field
     add = tables.add()
     negate = tables.scale(f.neg(1))
-    scales = [tables.scale(s) for s in range(2, f.q)]
+    turn = tables.scale(primitive_element(f))
 
     def zeros(key):
         c = key[0]
@@ -685,22 +706,25 @@ def _slice_zeros(tables: _Tables) -> _Memo:
         for r in key[1:]:
             v = add[r * order + minus_c] if c else r  # L(b_i)
             if v not in image:
+                multiples = [v]
+                for _ in range(f.q - 2):
+                    multiples.append(turn[multiples[-1]])
                 rows = [a * order for a in image]
-                for m in (v, *[s[v] for s in scales]):  # its nonzero multiples
-                    image.update(map(add.__getitem__, map(m.__add__, rows)))
+                image.update([add[a + m] for a in rows for m in multiples])
         return order // len(image) if c in image else 0
 
     return _Memo(zeros)
 
 
-def _count_route(Q: FreePoly, A: Algebra, commutator: bool):
-    """(route, j): how _count_exact counts e_Q's zeros, as the module
-    docstring sets out.  "lanes" over characteristic 2 once the points
-    reach lanes.MIN_POINTS and lanes.RATIO times lanes.cost, else "slice"
-    along x_{j+1} where _slice_variable gives j, else "points"; j is None
-    but on the slice route."""
-    if A.field.p == 2:
-        points = A.order() ** Q.n
+def _count_route(Q: FreePoly, A: Algebra, commutator: bool, points: int):
+    """(route, j): how a count of e_Q's zeros at points points runs, as
+    the module docstring sets out: order**n points for _count_exact and
+    the samples for a sampled count.  "lanes" over GF(2^k) and GF(3) once
+    the points reach lanes.MIN_POINTS and lanes.RATIO times lanes.cost,
+    else "slice" along x_{j+1} where _slice_variable gives j, else
+    "points"; j is None but on the slice route.  A sampled count off
+    lanes runs on the kernel whatever the route."""
+    if A.field.p == 2 or A.field.q == 3:
         if points >= lanes.MIN_POINTS and points >= lanes.RATIO * lanes.cost(A, commutator):
             return "lanes", None
     j = _slice_variable(Q, A)
@@ -718,7 +742,7 @@ def _count_exact(Q, A, commutator, workers):
     threshold for every job.  The lanes route runs its blocks in process
     and never forks (lanes.count).
     """
-    route, j = _count_route(Q, A, commutator)
+    route, j = _count_route(Q, A, commutator, A.order() ** Q.n)
     if route == "lanes":
         return lanes.count(Q, A, commutator)
     order = A.order()
@@ -746,9 +770,9 @@ def zero_probability(
 
     An exact count takes the route _count_route gives (_count_exact).  A
     sampled count checks the cap before any draw, then streams its points
-    from SplitMix64(seed) in blocks of whole points (SplitMix64.points)
-    and runs each block on the kernel, so its memory stays bounded
-    whatever the samples.
+    from SplitMix64(seed) in blocks of whole points and runs each block on
+    lanes or on the kernel, as the module docstring sets out, so its
+    memory stays bounded whatever the samples.
     """
     _product_fn(Q, A, commutator)  # fail fast on flavor problems
     degree = _poly_degree(Q)
@@ -766,9 +790,13 @@ def zero_probability(
         raise ValueError("sampled mode requires a seed")
     if samples > cap:
         raise SearchSpaceTooLarge(samples, cap)
-    e = _kernel(Q, A, commutator)
-    blocks = SplitMix64(seed).points(A.field.q, A.dim, n, samples)
-    zero_count = sum([sum(map(not_, map(e, block))) for block in blocks])
+    stream, q = SplitMix64(seed), A.field.q
+    if _count_route(Q, A, commutator, samples)[0] == "lanes":
+        zero_count = lanes.sampled(Q, A, commutator, stream.digits(q, A.dim, n, samples))
+    else:
+        e = _kernel(Q, A, commutator)
+        blocks = stream.points(q, A.dim, n, samples)
+        zero_count = sum([sum(map(not_, map(e, block))) for block in blocks])
     return _new_report(
         zero_count, samples, Fraction(zero_count, samples), degree, _threshold(degree), None,
         None, "sampled", samples, seed, None, None,
@@ -844,7 +872,7 @@ def dixon_verdict(
             Q, A, commutator,
             zero_count=zeros,
             total=total,
-            route=_count_route(Q, A, commutator)[0],
+            route=_count_route(Q, A, commutator, total)[0],
             probability=str(report.probability),
             threshold=str(report.threshold),
         ))

@@ -45,6 +45,9 @@ SAMPLER = "tests/test_idtest.py"
 SAMPLED = "tests/test_kernel.py::test_sampled_mode_matches_the_recount_at_block_edges"
 COORDS = "tests/test_coordinates.py"
 SLICES = "tests/test_kernel.py::test_slices_match_points_on_random_tables"
+GF3_ROUTE = LANES + "::test_gf3_route_takes_lanes_from_the_crossover_on"
+GF3_LIBRARY = LANES + "::test_gf3_lanes_match_points_on_the_library"
+GF3_RANDOM = LANES + "::test_gf3_lanes_match_points_on_random_tables"
 
 MUTANTS = (
     # block statistics: the tally, its keys and its checks
@@ -121,6 +124,13 @@ MUTANTS = (
         "src/fqidtest/idtest.py",
         "v = add[r * order + minus_c] if c else r",
         "v = r",
+        (SLICES,),
+    ),
+    Mutant(
+        "slice-multiples-one-power-short",
+        "src/fqidtest/idtest.py",
+        "for _ in range(f.q - 2):",
+        "for _ in range(f.q - 3):",
         (SLICES,),
     ),
     Mutant(
@@ -201,26 +211,26 @@ MUTANTS = (
         "            h = hash((self.ambient_dim, self.basis, self.pivots))",
         (COSETS + "::test_ideal_hash_memo_is_safe",),
     ),
-    # bit-sliced counts over characteristic 2
+    # bit-plane counts over GF(2^k) and GF(3)
     Mutant(
         "lanes-commutator-read-as-ab",
         "src/fqidtest/lanes.py",
-        "lanes = m[a][b] ^ m[b][a] if commutator else m[a][b]",
-        "lanes = m[a][b]",
+        "outs = arith.outs(arith.sub(m[a][b], m[b][a]) if commutator else m[a][b])",
+        "outs = arith.outs(m[a][b])",
         (LANES + "::test_lanes_match_points_on_every_dimension_two_table",),
     ),
     Mutant(
         "lanes-and-across-coordinates",
         "src/fqidtest/lanes.py",
-        "zeros += size - reduce(or_, acc, 0).bit_count()",
-        "zeros += size - reduce(int.__and__, acc, full).bit_count()",
+        "return reduce(or_, acc or (), 0).bit_count()",
+        "return reduce(int.__and__, acc or (), -1).bit_count()",
         (LANES + "::test_lanes_match_points_on_every_dimension_two_table",),
     ),
     Mutant(
         "lanes-last-block-dropped",
         "src/fqidtest/lanes.py",
-        "    blocks = 1 << (total - bits)",
-        "    blocks = max(1, (1 << (total - bits)) - 1)",
+        "0, p ** (total - digits))",
+        "0, max(1, p ** (total - digits) - 1))",
         (LANES + "::test_every_block_split_gives_the_count",),
     ),
     Mutant(
@@ -240,7 +250,7 @@ MUTANTS = (
     Mutant(
         "lanes-cost-commutator-ignored",
         "src/fqidtest/lanes.py",
-        "m[a][b] ^ m[b][a] if commutator",
+        "arith.sub(m[a][b], m[b][a]) if commutator",
         "m[a][b] if commutator",
         (LANES + "::test_cost_is_the_constants_of_the_lane_tables",),
     ),
@@ -254,8 +264,8 @@ MUTANTS = (
     Mutant(
         "lanes-node-never-dropped",
         "src/fqidtest/lanes.py",
-        "                values[node] = None\n        acc",
-        "                pass\n        acc",
+        "            values[node] = None\n    acc = None",
+        "            pass\n    acc = None",
         (LANES + "::test_a_block_keeps_only_the_nodes_still_to_be_read",),
     ),
     Mutant(
@@ -271,6 +281,69 @@ MUTANTS = (
         "points >= lanes.RATIO *",
         "points > lanes.RATIO *",
         (LANES + "::test_route_takes_lanes_from_the_crossover_on",),
+    ),
+    Mutant(
+        "lanes-crossover-strict-gf3",
+        "src/fqidtest/idtest.py",
+        "points >= lanes.RATIO *",
+        "points > lanes.RATIO *",
+        (GF3_ROUTE,),
+    ),
+    Mutant(
+        "lanes-floor-strict-gf3",
+        "src/fqidtest/idtest.py",
+        "points >= lanes.MIN_POINTS",
+        "points > lanes.MIN_POINTS",
+        (GF3_ROUTE,),
+    ),
+    Mutant(
+        "gf3-sum-drops-m1m2",
+        "src/fqidtest/lanes.py",
+        "out += ((x ^ p) & ~(y | m) | y & m, ",
+        "out += ((x ^ p) & ~(y | m), ",
+        (GF3_LIBRARY, GF3_RANDOM),
+    ),
+    Mutant(
+        "gf3-product-sum-drops-m1m2",
+        "src/fqidtest/lanes.py",
+        "out[i] = (x ^ P) & ~(y | M) | y & M",
+        "out[i] = (x ^ P) & ~(y | M)",
+        (GF3_LIBRARY, GF3_RANDOM),
+    ),
+    Mutant(
+        "gf3-scale-by-two-not-swapped",
+        "src/fqidtest/lanes.py",
+        "srcs = tuple((t ^ 1,) for t in range(2 * self.width))",
+        "srcs = tuple((t,) for t in range(2 * self.width))",
+        (GF3_LIBRARY, GF3_RANDOM),
+    ),
+    Mutant(
+        "gf3-commutator-read-as-sum",
+        "src/fqidtest/lanes.py",
+        "return tuple(_add3(c, (d[1], d[0])))",
+        "return tuple(_add3(c, d))",
+        (GF3_LIBRARY, GF3_RANDOM),
+    ),
+    Mutant(
+        "lanes-mask-period-one-digit-short",
+        "src/fqidtest/lanes.py",
+        "        period = run * p\n",
+        "        period = run\n",
+        (LANES + "::test_lane_masks_are_the_bits_of_the_point_index", GF3_LIBRARY),
+    ),
+    Mutant(
+        "sampled-digit-read-from-its-first-byte",
+        "src/fqidtest/lanes.py",
+        "(dim - 1 - b // k, b % k // 8, ",
+        "(dim - 1 - b // k, 0, ",
+        (LANES + "::test_sampled_lanes_read_digits_past_one_byte",),
+    ),
+    Mutant(
+        "sampled-column-stride-off-by-one",
+        "src/fqidtest/lanes.py",
+        "column = buffer[(a * dim + s) * draw + byte :: stride]",
+        "column = buffer[(a * dim + s) * draw + byte :: stride + 1]",
+        (LANES + "::test_sampled_lanes_match_the_kernel_at_block_edges",),
     ),
     # the coordinate route's plan and its products
     Mutant(
@@ -328,6 +401,13 @@ MUTANTS = (
         "src/fqidtest/bound.py",
         "        for i in reversed(range(field.k))",
         "        for i in range(field.k)",
+        (BOUND + "::test_scan_matches_the_reference_on_every_split",),
+    ),
+    Mutant(
+        "scan-constant-high-part-shifted-one-more",
+        "src/fqidtest/bound.py",
+        "against = lambda x: (ones << x).__and__",
+        "against = lambda x: (ones << x + 1).__and__",
         (BOUND + "::test_scan_matches_the_reference_on_every_split",),
     ),
     Mutant(

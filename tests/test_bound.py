@@ -263,6 +263,7 @@ SCAN_CASES = [
     (9, 1, 2),
     (16, 1, 1),
     (27, 1, 0),
+    (251, 1, 0),  # the high part is the constant alone, walked by shifts
 ]
 
 
@@ -372,6 +373,18 @@ def test_scan_matches_the_reference_on_random_ranges(q, n, data):
     den = data.draw(st.integers(1, q**n), label="floor_den")
     payload = (q, n, _monomials_for(q, n, d), start, stop, num, den)
     assert _scan_range(payload) == reference_scan(payload)
+
+
+def test_constant_high_parts_are_shifted_one_hot_ints():
+    # exhaustive_min(1021, 1, 0) scans the 1,020 nonzero constants on 1,021
+    # points: each high part's one-hot int is the zero vector's shifted by
+    # its code, where joining 1,021 lane strings per constant took 3.2 s
+    got = exhaustive_min(1021, 1, 0)
+    assert (got.minimum, got.witness.to_text(), got.candidates, got.bound) == (1021, "1", 1020, 1021)
+    (payload,) = _payloads(1021, 1, 0)
+    # every count is all 1,021 points: on a floor of 1, then under one of 3
+    assert _scan_range((*payload[:3], 500, 1021, 1, 1)) == (1021, 500, [])
+    assert _scan_range((*payload[:3], 500, 1021, 3, 1)) == (1021, 500, list(range(500, 1021)))
 
 
 def test_scan_memory_stays_within_the_table_budget():

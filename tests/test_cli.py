@@ -188,6 +188,8 @@ def all_zero_degrees(Q, A, commutator=False):
     "spec, flavor, text, commutator, route",
     [
         ("heisenberg(3)", "lie", "[x1,x2] + [[x1,x2],x2]", False, "slice"),
+        ("heisenberg(3)", "lie", "[x1,x2] + [[x1,x2],x2]", False, "lanes"),
+        ("matrix(2,3)", "lie", "[x1,x2]", True, "lanes"),
         ("matrix(2,2)", "lie", "[x1,x2]", True, "slice"),
         ("truncated(2,3)", "free", "x1*x1 + x1*x1*x1", False, "points"),
         ("matrix(2,2)", "free", "x1*x2*x3 - x3*x2*x1", False, "lanes"),
@@ -201,7 +203,7 @@ def test_dixon_witness_replays_through_the_cli(
     Q = parse(text, Flavor(flavor), A.field)
     A = from_json_dict(to_json_dict(A))  # unnamed, as the sweep's tables are
     if route != "lanes":
-        # characteristic 2 counts these on lanes; the witness of a count on
+        # GF(2^k) and GF(3) count these on lanes; the witness of a count on
         # the point or slice route replays on whichever route the CLI takes
         monkeypatch.setattr(lanes, "RATIO", 1 << 64)
     # forced disagreement: the coordinate route claims e_Q is an identity

@@ -47,6 +47,11 @@ from fqidtest.gf import field_of_order
 
 F2 = field_of_order(2)
 BRACKETS = ("[x1,x2]", "[[x1,x2],x1]", "[[x1,x2],[x2,x1]] + [x1,x2]")
+# every function and class the lanes module defines
+LANE_HELPERS = sorted(
+    name for name, obj in vars(lanes).items()
+    if callable(obj) and getattr(obj, "__module__", None) == lanes.__name__
+)
 
 
 def point_loop_zeros(field, nvars, polys):
@@ -233,10 +238,13 @@ def test_pickled_algebras_give_the_same_degrees():
 def test_warm_reduced_degrees_stay_off_the_kernel(monkeypatch):
     # with the index tables, the lane tables and the cells all built, the
     # coordinate route still reads the cells and nothing else
+    F3 = field_of_order(3)
     cases = [
         (parse("[[x1,x2],x1]", Flavor.LIE, F2), heisenberg(2), False),
         (parse("[[x1,x2],x1]", Flavor.LIE, F2), upper_triangular(2, 2), True),
         (parse("x1*x2*x1 + x2", Flavor.FREE, F2), truncated(2, 4), False),
+        (parse("[[x1,x2],x1]", Flavor.LIE, F3), heisenberg(3), False),
+        (parse("2*[x1,x2] + [[x1,x2],x1]", Flavor.LIE, F3), truncated(3, 4), True),
     ]
     want = []
     for Q, A, commutator in cases:
@@ -252,7 +260,7 @@ def test_warm_reduced_degrees_stay_off_the_kernel(monkeypatch):
 
     for name in ("_kernel", "_compile", "_evaluate_raw"):
         monkeypatch.setattr(idtest, name, refuse(name))
-    for name in ("_tables", "_plan", "_product", "_masks", "_count_blocks", "count", "cost"):
+    for name in LANE_HELPERS:
         monkeypatch.setattr(lanes, name, refuse(f"lanes.{name}"))
     monkeypatch.setattr(Algebra, "mul", refuse("Algebra.mul"))
     assert [reduced_degrees(Q, A, commutator=c) for Q, A, c in cases] == want

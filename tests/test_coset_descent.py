@@ -565,11 +565,11 @@ def test_filled_tables_do_not_travel_to_pool_workers(pooled_counts):
 
 
 def test_tables_are_shared_between_calls():
-    H = heisenberg(3)
-    # each variable occurs twice in a term, so the count walks every point
-    # and fills the whole product table
+    # over GF(5), which has no lanes, and with each variable twice in a
+    # term, the count walks every point and fills the whole product table
+    H = heisenberg(5)
     Q = parse("[[x1,x2],x1] + [[x2,x1],x2]", Flavor.LIE, H.field)
-    assert idtest._slice_variable(Q, H) is None
+    assert idtest._count_route(Q, H, False, H.order() ** 2) == ("points", None)
     zero_probability(Q, H)
     tables = H._memo[idtest._Tables]
     filled = len(tables.products[False])
@@ -763,7 +763,7 @@ def test_one_memo_holds_every_owners_entry():
     assert Algebra.__slots__ == ("field", "dim", "table", "bracket", "name", "basis_names", "_memo")
     M = matrix_algebra(2, 2)
     pair, square = (parse(text, Flavor.FREE, M.field) for text in ("x1*x2", "x1*x1"))
-    assert [idtest._count_route(Q, M, False)[0] for Q in (pair, square)] == ["lanes", "points"]
+    assert [idtest._count_route(Q, M, False, M.order() ** Q.n)[0] for Q in (pair, square)] == ["lanes", "points"]
 
     def answers(A):
         return (

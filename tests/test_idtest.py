@@ -124,8 +124,8 @@ def assert_blocks_match_the_reference(seed, q, dim, n, samples):
     assert sizes == [per_block] * (samples // per_block) + [samples % per_block] * (samples % per_block > 0)
 
 
-# past two block edges of one-argument points (256 indices a block) and of
-# three-argument points (85 points, 255 indices)
+# past two block edges of one-argument points (_BLOCK_CEILING indices a
+# block) and of three-argument points (_BLOCK_CEILING // 3 points a block)
 TWO_BLOCK_EDGES = {1: 2 * _BLOCK_CEILING + 3, 3: 2 * (_BLOCK_CEILING // 3) + 3}
 
 
@@ -179,7 +179,7 @@ def test_packed_indices_match_the_scalar_loop_over_several_digit_groups(q, dim):
     assert_blocks_match_the_reference((1 << 64) + 7, q, dim, 2, _BLOCK_CEILING // 2 + 1)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 85, 86, 256, 257, 300])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 85, 86, 170, 171, 256, 257, 300, 512, 513])
 @pytest.mark.parametrize("dim", [0, 2])
 def test_blocks_hold_whole_points_up_to_the_ceiling(n, dim):
     # a zero-dimensional algebra, or a polynomial without variables, draws
@@ -471,7 +471,7 @@ def reference_dixon(Q, A, *, cap=idtest.EXACT_CAP, workers=1, commutator=False):
             "algebra": idtest.to_json_dict(A),
             "zero_count": report.zero_count,
             "total": report.total,
-            "route": idtest._count_route(Q, A, commutator)[0],
+            "route": idtest._count_route(Q, A, commutator, report.total)[0],
             "probability": str(report.probability),
             "threshold": str(report.threshold),
         })

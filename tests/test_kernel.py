@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import random
 import re
+import tracemalloc
 from collections import Counter
 from itertools import product
 from operator import itemgetter
@@ -489,9 +490,9 @@ AFFINE_TEXTS = (
 
 @st.composite
 def affine_cases(draw):
-    q = draw(st.sampled_from([2, 3, 4]))
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
     F = field_of_order(q)
-    dim = draw(st.integers(1, 2 if q == 4 else 3))
+    dim = draw(st.integers(1, {2: 3, 3: 3, 4: 2}.get(q, 1)))
     cell = st.tuples(*[st.integers(0, q - 1)] * dim)
     A = Algebra(F, dim, [[draw(cell) for _ in range(dim)] for _ in range(dim)])
     text = draw(st.sampled_from(AFFINE_TEXTS))
@@ -524,6 +525,26 @@ def test_slice_route_counts_nonhomogeneous_polynomials_over_gf4():
         assert zero_probability(Q, A).zero_count == brute, text
 
 
+def test_slice_verdicts_keep_two_scale_tables():
+    # a verdict spans each L(b_i)'s nonzero multiples by powers of one
+    # generator of GF(q)*, so a slice count keeps the scale tables of -1
+    # and of the generator, where it kept one per nonzero scalar: on
+    # field(1021), 1,019 of them and 64 MB
+    for q, peak_bytes in ((251, 1 << 20), (1021, None)):
+        A = field_as_algebra(q)
+        Q = parse("x1*x2", Flavor.FREE, A.field)
+        assert idtest._count_route(Q, A, False, q * q) == ("slice", 1)
+        if peak_bytes:
+            tracemalloc.start()
+        try:
+            assert zero_probability(Q, A).zero_count == 2 * q - 1
+            if peak_bytes:
+                assert tracemalloc.get_traced_memory()[1] < peak_bytes
+        finally:
+            tracemalloc.stop()
+        assert len(A._memo[idtest._Tables].scales) <= 2
+
+
 def test_route_choice():
     H = heisenberg(3)
     assert _slice_variable(parse("[x1,x2,x3]", Flavor.LIE, H.field), H) == 2
@@ -538,7 +559,7 @@ def test_route_choice():
 
 
 def test_slice_route_evaluates_probes_only(monkeypatch):
-    H = heisenberg(3)
+    H = heisenberg(5)  # over GF(5), which has no lanes
     Q = parse("[x1,x2,x3]", Flavor.LIE, H.field)
     calls = Counter()
     kernel = idtest._kernel
@@ -554,8 +575,8 @@ def test_slice_route_evaluates_probes_only(monkeypatch):
 
     monkeypatch.setattr(idtest, "_kernel", counting)
     rep = zero_probability(Q, H)
-    assert (rep.zero_count, rep.total) == (19683, 19683)
-    assert calls["points"] == (H.dim + 1) * H.order() ** 2 == 2916
+    assert (rep.zero_count, rep.total) == (125**3, 125**3)
+    assert calls["points"] == (H.dim + 1) * H.order() ** 2 == 62500
 
 
 @pytest.mark.parametrize(
@@ -567,9 +588,13 @@ def test_slice_route_evaluates_probes_only(monkeypatch):
         (GF4_TABLE, Flavor.FREE, "x1*x1*x2 + x3*x1"),  # along x3, over GF(4)
     ],
 )
-def test_workers_give_the_serial_count_on_the_slice_route(pooled_counts, A, flavor, text):
+def test_workers_give_the_serial_count_on_the_slice_route(pooled_counts, monkeypatch, A, flavor, text):
+    # counts of these sizes over GF(2^k) and GF(3) run on lanes, so the gate
+    # is closed to reach the slice route
+    monkeypatch.setattr(lanes, "MIN_POINTS", 1 << 64)
     Q = parse(text, flavor, A.field)
     assert _slice_variable(Q, A) is not None
+    assert idtest._count_route(Q, A, False, A.order() ** Q.n)[0] == "slice"
     serial = zero_probability(Q, A, workers=1).zero_count
     assert zero_probability(Q, A, workers=3).zero_count == serial
     assert serial == sum(
@@ -587,39 +612,71 @@ def test_sampled_mode_matches_an_evaluate_recount():
     assert rep.zero_count == sampled_recount(Q, H, 300, 7)
 
 
-@pytest.mark.parametrize(
-    "text, samples",
-    [
-        # two arguments: a block holds 128 whole points, so 128 samples fill
-        # the first and 256 the second; 31-33 and 159-161 end mid-block
-        *[("[x1,x2] + [[x1,x2],x2]", s) for s in (31, 32, 33, 127, 128, 129, 159, 160, 161, 255, 256, 257)],
-        # three arguments: 85 whole points a block; 21-23 end mid-block
-        *[("[x1,x2] + [[x1,x3],x2]", s) for s in (21, 22, 23, 84, 85, 86, 169, 170, 171)],
-    ],
-)
+def block_edges(n):
+    """Sample counts of n-argument points around the first two block
+    edges (a block holds _BLOCK_CEILING // n whole points), and counts that
+    end a quarter into the first and second blocks."""
+    per_block = idtest._BLOCK_CEILING // n
+    return sorted({
+        *(k * per_block + d for k in (1, 2) for d in (-1, 0, 1)),
+        per_block // 4, per_block + per_block // 4,
+    })
+
+
+# the block edges at the ceiling, and at a ceiling of 256 indices (128
+# two-argument points a block, 85 three-argument ones), which also span
+# lanes.MIN_POINTS (31-33) and heisenberg(3)'s crossover of 48 points
+BLOCK_EDGE_CASES = [
+    *[("[x1,x2] + [[x1,x2],x2]", s) for s in sorted(
+        {31, 32, 33, 127, 128, 129, 159, 160, 161, 255, 256, 257, *block_edges(2)}
+    )],
+    *[("[x1,x2] + [[x1,x3],x2]", s) for s in sorted({21, 22, 23, 84, 85, 86, 169, 170, 171, *block_edges(3)})],
+]
+
+
+@pytest.mark.parametrize("text, samples", BLOCK_EDGE_CASES)
 def test_sampled_mode_matches_the_recount_at_block_edges(text, samples):
+    # heisenberg(3) counts on lanes from 48 samples, on the kernel below
     H = heisenberg(3)
     Q = parse(text, Flavor.LIE, H.field)
-    assert idtest._BLOCK_CEILING == 256
+    assert (idtest._count_route(Q, H, False, samples)[0] == "lanes") == (samples >= 48)
+    rep = zero_probability(Q, H, samples=samples, seed=-(1 << 64) - 9)
+    assert rep.zero_count == sampled_recount(Q, H, samples, -(1 << 64) - 9)
+
+
+@pytest.mark.parametrize("text, samples", BLOCK_EDGE_CASES)
+def test_sampled_kernel_route_matches_the_recount_at_block_edges(text, samples):
+    # heisenberg(5) is over GF(5), which has no lanes: every count runs on
+    # the kernel
+    H = heisenberg(5)
+    Q = parse(text, Flavor.LIE, H.field)
+    assert idtest._count_route(Q, H, False, samples)[0] != "lanes"
     rep = zero_probability(Q, H, samples=samples, seed=-(1 << 64) - 9)
     assert rep.zero_count == sampled_recount(Q, H, samples, -(1 << 64) - 9)
 
 
 def test_sampled_mode_is_capped_before_any_draw(monkeypatch):
-    H = heisenberg(3)
-    Q = parse("[x1,x2] + [[x1,x3],x2]", Flavor.LIE, H.field)
-    rep = zero_probability(Q, H, samples=64, seed=5, cap=64)
-    assert rep.zero_count == sampled_recount(Q, H, 64, 5)
-
+    # both sampled routes, lanes over GF(3) and the kernel over GF(5), read
+    # their draws from SplitMix64.digits, and neither reads it over the cap
     def no_draws(self, q, dim, n, samples):
         raise AssertionError("drew before the cap check")
+        yield
 
-    monkeypatch.setattr(SplitMix64, "points", no_draws)
-    with pytest.raises(SearchSpaceTooLarge) as info:
-        zero_probability(Q, H, samples=65, seed=5, cap=64)
-    assert (info.value.size, info.value.cap) == (65, 64)
-    with pytest.raises(SearchSpaceTooLarge):
-        zero_probability(Q, H, samples=EXACT_CAP + 1, seed=5)
+    for q in (3, 5):
+        H = heisenberg(q)
+        Q = parse("[x1,x2] + [[x1,x3],x2]", Flavor.LIE, H.field)
+        assert (idtest._count_route(Q, H, False, 64)[0] == "lanes") == (q == 3)
+        rep = zero_probability(Q, H, samples=64, seed=5, cap=64)
+        assert rep.zero_count == sampled_recount(Q, H, 64, 5)
+        with monkeypatch.context() as m:
+            m.setattr(SplitMix64, "digits", no_draws)
+            with pytest.raises(AssertionError, match="drew before the cap check"):
+                zero_probability(Q, H, samples=64, seed=5, cap=64)
+            with pytest.raises(SearchSpaceTooLarge) as info:
+                zero_probability(Q, H, samples=65, seed=5, cap=64)
+            assert (info.value.size, info.value.cap) == (65, 64)
+            with pytest.raises(SearchSpaceTooLarge):
+                zero_probability(Q, H, samples=EXACT_CAP + 1, seed=5)
 
 
 def test_sampled_mode_on_an_algebra_too_large_to_tabulate():
@@ -727,13 +784,14 @@ def test_counts_fork_once_the_points_walked_reach_fork_points(monkeypatch):
     started = []
     fork_context = multiprocessing.get_context
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: started.append(method) or fork_context(method))
-    H, T = heisenberg(3), truncated(3, 3)
+    # over GF(5), which has no lanes
+    H, T = heisenberg(5), truncated(5, 3)
     for A, flavor, text, walked in [
-        (H, Flavor.LIE, "[[x1,x3],x2] + 2*[x2,x1]", 4 * 27**2),  # of 27**3 points
-        (T, Flavor.FREE, "x1*x1*x2*x2", 9**2),  # no affine variable
+        (H, Flavor.LIE, "[[x1,x3],x2] + 2*[x2,x1]", 4 * 125**2),  # of 125**3 points
+        (T, Flavor.FREE, "x1*x1*x2*x2", 25**2),  # no affine variable
     ]:
         Q = parse(text, flavor, A.field)
-        assert idtest._count_route(Q, A, False)[0] != "lanes"
+        assert idtest._count_route(Q, A, False, A.order() ** Q.n)[0] != "lanes"
         serial = zero_probability(Q, A).zero_count
         monkeypatch.setattr(bound, "FORK_POINTS", walked + 1)
         assert zero_probability(Q, A, workers=2).zero_count == serial
@@ -746,7 +804,7 @@ def test_counts_fork_once_the_points_walked_reach_fork_points(monkeypatch):
     # walk, is a lanes count, and stays in process in 16 blocks of 16 points
     M = matrix_algebra(2, 2)
     Q = parse("x1*x1*x2*x2", Flavor.FREE, M.field)
-    assert idtest._count_route(Q, M, False)[0] == "lanes"
+    assert idtest._count_route(Q, M, False, M.order() ** 2)[0] == "lanes"
     serial = zero_probability(Q, M).zero_count
     monkeypatch.setattr(lanes, "BLOCK_BITS", 4)
     monkeypatch.setattr(bound, "FORK_POINTS", 0)

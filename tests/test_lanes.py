@@ -1,8 +1,9 @@
-"""Bit-sliced counts over characteristic 2 against the point walk.
+"""Bit-plane counts over GF(2^k) and GF(3) against the kernel's routes.
 
-The lanes route counts e_Q's zeros with each point one bit of a lane int;
-the kernel's point walk (_count_range with no slice variable) is the
-reference it is checked against, count for count.
+The lanes route counts e_Q's zeros with each point one bit of a plane int.
+Its exact counts are checked against the kernel's point walk
+(_count_range with no slice variable), and its sampled counts against
+the kernel's sampled route on the same draws, count for count.
 """
 
 import pickle
@@ -19,12 +20,18 @@ from fqidtest.algebra import Algebra, builtin, matrix_algebra
 from fqidtest.cli import battery_for, two_path_pairs
 from fqidtest.commpoly import reduced_degrees
 from fqidtest.freepoly import Flavor, FreePoly, engel, parse
-from fqidtest.gf import field_of_order
-from fqidtest.idtest import _count_range, _count_route, zero_probability
+from fqidtest.gf import Field, field_of_order
+from fqidtest.idtest import SplitMix64, _count_range, _count_route, _kernel, zero_probability
 from fqidtest.lanes import _count_blocks
 
 F2 = field_of_order(2)
+F3 = field_of_order(3)
 BRACKETS = ("[x1,x2]", "[[x1,x2],x1]", "[x1,x2] + [[x2,x1],x2]")
+# every function and class the lanes module defines
+LANE_HELPERS = sorted(
+    name for name, obj in vars(lanes).items()
+    if callable(obj) and getattr(obj, "__module__", None) == lanes.__name__
+)
 
 
 def points_count(Q, A, commutator=False):
@@ -32,12 +39,12 @@ def points_count(Q, A, commutator=False):
 
 
 def lanes_count(Q, A, commutator=False, bits=None, split=None):
-    """The lanes count in blocks of 2**bits points (the whole count by
+    """The lanes count in blocks of p**bits points (the whole count by
     default), over one chunk of blocks or, with split, over the chunks
     [0, split) and [split, blocks)."""
     total = Q.n * A.dim * A.field.k
     bits = total if bits is None else bits
-    blocks = 1 << (total - bits)
+    blocks = A.field.p ** (total - bits)
     cuts = [0, blocks] if split is None else [0, split, blocks]
     return sum(_count_blocks(Q, A, commutator, bits, start, stop) for start, stop in zip(cuts, cuts[1:]))
 
@@ -136,6 +143,156 @@ def test_lanes_match_points_on_random_tables(case):
 
 
 # ---------------------------------------------------------------------------
+# GF(3): two planes per coordinate
+
+def test_gf3_lanes_match_points_on_the_library():
+    algebras = [A for A in cli.library() if A.field.q == 3]
+    assert [A.name for A in algebras] == ["field(3)", "truncated(3,3)", "heisenberg(3)"]
+    brackets = [parse(text, Flavor.LIE, F3) for text in (*BRACKETS, "2*[x1,x2] + [[x1,x2],x2]")]
+    checked = 0
+    for A in [*algebras, builtin("truncated(3,4)"), builtin("upper_triangular(2,3)")]:
+        for Q in battery_for(A):
+            assert_lanes_match_points(Q, A)
+            checked += 1
+        for Q in brackets:  # on a plain table, read as commutators
+            assert_lanes_match_points(Q, A, commutator=not A.bracket)
+            checked += 1
+    assert checked == 5 * 8
+
+
+@st.composite
+def gf3_cases(draw):
+    """A GF(3) table of dimension 0 to 3, random, zero-product or with every
+    constant nonzero, and a polynomial of any flavor, not homogeneous, with
+    coefficients 1 and 2, in 0 to 3 variables: lie input is read as
+    commutators on the plain table."""
+    dim = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["random", "zero", "dense"]))
+    values = {"random": st.integers(0, 2), "zero": st.just(0), "dense": st.integers(1, 2)}[kind]
+    cell = st.tuples(*[values] * dim)
+    A = Algebra(F3, dim, [[draw(cell) for _ in range(dim)] for _ in range(dim)])
+    flavor = draw(st.sampled_from(list(Flavor)))
+    n = draw(st.integers(0, 3))
+    while n and A.order() ** n > 3**9:
+        n -= 1
+    terms = {}
+    if n:
+        leaf = st.integers(1, n)
+        if flavor is Flavor.ASSOC:
+            term = st.lists(leaf, min_size=1, max_size=5).map(tuple)
+        else:
+            term = st.recursive(leaf, lambda t: st.tuples(t, t), max_leaves=5)
+        terms = draw(st.dictionaries(term, st.integers(1, 2), max_size=4))
+    return FreePoly(F3, flavor, n, terms), A, flavor is Flavor.LIE
+
+
+@settings(max_examples=80, deadline=None)
+@given(gf3_cases())
+def test_gf3_lanes_match_points_on_random_tables(case):
+    Q, A, commutator = case
+    assert_lanes_match_points(Q, A, commutator)
+    assert zero_probability(Q, A, commutator=commutator).zero_count == points_count(Q, A, commutator)
+
+
+def kernel_sampled(Q, A, commutator, seed, samples):
+    """The kernel's sampled count at SplitMix64(seed)'s points."""
+    e = _kernel(Q, A, commutator)
+    blocks = SplitMix64(seed).points(A.field.q, A.dim, Q.n, samples)
+    return sum(not e(point) for block in blocks for point in block)
+
+
+def lanes_sampled(Q, A, commutator, seed, samples):
+    stream = SplitMix64(seed)
+    return lanes.sampled(Q, A, commutator, stream.digits(A.field.q, A.dim, Q.n, samples))
+
+
+@st.composite
+def sampled_cases(draw):
+    """A table over GF(2), GF(3), GF(4) or GF(8) of dimension 0 to 3, a
+    polynomial in 0 to 3 variables, a seed from a negative one to one past
+    2**64, and a sample count at one of the first two block edges or
+    short."""
+    q = draw(st.sampled_from([2, 3, 4, 8]))
+    F = field_of_order(q)
+    dim = draw(st.integers(0, 3))
+    cell = st.tuples(*[st.integers(0, q - 1)] * dim)
+    A = Algebra(F, dim, [[draw(cell) for _ in range(dim)] for _ in range(dim)])
+    flavor = draw(st.sampled_from(list(Flavor)))
+    n = draw(st.integers(0, 3))
+    terms = {}
+    if n:
+        leaf = st.integers(1, n)
+        if flavor is Flavor.ASSOC:
+            term = st.lists(leaf, min_size=1, max_size=4).map(tuple)
+        else:
+            term = st.recursive(leaf, lambda t: st.tuples(t, t), max_leaves=4)
+        terms = draw(st.dictionaries(term, st.integers(1, q - 1), max_size=3))
+    per_block = idtest._BLOCK_CEILING // n if n else 1
+    edge = draw(st.integers(1, 2)) * per_block
+    samples = draw(st.integers(max(1, edge - 1), edge + 1) | st.integers(1, 40))
+    seed = draw(st.integers(-(1 << 70), -1) | st.integers(0, 1 << 66))
+    return FreePoly(F, flavor, n, terms), A, flavor is Flavor.LIE, seed, samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_cases())
+def test_sampled_lanes_match_the_kernel_on_the_same_draws(case):
+    Q, A, commutator, seed, samples = case
+    assert lanes_sampled(Q, A, commutator, seed, samples) == kernel_sampled(Q, A, commutator, seed, samples)
+
+
+@pytest.mark.parametrize(
+    "spec, flavor, text, commutator",
+    [
+        ("heisenberg(3)", Flavor.LIE, "[x1,x2] + [[x1,x3],x2]", False),
+        ("matrix(2,3)", Flavor.LIE, "2*[x1,x2] + [[x1,x2],x1]", True),
+        ("matrix(2,2)", Flavor.FREE, "x1*x2*x3 - x3*x2*x1", False),
+        ("matrix(2,4)", Flavor.FREE, "x1*x2 + g*x2*x1 + x1", False),
+        ("matrix(2,8)", Flavor.FREE, "x1*x1*x2 + (g+1)*x2", False),
+        ("truncated(3,3)", Flavor.FREE, "x1*x2 + 2*x1", False),
+    ],
+)
+def test_sampled_lanes_match_the_kernel_at_block_edges(spec, flavor, text, commutator):
+    A = builtin(spec)
+    Q = parse(text, flavor, A.field)
+    per_block = idtest._BLOCK_CEILING // Q.n
+    for seed in (-(1 << 64) - 9, -1, 0, 1 << 64, (1 << 64) + 12345):
+        for samples in (1, per_block - 1, per_block, per_block + 1, 2 * per_block + 1):
+            assert lanes_sampled(Q, A, commutator, seed, samples) == kernel_sampled(
+                Q, A, commutator, seed, samples
+            ), (seed, samples)
+    # the gate takes lanes from here on, and the count is the kernel's
+    samples = max(lanes.MIN_POINTS, lanes.RATIO * lanes.cost(A, commutator))
+    assert _count_route(Q, A, commutator, samples)[0] == "lanes"
+    rep = zero_probability(Q, A, samples=samples, seed=3, commutator=commutator)
+    assert rep.zero_count == kernel_sampled(Q, A, commutator, 3, samples)
+
+
+def test_sampled_lanes_read_digits_past_one_byte():
+    # over GF(2^9) a digit spans two bytes of its draw, and lanes 8 and up
+    # of a coordinate read the second
+    F = Field(2, 9, modulus=(1, 0, 0, 0, 1, 0, 0, 0, 0, 1))
+    A = Algebra(F, 2, [[(3, 300), (0, 511)], [(256, 0), (1, 0)]])
+    for text in ("x1*x2 + x2*x1", "x1*x1 + (g^8+g)*x2"):
+        Q = parse(text, Flavor.FREE, F)
+        for seed in (-3, 1 << 64):
+            assert lanes_sampled(Q, A, False, seed, 300) == kernel_sampled(Q, A, False, seed, 300)
+
+
+def test_sampled_lanes_without_coordinates_or_variables():
+    # a zero-dimensional algebra and a polynomial without variables draw
+    # nothing, and every point is a zero
+    for A in (Algebra(F3, 0, []), Algebra(F2, 0, []), builtin("heisenberg(3)")):
+        flavor = Flavor.LIE if A.bracket else Flavor.FREE
+        for Q in (FreePoly(A.field, flavor, 0, {}), FreePoly(A.field, flavor, 2, {})):
+            assert lanes_sampled(Q, A, False, -5, 2049) == kernel_sampled(Q, A, False, -5, 2049) == 2049
+        if not A.dim:
+            Q = parse("x1*x2 + x2", Flavor.FREE, A.field)
+            assert lanes_sampled(Q, A, False, 7, 100) == 100
+            assert zero_probability(Q, A, samples=100, seed=7).zero_count == 100
+
+
+# ---------------------------------------------------------------------------
 # the crossover and the blocks
 
 def constants_table(dim, nonzero):
@@ -169,11 +326,12 @@ def test_route_takes_lanes_from_the_crossover_on(monkeypatch):
         (x1x1, sparse, "lanes"),
         (x1x1, dense, "points"),
     ]
-    # over GF(3) the route is the slice or point walk it was
+    # over GF(3) a constant costs one sum, 12 plane operations: the 24 of
+    # heisenberg(3) put [x1,x2]'s 729 points on lanes
     H = builtin("heisenberg(3)")
-    cases.append((parse("[x1,x2]", Flavor.LIE, H.field), H, "slice"))
+    cases.append((parse("[x1,x2]", Flavor.LIE, H.field), H, "lanes"))
     for Q, A, route in cases:
-        assert _count_route(Q, A, False)[0] == route, (Q.to_text(), A.table)
+        assert _count_route(Q, A, False, A.order() ** Q.n)[0] == route, (Q.to_text(), A.table)
         counts = set()
         for floor, ratio in ((0, 0), (lanes.MIN_POINTS, lanes.RATIO), (1 << 64, 0)):  # lanes, as chosen, the kernel
             monkeypatch.setattr(lanes, "MIN_POINTS", floor)
@@ -184,18 +342,41 @@ def test_route_takes_lanes_from_the_crossover_on(monkeypatch):
     # the commutator reading has constants of its own: on B, [b1,b2] and
     # [b2,b1] are b2, and the squares cancel
     assert lanes.cost(B, True) == 2
-    assert _count_route(parse("[x1,x2]", Flavor.LIE, F2), B, True)[0] != "lanes"  # 16 points
-    assert _count_route(parse("[[x1,x2],x3]", Flavor.LIE, F2), B, True)[0] == "lanes"
+    assert _count_route(parse("[x1,x2]", Flavor.LIE, F2), B, True, 16)[0] != "lanes"
+    assert _count_route(parse("[[x1,x2],x3]", Flavor.LIE, F2), B, True, 64)[0] == "lanes"
+
+
+def test_gf3_route_takes_lanes_from_the_crossover_on(monkeypatch):
+    # the one gate, read at sample counts, which reach every point count:
+    # heisenberg(3) costs 24, so lanes from lanes.RATIO * 24 = 48 points;
+    # a table of one constant costs 12, so lanes from lanes.MIN_POINTS
+    H = builtin("heisenberg(3)")
+    one = Algebra(F3, 2, [[(0, 0), (1, 0)], [(0, 0), (0, 0)]])
+    assert (lanes.cost(H, False), lanes.cost(one, False)) == (24, 12)
+    bracket, pair = parse("[x1,x2]", Flavor.LIE, F3), parse("x1*x2", Flavor.FREE, F3)
+    assert [_count_route(bracket, H, False, s)[0] for s in (47, 48)] == ["slice", "lanes"]
+    assert [_count_route(pair, one, False, s)[0] for s in (31, 32)] == ["points", "lanes"]
+    # each count is the same on either side of the gate and on either route
+    for Q, A, samples in ((bracket, H, 47), (bracket, H, 48), (pair, one, 31), (pair, one, 32)):
+        counts = set()
+        for floor in (0, lanes.MIN_POINTS, 1 << 64):
+            monkeypatch.setattr(lanes, "MIN_POINTS", floor)
+            counts.add(zero_probability(Q, A, samples=samples, seed=-samples).zero_count)
+        monkeypatch.undo()
+        assert len(counts) == 1
+    # the commutator reading of matrix(2,3) has constants of its own
+    M = builtin("matrix(2,3)")
+    assert lanes.cost(M, True) == reference_cost(M, True) != lanes.cost(M, False)
 
 
 def test_slices_over_characteristic_two_are_only_ever_c_x1():
     # idtest._slice_zeros spans on the tables over every field: over
-    # characteristic 2 lanes take every count of two or more arguments
-    # that could slice, dense tables included, and a count of one argument
-    # never slices, so no count there is left to it
+    # characteristic 2, and over GF(3), lanes take every count of two or
+    # more arguments that could slice, dense tables included, and a count
+    # of one argument never slices, so no count there is left to it
     rng = random.Random(26)
-    algebras = [A for A in cli.library() if A.field.p == 2]
-    for q in (2, 4, 8):
+    algebras = [A for A in cli.library() if A.field.q in (2, 3)]
+    for q in (2, 4, 8, 3):
         F = field_of_order(q)
         for dim in range(1, 5):
             algebras.append(Algebra(F, dim, [[(q - 1,) * dim] * dim] * dim))
@@ -213,13 +394,13 @@ def test_slices_over_characteristic_two_are_only_ever_c_x1():
             cases += [(parse(text, Flavor.LIE, A.field), True) for text in BRACKETS]
         for Q, commutator in cases:
             sliceable += idtest._slice_variable(Q, A) is not None
-            assert _count_route(Q, A, commutator)[0] != "slice", (Q.to_text(), A.table)
+            assert _count_route(Q, A, commutator, A.order() ** Q.n)[0] != "slice", (Q.to_text(), A.table)
     assert sliceable >= 300
     # x1 on a dimension-4 GF(2) table: 16 points, under lanes.MIN_POINTS,
     # and one argument, so the point walk
     A = constants_table(4, 64)
     Q = parse("x1", Flavor.FREE, F2)
-    assert _count_route(Q, A, False) == ("points", None)
+    assert _count_route(Q, A, False, 16) == ("points", None)
     assert zero_probability(Q, A).zero_count == points_count(Q, A) == 1
 
 
@@ -232,40 +413,49 @@ def test_one_argument_counts_never_slice():
         for c in sorted({1, A.field.q - 1}):
             Q = FreePoly(A.field, flavor, 1, {1: c})
             A._memo.clear()
-            route = _count_route(Q, A, False)[0]
+            route = _count_route(Q, A, False, A.order())[0]
             # lanes take x1 on strictly_upper_triangular_lie(4,2), 64 points
-            assert route == "points" or (route == "lanes" and A.field.p == 2), (A.name, c)
+            assert route == "points" or (route == "lanes" and A.field.q in (2, 3)), (A.name, c)
             assert zero_probability(Q, A).zero_count == 1  # c*x1 vanishes at 0 alone
             tables = A._memo.get(idtest._Tables)
             assert tables is None or len(tables.scales) <= 1, (A.name, c)
             assert points_count(Q, A) == 1
     Q = parse("x1", Flavor.FREE, field_of_order(65521))
-    assert _count_route(Q, builtin("field(65521)"), False) == ("points", None)
+    assert _count_route(Q, builtin("field(65521)"), False, 65521) == ("points", None)
 
 
 def reference_cost(A, commutator):
-    """A product's nonzero GF(2) structure constants, read from A.table:
-    constant c spreads to the k * k products g^i * g^j * c, each as many
-    constants as it has bits, and the commutator reading adds the
-    constants of (a, b) and (b, a), c + c' for the cells (s, r) and
-    (r, s)."""
+    """A product's plane operations, read from A.table: over GF(2^k) its
+    nonzero GF(2) structure constants, one XOR each, where constant c
+    spreads to the k * k products g^i * g^j * c, each as many constants as
+    it has bits; over GF(3) its nonzero constants, one sum of 12 each.  The
+    commutator reading takes the constants of (a, b) less those of (b, a),
+    c - c' for the cells (s, r) and (r, s)."""
     f, k, table = A.field, A.field.k, A.table
     total = 0
     for s, row in enumerate(table):
         for r, cell in enumerate(row):
             for t, c in enumerate(cell):
                 if commutator:
-                    c ^= table[r][s][t]
-                total += sum(f.mul(f.mul(1 << i, 1 << j), c).bit_count() for i in range(k) for j in range(k))
+                    c = f.sub(c, table[r][s][t])
+                if f.p == 2:
+                    total += sum(f.mul(f.mul(1 << i, 1 << j), c).bit_count() for i in range(k) for j in range(k))
+                else:
+                    total += 12 * (c != 0)
     return total
 
 
 def test_cost_is_the_constants_of_the_lane_tables():
-    tables = [*dimension_two_tables(), *(A for A in cli.library() if A.field.p == 2)]
+    rng = random.Random(28)
+    tables = [*dimension_two_tables(), *(A for A in cli.library() if A.field.q in (2, 3))]
     for q in (4, 8):
         F = field_of_order(q)
         tables.append(Algebra(F, 2, [[(1, 2), (0, 3)], [(2, 0), (1, q - 1)]]))
         tables.append(Algebra(F, 2, [[(q - 1, 1), (2, 0)], [(3 % q, 1), (0, 0)]]))
+    for dim in (1, 2, 3):
+        for _ in range(4):
+            cells = [tuple(rng.randrange(3) for _ in range(dim)) for _ in range(dim * dim)]
+            tables.append(Algebra(F3, dim, [cells[s * dim:(s + 1) * dim] for s in range(dim)]))
     for A in tables:
         for commutator in (False, True):
             assert lanes.cost(A, commutator) == reference_cost(A, commutator), (A.table, commutator)
@@ -282,7 +472,7 @@ def test_a_kernel_count_builds_no_lane_tables():
     B, dense = Algebra(F2, 2, [[(1, 1), (0, 1)], [(0, 0), (0, 0)]]), constants_table(5, 17)
     assert B.order() < lanes.MIN_POINTS == dense.order()
     for A in (B, dense):
-        assert _count_route(Q, A, False)[0] == "points"
+        assert _count_route(Q, A, False, A.order())[0] == "points"
         assert zero_probability(Q, A).zero_count == points_count(Q, A)
         idtest.dixon_verdict(Q, A)
         assert idtest._Tables in A._memo
@@ -329,19 +519,24 @@ def test_a_block_keeps_only_the_nodes_still_to_be_read():
         ("matrix(2,2)", Flavor.FREE, "x1*x2*x3 - x3*x2*x1"),  # 12 bits
         ("matrix(2,4)", Flavor.FREE, "x1*x1 + g*x1"),  # 8 bits over GF(4)
         ("heisenberg(2)", Flavor.LIE, "[[x1,x2],x3] + [x3,x1]"),  # 9 bits, a bracket
+        ("heisenberg(3)", Flavor.LIE, "[x1,x2] + 2*[[x2,x1],x1]"),  # 6 digits over GF(3)
+        ("truncated(3,4)", Flavor.FREE, "x1*x2*x1 + 2*x2 + x1*x1"),  # 6 digits
+        ("field(3)", Flavor.FREE, "x1*x2*x3 + 2*x3*x3 + x1"),  # 3 digits
     ],
 )
 def test_every_block_split_gives_the_count(monkeypatch, spec, flavor, text):
     A = builtin(spec)
     Q = parse(text, flavor, A.field)
-    total = Q.n * A.dim * A.field.k
+    p, total = A.field.p, Q.n * A.dim * A.field.k
     want = points_count(Q, A)
-    for bits in range(total + 1):
-        blocks = 1 << (total - bits)
+    for digits in range(total + 1):
+        blocks = p ** (total - digits)
         for split in sorted({0, 1, blocks // 2, blocks - 1, blocks}):
-            assert lanes_count(Q, A, bits=bits, split=split) == want, (bits, split)
+            assert lanes_count(Q, A, bits=digits, split=split) == want, (digits, split)
+    # blocks of up to 2**bits points: p**digits with digits the most that fit
+    for bits in range((p**total).bit_length() + 1):
         monkeypatch.setattr(lanes, "BLOCK_BITS", bits)
-        assert zero_probability(Q, A).zero_count == want
+        assert lanes.count(Q, A, False) == zero_probability(Q, A).zero_count == want
 
 
 def test_lane_ints_stay_within_the_block_cap(monkeypatch):
@@ -351,21 +546,35 @@ def test_lane_ints_stay_within_the_block_cap(monkeypatch):
     assert M.order() ** Q.n == idtest.EXACT_CAP
     widest = []
     masks = lanes._masks
-    monkeypatch.setattr(lanes, "_masks", lambda bits: widest.append(bits) or masks(bits))
+    monkeypatch.setattr(lanes, "_masks", lambda p, digits: widest.append((p, digits)) or masks(p, digits))
     pair_zeros = points_count(parse("x1*x2", Flavor.FREE, M.field), M)
     assert zero_probability(Q, M).zero_count == pair_zeros * M.order() ** 4
-    assert widest == [lanes.BLOCK_BITS] == [20]
-    assert all(m.bit_length() <= 1 << 20 for m in masks(20))
+    assert widest == [(2, lanes.BLOCK_BITS)] == [(2, 20)]
+    assert all(m.bit_length() <= 1 << 20 for m in masks(2, 20))
+    # over GF(3) a block holds 3**12 points, the most under 2**20: x1*x1*x2
+    # on heisenberg(3) (3**9 points a copy) times x3..x5 is 3**15 points,
+    # 27 blocks whose masks hold 24 planes of 66,431 bytes, 1.6 MB
+    H = builtin("heisenberg(3)")
+    widest.clear()
+    Q = parse("[[x1,x1],x2] + [[x3,x4],x5]", Flavor.LIE, H.field)
+    assert H.order() ** Q.n == 3**15 <= idtest.EXACT_CAP
+    assert zero_probability(Q, H).zero_count == H.order() ** 5
+    assert widest == [(3, 12)]
+    assert sum(m.bit_length() for m in masks(3, 12)) <= 24 * 3**12 <= 2.5e6 * 8
     assert masks.cache_info().maxsize == 4
 
 
 def test_lane_masks_are_the_bits_of_the_point_index():
-    for bits in range(0, 11):
-        masks = lanes._masks(bits)
-        assert len(masks) == bits
-        for v, mask in enumerate(masks):
-            assert all((mask >> p & 1) == (p >> v & 1) for p in range(1 << bits)), (bits, v)
-            assert mask.bit_length() <= 1 << bits
+    # plane d - 1 of digit v has bit i set where base-p digit v of i is d:
+    # over GF(2) bit v of i, and over GF(3) where digit v is 1, then 2
+    for p, digits in [(2, digits) for digits in range(11)] + [(3, digits) for digits in range(7)]:
+        masks = lanes._masks(p, digits)
+        assert len(masks) == (p - 1) * digits
+        for v in range(digits):
+            for d in range(1, p):
+                mask = masks[(p - 1) * v + d - 1]
+                assert all((mask >> i & 1) == (i // p**v % p == d) for i in range(p**digits)), (digits, v, d)
+                assert mask.bit_length() <= p**digits
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +599,26 @@ def test_lanes_and_coordinate_routes_share_no_helper(monkeypatch):
         (parse("[[x1,x2],x3]", Flavor.LIE, F2), builtin("strictly_upper_triangular_lie(4,2)"), False),
         (parse("[x1,x2]", Flavor.LIE, F2), builtin("upper_triangular(2,2)"), True),
         (parse("x1*x2 + g*x2*x1", Flavor.FREE, field_of_order(4)), matrix_algebra(2, 4), False),
+        (parse("[[x1,x2],x3] + 2*[x3,x1]", Flavor.LIE, F3), builtin("heisenberg(3)"), False),
+        (parse("2*[x1,x2] + [[x1,x2],x1]", Flavor.LIE, F3), builtin("matrix(2,3)"), True),
     ]
+    assert {
+        "_tables", "_plan", "_product2", "_product3", "_add3", "_program", "_nonzeros",
+        "_masks", "_count_blocks", "count", "sampled", "cost",
+    } <= set(LANE_HELPERS)
     # the coordinates, cells and masks of the other side are built first,
-    # so a lanes count that reached them would find them warm
+    # so a lanes count that reached them would find them warm; each exact
+    # count and a sampled count of 500 points run on lanes
     want = []
     for Q, A, commutator in cases:
         reduced_degrees(Q, A, commutator=commutator)
         idtest.functional_zero_fraction(Q, A, commutator=commutator)
-        want.append(zero_probability(Q, A, commutator=commutator).zero_count)
-        assert _count_route(Q, A, commutator)[0] == "lanes"
+        want.append((
+            zero_probability(Q, A, commutator=commutator).zero_count,
+            zero_probability(Q, A, samples=500, seed=-7, commutator=commutator).zero_count,
+        ))
+        assert _count_route(Q, A, commutator, A.order() ** Q.n)[0] == "lanes"
+        assert _count_route(Q, A, commutator, 500)[0] == "lanes"
 
     def refuse(name):
         def call(*args, **kwargs):
@@ -417,13 +637,15 @@ def test_lanes_and_coordinate_routes_share_no_helper(monkeypatch):
             for name in names:
                 m.setattr(module, name, refuse(name))
         m.setattr(Algebra, "mul", refuse("Algebra.mul"))
-        for (Q, A, commutator), zeros in zip(cases, want):
+        for (Q, A, commutator), (zeros, sampled) in zip(cases, want):
             A._memo.pop(lanes._Tables)  # cold: the tables and the cost are read from A.table
             assert zero_probability(Q, A, commutator=commutator).zero_count == zeros
+            A._memo.pop(lanes._Tables)
+            assert zero_probability(Q, A, samples=500, seed=-7, commutator=commutator).zero_count == sampled
     # and the coordinate routes call no lane helper
-    for name in ("_tables", "_plan", "_product", "_masks", "_count_blocks", "count", "cost"):
+    for name in LANE_HELPERS:
         monkeypatch.setattr(lanes, name, refuse(f"lanes.{name}"))
-    for (Q, A, commutator), zeros in zip(cases, want):
+    for (Q, A, commutator), (zeros, _) in zip(cases, want):
         A._memo.pop(commpoly._cells)
         reduced_degrees(Q, A, commutator=commutator)
         fraction = idtest.functional_zero_fraction(Q, A, commutator=commutator)
