@@ -327,7 +327,7 @@ def full_ideal(A: Algebra) -> Ideal:
 
 def _is_coordinate_vector(A: Algebra, v) -> bool:
     """v has A.dim entries, each a field element of A: an int in range(q).
-    (idtest._rep_indices runs the same test inline as it reads off element
+    (idtest._rep_index runs the same test inline as it reads off element
     indices.)"""
     q = A.field.q
     return len(v) == A.dim and all(isinstance(c, int) and 0 <= c < q for c in v)

@@ -60,8 +60,8 @@ lookup per point, and the terms are summed one statement each.  Its
 source holds fixed names, locals and ints only, never text from Q, and
 equal sources share one compiled code object.  The function depends only
 on (Q, A, commutator), so the algebra keeps it: the field and flavor gate
-runs on every _kernel call, and the function is built on the first call
-for each (Q, commutator).  Descent's
+runs and the function is built on the first call for each
+(Q, commutator), and a later call with an equal Q finds it.  Descent's
 claim that e_Q vanishes on I^n depends only on (Q, I) and the product
 flavor, so the algebra also keeps the keys it has verified: the stage-n
 check and the restricted-algebra check run once per key per algebra,
@@ -80,10 +80,10 @@ comparison would reject correct behavior on extremal inputs.
 """
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import count, filterfalse, product, repeat
+from itertools import compress, count, product, repeat
 from operator import add, itemgetter, mul, not_
 
 from .algebra import (
@@ -166,10 +166,12 @@ class SplitMix64:
         whole points, up to _BLOCK_CEILING element indices, and the last
         block only the points left; self.state is stored once per block,
         before it is yielded.  A block is one Python int with each draw in
-        a 128-bit lane: the Weyl states are state * R + k * gamma, the
-        three mixing rounds run on the whole int, each lane masked to 64
-        bits before each multiply so that no product reaches the next
-        lane, and _lane_mod reduces every lane mod q at once.  buffer is
+        a 128-bit lane: the Weyl states are state * R + k * gamma, and a
+        full block after a full block moves each of them on by one add of
+        (draws * gamma mod 2**64) * R, which stays in its lane; the three
+        mixing rounds run on the whole int, each lane masked to 64 bits
+        before each multiply so that no product reaches the next lane, and
+        _lane_mod reduces every lane mod q at once.  buffer is
         that int's little-endian bytes: draw (i * n + a) * dim + s,
         coordinate s of argument a of point i, is 16 of them.  A
         zero-dimensional algebra or a polynomial without variables draws
@@ -177,6 +179,7 @@ class SplitMix64:
         """
         state = self.state
         per_block = max(1, _BLOCK_CEILING // n) if n else samples
+        advance = None  # a full block's Weyl lanes less the last full block's
         for start in range(0, samples, per_block):
             count = min(per_block, samples - start)
             if not (n and dim):
@@ -185,7 +188,13 @@ class SplitMix64:
                 continue
             draws = count * n * dim
             ones, R, steps, low32 = _lanes(draws)
-            s = (state * R + steps) & ones
+            if start and count == per_block:
+                # only the last block is short, so the one before was full
+                if advance is None:
+                    advance = (draws * _GAMMA & _MASK64) * R
+                s = (s + advance) & ones
+            else:
+                s = (state * R + steps) & ones
             z = ((s ^ (s >> 30)) & ones) * _MIX1 & ones
             z = ((z ^ (z >> 27)) & ones) * _MIX2 & ones
             digits = _lane_mod(z ^ (z >> 31), q, low32)
@@ -250,12 +259,18 @@ def _lane_mod(z: int, q: int, low32: int) -> int:
     word are ignored.
 
     A word hi * 2**32 + lo folds to y = hi * r + lo, congruent mod q, with
-    y <= (2**32 - 1) * q < 2**49.  Granlund and Montgomery: since
-    m * q - 2**shift <= q <= 2**(shift - 49), y * m >> shift is y // q for
-    every y < 2**49, and y * m < 2**99 stays in its lane.
+    y <= (2**32 - 1) * q < 2**49; r is 0 when q divides 2**32 and 1 when
+    q divides 2**32 - 1, and neither needs the product.  Granlund and
+    Montgomery: since m * q - 2**shift <= q <= 2**(shift - 49),
+    y * m >> shift is y // q for every y < 2**49, and y * m < 2**99 stays
+    in its lane.
     """
     r, m, shift, _ = _reduction(q)
-    y = (z >> 32 & low32) * r + (z & low32)
+    y = z & low32
+    if r == 1:
+        y += z >> 32 & low32
+    elif r:
+        y += (z >> 32 & low32) * r
     return y - ((y * m >> shift) & low32) * q
 
 
@@ -360,15 +375,16 @@ class _Tables:
     entries some run meets are ever computed, and each only once: the
     tables live on the algebra as long as it does.  Pairs are keyed
     a * order + b.  Beside them sit the compiled kernel of each
-    (Q, commutator), each ideal's member indices and the
-    (Q, ideal, commutator) keys whose descent to the ideal is verified.
+    (Q, commutator), each ideal's member indices, the
+    (Q, ideal, commutator) keys whose descent to the ideal is verified
+    and the representative tuples _rep_indices has checked.
     The algebra keeps them in its memo under the key _Tables; none of it
     is pickled, as Algebra.__getstate__ leaves the memo behind.
     """
 
     __slots__ = (
         "field", "dim", "order", "products", "sums", "scales", "kernels", "ideal_members",
-        "verified",
+        "verified", "checked",
     )
 
     def __init__(self, A: Algebra):
@@ -381,6 +397,7 @@ class _Tables:
         self.kernels = {}  # (Q, commutator) -> e_Q on element indices
         self.ideal_members = {}  # ideal -> its members' indices, in elements() order
         self.verified = set()  # (Q, ideal, commutator): e_Q vanishes on ideal^n
+        self.checked = {}  # representative tuple -> (that tuple, its index), once checked
 
     def vec(self, index):
         """The coordinate tuple of an element index."""
@@ -454,18 +471,19 @@ def _tables(A: Algebra) -> _Tables:
 def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
     """e_Q on element indices: a function from n indices to the value's index.
 
-    Per call: the field and flavor gate (_product_fn) and one lookup in
-    the algebra's tables; the gate compares fields by identity first, so
-    a polynomial parsed over A.field costs no Field.__eq__ call.  Per
-    (Q, commutator): the function is compiled on the first call and kept
-    on the algebra's tables, so a coset search and all its descents
-    compile e_Q once.
+    Per call: one lookup in the algebra's tables.  Per (Q, commutator):
+    the field and flavor gate (_product_fn), then the function, compiled
+    and kept on the algebra's tables, so a coset search and all its
+    descents compile e_Q once.  The gate need not run again on a hit: the
+    key's Q equals this one, and FreePoly.__eq__ compares field and
+    flavor, so this Q passes the gate the stored one passed on the same
+    algebra with the same commutator flag.  A refused Q is never stored.
     """
-    prod = _product_fn(Q, A, commutator)
     tables = _tables(A)
     key = (Q, commutator)
     e = tables.kernels.get(key)
     if e is None:
+        prod = _product_fn(Q, A, commutator)
         e = tables.kernels[key] = _compile(Q, tables, tables.product(commutator, prod))
     return e
 
@@ -911,10 +929,7 @@ def _verdict_report(report: EvalReport, floor) -> EvalReport:
 # ---------------------------------------------------------------------------
 # coset identities
 
-_set_field = object.__setattr__
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CosetWitness:
     """A coset product (a_1+I) x ... x (a_n+I) on which e_Q vanishes.
 
@@ -929,18 +944,25 @@ class CosetWitness:
     trivial: bool
 
 
+# the slot descriptors of the fields, in declared order: a descriptor's
+# __set__ writes its slot directly, past the frozen class's __setattr__
+_set_ideal, _set_representatives, _set_codim, _set_trivial = (
+    CosetWitness.__dict__[f.name].__set__ for f in fields(CosetWitness)
+)
+
+
 def _new_witness(ideal, representatives, codim, trivial) -> CosetWitness:
     """CosetWitness of these fields, built without the constructor's call:
-    each field is set by object.__setattr__, as the frozen dataclass's
-    __init__ sets it, so the witness is the one the constructor builds.
-    It does not fill the instance dict in one update, as _new_report
-    does: reading __dict__ gives each instance a dict object of its own,
-    about 135 bytes more per witness, and a search keeps thousands."""
+    each field is written through its slot descriptor, where the frozen
+    dataclass's __init__ goes through object.__setattr__, so the witness
+    is the one the constructor builds.  A witness has slots and no
+    instance dict: about 65 bytes, where one with a dict took about 105
+    (Python 3.11), and a search keeps thousands."""
     witness = object.__new__(CosetWitness)
-    _set_field(witness, "ideal", ideal)
-    _set_field(witness, "representatives", representatives)
-    _set_field(witness, "codim", codim)
-    _set_field(witness, "trivial", trivial)
+    _set_ideal(witness, ideal)
+    _set_representatives(witness, representatives)
+    _set_codim(witness, codim)
+    _set_trivial(witness, trivial)
     return witness
 
 
@@ -974,8 +996,10 @@ def coset_identity_search(
     codimension are found once.  Per representative tuple, e_Q runs on
     the kernel over every point of the coset product until one is
     nonzero.  The zero ideal's cosets are single points, so its witnesses
-    are the zeros of e_Q, found by one walk over the element indices in
-    canonical order, and are all trivial.
+    are the zeros of e_Q, and all trivial: compress picks the
+    representative tuples, in canonical order, at which the kernel's
+    walk over the element indices is zero, and map builds a witness of
+    each, so no frame of Python code runs per point.
     """
     if max_codim < 0:
         raise ValueError(f"max_codim must be >= 0, got {max_codim}")
@@ -994,16 +1018,21 @@ def coset_identity_search(
                 raise SearchSpaceTooLarge(len(ideals) * per_ideal, cap)
     ideals.sort(key=_ideal_order)
     tables = _tables(A)
+    order = tables.order
     witnesses = []
     for ideal in ideals:
         reps = _canonical_reps(A, ideal)
         codim = ideal.codim
         if not ideal.basis:
-            # every element is its own representative, reps[i] has index i
-            witnesses.extend(
-                _new_witness(ideal, tuple(map(reps.__getitem__, point)), codim, True)
-                for point in filterfalse(e, product(range(len(reps)), repeat=n))
-            )
+            # every element is its own representative, reps[i] has index i,
+            # so the tuples of reps run in step with the points of indices
+            witnesses.extend(map(
+                _new_witness,
+                repeat(ideal),
+                compress(product(reps, repeat=n), map(not_, map(e, product(range(order), repeat=n)))),
+                repeat(codim),
+                repeat(True),
+            ))
             continue
         members = tables.members(ideal)
         # each representative's coset, as element indices, built once
@@ -1046,24 +1075,47 @@ def _certificate(n: int) -> DescentCertificate:
     return DescentCertificate(steps=tuple(steps), identity_on_ideal=True)
 
 
-def _rep_indices(A: Algebra, reps) -> list:
+def _rep_indices(tables: _Tables, reps) -> list:
     """The element indices of the representatives, each refused with
-    WitnessInvalid unless it is a coordinate vector of A
-    (_is_coordinate_vector's test, run as the index is read off)."""
-    q, dim = A.field.q, A.dim
+    WitnessInvalid unless it is a coordinate vector of the algebra.
+
+    A tuple checked before on this algebra is read off tables.checked,
+    which keeps the tuple object itself beside its index: only that very
+    object counts as checked, as a tuple of floats equal to ints is equal
+    to it.  Coset search hands one tuple object to many witnesses, so most
+    representatives are found there.  Any other is checked by _rep_index
+    and then kept, if it is a tuple, in place of an equal one.
+    """
+    checked = tables.checked
     ids = []
     for r in reps:
-        if len(r) == dim:
-            index = 0
-            for c in r:
-                if not (isinstance(c, int) and 0 <= c < q):
-                    break
-                index = index * q + c
-            else:
-                ids.append(index)
-                continue
-        raise WitnessInvalid(f"representative {r!r} is not a coordinate vector of length {dim}")
+        try:
+            kept, index = checked[r]
+            seen = kept is r
+        except (KeyError, TypeError):  # not kept, or unhashable
+            seen = False
+        if not seen:
+            index = _rep_index(tables, r)
+            if type(r) is tuple:
+                checked[r] = r, index
+        ids.append(index)
     return ids
+
+
+def _rep_index(tables: _Tables, r) -> int:
+    """The element index of r, refused with WitnessInvalid unless r is a
+    coordinate vector of the algebra (_is_coordinate_vector's test, run as
+    the index is read off)."""
+    q, dim = tables.field.q, tables.dim
+    if len(r) == dim:
+        index = 0
+        for c in r:
+            if not (isinstance(c, int) and 0 <= c < q):
+                break
+            index = index * q + c
+        else:
+            return index
+    raise WitnessInvalid(f"representative {r!r} is not a coordinate vector of length {dim}")
 
 
 def _descent_violation(message, Q, A, witness, commutator, **found) -> TheoremViolation:
@@ -1099,11 +1151,12 @@ def multilinear_descent(
     TheoremViolation.
 
     What runs when:
-    - per witness: the field, flavor, multilinearity, ambient and
-      representative checks, the coset re-check over every point of the
-      coset product, and stages 1..n-1, all on the kernel.  Over the zero
-      ideal the coset product and each stage are single points, each
-      evaluated by one kernel call.
+    - per witness: the multilinearity, ambient and representative checks
+      (_rep_indices), the coset re-check over every point of the coset
+      product, and stages 1..n-1, all on the kernel.  Over the zero ideal
+      the coset product and each stage are single points, and the
+      re-check and the stages are one pass, one kernel call per point.
+    - per (Q, commutator): the field and flavor gate, as _kernel compiles.
     - per ideal: its member indices, kept on the algebra's tables.
     - per (Q, I): stage n and the final check run on the first descent
       that reaches them; passing both records the key, and later descents
@@ -1119,33 +1172,36 @@ def multilinear_descent(
     reps = witness.representatives
     if len(reps) != n:
         raise WitnessInvalid(f"expected {n} representatives, got {len(reps)}")
-    rep_ids = _rep_indices(A, reps)
     tables = _tables(A)
+    rep_ids = _rep_indices(tables, reps)
+    key = (Q, ideal, commutator)
+    known = key in tables.verified
+    last = n - 1 if known else n  # the last stage to run; stage 0 is the coset re-check
 
     if ideal.basis:
         members = tables.members(ideal)
         cosets = [tables.shift(r, members) for r in rep_ids]
-        bad = next(filter(e, product(*cosets)), None)
+        stage, bad = 0, next(filter(e, product(*cosets)), None)
+        while bad is None and stage < last:
+            stage += 1
+            slots = [members] * stage + [(r,) for r in rep_ids[stage:]]
+            bad = next(filter(e, product(*slots)), None)
     else:
-        members = None  # the zero ideal: every coset is one point
-        bad = tuple(rep_ids) if e(rep_ids) else None
+        # the zero ideal: every coset is one point, and stage s is the point
+        # with its first s arguments 0 (the zero element's index), so the
+        # re-check and the stages are one pass over last + 1 points; the
+        # first point on which e_Q is nonzero is at the failed stage
+        points = [rep_ids]
+        for s in range(1, last + 1):
+            points.append([0] * s + rep_ids[s:])
+        bad = next(filter(e, points), None)
+        stage = None if bad is None else points.index(bad)
     if bad is not None:
         args = tuple(map(tables.vec, bad))
-        raise WitnessInvalid(f"e_Q does not vanish on the coset product at {args!r}")
-
-    key = (Q, ideal, commutator)
-    known = key in tables.verified
-    for s in range(1, n if known else n + 1):
-        if members is None:
-            point = [0] * s + rep_ids[s:]  # index 0 is the zero element
-            bad = tuple(point) if e(point) else None
-        else:
-            slots = [members] * s + [(r,) for r in rep_ids[s:]]
-            bad = next(filter(e, product(*slots)), None)
-        if bad is not None:
-            args = tuple(map(tables.vec, bad))
-            message = f"descent stage {s} failed at {args!r}"
-            raise _descent_violation(message, Q, A, witness, commutator, stage=s, args=args)
+        if not stage:
+            raise WitnessInvalid(f"e_Q does not vanish on the coset product at {args!r}")
+        message = f"descent stage {stage} failed at {args!r}"
+        raise _descent_violation(message, Q, A, witness, commutator, stage=stage, args=args)
 
     if not known:
         sub, _ = restrict(A, ideal)

@@ -39,6 +39,7 @@ Mutant = namedtuple("Mutant", "id path old new tests")
 BLOCKS = "tests/test_blocks.py"
 FORCED = BLOCKS + "::test_forced_violation_replays_from_its_witness"
 COSETS = "tests/test_coset_descent.py"
+KERNEL_CALLS = COSETS + "::test_zero_ideal_descent_makes_one_kernel_call_per_stage"
 BOUND = "tests/test_bound.py"
 LANES = "tests/test_lanes.py"
 SAMPLER = "tests/test_idtest.py"
@@ -151,37 +152,75 @@ MUTANTS = (
     Mutant(
         "zero-ideal-witness-not-trivial",
         "src/fqidtest/idtest.py",
-        "tuple(map(reps.__getitem__, point)), codim, True)",
-        "tuple(map(reps.__getitem__, point)), codim, False)",
+        "                repeat(True),\n",
+        "                repeat(False),\n",
         (COSETS + "::test_zero_ideal_route_on_the_library_pairs",),
     ),
     Mutant(
         "zero-ideal-witnesses-nonzeros",
         "src/fqidtest/idtest.py",
-        "for point in filterfalse(e, product(range(len(reps)), repeat=n))",
-        "for point in filter(e, product(range(len(reps)), repeat=n))",
+        "map(not_, map(e, product(range(order), repeat=n)))",
+        "map(e, product(range(order), repeat=n))",
+        (COSETS + "::test_zero_ideal_route_on_the_library_pairs",),
+    ),
+    Mutant(
+        "zero-ideal-listing-by-bool",
+        "src/fqidtest/idtest.py",
+        "map(not_, map(e, product(range(order), repeat=n)))",
+        "map(bool, map(e, product(range(order), repeat=n)))",
+        (COSETS + "::test_zero_ideal_route_on_the_library_pairs",),
+    ),
+    Mutant(
+        "witness-slot-setters-swapped",
+        "src/fqidtest/idtest.py",
+        "_set_ideal, _set_representatives, _set_codim, _set_trivial = (",
+        "_set_ideal, _set_representatives, _set_trivial, _set_codim = (",
         (COSETS + "::test_zero_ideal_route_on_the_library_pairs",),
     ),
     Mutant(
         "zero-ideal-coset-check-skipped",
         "src/fqidtest/idtest.py",
-        "        bad = tuple(rep_ids) if e(rep_ids) else None",
-        "        bad = None",
+        "        points = [rep_ids]\n",
+        "        points = [[0] * n]\n",
         (COSETS + "::test_refusals_are_unchanged_cold_and_warm",),
     ),
     Mutant(
         "zero-ideal-stage-misplaced",
         "src/fqidtest/idtest.py",
-        "            point = [0] * s + rep_ids[s:]",
-        "            point = rep_ids[:s] + [0] * (n - s)",
+        "            points.append([0] * s + rep_ids[s:])",
+        "            points.append(rep_ids[:s] + [0] * (n - s))",
         (COSETS + "::test_zero_ideal_stage_failure_is_the_reference_failure",),
+    ),
+    Mutant(
+        "zero-ideal-stage-dropped",
+        "src/fqidtest/idtest.py",
+        "        for s in range(1, last + 1):",
+        "        for s in range(1, last):",
+        (KERNEL_CALLS,),
+    ),
+    Mutant(
+        "kernel-key-without-commutator",
+        "src/fqidtest/idtest.py",
+        "    key = (Q, commutator)",
+        "    key = (Q, False)",
+        (COSETS + "::test_a_warm_kernel_still_refuses_other_readings_and_fields",),
     ),
     Mutant(
         "representative-range-unchecked",
         "src/fqidtest/idtest.py",
-        "                if not (isinstance(c, int) and 0 <= c < q):",
-        "                if not isinstance(c, int):",
+        "            if not (isinstance(c, int) and 0 <= c < q):",
+        "            if not isinstance(c, int):",
         (COSETS + "::test_malformed_representative_is_an_invalid_witness",),
+    ),
+    Mutant(
+        "checked-representative-by-equality",
+        "src/fqidtest/idtest.py",
+        "            seen = kept is r\n",
+        "            seen = True\n",
+        (
+            COSETS + "::test_representatives_are_refused_as_the_reference_refuses",
+            COSETS + "::test_malformed_representative_is_an_invalid_witness",
+        ),
     ),
     Mutant(
         "field-gate-identity-only",
@@ -445,6 +484,20 @@ MUTANTS = (
         "state = self.state = (state + draws * _GAMMA) & _MASK64",
         "self.state = (state + draws * _GAMMA) & _MASK64",
         (SAMPLER + "::test_splitmix64_indices_are_repeated_below_draws", SAMPLED),
+    ),
+    Mutant(
+        "sampler-advance-one-draw-short",
+        "src/fqidtest/idtest.py",
+        "advance = (draws * _GAMMA & _MASK64) * R",
+        "advance = ((draws - 1) * _GAMMA & _MASK64) * R",
+        (SAMPLER + "::test_digits_are_the_scalar_draws_mod_q",),
+    ),
+    Mutant(
+        "sampler-fold-by-one-drops-high-word",
+        "src/fqidtest/idtest.py",
+        "        y += z >> 32 & low32\n",
+        "        y += 0\n",
+        (SAMPLER + "::test_lane_mod_at_the_edge_values", SAMPLER + "::test_digits_are_the_scalar_draws_mod_q"),
     ),
     Mutant(
         "sampler-group-weight-full",

@@ -10,7 +10,11 @@ itself now checks by coordinate reduction.
 import inspect
 import json
 import pickle
+from collections import namedtuple
 from dataclasses import FrozenInstanceError, fields, replace
+from decimal import Decimal
+from enum import IntEnum
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -22,6 +26,7 @@ from fqidtest.algebra import (
     Algebra,
     Ideal,
     _check_ambient,
+    _is_coordinate_vector,
     as_ideal,
     builtin,
     enumerate_ideals,
@@ -214,7 +219,8 @@ def assert_zero_ideal_route_matches(Q, A, max_codim):
     assert got == want, (Q.to_text(), Q.n, A.table, max_codim)
     for g, w in zip(got, want):
         assert (type(g.codim), type(g.trivial)) == (int, bool)
-        assert list(vars(g).items()) == list(vars(w).items())
+        assert field_values(g) == field_values(w)
+        assert not hasattr(g, "__dict__")
     zeros = [w for w in got if w.ideal.rank == 0]
     assert all(w.trivial and w.codim == A.dim for w in zeros)
     if max_codim >= A.dim:
@@ -283,12 +289,21 @@ def test_zero_ideal_route_on_the_library_pairs():
 # ---------------------------------------------------------------------------
 # witnesses built field by field, without the constructor's call
 
+def field_values(witness):
+    """(name, value, type) of each field of a witness, in declared order."""
+    return [
+        (f.name, getattr(witness, f.name), type(getattr(witness, f.name)))
+        for f in fields(CosetWitness)
+    ]
+
+
 def assert_same_witness(got, want):
     """got is the witness want is, to every reader of a witness."""
     assert type(got) is CosetWitness
-    names = [f.name for f in fields(CosetWitness)]
-    assert [getattr(got, name) for name in names] == [getattr(want, name) for name in names]
-    assert list(vars(got).items()) == list(vars(want).items())  # same keys, same order
+    assert field_values(got) == field_values(want)
+    # a witness keeps its fields in slots, one per field, and has no instance dict
+    assert CosetWitness.__slots__ == tuple(f.name for f in fields(CosetWitness))
+    assert not hasattr(got, "__dict__") and not hasattr(want, "__dict__")
     assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
     assert cli._jsonable(got) == cli._jsonable(want)
     assert pickle.loads(pickle.dumps(got)) == want
@@ -359,6 +374,59 @@ def test_malformed_representative_is_an_invalid_witness():
         w = CosetWitness(ideal=I, representatives=bad, codim=1, trivial=False)
         with pytest.raises(WitnessInvalid, match="is not a coordinate vector of length 2"):
             multilinear_descent(Q, T, w)
+
+
+class Digit(IntEnum):
+    ONE = 1
+
+
+Point = namedtuple("Point", "a b c")
+
+# representatives of heisenberg(3) (q = 3, dim 3): coordinate vectors as
+# tuples, lists, bools, IntEnum members and a namedtuple, and non-vectors,
+# most of them equal to a vector
+REPRESENTATIVES = [
+    (0, 0, 0), (1, 0, 2), (2, 2, 2), [1, 0, 2], (True, 0, 2), (Digit.ONE, 0, 2), Point(1, 0, 2),
+    (1.0, 0, 2), (Fraction(1), 0, 2), (Decimal(1), 0, 2), (1 + 0j, 0, 2), [1.0, 0, 2], ("1", 0, 2),
+    (-1, 0, 2), (3, 0, 2), (1, 0), (1, 0, 2, 0), ((1,), 0, 2), ([1], 0, 2), "abc", 5, None,
+]
+
+
+def reference_rep_indices(A, reps):
+    """_rep_indices's answer from algebra._is_coordinate_vector: the
+    indices, or the exception's type and message."""
+    try:
+        ids = []
+        for r in reps:
+            if not _is_coordinate_vector(A, r):
+                raise WitnessInvalid(f"representative {r!r} is not a coordinate vector of length {A.dim}")
+            index = 0
+            for c in r:
+                index = index * A.field.q + c
+            ids.append(index)
+        return ids
+    except (WitnessInvalid, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_representatives_are_refused_as_the_reference_refuses():
+    # each pair of representatives twice, so that every equal vector was
+    # checked (and kept) before a non-vector equal to it comes
+    H = heisenberg(3)
+    tables = idtest._tables(H)
+    for _ in range(2):
+        for reps in product(REPRESENTATIVES, repeat=2):
+            try:
+                got = idtest._rep_indices(tables, reps)
+            except (WitnessInvalid, TypeError) as exc:
+                got = type(exc), str(exc)
+            assert got == reference_rep_indices(H, reps), reps
+    # only exact tuples are kept, one per vector, each beside its index
+    kept = tables.checked
+    assert sorted(kept.values(), key=lambda entry: entry[1]) == [
+        ((0, 0, 0), 0), ((1, 0, 2), 11), ((2, 2, 2), 26),
+    ]
+    assert all(type(r) is tuple and r == key for key, (r, _) in kept.items())
 
 
 def test_failed_stage_message_is_the_reference_message(monkeypatch):
@@ -434,6 +502,13 @@ def test_field_and_flavor_gates_run_on_a_warm_kernel():
     assert F == H.field and F is not H.field
     same = parse("[x1,x2]", Flavor.LIE, F)
     assert multilinear_descent(same, H, w) == multilinear_descent(Q, H, w)
+    # the gate runs as the kernel compiles, so a warm kernel takes the equal
+    # polynomial without it; on a fresh algebra the gate meets the equal field
+    fresh = heisenberg(2)
+    assert coset_identity_search(same, fresh, fresh.dim) == coset_identity_search(Q, H, H.dim)
+    assert list(fresh._memo[idtest._Tables].kernels) == [(same, False)]
+    cold = heisenberg(2)
+    assert multilinear_descent(same, cold, w) == multilinear_descent(Q, H, w)
     assert multilinear_descent(Q, H, replace(w, ideal=replace(w.ideal, field=F))).identity_on_ideal
     Q3 = parse("[x1,x2]", Flavor.LIE, field_of_order(3))
     with pytest.raises(FieldMismatch, match=r"^GF\(3\) vs GF\(2\)$"):
@@ -456,6 +531,69 @@ def test_field_and_flavor_gates_run_on_a_warm_kernel():
         multilinear_descent(parse("x1*x2", Flavor.ASSOC, H.field), H, w)
     with pytest.raises(FlavorMismatch, match="non-bracket algebra"):
         multilinear_descent(parse("[x1,x2]", Flavor.LIE, E), T, ws[0])
+
+
+def counted_kernel(Q, A):
+    """Wrap the compiled kernel of (Q, False) on A in a counter: the list
+    of the points it is called on, in order."""
+    tables = A._memo[idtest._Tables]
+    e = tables.kernels[Q, False]
+    calls = []
+
+    def counting(args):
+        calls.append(tuple(args))
+        return e(args)
+
+    tables.kernels[Q, False] = counting
+    return calls
+
+
+def test_zero_ideal_descent_makes_one_kernel_call_per_stage():
+    # the re-check and stages 1..n-1 (and stage n on the first descent over
+    # the zero ideal) are one point each, evaluated once each, in order
+    for A, flavor, text in (
+        (heisenberg(2), Flavor.LIE, "[x1,x2]"),
+        (truncated(2, 3), Flavor.FREE, "x1*x2*x3 + x3*x2*x1"),
+    ):
+        Q = parse(text, flavor, A.field)
+        n, q, zero = Q.n, A.field.q, zero_ideal(A)
+        witnesses = [w for w in coset_identity_search(Q, A, A.dim) if w.ideal == zero]
+        assert len(witnesses) > 1
+        calls = counted_kernel(Q, A)
+        verified = A._memo[idtest._Tables].verified
+        for i, w in enumerate(witnesses):
+            calls.clear()
+            assert ((Q, zero, False) in verified) == (i > 0)
+            assert multilinear_descent(Q, A, w) == reference_descent(Q, A, w)
+            ids = [sum(c * q ** (A.dim - 1 - s) for s, c in enumerate(r)) for r in w.representatives]
+            points = [tuple([0] * s + ids[s:]) for s in range(n + 1)]
+            assert calls == (points if i == 0 else points[:n])
+        assert len(calls) == n and (Q, zero, False) in verified
+
+
+def test_a_warm_kernel_still_refuses_other_readings_and_fields():
+    # a warm (Q, False) kernel: commutator=True and a GF(3) polynomial are
+    # other keys, so each meets the gate, is refused and compiles nothing
+    H = heisenberg(2)
+    Q = parse("[x1,x2]", Flavor.LIE, H.field)
+    found = coset_identity_search(Q, H, H.dim)
+    w = next(w for w in found if w.ideal.rank == 0)
+    multilinear_descent(Q, H, w)
+    calls = counted_kernel(Q, H)
+    tables = H._memo[idtest._Tables]
+    Q3 = parse("[x1,x2]", Flavor.LIE, field_of_order(3))
+    for _ in range(2):
+        with pytest.raises(FlavorMismatch, match="plain product table"):
+            coset_identity_search(Q, H, H.dim, commutator=True)
+        with pytest.raises(FlavorMismatch, match="plain product table"):
+            multilinear_descent(Q, H, w, commutator=True)
+        with pytest.raises(FieldMismatch, match=r"^GF\(3\) vs GF\(2\)$"):
+            coset_identity_search(Q3, H, H.dim)
+        with pytest.raises(FieldMismatch, match=r"^GF\(3\) vs GF\(2\)$"):
+            multilinear_descent(Q3, H, w)
+        assert list(tables.kernels) == [(Q, False)] and list(tables.products) == [False]
+    assert calls == []
+    assert coset_identity_search(Q, H, H.dim) == found
 
 
 def test_certificates_are_shared_per_arity_and_frozen():

@@ -145,6 +145,38 @@ def test_splitmix64_indices_are_repeated_below_draws(seed):
                     assert stream.state == reference.state
 
 
+# (n, dim, samples): one to three full blocks and a short last block or
+# none, and n * dim at, under and past _BLOCK_CEILING, with one point a
+# block from n = 257 on
+DIGIT_RUNS = [
+    (1, 1, 3 * _BLOCK_CEILING + 5),
+    (1, 3, 2 * _BLOCK_CEILING),
+    (3, 2, 3 * (_BLOCK_CEILING // 3) + 1),
+    (5, 1, _BLOCK_CEILING // 5 - 1),
+    (2, 300, 3),
+    (257, 2, 4),
+    (600, 1, 3),
+]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_digits_are_the_scalar_draws_mod_q(q):
+    # every 16-byte lane of every buffer is the next scalar draw mod q, and
+    # the state after each block is the scalar state
+    for seed in (0, -7, (1 << 64) + 3):
+        for n, dim, samples in DIGIT_RUNS:
+            stream, reference = SplitMix64(seed), ScalarSplitMix64(seed)
+            counts = []
+            for count, buffer in stream.digits(q, dim, n, samples):
+                assert len(buffer) == 16 * count * n * dim
+                lanes = [int.from_bytes(buffer[i:i + 16], "little") for i in range(0, len(buffer), 16)]
+                assert lanes == [reference.below(q) for _ in lanes], (seed, n, dim, len(counts))
+                assert stream.state == reference.state
+                counts.append(count)
+            per_block = points_per_block(n)
+            assert counts == [per_block] * (samples // per_block) + [samples % per_block] * (samples % per_block > 0)
+
+
 @st.composite
 def _runs(draw):
     """(n, samples): a point width, and a length just before, at or just
