@@ -51,7 +51,11 @@ exact, and the coordinate route that checks it is unchanged.  A sampled
 count streams its points from SplitMix64(seed) in blocks of whole
 points, and the same gate, read at the number of samples, sends it to
 lanes (lanes.sampled, on SplitMix64.digits) or to the kernel
-(SplitMix64.points); both read the one stream.
+(SplitMix64.points); both read the one stream.  Coset search lists the
+zero ideal's witnesses, the zeros of e_Q, by the same gate at order**n
+points: off lanes.zero_flags, one byte per point from the blocks of a
+lanes count, or off the kernel's point walk; its other ideals, and
+descent's coset re-check, stay on the kernel.
 
 The kernel is one generated function per (Q, commutator): its body
 unpacks the argument indices into locals and gives each distinct product
@@ -63,10 +67,11 @@ on (Q, A, commutator), so the algebra keeps it: the field and flavor gate
 runs and the function is built on the first call for each
 (Q, commutator), and a later call with an equal Q finds it.  Descent's
 claim that e_Q vanishes on I^n depends only on (Q, I) and the product
-flavor, so the algebra also keeps the keys it has verified: the stage-n
-check and the restricted-algebra check run once per key per algebra,
-both in full, and later descents on the key skip them.  None of these
-memos is pickled.  A descent's stage records depend only on n, so every
+flavor, so the same entry also keeps the ideals verified for it: the
+stage-n check and the restricted-algebra check run once per ideal per
+entry, both in full, and later descents to the ideal skip them, with one
+lookup for e_Q and the ideals together.  None of these memos is
+pickled.  A descent's stage records depend only on n, so every
 certificate of arity n shares one tuple of them.
 
 A note on the threshold comparison: the verdict uses the weak form
@@ -374,17 +379,20 @@ class _Tables:
     The reference arithmetic fills an entry on first lookup, so only the
     entries some run meets are ever computed, and each only once: the
     tables live on the algebra as long as it does.  Pairs are keyed
-    a * order + b.  Beside them sit the compiled kernel of each
-    (Q, commutator), each ideal's member indices, the
-    (Q, ideal, commutator) keys whose descent to the ideal is verified
-    and the representative tuples _rep_indices has checked.
+    a * order + b.  Beside them sit the kernel entry of each
+    (Q, commutator): the compiled e_Q and the ideals whose descent is
+    verified for it; each ideal's member indices; the element tuples, in
+    canonical order, from which every search picks its representatives
+    (order tuples, built on the first search; the zero ideal's
+    representatives are all of them); and the representative tuples
+    _rep_indices has checked.
     The algebra keeps them in its memo under the key _Tables; none of it
     is pickled, as Algebra.__getstate__ leaves the memo behind.
     """
 
     __slots__ = (
         "field", "dim", "order", "products", "sums", "scales", "kernels", "ideal_members",
-        "verified", "checked",
+        "elements", "checked",
     )
 
     def __init__(self, A: Algebra):
@@ -394,9 +402,9 @@ class _Tables:
         self.products = {}  # commutator flag -> product table
         self.sums = None
         self.scales = {}  # coefficient -> table of its multiples
-        self.kernels = {}  # (Q, commutator) -> e_Q on element indices
+        self.kernels = {}  # (Q, commutator) -> (e_Q on element indices, verified ideals)
         self.ideal_members = {}  # ideal -> its members' indices, in elements() order
-        self.verified = set()  # (Q, ideal, commutator): e_Q vanishes on ideal^n
+        self.elements = None  # element index -> its coordinate tuple, once a search ran
         self.checked = {}  # representative tuple -> (that tuple, its index), once checked
 
     def vec(self, index):
@@ -469,23 +477,29 @@ def _tables(A: Algebra) -> _Tables:
 
 
 def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
-    """e_Q on element indices: a function from n indices to the value's index.
+    """e_Q on element indices: a function from n indices to the value's
+    index, read off the algebra's kernel entry (_entry)."""
+    return _entry(_tables(A), Q, A, commutator)[0]
 
-    Per call: one lookup in the algebra's tables.  Per (Q, commutator):
-    the field and flavor gate (_product_fn), then the function, compiled
-    and kept on the algebra's tables, so a coset search and all its
-    descents compile e_Q once.  The gate need not run again on a hit: the
-    key's Q equals this one, and FreePoly.__eq__ compares field and
-    flavor, so this Q passes the gate the stored one passed on the same
-    algebra with the same commutator flag.  A refused Q is never stored.
+
+def _entry(tables: _Tables, Q: FreePoly, A: Algebra, commutator: bool):
+    """The kernel entry of (Q, commutator) on A's tables: e_Q on element
+    indices, and the set of ideals descent has verified for it.
+
+    Per call: one lookup.  Per compile, on a miss: the field and flavor
+    gate (_product_fn), then the function, compiled and kept with an empty
+    set, so a coset search and all its descents compile e_Q once.  The
+    gate need not run again on a hit: the key's Q equals this one, and
+    FreePoly.__eq__ compares field and flavor, so this Q passes the gate
+    the stored one passed on the same algebra with the same commutator
+    flag.  A refused Q is never stored.
     """
-    tables = _tables(A)
     key = (Q, commutator)
-    e = tables.kernels.get(key)
-    if e is None:
+    entry = tables.kernels.get(key)
+    if entry is None:
         prod = _product_fn(Q, A, commutator)
-        e = tables.kernels[key] = _compile(Q, tables, tables.product(commutator, prod))
-    return e
+        entry = tables.kernels[key] = (_compile(Q, tables, tables.product(commutator, prod)), set())
+    return entry
 
 
 # letters of an assoc word compiled one statement each; the rest of a longer
@@ -966,13 +980,21 @@ def _new_witness(ideal, representatives, codim, trivial) -> CosetWitness:
     return witness
 
 
-def _canonical_reps(A: Algebra, ideal: Ideal):
-    """Canonical coset representatives, ascending in coordinate order."""
-    pivots = set(ideal.pivots)
-    choices = [
-        (0,) if c in pivots else tuple(A.field.elements()) for c in range(A.dim)
-    ]
-    return [rep for rep in product(*choices)]
+def _canonical_reps(A: Algebra, ideal: Ideal) -> list:
+    """Canonical coset representatives, ascending in coordinate order: the
+    elements zero at each of the ideal's pivots, picked from the element
+    tuples kept on the algebra's tables, so that every search hands out
+    the same tuple objects.  The zero ideal's are all of them (shared: do
+    not mutate)."""
+    tables = _tables(A)
+    elements = tables.elements
+    if elements is None:
+        elements = tables.elements = list(A.elements())
+    if not ideal.pivots:
+        return elements
+    # two items at least, so that each read is a tuple
+    at_pivots = itemgetter(ideal.pivots[0], *ideal.pivots)
+    return list(compress(elements, map(not_, map(any, map(at_pivots, elements)))))
 
 
 def coset_identity_search(
@@ -997,9 +1019,11 @@ def coset_identity_search(
     the kernel over every point of the coset product until one is
     nonzero.  The zero ideal's cosets are single points, so its witnesses
     are the zeros of e_Q, and all trivial: compress picks the
-    representative tuples, in canonical order, at which the kernel's
-    walk over the element indices is zero, and map builds a witness of
-    each, so no frame of Python code runs per point.
+    representative tuples, in canonical order, at the points flagged
+    zero, and map builds a witness of each, so no frame of Python code
+    runs per point.  The flags are lanes.zero_flags, one pass per block,
+    where _count_route sends a count of order**n points to lanes, and
+    otherwise the kernel's walk over the element indices.
     """
     if max_codim < 0:
         raise ValueError(f"max_codim must be >= 0, got {max_codim}")
@@ -1026,12 +1050,13 @@ def coset_identity_search(
         if not ideal.basis:
             # every element is its own representative, reps[i] has index i,
             # so the tuples of reps run in step with the points of indices
+            if _count_route(Q, A, commutator, order**n)[0] == "lanes":
+                zeros = lanes.zero_flags(Q, A, commutator)
+            else:
+                zeros = map(not_, map(e, product(range(order), repeat=n)))
             witnesses.extend(map(
-                _new_witness,
-                repeat(ideal),
-                compress(product(reps, repeat=n), map(not_, map(e, product(range(order), repeat=n)))),
-                repeat(codim),
-                repeat(True),
+                _new_witness, repeat(ideal), compress(product(reps, repeat=n), zeros),
+                repeat(codim), repeat(True),
             ))
             continue
         members = tables.members(ideal)
@@ -1156,14 +1181,17 @@ def multilinear_descent(
       product, and stages 1..n-1, all on the kernel.  Over the zero ideal
       the coset product and each stage are single points, and the
       re-check and the stages are one pass, one kernel call per point.
-    - per (Q, commutator): the field and flavor gate, as _kernel compiles.
+    - per (Q, commutator): the field and flavor gate, as _entry compiles.
+      Every descent reads the kernel entry once: e_Q and the ideals
+      verified for it.
     - per ideal: its member indices, kept on the algebra's tables.
     - per (Q, I): stage n and the final check run on the first descent
-      that reaches them; passing both records the key, and later descents
-      over the same ideal skip them.
+      that reaches them; passing both records the ideal in the entry, and
+      later descents over the same ideal skip them.
     - per n: the certificate, one shared frozen object.
     """
-    e = _kernel(Q, A, commutator)
+    tables = _tables(A)
+    e, verified = _entry(tables, Q, A, commutator)
     if not Q.analyze().multilinear:
         raise NotMultilinear(Q.to_text())
     ideal = witness.ideal
@@ -1172,10 +1200,8 @@ def multilinear_descent(
     reps = witness.representatives
     if len(reps) != n:
         raise WitnessInvalid(f"expected {n} representatives, got {len(reps)}")
-    tables = _tables(A)
     rep_ids = _rep_indices(tables, reps)
-    key = (Q, ideal, commutator)
-    known = key in tables.verified
+    known = ideal in verified
     last = n - 1 if known else n  # the last stage to run; stage 0 is the coset re-check
 
     if ideal.basis:
@@ -1211,7 +1237,7 @@ def multilinear_descent(
                 "identity on the ideal fails in the restricted algebra",
                 Q, A, witness, commutator, coordinate=nonzero[0].to_text(),
             )
-        tables.verified.add(key)
+        verified.add(ideal)
     return _certificate(n)
 
 

@@ -18,10 +18,10 @@ supplies only its arithmetic on planes:
 
 The commutator reading [a,b] = ab - ba takes the constants of (a, b) less
 those of (b, a), in the field's arithmetic on planes.  A block's zeros are
-its points less the bit count of the OR of the value's planes.  One
-function (_nonzeros) runs e_Q on a block, whichever feed built its planes,
-and drops each node after the last step or term that reads it, so a block
-keeps only the nodes still to be read:
+its points less the bit count of the OR of the value's planes, its
+nonzero mask.  One function (_nonzeros) runs e_Q on a block, whichever
+feed built its planes, and drops each node after the last step or term
+that reads it, so a block keeps only the nodes still to be read:
 
 - exact counts (count): point i of A^n is bit i of a block of p**L
   points, the points whose index shares its high base-p digits, with L the
@@ -31,6 +31,9 @@ keeps only the nodes still to be read:
   digit of the block's number, is all ones or all zeros.  The blocks run
   one after another in the calling process: a count never forks, as a
   serial lanes count of 2**24 points takes tens of milliseconds.
+- zero flags (zero_flags): the same blocks, one after another, each
+  nonzero mask written out as one byte per point, 1 where e_Q is zero;
+  idtest's coset search lists the zero ideal's witnesses off them.
 - sampled counts (sampled): the sampler's digit buffer of each block
   (idtest.SplitMix64.digits) holds one byte lane per point in each
   (argument, coordinate) column, and bytes.translate turns the column into
@@ -323,10 +326,10 @@ def _program(Q, A, commutator: bool):
 
 
 def _nonzeros(arith, rows, steps, terms, values) -> int:
-    """The points of a block at which e_Q is nonzero: values holds each
-    argument's planes, e_Q runs on them step by step, each node dropped
-    after its last read, and the bit count of the OR of the value's planes
-    is returned."""
+    """The points of a block at which e_Q is nonzero, as a mask: values
+    holds each argument's planes, e_Q runs on them step by step, each node
+    dropped after its last read, and the OR of the value's planes is
+    returned."""
     product, add = arith.product, arith.add
     size = len(values[0]) if values else 0
     for left, right, dead in steps:
@@ -341,7 +344,7 @@ def _nonzeros(arith, rows, steps, terms, values) -> int:
         if srcs is not None:  # the coefficient's linear map
             value = [reduce(xor, map(value.__getitem__, planes), 0) for planes in srcs]
         acc = value if acc is None else add(acc, value)
-    return reduce(or_, acc or (), 0).bit_count()
+    return reduce(or_, acc or (), 0)
 
 
 @lru_cache(maxsize=4)
@@ -367,7 +370,14 @@ def _masks(p: int, digits: int) -> tuple:
 
 def _count_blocks(Q, A, commutator: bool, digits: int, start: int, stop: int) -> int:
     """Count zeros of e_Q over A^n on the blocks range(start, stop) of
-    p**digits points each.
+    p**digits points each."""
+    masks = _block_masks(Q, A, commutator, digits, start, stop)
+    return A.field.p**digits * (stop - start) - sum(map(int.bit_count, masks))
+
+
+def _block_masks(Q, A, commutator: bool, digits: int, start: int, stop: int):
+    """The nonzero mask (_nonzeros) of each of the blocks range(start,
+    stop) of p**digits points, in order.
 
     Point i is bit i of a plane in canonical order, so base-p digit
     (n - 1 - a) * width + b of i is lane b of argument a.
@@ -381,7 +391,6 @@ def _count_blocks(Q, A, commutator: bool, digits: int, start: int, stop: int) ->
     if high:
         full = (1 << size) - 1
         fill = [[full if d == e else 0 for e in range(1, p)] for d in range(p)]  # digit d's planes
-    zeros = 0
     for block in range(start, stop):
         variables = list(masks)
         number = block
@@ -389,8 +398,7 @@ def _count_blocks(Q, A, commutator: bool, digits: int, start: int, stop: int) ->
             number, d = divmod(number, p)
             variables += fill[d]
         values = [variables[(n - 1 - a) * span : (n - a) * span] for a in range(n)]
-        zeros += size - _nonzeros(arith, rows, steps, terms, values)
-    return zeros
+        yield _nonzeros(arith, rows, steps, terms, values)
 
 
 def cost(A, commutator: bool) -> int:
@@ -407,14 +415,37 @@ def cost(A, commutator: bool) -> int:
     return total
 
 
-def count(Q, A, commutator: bool) -> int:
-    """Zeros of e_Q over A^n, for A over GF(2^k) or GF(3): one block if
-    the count has at most p**L points (L as the module docstring sets
-    out), else blocks of that size one after another."""
+def _split(Q, A):
+    """(digits, blocks): one block if A^n has at most p**L points (L as
+    the module docstring sets out), else blocks of that size."""
     p = A.field.p
     total = Q.n * A.dim * A.field.k
     digits = min(total, _block_digits(p, BLOCK_BITS))
-    return _count_blocks(Q, A, commutator, digits, 0, p ** (total - digits))
+    return digits, p ** (total - digits)
+
+
+def count(Q, A, commutator: bool) -> int:
+    """Zeros of e_Q over A^n, for A over GF(2^k) or GF(3), on the blocks
+    _split gives, one after another."""
+    digits, blocks = _split(Q, A)
+    return _count_blocks(Q, A, commutator, digits, 0, blocks)
+
+
+# a nonzero mask's bits as text, read as zero flags: "1" (nonzero) -> 0
+_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def zero_flags(Q, A, commutator: bool) -> bytes:
+    """One byte per point of A^n in canonical order, 1 where e_Q is zero
+    and 0 elsewhere, for A over GF(2^k) or GF(3).  Each block's mask is
+    written out in binary, padded to the block's points and reversed, so
+    that bit i comes i-th, and translated: no Python frame runs per point."""
+    digits, blocks = _split(Q, A)
+    size = A.field.p**digits
+    return b"".join(
+        format(mask, "b").zfill(size)[::-1].encode().translate(_FLAGS)
+        for mask in _block_masks(Q, A, commutator, digits, 0, blocks)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -450,5 +481,5 @@ def sampled(Q, A, commutator: bool, blocks) -> int:
                     column = buffer[(a * dim + s) * draw + byte :: stride]
                     variables += [int.from_bytes(column.translate(m), "little") for m in maps]
         values = [variables[a * span : (a + 1) * span] for a in range(n)]
-        zeros += count - _nonzeros(arith, rows, steps, terms, values)
+        zeros += count - _nonzeros(arith, rows, steps, terms, values).bit_count()
     return zeros

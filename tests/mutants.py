@@ -40,12 +40,14 @@ BLOCKS = "tests/test_blocks.py"
 FORCED = BLOCKS + "::test_forced_violation_replays_from_its_witness"
 COSETS = "tests/test_coset_descent.py"
 KERNEL_CALLS = COSETS + "::test_zero_ideal_descent_makes_one_kernel_call_per_stage"
+ZERO_ON_LANES = COSETS + "::test_zero_ideal_on_lanes_matches_the_kernel_walk_and_the_reference"
 BOUND = "tests/test_bound.py"
 LANES = "tests/test_lanes.py"
 SAMPLER = "tests/test_idtest.py"
 SAMPLED = "tests/test_kernel.py::test_sampled_mode_matches_the_recount_at_block_edges"
 COORDS = "tests/test_coordinates.py"
 SLICES = "tests/test_kernel.py::test_slices_match_points_on_random_tables"
+ZERO_FLAGS = LANES + "::test_zero_flags_match_the_kernel_on_every_dimension_two_table"
 GF3_ROUTE = LANES + "::test_gf3_route_takes_lanes_from_the_crossover_on"
 GF3_LIBRARY = LANES + "::test_gf3_lanes_match_points_on_the_library"
 GF3_RANDOM = LANES + "::test_gf3_lanes_match_points_on_random_tables"
@@ -152,8 +154,8 @@ MUTANTS = (
     Mutant(
         "zero-ideal-witness-not-trivial",
         "src/fqidtest/idtest.py",
-        "                repeat(True),\n",
-        "                repeat(False),\n",
+        "repeat(codim), repeat(True),\n",
+        "repeat(codim), repeat(False),\n",
         (COSETS + "::test_zero_ideal_route_on_the_library_pairs",),
     ),
     Mutant(
@@ -161,14 +163,35 @@ MUTANTS = (
         "src/fqidtest/idtest.py",
         "map(not_, map(e, product(range(order), repeat=n)))",
         "map(e, product(range(order), repeat=n))",
-        (COSETS + "::test_zero_ideal_route_on_the_library_pairs",),
+        (ZERO_ON_LANES,),
     ),
     Mutant(
         "zero-ideal-listing-by-bool",
         "src/fqidtest/idtest.py",
         "map(not_, map(e, product(range(order), repeat=n)))",
         "map(bool, map(e, product(range(order), repeat=n)))",
-        (COSETS + "::test_zero_ideal_route_on_the_library_pairs",),
+        (ZERO_ON_LANES,),
+    ),
+    Mutant(
+        "zero-ideal-lanes-route-unused",
+        "src/fqidtest/idtest.py",
+        'if _count_route(Q, A, commutator, order**n)[0] == "lanes":',
+        'if _count_route(Q, A, commutator, order**n)[0] == "never":',
+        (COSETS + "::test_a_lanes_zero_ideal_makes_no_kernel_call",),
+    ),
+    Mutant(
+        "representative-filter-all",
+        "src/fqidtest/idtest.py",
+        "map(not_, map(any, map(at_pivots, elements)))",
+        "map(not_, map(all, map(at_pivots, elements)))",
+        (COSETS + "::test_representatives_are_the_algebras_shared_element_tuples",),
+    ),
+    Mutant(
+        "verified-ideals-shared-between-entries",
+        "src/fqidtest/idtest.py",
+        "tables.product(commutator, prod)), set())",
+        "tables.product(commutator, prod)), next(iter(tables.kernels.values()), (0, set()))[1])",
+        (COSETS + "::test_verification_is_kept_per_polynomial",),
     ),
     Mutant(
         "witness-slot-setters-swapped",
@@ -261,16 +284,44 @@ MUTANTS = (
     Mutant(
         "lanes-and-across-coordinates",
         "src/fqidtest/lanes.py",
-        "return reduce(or_, acc or (), 0).bit_count()",
-        "return reduce(int.__and__, acc or (), -1).bit_count()",
+        "return reduce(or_, acc or (), 0)\n",
+        "return reduce(int.__and__, acc or (), -1)\n",
         (LANES + "::test_lanes_match_points_on_every_dimension_two_table",),
     ),
     Mutant(
         "lanes-last-block-dropped",
         "src/fqidtest/lanes.py",
-        "0, p ** (total - digits))",
-        "0, max(1, p ** (total - digits) - 1))",
+        "digits, p ** (total - digits)\n",
+        "digits, max(1, p ** (total - digits) - 1)\n",
         (LANES + "::test_every_block_split_gives_the_count",),
+    ),
+    Mutant(
+        "zero-flags-inverted",
+        "src/fqidtest/lanes.py",
+        '_FLAGS = bytes.maketrans(b"01", b"\\x01\\x00")',
+        '_FLAGS = bytes.maketrans(b"01", b"\\x00\\x01")',
+        (ZERO_FLAGS,),
+    ),
+    Mutant(
+        "zero-flags-unpadded",
+        "src/fqidtest/lanes.py",
+        'format(mask, "b").zfill(size)[::-1]',
+        'format(mask, "b")[::-1]',
+        (ZERO_FLAGS,),
+    ),
+    Mutant(
+        "zero-flags-bit-order-kept",
+        "src/fqidtest/lanes.py",
+        ".zfill(size)[::-1].encode()",
+        ".zfill(size).encode()",
+        (ZERO_FLAGS,),
+    ),
+    Mutant(
+        "zero-flags-blocks-reversed",
+        "src/fqidtest/lanes.py",
+        "for mask in _block_masks(Q, A, commutator, digits, 0, blocks)",
+        "for mask in [*_block_masks(Q, A, commutator, digits, 0, blocks)][::-1]",
+        (LANES + "::test_counts_and_flags_of_several_blocks",),
     ),
     Mutant(
         "lanes-coefficient-map-identity",

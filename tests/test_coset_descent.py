@@ -75,6 +75,14 @@ F2 = field_of_order(2)
 # ---------------------------------------------------------------------------
 # the reference routines, on coordinate tuples
 
+def reference_reps(A, ideal):
+    """Canonical coset representatives, built afresh: zero at each of the
+    ideal's pivots, every field element elsewhere, in coordinate order."""
+    pivots = set(ideal.pivots)
+    choices = [(0,) if c in pivots else tuple(A.field.elements()) for c in range(A.dim)]
+    return list(product(*choices))
+
+
 def reference_search(Q, A, max_codim, commutator=False):
     prod = _product_fn(Q, A, commutator)
     n = Q.n
@@ -83,7 +91,7 @@ def reference_search(Q, A, max_codim, commutator=False):
     for ideal in enumerate_ideals(A):
         if ideal.codim > max_codim:
             continue
-        reps = _canonical_reps(A, ideal)
+        reps = reference_reps(A, ideal)
         members = list(ideal.elements())
         for rep_tuple in product(reps, repeat=n):
             vanishes = all(
@@ -286,6 +294,73 @@ def test_zero_ideal_route_on_the_library_pairs():
             assert_zero_ideal_route_matches(parse(text, Flavor.FREE, A.field), A, A.dim)
 
 
+# searches whose zero ideal is listed off lanes.zero_flags, over GF(2),
+# GF(3) and GF(4), on plain and bracket tables and read as commutators
+LANE_SEARCHES = (
+    ("heisenberg(3)", Flavor.LIE, "[x1,x2]", False),
+    ("heisenberg(4)", Flavor.LIE, "[x1,x2]", False),
+    ("truncated(3,3)", Flavor.FREE, "x1*x2 + x1", False),
+    ("upper_triangular(2,2)", Flavor.FREE, "x1*x2 - x2*x1", False),
+    ("upper_triangular(2,2)", Flavor.LIE, "[x1,x2]", True),
+    ("heisenberg(2)", Flavor.LIE, "[x1,x2] + [x3,x1]", False),
+)
+
+
+def test_zero_ideal_on_lanes_matches_the_kernel_walk_and_the_reference(monkeypatch):
+    for spec, flavor, text, commutator in LANE_SEARCHES:
+        A = builtin(spec)
+        Q = parse(text, flavor, A.field)
+        points = A.order() ** Q.n
+        assert idtest._count_route(Q, A, commutator, points)[0] == "lanes", spec
+        on_lanes = coset_identity_search(Q, A, A.dim, commutator=commutator)
+        with monkeypatch.context() as m:
+            m.setattr(lanes, "MIN_POINTS", points + 1)  # lanes closed
+            assert idtest._count_route(Q, A, commutator, points)[0] != "lanes"
+            on_the_kernel = coset_identity_search(Q, A, A.dim, commutator=commutator)
+        assert on_lanes == on_the_kernel == reference_search(Q, A, A.dim, commutator), spec
+        zeros = [w for w in on_lanes if w.ideal.rank == 0]
+        assert len(zeros) == zero_probability(Q, A, commutator=commutator).zero_count > 0
+        assert len(zeros) < points
+
+
+def test_a_lanes_zero_ideal_makes_no_kernel_call(monkeypatch):
+    # the zero ideal alone: read off the flags over GF(3), walked on the
+    # kernel, one call per point, over GF(5), which has no lanes
+    monkeypatch.setattr(idtest, "_walk_ideals", lambda A: iter([zero_ideal(A)]))
+    for A, want in ((heisenberg(3), 0), (heisenberg(5), 125**2)):
+        Q = parse("[x1,x2]", Flavor.LIE, A.field)
+        idtest._kernel(Q, A, False)
+        calls = counted_kernel(Q, A)
+        found = coset_identity_search(Q, A, A.dim)
+        assert len(calls) == want
+        assert {w.ideal for w in found} == {zero_ideal(A)} and all(w.trivial for w in found)
+        assert len(found) == zero_probability(Q, A).zero_count
+
+
+def test_representatives_are_the_algebras_shared_element_tuples(monkeypatch):
+    H = heisenberg(3)
+    Q = parse("[x1,x2]", Flavor.LIE, H.field)
+    ideals = enumerate_ideals(H)
+    assert {ideal.rank for ideal in ideals} == {0, 1, 2, 3}
+    for ideal in ideals:
+        reps = _canonical_reps(H, ideal)
+        assert reps == reference_reps(H, ideal)
+        elements = H._memo[idtest._Tables].elements
+        assert elements == list(H.elements())
+        assert all(r is elements[sum(c * 3 ** (2 - s) for s, c in enumerate(r))] for r in reps)
+    assert _canonical_reps(H, zero_ideal(H)) is elements
+    # after one pass of descents, every representative of a later search is
+    # found checked: no coordinate is read again
+    checks = []
+    rep_index = idtest._rep_index
+    monkeypatch.setattr(idtest, "_rep_index", lambda tables, r: checks.append(r) or rep_index(tables, r))
+    for _ in range(2):
+        checks.clear()
+        for w in coset_identity_search(Q, H, H.dim):
+            multilinear_descent(Q, H, w)
+    assert checks == []
+
+
 # ---------------------------------------------------------------------------
 # witnesses built field by field, without the constructor's call
 
@@ -483,7 +558,7 @@ def test_refusals_are_unchanged_cold_and_warm():
     # warm: both ideals verified, and every refusal is the cold one
     for w in coset_identity_search(Q, H, H.dim):
         multilinear_descent(Q, H, w)
-    assert {(Q, zero, False), (Q, center, False)} <= H._memo[idtest._Tables].verified
+    assert {zero, center} <= verified_ideals(Q, H)
     assert refusals() == cold
     # a bool is an int, as it always was
     w = CosetWitness(center, ((True, 0, 0), (0, 0, 0)), 2, False)
@@ -533,18 +608,25 @@ def test_field_and_flavor_gates_run_on_a_warm_kernel():
         multilinear_descent(parse("[x1,x2]", Flavor.LIE, E), T, ws[0])
 
 
+def verified_ideals(Q, A, commutator=False):
+    """The ideals descent has verified for (Q, commutator) on A, kept in
+    the kernel entry beside e_Q."""
+    return A._memo[idtest._Tables].kernels[Q, commutator][1]
+
+
 def counted_kernel(Q, A):
     """Wrap the compiled kernel of (Q, False) on A in a counter: the list
-    of the points it is called on, in order."""
+    of the points it is called on, in order.  The entry keeps its
+    verified ideals."""
     tables = A._memo[idtest._Tables]
-    e = tables.kernels[Q, False]
+    e, verified = tables.kernels[Q, False]
     calls = []
 
     def counting(args):
         calls.append(tuple(args))
         return e(args)
 
-    tables.kernels[Q, False] = counting
+    tables.kernels[Q, False] = counting, verified
     return calls
 
 
@@ -560,15 +642,15 @@ def test_zero_ideal_descent_makes_one_kernel_call_per_stage():
         witnesses = [w for w in coset_identity_search(Q, A, A.dim) if w.ideal == zero]
         assert len(witnesses) > 1
         calls = counted_kernel(Q, A)
-        verified = A._memo[idtest._Tables].verified
+        verified = verified_ideals(Q, A)
         for i, w in enumerate(witnesses):
             calls.clear()
-            assert ((Q, zero, False) in verified) == (i > 0)
+            assert (zero in verified) == (i > 0)
             assert multilinear_descent(Q, A, w) == reference_descent(Q, A, w)
             ids = [sum(c * q ** (A.dim - 1 - s) for s, c in enumerate(r)) for r in w.representatives]
             points = [tuple([0] * s + ids[s:]) for s in range(n + 1)]
             assert calls == (points if i == 0 else points[:n])
-        assert len(calls) == n and (Q, zero, False) in verified
+        assert len(calls) == n and zero in verified
 
 
 def test_a_warm_kernel_still_refuses_other_readings_and_fields():
@@ -752,7 +834,7 @@ def test_warm_algebras_match_fresh_copies_on_every_dimension_two_table():
         for Q in battery_for(A):
             if Q.analyze().multilinear:
                 descents += len(assert_warm_matches_fresh(Q, A))
-        assert A._memo[idtest._Tables].verified
+        assert any(verified for _, verified in A._memo[idtest._Tables].kernels.values())
     assert descents > 0
 
 
@@ -768,7 +850,10 @@ def test_warm_commutator_reading_matches_a_fresh_copy():
     U = upper_triangular(2, 3)
     Q = parse("[x1,x2] + 2*[x2,x1]", Flavor.LIE, U.field)
     assert assert_warm_matches_fresh(Q, U, commutator=True)
-    assert all(key[2] for key in U._memo[idtest._Tables].verified)
+    # only the commutator reading's entry holds verified ideals
+    kernels = U._memo[idtest._Tables].kernels
+    assert verified_ideals(Q, U, True)
+    assert all(commutator for (_, commutator), (_, verified) in kernels.items() if verified)
 
 
 @pytest.mark.parametrize(
@@ -785,7 +870,7 @@ def test_forged_witness_is_invalid_after_its_ideal_is_verified(spec, flavor, tex
     I = ideal_generated(A, [generator])
     genuine = next(w for w in coset_identity_search(Q, A, A.dim) if w.ideal == I)
     multilinear_descent(Q, A, genuine)
-    assert (Q, I, False) in A._memo[idtest._Tables].verified
+    assert I in verified_ideals(Q, A)
     forged = CosetWitness(ideal=I, representatives=reps, codim=A.dim - 1, trivial=False)
     for _ in range(2):
         got = _error(multilinear_descent, Q, A, forged)
@@ -805,7 +890,7 @@ def test_early_stage_failure_is_raised_after_its_ideal_is_verified(monkeypatch):
     assert good in coset_identity_search(Q, A, A.dim)
     assert bad in coset_identity_search(Q, A, A.dim)
     multilinear_descent(Q, A, good)
-    assert (Q, I, False) in A._memo[idtest._Tables].verified
+    assert I in verified_ideals(Q, A)
     for _ in range(2):
         got = _error(multilinear_descent, Q, A, bad)
         assert got == _error(reference_descent, Q, A, bad)
@@ -829,7 +914,7 @@ def test_zero_ideal_stage_failure_is_the_reference_failure(monkeypatch):
     assert cold == _error(reference_descent, Q, A, bad)
     assert cold == (TheoremViolation, "descent stage 1 failed at ((0, 0), (0, 1))")
     assert multilinear_descent(Q, A, good) == reference_descent(Q, A, good)
-    assert (Q, zero, False) in A._memo[idtest._Tables].verified
+    assert zero in verified_ideals(Q, A)
     for _ in range(2):
         assert _error(multilinear_descent, Q, A, bad) == cold
 
@@ -844,7 +929,7 @@ def test_a_subspace_that_is_not_an_ideal_is_refused_on_every_call():
     for _ in range(3):
         with pytest.raises(NotAnIdeal):
             multilinear_descent(Q, A, w)
-    assert not A._memo[idtest._Tables].verified
+    assert not verified_ideals(Q, A)
 
 
 def test_enumerate_ideals_memo_keeps_the_cap_and_hands_out_copies():
@@ -877,7 +962,7 @@ def test_pickling_drops_every_memo():
         multilinear_descent(Q, H, w)
     tables = H._memo[idtest._Tables]
     ideals = H._memo[algebra._walk_ideals]
-    assert ideals and tables.ideal_members and tables.verified and hash(Q)
+    assert ideals and tables.ideal_members and verified_ideals(Q, H) and hash(Q)
     assert list(tables.kernels) == [(Q, False)]
     # every ideal a search visits keeps its hash; a pickled one leaves it behind
     assert all("_hash" in vars(ideal) for ideal in ideals)
@@ -889,7 +974,7 @@ def test_pickling_drops_every_memo():
     assert pickle.loads(pickle.dumps(Q))._hash is None
     # the copy compiles its own kernel, and its descents match
     witnesses = coset_identity_search(Q, copy, copy.dim)
-    assert copy._memo[idtest._Tables].kernels[Q, False] is not tables.kernels[Q, False]
+    assert copy._memo[idtest._Tables].kernels[Q, False][0] is not tables.kernels[Q, False][0]
     for w in witnesses:
         assert multilinear_descent(Q, copy, w) == multilinear_descent(Q, H, w)
 

@@ -896,12 +896,17 @@ def test_cross_check_routes_do_not_use_the_kernel(monkeypatch):
     witnesses = idtest.coset_identity_search(Q, A, 2)
     assert witnesses
     assert len(calls) == 1 and calls[0][1] is A
-    # the coset and stage checks run on A's kernel; the final check, on the
-    # restricted algebra, reduces its coordinates once on the first descent
-    # to each ideal and not again after it, and it neither evaluates nor
-    # multiplies in the restricted algebra
-    reduced, raw, multiplied = [], [], []
-    coordinates = idtest.reduced_coordinates
+    # the coset and stage checks run on A's kernel, read off its one kernel
+    # entry; the final check, on the restricted algebra, reads no entry,
+    # reduces its coordinates once on the first descent to each ideal and
+    # not again after it, and it neither evaluates nor multiplies in the
+    # restricted algebra
+    reduced, raw, multiplied, entries = [], [], [], []
+    coordinates, entry = idtest.reduced_coordinates, idtest._entry
+
+    def recording_entry(tables, P, B, commutator):
+        entries.append(B)
+        return entry(tables, P, B, commutator)
 
     def recording_coordinates(P, B, commutator=False):
         reduced.append(B)
@@ -918,12 +923,14 @@ def test_cross_check_routes_do_not_use_the_kernel(monkeypatch):
     monkeypatch.setattr(idtest, "reduced_coordinates", recording_coordinates)
     monkeypatch.setattr(idtest, "_evaluate_raw", recording_raw)
     monkeypatch.setattr(Algebra, "mul", recording_mul)
+    monkeypatch.setattr(idtest, "_entry", recording_entry)
     seen = set()
     for w in witnesses:
         calls.clear()
         reduced.clear()
+        entries.clear()
         idtest.multilinear_descent(Q, A, w)
-        assert len(calls) == 1 and calls[0][1] is A
+        assert calls == [] and len(entries) == 1 and entries[0] is A
         if w.ideal in seen:
             assert reduced == []
             continue

@@ -10,6 +10,7 @@ import pickle
 import random
 import tracemalloc
 from itertools import product
+from operator import not_
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +193,57 @@ def test_gf3_lanes_match_points_on_random_tables(case):
     Q, A, commutator = case
     assert_lanes_match_points(Q, A, commutator)
     assert zero_probability(Q, A, commutator=commutator).zero_count == points_count(Q, A, commutator)
+
+
+# ---------------------------------------------------------------------------
+# zero flags: one byte per point, off the blocks of a count
+
+def kernel_flags(Q, A, commutator=False):
+    """1 where the kernel's walk finds e_Q zero, 0 elsewhere, point by point."""
+    e = _kernel(Q, A, commutator)
+    return bytes(map(not_, map(e, product(range(A.order()), repeat=Q.n))))
+
+
+def assert_flags_match_the_kernel(Q, A, commutator=False):
+    flags = lanes.zero_flags(Q, A, commutator)
+    assert flags == kernel_flags(Q, A, commutator), (Q.to_text(), A.table, commutator)
+    assert sum(flags) == lanes.count(Q, A, commutator)
+
+
+def test_zero_flags_match_the_kernel_on_every_dimension_two_table():
+    brackets = [parse(text, Flavor.LIE, F2) for text in BRACKETS]
+    for A in dimension_two_tables():
+        for Q in battery_for(A):
+            assert_flags_match_the_kernel(Q, A)
+        for Q in brackets:
+            assert_flags_match_the_kernel(Q, A, commutator=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(lane_cases(), gf3_cases()))
+def test_zero_flags_match_the_kernel_on_random_tables(case):
+    assert_flags_match_the_kernel(*case)
+
+
+@pytest.mark.parametrize(
+    "spec, flavor, text",
+    [
+        ("matrix(2,2)", Flavor.FREE, "x1*x2 + x2*x1*x1"),
+        ("heisenberg(3)", Flavor.LIE, "[x1,x2] + [[x1,x2],x2]"),
+    ],
+)
+def test_counts_and_flags_of_several_blocks(monkeypatch, spec, flavor, text):
+    # 2**8 points over GF(2), in 16 or 4 blocks, and 3**6 over GF(3), in 81
+    # or 27: the flags are the blocks' bytes in block order
+    A = builtin(spec)
+    Q = parse(text, flavor, A.field)
+    want = kernel_flags(Q, A)
+    assert 0 < sum(want) < len(want)
+    for bits in (4, 6):
+        monkeypatch.setattr(lanes, "BLOCK_BITS", bits)
+        assert lanes._split(Q, A)[1] >= 3
+        assert lanes.count(Q, A, False) == sum(want)
+        assert lanes.zero_flags(Q, A, False) == want
 
 
 def kernel_sampled(Q, A, commutator, seed, samples):
@@ -604,7 +656,7 @@ def test_lanes_and_coordinate_routes_share_no_helper(monkeypatch):
     ]
     assert {
         "_tables", "_plan", "_product2", "_product3", "_add3", "_program", "_nonzeros",
-        "_masks", "_count_blocks", "count", "sampled", "cost",
+        "_masks", "_count_blocks", "_block_masks", "count", "zero_flags", "sampled", "cost",
     } <= set(LANE_HELPERS)
     # the coordinates, cells and masks of the other side are built first,
     # so a lanes count that reached them would find them warm; each exact
@@ -640,6 +692,7 @@ def test_lanes_and_coordinate_routes_share_no_helper(monkeypatch):
         for (Q, A, commutator), (zeros, sampled) in zip(cases, want):
             A._memo.pop(lanes._Tables)  # cold: the tables and the cost are read from A.table
             assert zero_probability(Q, A, commutator=commutator).zero_count == zeros
+            assert sum(lanes.zero_flags(Q, A, commutator)) == zeros
             A._memo.pop(lanes._Tables)
             assert zero_probability(Q, A, samples=500, seed=-7, commutator=commutator).zero_count == sampled
     # and the coordinate routes call no lane helper
