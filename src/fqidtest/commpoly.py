@@ -36,8 +36,9 @@ Only the final coordinates are unpacked to {exps: coeff} dicts.  The
 nonzero structure constants these builds walk depend only on A.table, so
 the algebra keeps them in its memo (_cells).
 reduced_degrees unpacks nothing: it reads each reduced coordinate's
-total degree off the packed ints, a bit count over GF(2) and a sum of
-lanes otherwise, and builds no exponent tuple and no CommPoly.
+total degree off the packed ints, the greatest bit count over GF(2),
+read inline, and the greatest sum of lanes otherwise, and builds no
+exponent tuple and no CommPoly.
 
 zero_counter counts the common zeros of a list of polynomials over all of
 F^n.  Over GF(2) it is bit-sliced: variable i is an int with bit k set
@@ -45,7 +46,9 @@ when x_i = 1 at point k, a monomial is an AND of those masks, a
 polynomial the XOR of its monomials, and a point is a common zero when
 its bit is clear in the OR of the polynomials.  The masks take n * 2^n
 bits, 48 MB at the 2^24-point cap.  Other fields walk the points with the
-powers of every element for each reduced exponent that occurs.
+powers of every element for each reduced exponent that occurs
+(_count_points): over a prime field on plain ints, reduced mod p once per
+polynomial per point, and over GF(p^k), k > 1, through field calls.
 
 parse_comm reads text with the walker the free flavors use,
 freepoly._Parser; only the atoms (powers allowed, brackets refused) and
@@ -273,8 +276,9 @@ def zero_counter(field: Field, nvars: int, cap: int):
 
     The bit masks (GF(2)) are built here, once for every call of the
     returned function; other fields build, on each call, the powers of
-    every element for the reduced exponents its polynomials use.  Raises
-    SearchSpaceTooLarge when q^nvars exceeds cap.
+    every element for the reduced exponents its polynomials use, and walk
+    the points (_count_points).  Raises SearchSpaceTooLarge when q^nvars
+    exceeds cap.
     """
     q = field.q
     total = q**nvars
@@ -315,7 +319,14 @@ def _count_gf2(masks, full, total, polys) -> int:
 
 
 def _count_points(field, nvars, polys) -> int:
-    add, mul = field.add, field.mul
+    """The common zeros of polys, point by point, with the powers of every
+    element for each reduced exponent that occurs read from columns.
+
+    Over a prime field an element is its int mod p, so a monomial's value
+    is a plain int product and a polynomial's a plain int sum, reduced mod
+    p once per polynomial per point, with no field call per term.  Over
+    GF(p^k) with k > 1 every product and sum is a field call.
+    """
     span = field.q - 1
     used = {(e - 1) % span + 1 for monomials in polys for exps in monomials for e in exps if e}
     columns = {e: [field.pow(x, e) for x in field.elements()] for e in used}
@@ -326,8 +337,24 @@ def _count_points(field, nvars, polys) -> int:
         ]
         for monomials in polys
     ]
+    points = product(field.elements(), repeat=nvars)
     zeros = 0
-    for point in product(field.elements(), repeat=nvars):
+    if field.k == 1:
+        p = field.p
+        for point in points:
+            for terms in prepared:
+                value = 0
+                for v, factors in terms:
+                    for i, column in factors:
+                        v *= column[point[i]]
+                    value += v
+                if value % p:
+                    break
+            else:
+                zeros += 1
+        return zeros
+    add, mul = field.add, field.mul
+    for point in points:
         for terms in prepared:
             value = 0
             for c, factors in terms:
@@ -420,9 +447,13 @@ def reduced_degrees(Q: FreePoly, A, commutator: bool = False) -> list[int | None
     or None where the coordinate is zero.
 
     The degrees are read off the packed monomials, so no coordinate is
-    unpacked.  Like reduced_coordinates it reads only A.table.
+    unpacked: over GF(2) a monomial's degree is its bit count, read inline
+    with no method call, and otherwise _LaneMonomials.degree sums its
+    lanes.  Like reduced_coordinates it reads only A.table.
     """
     ring, coords = _packed_coordinates(Q, A, commutator, reduced=True)
+    if A.field.q == 2:  # the ring is _BitMonomials
+        return [max(map(int.bit_count, c)) if c else None for c in coords]
     return [ring.degree(c) if c else None for c in coords]
 
 
@@ -573,17 +604,23 @@ class _BitMonomials:
         """u * v for vectors of coordinate sets, by the structure constants.
 
         Each nonzero cell's product is one set, XORed into its output
-        coordinates.  When the factors share no argument, every pair of
-        monomials gives a different product, so the set is built as it
-        is; otherwise the products that occur an even number of times
-        cancel, as in x1 * x1."""
+        coordinates.  Two factors of one monomial each give the one set
+        of their OR, built directly, with no comprehension (which runs in
+        a frame of its own).  When the factors share no argument, every
+        pair of monomials gives a different product, so the set is built
+        as it is; otherwise the products that occur an even number of
+        times cancel, as in x1 * x1."""
         out = [frozenset()] * len(u)
         for ui, row in zip(u, self.cells):
             if ui:
+                single = len(ui) == 1
                 for j, ks, _ in row:
                     vj = v[j]
                     if vj:
-                        if disjoint:
+                        if single and len(vj) == 1:
+                            (a,), (b,) = ui, vj
+                            terms = {a | b}
+                        elif disjoint:
                             terms = {a | b for a in ui for b in vj}
                         else:
                             terms = _odd_terms([a | b for a in ui for b in vj])
@@ -603,11 +640,6 @@ class _BitMonomials:
     def unpack(self, poly: set) -> dict:
         shifts = range(self.width)
         return {tuple([m >> s & 1 for s in shifts]): 1 for m in poly}
-
-    @staticmethod
-    def degree(poly: set) -> int:
-        """The total degree of a nonzero polynomial."""
-        return max(map(int.bit_count, poly))
 
 
 def _odd_terms(terms: list) -> set:

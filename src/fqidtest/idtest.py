@@ -28,15 +28,14 @@ A^n is one bit of a Python int, and e_Q runs once on all the points of a
 block, a few plane operations per nonzero structure constant and product
 (lanes.cost).  A kernel product costs one lookup per point instead, so
 the lanes route is taken once the points reach lanes.RATIO times the
-cost and lanes.MIN_POINTS, below which the few microseconds lanes save
-are lost again to verdicts whose counts switch routes.  A lanes count
-runs in the calling process whatever the workers, as it is already
-faster than a forked point walk.  Otherwise one walker (_count_range)
-counts on the kernel, slice by slice where it can.  If some variable
-occurs at most once in every term, e_Q is affine in it, so with the
-other arguments fixed it is v -> L(v) + c: the kernel runs at v = 0 and
-at the dim basis vectors only, and the slice has q**(dim - rank L) zeros
-when c lies in the image of L, none otherwise.  That evaluates
+cost and lanes.MIN_POINTS, below which a count is cheaper on the walker.
+A lanes count runs in the calling process whatever the workers, as it is
+already faster than a forked point walk.  Otherwise one walker
+(_count_range) counts on the kernel, slice by slice where it can.  If
+some variable occurs at most once in every term, e_Q is affine in it, so
+with the other arguments fixed it is v -> L(v) + c: the kernel runs at
+v = 0 and at the dim basis vectors only, and the slice has
+q**(dim - rank L) zeros when c lies in the image of L, none otherwise.  That evaluates
 (dim + 1) * order**(n-1) points instead of order**n.  The verdicts are
 memoised for one count call only.  A slice pays only when it holds more
 than three times as many points as probes, and a count of one argument
@@ -44,6 +43,13 @@ never slices: its one affine polynomial is c*x1, whose one verdict spans
 all of A.  For the zero polynomial, with no affine variable and where
 slices do not pay, the walker calls the kernel at every point, and this
 point walk is the reference the slices and the lanes are tested against.
+A count forks only once the points it walks reach bound.FORK_POINTS and
+more than one worker is asked for; any other count is serial, and a
+serial count is one walker call on the whole range (the one-chunk case
+of the forked walk), with no chunk list and no pool_map.  The exact
+report is built once, in zero_probability; its probability comes from a
+bounded cache keyed by the zero count and the total, since counts of a
+few points repeat their values across algebras as well as across calls.
 Over GF(2^k) and GF(3) no count slices: slices pay from order 8 and 27,
 where order**2 passes lanes.RATIO times a product's cost, at most
 (k * dim)**3 XORs or 12 * dim**3 operations.  Each route's count is
@@ -602,7 +608,8 @@ class EvalReport:
     verdict fields are None (a sample cannot certify an identity).
     functional_floor / functional_consistent are filled in by
     dixon_verdict only.  idtest builds reports through _new_report, which
-    names every field: a new field goes there too.
+    names every field: a new field goes there too.  dixon_verdict's report
+    is a copy of its count's with the two functional fields set.
     """
 
     zero_count: int
@@ -655,15 +662,11 @@ def _new_report(
     return report
 
 
-def _exact_report(zero_count: int, total: int, degree: int) -> EvalReport:
-    """The exact-mode report of a zero count."""
-    is_identity = zero_count == total
-    return _new_report(
-        zero_count, total, Fraction(zero_count, total), degree, _threshold(degree), is_identity,
-        # the probability zero_count/total at most 1 - 2^-degree, on the integers
-        is_identity or zero_count << degree <= ((1 << degree) - 1) * total,
-        "exact", None, None, None, None,
-    )
+# a small count's zero fraction recurs across algebras, not only across
+# calls on one algebra: 3/4 of 16 points is one value wherever it is met
+@lru_cache(maxsize=1024)
+def _fraction(zero_count: int, total: int) -> Fraction:
+    return Fraction(zero_count, total)
 
 
 def _slice_variable(Q: FreePoly, A: Algebra):
@@ -768,24 +771,28 @@ def _count_exact(Q, A, commutator, workers):
 
     The point and slice routes are the one walker _count_range, on j None
     or on the slice variable j.  Its chunks are ranges of the first walked
-    argument's index, and a serial count is one chunk.  They fork
-    once the points they walk (probes on the slice route) reach
-    bound.FORK_POINTS, read at call time so that one binding sets the
-    threshold for every job.  The lanes route runs its blocks in process
-    and never forks (lanes.count).
+    argument's index.  A count forks once the points it walks (probes on
+    the slice route) reach bound.FORK_POINTS, read at call time so that
+    one binding sets the threshold for every job, and more than one
+    worker is asked for; its chunks then go to pool_map.  Any other count
+    is serial, and a serial count is one walker call on the whole range,
+    the one-chunk case, with no chunk list and no pool_map.  The lanes
+    route runs its blocks in process and never forks (lanes.count).
     """
-    route, j = _count_route(Q, A, commutator, A.order() ** Q.n)
+    order, n = A.order(), Q.n
+    route, j = _count_route(Q, A, commutator, order**n)
     if route == "lanes":
         return lanes.count(Q, A, commutator)
-    order = A.order()
     if j is None:
-        walked, points = Q.n, order**Q.n
+        walked, points = n, order**n
     else:
-        walked, points = Q.n - 1, (A.dim + 1) * order ** (Q.n - 1)
+        walked, points = n - 1, (A.dim + 1) * order ** (n - 1)
     first = order if walked else 1
-    ranges = chunk_ranges(0, first, workers if points >= bound.FORK_POINTS else 1)
-    payloads = [(Q, A, commutator, j, start, stop) for start, stop in ranges]
-    return sum(pool_map(_count_range, payloads, workers))
+    if workers > 1 and points >= bound.FORK_POINTS:
+        ranges = chunk_ranges(0, first, workers)
+        payloads = [(Q, A, commutator, j, start, stop) for start, stop in ranges]
+        return sum(pool_map(_count_range, payloads, workers))
+    return _count_range((Q, A, commutator, j, 0, first))
 
 
 def zero_probability(
@@ -800,9 +807,12 @@ def zero_probability(
 ) -> EvalReport:
     """The exact (or sampled) fraction of A^n mapped to zero by e_Q.
 
-    An exact count takes the route _count_route gives (_count_exact).  A
-    sampled count checks the cap before any draw, then streams its points
-    from SplitMix64(seed) in blocks of whole points and runs each block on
+    An exact count checks the cap, then takes the route _count_route
+    gives (_count_exact; a serial count is one walker call), and its
+    report is built here, once: the probability from the bounded cache
+    _fraction, the verdict compared on the integers.  A sampled count
+    checks the cap before any draw, then streams its points from
+    SplitMix64(seed) in blocks of whole points and runs each block on
     lanes or on the kernel, as the module docstring sets out, so its
     memory stays bounded whatever the samples.
     """
@@ -814,7 +824,14 @@ def zero_probability(
         total = A.order() ** n
         if total > cap:
             raise SearchSpaceTooLarge(total, cap)
-        return _exact_report(_count_exact(Q, A, commutator, workers), total, degree)
+        zeros = _count_exact(Q, A, commutator, workers)
+        is_identity = zeros == total
+        return _new_report(
+            zeros, total, _fraction(zeros, total), degree, _threshold(degree), is_identity,
+            # the probability zeros/total at most 1 - 2^-degree, on the integers
+            is_identity or zeros << degree <= ((1 << degree) - 1) * total,
+            "exact", None, None, None, None,
+        )
 
     if samples < 1:
         raise ValueError("samples must be a positive integer")
@@ -884,7 +901,7 @@ def dixon_verdict(
     """Exact verdict with a dual-route cross-check.
 
     Route one counts the zeros of e_Q on A^n (zero_probability, by the
-    route _count_route gives).
+    route _count_route gives; a serial count is one walker call).
     Route two reads the degree of each reduced coordinate polynomial off
     its packed monomials (commpoly.reduced_degrees): all zero iff e_Q is
     an identity, and otherwise each nonzero coordinate forces the nonzero
@@ -893,51 +910,62 @@ def dixon_verdict(
     bounds are compared on the integer counts.  Disagreement on either
     route is an implementation bug and raises TheoremViolation, whose
     witness holds _witness's fields, the zero count and the count route,
-    so that the count can be replayed.
+    so that the count can be replayed; it is built only then
+    (_violation).
     """
     report = zero_probability(Q, A, cap=cap, workers=workers, commutator=commutator)
-    zeros, total, degree = report.zero_count, report.total, report.degree
-    degrees = [d for d in reduced_degrees(Q, A, commutator) if d is not None]
-
-    def violation(message):
-        return TheoremViolation(message, witness=_witness(
-            Q, A, commutator,
-            zero_count=zeros,
-            total=total,
-            route=_count_route(Q, A, commutator, total)[0],
-            probability=str(report.probability),
-            threshold=str(report.threshold),
-        ))
-
+    degrees = reduced_degrees(Q, A, commutator)
+    if None in degrees:  # zero coordinates have no degree
+        degrees = [d for d in degrees if d is not None]
     if (not degrees) != report.is_identity:
-        raise violation("enumeration and coordinate reduction disagree on identity-ness")
+        raise _violation(
+            "enumeration and coordinate reduction disagree on identity-ness",
+            Q, A, commutator, report,
+        )
     if not degrees:
         return _verdict_report(report, None)
-
     floor = floor_fraction(A.field.q, min(degrees)).value
+    zeros, total, degree = report.zero_count, report.total, report.degree
     # the nonzero fraction 1 - zeros/total under the floor
     if (total - zeros) * floor.denominator < floor.numerator * total:
-        raise violation(
+        raise _violation(
             f"nonzero fraction {1 - report.probability} under the "
-            f"coordinate density floor {floor}"
+            f"coordinate density floor {floor}",
+            Q, A, commutator, report,
         )
     # the zero fraction zeros/total above 1 - 2^-degree
     if zeros << degree > ((1 << degree) - 1) * total:
-        raise violation(
+        raise _violation(
             f"non-identity with zero probability {report.probability} "
-            f"above 1 - 2^-{degree}"
+            f"above 1 - 2^-{degree}",
+            Q, A, commutator, report,
         )
     return _verdict_report(report, floor)
 
 
+def _violation(
+    message: str, Q: FreePoly, A: Algebra, commutator: bool, report: EvalReport
+) -> TheoremViolation:
+    """dixon_verdict's TheoremViolation: _witness's fields, then the count,
+    its route, and the count's probability and threshold as text."""
+    return TheoremViolation(message, witness=_witness(
+        Q, A, commutator,
+        zero_count=report.zero_count,
+        total=report.total,
+        route=_count_route(Q, A, commutator, report.total)[0],
+        probability=str(report.probability),
+        threshold=str(report.threshold),
+    ))
+
+
 def _verdict_report(report: EvalReport, floor) -> EvalReport:
     """zero_probability's exact report with dixon_verdict's functional
-    fields: the floor and a consistent second route.  Its probability and
-    threshold are the count's, so no second Fraction is built."""
-    return _new_report(
-        report.zero_count, report.total, report.probability, report.degree, report.threshold,
-        report.is_identity, report.verdict_consistent, "exact", None, None, floor, True,
-    )
+    fields: the floor and a consistent second route.  The count's fields
+    are copied as they are, its probability and threshold included, so no
+    second Fraction is built, and the keys keep the declared order."""
+    verdict = object.__new__(EvalReport)
+    verdict.__dict__.update(report.__dict__, functional_floor=floor, functional_consistent=True)
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -1020,10 +1048,11 @@ def coset_identity_search(
     nonzero.  The zero ideal's cosets are single points, so its witnesses
     are the zeros of e_Q, and all trivial: compress picks the
     representative tuples, in canonical order, at the points flagged
-    zero, and map builds a witness of each, so no frame of Python code
-    runs per point.  The flags are lanes.zero_flags, one pass per block,
-    where _count_route sends a count of order**n points to lanes, and
-    otherwise the kernel's walk over the element indices.
+    zero, and map builds a witness of each, so the only frame of Python
+    code that runs per point is _new_witness's, once per zero.  The flags
+    are lanes.zero_flags, one pass per block, where _count_route sends a
+    count of order**n points to lanes, and otherwise the kernel's walk
+    over the element indices.
     """
     if max_codim < 0:
         raise ValueError(f"max_codim must be >= 0, got {max_codim}")

@@ -92,9 +92,31 @@ MUTANTS = (
     Mutant(
         "fork-gate-counts-strict",
         "src/fqidtest/idtest.py",
-        "workers if points >= bound.FORK_POINTS else 1",
-        "workers if points > bound.FORK_POINTS else 1",
+        "points >= bound.FORK_POINTS",
+        "points > bound.FORK_POINTS",
         ("tests/test_kernel.py::test_counts_fork_once_the_points_walked_reach_fork_points",),
+    ),
+    # a serial count is one walker call; counts that fork still chunk
+    Mutant(
+        "serial-shortcut-taken-at-fork-points",
+        "src/fqidtest/idtest.py",
+        "    if workers > 1 and points >= bound.FORK_POINTS:",
+        "    if False and workers > 1 and points >= bound.FORK_POINTS:",
+        (
+            "tests/test_kernel.py::test_a_serial_count_is_one_walker_call_on_the_whole_range",
+            "tests/test_kernel.py::test_counts_fork_once_the_points_walked_reach_fork_points",
+        ),
+    ),
+    Mutant(
+        "fraction-cache-keyed-by-zero-count",
+        "src/fqidtest/idtest.py",
+        "def _fraction(zero_count: int, total: int) -> Fraction:\n    return Fraction(zero_count, total)",
+        "def _fraction(zero_count: int, total: int, _by_zeros={}) -> Fraction:\n"
+        "    return _by_zeros.setdefault(zero_count, Fraction(zero_count, total))",
+        (
+            SAMPLER + "::test_lean_path_matches_the_references_on_every_dimension_two_table",
+            SAMPLER + "::test_reports_are_the_constructors_reports",
+        ),
     ),
     Mutant(
         "fork-gate-scans-strict",
@@ -436,6 +458,32 @@ MUTANTS = (
         (LANES + "::test_sampled_lanes_match_the_kernel_at_block_edges",),
     ),
     # the coordinate route's plan and its products
+    # the GF(2) coordinate builds: one-monomial products and inline degrees
+    Mutant(
+        "coords-singleton-product-xor",
+        "src/fqidtest/commpoly.py",
+        "terms = {a | b}",
+        "terms = {a ^ b}",
+        (COORDS + "::test_route_on_every_dimension_two_table",),
+    ),
+    Mutant(
+        "coords-gf2-degree-by-len",
+        "src/fqidtest/commpoly.py",
+        "max(map(int.bit_count, c))",
+        "len(c)",
+        (COORDS + "::test_route_on_every_dimension_two_table",),
+    ),
+    # the prime-field point counter sums plain ints
+    Mutant(
+        "point-counter-mod-p-skipped",
+        "src/fqidtest/commpoly.py",
+        "                if value % p:",
+        "                if value:",
+        (
+            COORDS + "::test_point_counter_matches_the_field_call_reference",
+            COORDS + "::test_point_counter_reduces_sums_past_p",
+        ),
+    ),
     Mutant(
         "coords-disjoint-flag-forced",
         "src/fqidtest/commpoly.py",

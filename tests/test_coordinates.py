@@ -8,7 +8,9 @@ packed monomials, must give the degrees of the reference's reduced
 coordinates.  zero_counter (bit-sliced over GF(2)) must give the
 zero count of the point loop over CommPoly.eval that
 functional_zero_fraction and the exhaustive scan ran before, restated
-here.  The nonzero structure constants the coordinate builds kept on the
+here, and over other fields, where prime fields now sum plain ints, the
+count of the field-call counter it ran before (reference_count_points).
+The nonzero structure constants the coordinate builds kept on the
 algebra must be the ones they read out of A.table on every call before.
 The step plan the builds run is checked on its own, and on polynomials
 whose plans share subterms, multiply disjoint and overlapping factors and
@@ -435,6 +437,78 @@ def test_zero_count_matches_the_point_loop(case):
     assert count([p.monomials for p in polys]) == point_loop_zeros(F, nvars, polys)
     for p in polys:
         assert count([p.monomials]) == point_loop_zeros(F, nvars, [p])
+
+
+def reference_count_points(field, nvars, polys) -> int:
+    """commpoly._count_points as it was before prime fields summed plain
+    ints: every product and sum a field call, on every field.  The
+    reference for the prime-field counter."""
+    add, mul = field.add, field.mul
+    span = field.q - 1
+    used = {(e - 1) % span + 1 for monomials in polys for exps in monomials for e in exps if e}
+    columns = {e: [field.pow(x, e) for x in field.elements()] for e in used}
+    prepared = [
+        [
+            (c, [(i, columns[(e - 1) % span + 1]) for i, e in enumerate(exps) if e])
+            for exps, c in monomials.items()
+        ]
+        for monomials in polys
+    ]
+    zeros = 0
+    for point in product(field.elements(), repeat=nvars):
+        for terms in prepared:
+            value = 0
+            for c, factors in terms:
+                v = c
+                for i, column in factors:
+                    v = mul(v, column[point[i]])
+                    if not v:
+                        break
+                value = add(value, v)
+            if value:
+                break
+        else:
+            zeros += 1
+    return zeros
+
+
+@st.composite
+def odd_field_polys(draw):
+    """Lists of polynomials over GF(3), GF(5), GF(7), GF(4) and GF(9), with
+    exponents past q - 1, so that the fold runs, and enough terms that
+    their int sums pass p."""
+    q = draw(st.sampled_from([3, 5, 7, 4, 9]))
+    F = field_of_order(q)
+    nvars = draw(st.integers(0, {3: 4, 5: 3, 7: 2, 4: 3, 9: 2}[q]))  # at most 625 points
+    exps = st.tuples(*[st.integers(0, 2 * q)] * nvars)
+    polys = draw(st.lists(st.dictionaries(exps, st.integers(1, q - 1), max_size=6), max_size=3))
+    return F, nvars, [CommPoly(F, nvars, m) for m in polys]
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_field_polys())
+def test_point_counter_matches_the_field_call_reference(case):
+    F, nvars, polys = case
+    count = zero_counter(F, nvars, F.q**nvars)
+    monomials = [p.monomials for p in polys]
+    want = reference_count_points(F, nvars, monomials)
+    assert count(monomials) == want == point_loop_zeros(F, nvars, polys)
+    for m in monomials:
+        assert count([m]) == reference_count_points(F, nvars, [m])
+
+
+def test_point_counter_reduces_sums_past_p():
+    # x1 + x2 sums to p where x2 = p - x1, so a sum left unreduced would
+    # find only the zero at (0, 0) of its q; x1^q folds to x1; over GF(4)
+    # and GF(9) the sums stay field sums
+    for q in (3, 5, 7, 4, 9):
+        F = field_of_order(q)
+        minus_one = F.neg(1)
+        polys = [{(1, 0): 1, (0, 1): 1}, {(q, 0): 1, (0, 1): minus_one}, {(1, 1): 1, (0, 0): minus_one}]
+        for m in polys:
+            want = reference_count_points(F, 2, [m])
+            assert zero_counter(F, 2, q**2)([m]) == want == point_loop_zeros(F, 2, [CommPoly(F, 2, m)])
+        assert zero_counter(F, 2, q**2)([polys[0]]) == q
 
 
 def test_dixon_floor_is_the_largest_coordinate_floor():

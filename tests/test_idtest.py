@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import os
 import pickle
 import random
 from dataclasses import FrozenInstanceError, fields, replace
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import splitmix_reference
 from splitmix_reference import ScalarSplitMix64
 
-from fqidtest import cli, idtest
+from fqidtest import bound, cli, idtest, lanes
 from fqidtest.bound import floor_fraction
 from fqidtest.commpoly import reduced_coordinates
 from fqidtest.algebra import (
@@ -31,6 +32,7 @@ from fqidtest.algebra import (
     strictly_upper_triangular_lie,
     truncated,
     upper_triangular,
+    vec_is_zero,
     zero_ideal,
 )
 from fqidtest.errors import (
@@ -511,9 +513,8 @@ def reference_dixon(Q, A, *, cap=idtest.EXACT_CAP, workers=1, commutator=False):
     if (not nonzero) != report.is_identity:
         raise violation("enumeration and coordinate reduction disagree on identity-ness")
     if report.is_identity:
-        return replace(
-            idtest._exact_report(report.zero_count, report.total, report.degree),
-            functional_consistent=True,
+        return constructor_report(
+            report.zero_count, report.total, report.degree, functional_consistent=True
         )
     floor = idtest.floor_fraction(A.field.q, min(c.degree for c in nonzero)).value
     if 1 - report.probability < floor:
@@ -528,8 +529,8 @@ def reference_dixon(Q, A, *, cap=idtest.EXACT_CAP, workers=1, commutator=False):
         )
     if not report.verdict_consistent:
         raise violation("inconsistent verdict flags")
-    return replace(
-        idtest._exact_report(report.zero_count, report.total, report.degree),
+    return constructor_report(
+        report.zero_count, report.total, report.degree,
         functional_floor=floor, functional_consistent=True,
     )
 
@@ -563,17 +564,17 @@ def test_dixon_report_is_the_count_report_with_the_functional_fields(monkeypatch
             want = replace(report, functional_floor=floor, functional_consistent=True)
             assert got == want == reference_dixon(Q, A), (tbl, Q.to_text())
             counted.clear()
-            assert_same_report(got, replace(
-                idtest._exact_report(got.zero_count, got.total, Q.degree),
+            assert_same_report(got, constructor_report(
+                got.zero_count, got.total, Q.degree,
                 functional_floor=floor, functional_consistent=True,
             ))
     assert idtest._threshold(3) is idtest._threshold(3) == Fraction(7, 8)
 
 
 def constructor_report(zero_count, total, degree, **functional):
-    """_exact_report as it was: through EvalReport's constructor, with the
-    verdict compared on Fractions.  The reference for the reports that
-    idtest builds by filling the instance dict."""
+    """An exact report as idtest once built it: through EvalReport's
+    constructor, with the verdict compared on Fractions.  The reference
+    for the reports that idtest builds by filling the instance dict."""
     probability = Fraction(zero_count, total)
     threshold = 1 - Fraction(1, 2**degree)
     is_identity = zero_count == total
@@ -625,14 +626,22 @@ def test_reports_are_the_constructors_reports():
                 low = min(c.degree for c in reduced_coordinates(Q, A) if not c.is_zero)
                 functional["functional_floor"] = floor_fraction(2, low).value
             assert_same_report(got, constructor_report(got.zero_count, got.total, degree, **functional))
-    # the verdict on the integers, on counts either side of every threshold
-    for degree in range(6):
-        for total in range(1, 2**degree + 3):
-            for zero_count in range(total + 1):
-                assert_same_report(
-                    idtest._exact_report(zero_count, total, degree),
-                    constructor_report(zero_count, total, degree),
-                )
+    # the verdict on the integers, on counts either side of every threshold:
+    # the count is forced, on totals q**n that exact counts meet, and on
+    # degrees 0 (the zero polynomial) to 5
+    shapes = ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1))
+    for q, n in shapes:
+        A = field_as_algebra(q)
+        polys = [FreePoly(A.field, Flavor.FREE, n, {})]
+        words = ("*".join(["x1"] * degree) for degree in range(1, 6))
+        polys += [parse(word, Flavor.FREE, A.field, n=n) for word in words]
+        for Q in polys:
+            degree = 0 if Q.is_zero else Q.degree
+            for zero_count in range(q**n + 1):
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(idtest, "_count_exact", lambda *args: zero_count)
+                    got = zero_probability(Q, A)
+                assert_same_report(got, constructor_report(zero_count, q**n, degree))
     # sampled reports
     H = heisenberg(3)
     for text in ("[x1,x2]", "[[x1,x2],x3] + 2*[x2,x1]"):
@@ -783,6 +792,139 @@ def test_dixon_threshold_boundary(monkeypatch):
     message, witness = got
     assert message == "non-identity with zero probability 2/3 above 1 - 2^-1"
     assert (witness["probability"], witness["threshold"]) == ("2/3", "1/2")
+
+
+# ---------------------------------------------------------------------------
+# the lean verdict path against the references
+
+def reference_zeros(Q, A, commutator=False):
+    """e_Q's zeros over A^n, one evaluate per point: the reference count."""
+    elements = list(A.elements())
+    return sum(
+        vec_is_zero(evaluate(Q, A, args, commutator=commutator))
+        for args in product(elements, repeat=Q.n)
+    )
+
+
+def assert_lean_path_matches(Q, A, commutator=False, cap=idtest.EXACT_CAP, workers=1):
+    """Exact zero_probability is the constructor-built report of the
+    reference count, and dixon_verdict is reference_dixon's report, field
+    for field; over the cap all three raise the same refusal."""
+    total = A.order() ** Q.n
+    calls = (zero_probability, dixon_verdict, reference_dixon)
+    kwargs = {"cap": cap, "workers": workers, "commutator": commutator}
+    if total > cap:
+        for call in calls:
+            with pytest.raises(SearchSpaceTooLarge) as refused:
+                call(Q, A, **kwargs)
+            assert (refused.value.size, refused.value.cap) == (total, cap)
+        return
+    degree = 0 if Q.is_zero else Q.degree
+    want = constructor_report(reference_zeros(Q, A, commutator), total, degree)
+    assert_same_report(zero_probability(Q, A, **kwargs), want)
+    assert_same_report(dixon_verdict(Q, A, **kwargs), reference_dixon(Q, A, **kwargs))
+
+
+def test_lean_path_matches_the_references_on_every_dimension_two_table():
+    brackets = [parse(text, Flavor.LIE, F2) for text in ("[x1,x2]", "[[x1,x2],x1]")]
+    cells = list(product(range(2), repeat=2))
+    for tbl in product(cells, repeat=4):
+        A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
+        for Q in cli.battery_for(A):
+            assert_lean_path_matches(Q, A)
+        for Q in brackets:
+            assert_lean_path_matches(Q, A, commutator=True)
+
+
+@st.composite
+def lean_cases(draw):
+    """Random tables over GF(2), GF(3) and GF(4) with polynomials in 0 to 3
+    variables, the zero polynomial among them, and a cap that is either
+    the default or one below the count's points."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    F = field_of_order(q)
+    dim = draw(st.integers(1, 2))
+    cell = st.tuples(*[st.integers(0, q - 1)] * dim)
+    A = Algebra(F, dim, [[draw(cell) for _ in range(dim)] for _ in range(dim)])
+    flavor = draw(st.sampled_from(list(Flavor)))
+    n = draw(st.integers(0, 3 if q ** (3 * dim) <= 4096 else 2))
+    terms = {}
+    if n:
+        leaf = st.integers(1, n)
+        if flavor is Flavor.ASSOC:
+            term = st.lists(leaf, min_size=1, max_size=4).map(tuple)
+        else:
+            term = st.recursive(leaf, lambda t: st.tuples(t, t), max_leaves=4)
+        terms = draw(st.dictionaries(term, st.integers(1, q - 1), max_size=3))
+    cap = A.order() ** n - 1 if draw(st.booleans()) else idtest.EXACT_CAP
+    # lie input on a plain table is read through the commutator
+    return FreePoly(F, flavor, n, terms), A, flavor is Flavor.LIE, cap
+
+
+@settings(max_examples=80, deadline=None)
+@given(lean_cases())
+def test_lean_path_matches_the_references_on_random_tables(case):
+    Q, A, commutator, cap = case
+    assert_lean_path_matches(Q, A, commutator, cap)
+
+
+@settings(max_examples=12, deadline=None)
+@given(lean_cases())
+def test_lean_path_matches_the_references_on_the_pool(case):
+    # two workers, FORK_POINTS at 0 and lanes out of reach (by the floor: a
+    # zero table costs nothing on lanes, so no RATIO closes the gate):
+    # every count of one argument or more forks, and walks its chunks on
+    # the pool
+    Q, A, commutator, cap = case
+    pooled = []
+    pool = idtest.pool_map
+
+    def recording(fn, payloads, workers):
+        pooled.append(len(payloads))
+        return pool(fn, payloads, workers)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(os, "cpu_count", lambda: 2)
+        m.setattr(bound, "FORK_POINTS", 0)
+        m.setattr(lanes, "MIN_POINTS", 1 << 64)
+        m.setattr(idtest, "pool_map", recording)
+        assert_lean_path_matches(Q, A, commutator, cap, workers=2)
+    if Q.n and A.order() ** Q.n <= cap:
+        assert len(pooled) == 3 and min(pooled) > 1
+
+
+def test_forced_violations_keep_their_messages_and_witnesses(monkeypatch):
+    # each of dixon_verdict's three messages, forced as the boundary tests
+    # force them; the witness is reference_dixon's and this literal one,
+    # key for key and in order
+    Q = parse("x1*x1", Flavor.FREE, F2, n=2)  # 12 zeros of 16, floor 1/4
+    identity = parse("x1*x2", Flavor.FREE, F2)
+    ZERO = Algebra(F2, 2, [[(0, 0), (0, 0)], [(0, 0), (0, 0)]], name="zero")
+    disagree = "enumeration and coordinate reduction disagree on identity-ness"
+    cases = [
+        # a count of every point where the coordinates are nonzero
+        (Q, BOUNDARY, 16, None, disagree, "1"),
+        # a nonzero point where every coordinate is zero
+        (identity, ZERO, 15, None, disagree, "15/16"),
+        (Q, BOUNDARY, 13, None, "nonzero fraction 3/16 under the coordinate density floor 1/4", "13/16"),
+        (Q, BOUNDARY, 13, Fraction(1, 16), "non-identity with zero probability 13/16 above 1 - 2^-2", "13/16"),
+    ]
+    for P, A, zeros, floor, message, probability in cases:
+        got, want = forced_verdicts(monkeypatch, P, A, zeros, floor)
+        witness = {
+            "poly": P.to_text(),
+            "n": 2,
+            "flavor": "free",
+            "commutator": False,
+            "algebra": idtest.to_json_dict(A),
+            "zero_count": zeros,
+            "total": 16,
+            "route": "points",
+            "probability": probability,
+            "threshold": "3/4",
+        }
+        assert got[0] == want[0] == message
+        assert list(got[1].items()) == list(want[1].items()) == list(witness.items())
 
 
 # ---------------------------------------------------------------------------

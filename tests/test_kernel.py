@@ -772,8 +772,61 @@ def test_callers_size_payloads_by_the_clamped_pool(pooled_counts, monkeypatch):
     M = matrix_algebra(2, 2)
     Q = parse("x1*x2*x3 - x3*x2*x1", Flavor.FREE, M.field)
     serial = zero_probability(Q, M, workers=1).zero_count
+    assert sizes == [1, 8]  # a serial count is one walker call, with no pool_map
     assert zero_probability(Q, M, workers=10**6).zero_count == serial
-    assert sizes == [1, 8, 1, 8]
+    assert sizes == [1, 8, 8]
+
+
+def test_a_serial_count_is_one_walker_call_on_the_whole_range(monkeypatch):
+    # a serial count, or one under FORK_POINTS, calls _count_range once, on
+    # the first walked argument's whole range, and never reaches
+    # chunk_ranges or pool_map; at FORK_POINTS and more workers it does
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(lanes, "RATIO", 1 << 64)
+    walks, pools = [], []
+    walker = idtest._count_range
+
+    def recording_walker(payload):
+        walks.append(payload[3:])
+        return walker(payload)
+
+    def recording_chunks(*args):
+        pools.append(("chunk_ranges", args))
+        return bound.chunk_ranges(*args)
+
+    def recording_pool(fn, payloads, workers):
+        pools.append(("pool_map", len(payloads)))
+        return [fn(p) for p in payloads]
+
+    monkeypatch.setattr(idtest, "_count_range", recording_walker)
+    monkeypatch.setattr(idtest, "chunk_ranges", recording_chunks)
+    monkeypatch.setattr(idtest, "pool_map", recording_pool)
+    M, H = matrix_algebra(2, 2), heisenberg(5)
+    cases = [
+        (M, parse("x1*x1*x2*x2", Flavor.FREE, M.field), (None, 0, 16), 16**2),  # points
+        (M, parse("x1*x2*x3 - x3*x2*x1", Flavor.FREE, M.field), (2, 0, 16), 5 * 16**2),  # slices
+        (H, parse("[[x1,x3],x2] + 2*[x2,x1]", Flavor.LIE, H.field), (2, 0, 125), 4 * 125**2),
+        (M, parse("x1", Flavor.FREE, M.field), (None, 0, 16), 16),  # one argument
+        (M, zero(M.field, Flavor.FREE), (None, 0, 1), 1),  # no argument: the one empty point
+    ]
+    for A, Q, walk, points in cases:
+        serial = zero_probability(Q, A).zero_count
+        assert (walks, pools) == ([walk], [])
+        walks.clear()
+        for workers, fork_points in ((2, points + 1), (10**6, points + 1), (1, 0), (0, 0)):
+            monkeypatch.setattr(bound, "FORK_POINTS", fork_points)
+            assert zero_probability(Q, A, workers=workers).zero_count == serial
+            assert (walks, pools) == ([walk], []), (Q.to_text(), workers)
+            walks.clear()
+        monkeypatch.setattr(bound, "FORK_POINTS", points)
+        assert zero_probability(Q, A, workers=2).zero_count == serial
+        first = walk[2]
+        chunks = bound.chunk_ranges(0, first, 2)
+        assert pools == [("chunk_ranges", (0, first, 2)), ("pool_map", len(chunks))]
+        assert walks == [(walk[0], start, stop) for start, stop in chunks]
+        walks.clear()
+        pools.clear()
+        monkeypatch.setattr(bound, "FORK_POINTS", 1 << 20)
 
 
 def test_counts_fork_once_the_points_walked_reach_fork_points(monkeypatch):
