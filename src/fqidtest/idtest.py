@@ -23,15 +23,12 @@ _kernel, _evaluate_raw, Algebra.mul or the lanes module, and the lanes
 route calls none of them and no coordinate helper.
 
 zero_probability's exact count takes one of three routes (_count_route).
-Over GF(2^k) and GF(3) it counts on lanes (fqidtest.lanes): each point of
-A^n is one bit of a Python int, and e_Q runs once on all the points of a
-block, a few plane operations per nonzero structure constant and product
-(lanes.cost).  A kernel product costs one lookup per point instead, so
-the lanes route is taken once the points reach lanes.RATIO times the
-cost and lanes.MIN_POINTS, below which a count is cheaper on the walker.
-A lanes count runs in the calling process whatever the workers, as it is
-already faster than a forked point walk.  Otherwise one walker
-(_count_range) counts on the kernel, slice by slice where it can.  If
+Over GF(2^k) and GF(3), a count of at least LANES_MIN_POINTS points runs
+on lanes (fqidtest.lanes): each point of A^n is one bit of a Python int,
+and e_Q runs once on all the points of a block.  A lanes count runs in
+the calling process whatever the workers, as it is already faster than a
+forked point walk.  Otherwise one walker (_count_range) counts on the
+kernel, slice by slice where it can.  If
 some variable occurs at most once in every term, e_Q is affine in it, so
 with the other arguments fixed it is v -> L(v) + c: the kernel runs at
 v = 0 and at the dim basis vectors only, and the slice has
@@ -50,14 +47,14 @@ of the forked walk), with no chunk list and no pool_map.  The exact
 report is built once, in zero_probability; its probability comes from a
 bounded cache keyed by the zero count and the total, since counts of a
 few points repeat their values across algebras as well as across calls.
-Over GF(2^k) and GF(3) no count slices: slices pay from order 8 and 27,
-where order**2 passes lanes.RATIO times a product's cost, at most
-(k * dim)**3 XORs or 12 * dim**3 operations.  Each route's count is
-exact, and the coordinate route that checks it is unchanged.  A sampled
-count streams its points from SplitMix64(seed) in blocks of whole
-points, and the same gate, read at the number of samples, sends it to
-lanes (lanes.sampled, on SplitMix64.digits) or to the kernel
-(SplitMix64.points); both read the one stream.  Coset search lists the
+Over GF(2^k) and GF(3) no exact count slices: a slice needs two
+arguments and order > 3 * (dim + 1), so order**n >= 49 points, which
+lanes take.  Each route's count is exact, and the coordinate route that
+checks it is unchanged.  A sampled count streams its points from
+SplitMix64(seed) in blocks of whole points, and the same gate, read at
+the number of samples, sends it to lanes (lanes.sampled, on
+SplitMix64.digits) or to the kernel (SplitMix64.points); both read the
+one stream.  Coset search lists the
 zero ideal's witnesses, the zeros of e_Q, by the same gate at order**n
 points: off lanes.zero_flags, one byte per point from the blocks of a
 lanes count, or off the kernel's point walk; its other ideals, and
@@ -751,17 +748,30 @@ def _slice_zeros(tables: _Tables) -> _Memo:
     return _Memo(zeros)
 
 
-def _count_route(Q: FreePoly, A: Algebra, commutator: bool, points: int):
+# Points from which a count over GF(2^k) or GF(3) runs on lanes: on the
+# 1,024 verdicts of the sweep benchmark (the 256 dimension-2 GF(2) tables
+# times the battery, counts of 4 and 16 points), counting on lanes took
+# 8.5 us a count against 7.3 on the kernel walker, and 24.1 us a verdict
+# against 18.7; from 64 points lanes save more: two 64-point words on the
+# same tables took 24 us a count on lanes against 49 on the walker.  On
+# 126 one-argument counts of 32 to 256 points on random tables with nine
+# in ten constants nonzero, lanes took 0.71 to 2.8 times the walker's time
+# a count, 1.4 times in total (5.2 ms against 3.7; 2-vCPU Intel Xeon,
+# Python 3.11.7), and 0.79 times on the sweep benchmark's 81-point GF(3)
+# counts: no benchmark workload counts where the walker is faster
+LANES_MIN_POINTS = 32
+
+
+def _count_route(Q: FreePoly, A: Algebra, points: int):
     """(route, j): how a count of e_Q's zeros at points points runs, as
     the module docstring sets out: order**n points for _count_exact and
     the samples for a sampled count.  "lanes" over GF(2^k) and GF(3) once
-    the points reach lanes.MIN_POINTS and lanes.RATIO times lanes.cost,
-    else "slice" along x_{j+1} where _slice_variable gives j, else
-    "points"; j is None but on the slice route.  A sampled count off
-    lanes runs on the kernel whatever the route."""
-    if A.field.p == 2 or A.field.q == 3:
-        if points >= lanes.MIN_POINTS and points >= lanes.RATIO * lanes.cost(A, commutator):
-            return "lanes", None
+    the points reach LANES_MIN_POINTS, else "slice" along x_{j+1} where
+    _slice_variable gives j, else "points"; j is None but on the slice
+    route.  A sampled count off lanes runs on the kernel whatever the
+    route."""
+    if (A.field.p == 2 or A.field.q == 3) and points >= LANES_MIN_POINTS:
+        return "lanes", None
     j = _slice_variable(Q, A)
     return ("points", None) if j is None else ("slice", j)
 
@@ -780,7 +790,7 @@ def _count_exact(Q, A, commutator, workers):
     route runs its blocks in process and never forks (lanes.count).
     """
     order, n = A.order(), Q.n
-    route, j = _count_route(Q, A, commutator, order**n)
+    route, j = _count_route(Q, A, order**n)
     if route == "lanes":
         return lanes.count(Q, A, commutator)
     if j is None:
@@ -840,7 +850,7 @@ def zero_probability(
     if samples > cap:
         raise SearchSpaceTooLarge(samples, cap)
     stream, q = SplitMix64(seed), A.field.q
-    if _count_route(Q, A, commutator, samples)[0] == "lanes":
+    if _count_route(Q, A, samples)[0] == "lanes":
         zero_count = lanes.sampled(Q, A, commutator, stream.digits(q, A.dim, n, samples))
     else:
         e = _kernel(Q, A, commutator)
@@ -952,7 +962,7 @@ def _violation(
         Q, A, commutator,
         zero_count=report.zero_count,
         total=report.total,
-        route=_count_route(Q, A, commutator, report.total)[0],
+        route=_count_route(Q, A, report.total)[0],
         probability=str(report.probability),
         threshold=str(report.threshold),
     ))
@@ -1079,7 +1089,7 @@ def coset_identity_search(
         if not ideal.basis:
             # every element is its own representative, reps[i] has index i,
             # so the tuples of reps run in step with the points of indices
-            if _count_route(Q, A, commutator, order**n)[0] == "lanes":
+            if _count_route(Q, A, order**n)[0] == "lanes":
                 zeros = lanes.zero_flags(Q, A, commutator)
             else:
                 zeros = map(not_, map(e, product(range(order), repeat=n)))

@@ -1,4 +1,6 @@
-"""Zero counts on bit planes, exact and sampled: idtest's lanes route.
+"""Zero counts on bit planes, exact and sampled: idtest's lanes route,
+which idtest takes for every count over GF(2^k) or GF(3) of at least
+idtest.LANES_MIN_POINTS points.
 
 Each point of a block is one bit of a Python int.  An algebra A over
 GF(2^k) is read by restriction of scalars as a GF(2)-algebra of dimension
@@ -41,10 +43,9 @@ that reads it, so a block keeps only the nodes still to be read:
   GF(2^k); such planes keep one bit per byte.
 
 The structure constants and each coefficient's map are built once per
-algebra, when a count or the crossover's cost first reads them, and kept
-in its memo under the key _Tables, never pickled; the cost is counted in
-plane operations, once per reading, and kept beside them; e_Q's plan reads
-Q alone and is shared by all algebras.
+algebra, when a count first reads them, and kept in its memo under the
+key _Tables, never pickled; e_Q's plan reads Q alone and is shared by all
+algebras.
 
 This is the enumeration side of the cross-checks that idtest runs against
 the coordinate polynomials, so it reads A.table and the field's
@@ -59,23 +60,6 @@ from .freepoly import Flavor
 
 # Points per block: at most 2**BLOCK_BITS, so a plane holds at most 128 KiB
 BLOCK_BITS = 20
-# Points per plane operation of a product (cost) from which idtest counts on
-# lanes: a GF(2) lanes product costs about one XOR per constant, a kernel
-# product one lookup per point, and over 283 tables and polynomials of 2 to
-# 2**14 points this ratio came within 1.5% of the faster route's total,
-# where lanes alone took 15% more and the kernel alone 18 times as much.
-# Over 255 GF(3) tables and polynomials of 3 to 3**9 points, at twelve
-# operations a sum, it came within 3.5-5% of the faster of lanes and the
-# walker (slices or points), lanes alone within 2% and the walker alone
-# took 5.6-5.8 times as much
-RATIO = 2
-# Points from which idtest counts on lanes at all: on the 1,024 verdicts of
-# the sweep benchmark (the 256 dimension-2 GF(2) tables times the battery,
-# counts of 4 and 16 points), counting on lanes wherever RATIO allows took
-# 8.5 us a count against 7.3 on the kernel walker, and 24.1 us a verdict
-# against 18.7; from 64 points lanes save more: two 64-point words on the
-# same tables took 24 us a count on lanes against 49 on the walker
-MIN_POINTS = 32
 
 
 def _product2(rows, size, u, v):
@@ -129,7 +113,6 @@ class _GF2:
     of the output lanes it adds into."""
 
     p, planes = 2, 1
-    ops = 1  # plane operations that add one constant's product: an XOR
     product = staticmethod(_product2)
 
     @staticmethod
@@ -151,7 +134,6 @@ class _GF3:
     twice."""
 
     p, planes = 3, 2
-    ops = 12  # plane operations that add one constant's product: a sum
     product = staticmethod(_product3)
     add = staticmethod(_add3)
 
@@ -191,7 +173,7 @@ class _Tables:
     byte within a draw, and translate tables of its planes.
     """
 
-    __slots__ = ("field", "arith", "width", "constants", "products", "costs", "scales", "reads")
+    __slots__ = ("field", "arith", "width", "constants", "products", "scales", "reads")
 
     def __init__(self, A):
         f, dim, k = A.field, A.dim, A.field.k
@@ -224,7 +206,6 @@ class _Tables:
             self.reads = tuple((dim - 1 - b, 0, _VALUE_PLANES) for b in range(dim))
         self.constants = constants
         self.products = {}  # commutator flag -> rows
-        self.costs = {}  # commutator flag -> the plane operations of its rows
         self.scales = {}  # coefficient -> srcs
 
     def rows(self, commutator: bool):
@@ -399,20 +380,6 @@ def _block_masks(Q, A, commutator: bool, digits: int, start: int, stop: int):
             variables += fill[d]
         values = [variables[(n - 1 - a) * span : (n - a) * span] for a in range(n)]
         yield _nonzeros(arith, rows, steps, terms, values)
-
-
-def cost(A, commutator: bool) -> int:
-    """The plane operations that add the products of one product of two
-    elements of A into their output lanes: one per constant in the rows of
-    its lane tables over GF(2), an XOR, and twelve over GF(3), a sum;
-    counted once per reading and kept in the tables."""
-    tables = _tables(A)
-    total = tables.costs.get(commutator)
-    if total is None:
-        rows = tables.rows(commutator)
-        total = sum(len(outs) for _, row in rows for _, outs in row) * tables.arith.ops
-        tables.costs[commutator] = total
-    return total
 
 
 def _split(Q, A):

@@ -4,7 +4,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from fqidtest import bound, lanes
+from fqidtest import bound, idtest
 
 _CRITERIA = []
 
@@ -32,11 +32,11 @@ def pooled_counts(monkeypatch):
     """Exact counts and exhaustive scans with workers > 1 fork their pool
     whatever their size, as those of FORK_POINTS points walked (candidates
     times points, for a scan) and more do.  bound.FORK_POINTS is the one
-    binding both read.  A lanes count never forks, so counts over
-    characteristic 2 are kept off lanes (lanes.RATIO out of reach) and
-    fork on the point and slice walks."""
+    binding both read.  A lanes count never forks, so counts over GF(2^k)
+    and GF(3) are kept off lanes (idtest.LANES_MIN_POINTS out of reach)
+    and fork on the point and slice walks."""
     monkeypatch.setattr(bound, "FORK_POINTS", 0)
-    monkeypatch.setattr(lanes, "RATIO", 1 << 64)
+    monkeypatch.setattr(idtest, "LANES_MIN_POINTS", 1 << 64)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -48,7 +48,9 @@ SAMPLED = "tests/test_kernel.py::test_sampled_mode_matches_the_recount_at_block_
 COORDS = "tests/test_coordinates.py"
 SLICES = "tests/test_kernel.py::test_slices_match_points_on_random_tables"
 ZERO_FLAGS = LANES + "::test_zero_flags_match_the_kernel_on_every_dimension_two_table"
-GF3_ROUTE = LANES + "::test_gf3_route_takes_lanes_from_the_crossover_on"
+ROUTE = LANES + "::test_route_takes_lanes_from_the_floor_on"
+GF3_ROUTE = LANES + "::test_gf3_route_takes_lanes_from_the_floor_on"
+DENSE = LANES + "::test_counts_on_dense_tables_match_the_point_walk"
 GF3_LIBRARY = LANES + "::test_gf3_lanes_match_points_on_the_library"
 GF3_RANDOM = LANES + "::test_gf3_lanes_match_points_on_random_tables"
 
@@ -197,8 +199,8 @@ MUTANTS = (
     Mutant(
         "zero-ideal-lanes-route-unused",
         "src/fqidtest/idtest.py",
-        'if _count_route(Q, A, commutator, order**n)[0] == "lanes":',
-        'if _count_route(Q, A, commutator, order**n)[0] == "never":',
+        'if _count_route(Q, A, order**n)[0] == "lanes":',
+        'if _count_route(Q, A, order**n)[0] == "never":',
         (COSETS + "::test_a_lanes_zero_ideal_makes_no_kernel_call",),
     ),
     Mutant(
@@ -360,18 +362,11 @@ MUTANTS = (
         (LANES + "::test_lanes_match_points_with_coefficients_over_gf4_and_gf8",),
     ),
     Mutant(
-        "lanes-cost-commutator-ignored",
+        "lanes-rows-commutator-ignored",
         "src/fqidtest/lanes.py",
         "arith.sub(m[a][b], m[b][a]) if commutator",
         "m[a][b] if commutator",
-        (LANES + "::test_cost_is_the_constants_of_the_lane_tables",),
-    ),
-    Mutant(
-        "lanes-cost-reading-ignored",
-        "src/fqidtest/lanes.py",
-        "total = tables.costs.get(commutator)",
-        "total = next(iter(tables.costs.values()), None)",
-        (LANES + "::test_route_takes_lanes_from_the_crossover_on",),
+        (DENSE,),
     ),
     Mutant(
         "lanes-node-never-dropped",
@@ -383,29 +378,22 @@ MUTANTS = (
     Mutant(
         "lanes-floor-strict",
         "src/fqidtest/idtest.py",
-        "points >= lanes.MIN_POINTS",
-        "points > lanes.MIN_POINTS",
-        (LANES + "::test_route_takes_lanes_from_the_crossover_on",),
-    ),
-    Mutant(
-        "lanes-crossover-strict",
-        "src/fqidtest/idtest.py",
-        "points >= lanes.RATIO *",
-        "points > lanes.RATIO *",
-        (LANES + "::test_route_takes_lanes_from_the_crossover_on",),
-    ),
-    Mutant(
-        "lanes-crossover-strict-gf3",
-        "src/fqidtest/idtest.py",
-        "points >= lanes.RATIO *",
-        "points > lanes.RATIO *",
-        (GF3_ROUTE,),
+        "points >= LANES_MIN_POINTS",
+        "points > LANES_MIN_POINTS",
+        (ROUTE,),
     ),
     Mutant(
         "lanes-floor-strict-gf3",
         "src/fqidtest/idtest.py",
-        "points >= lanes.MIN_POINTS",
-        "points > lanes.MIN_POINTS",
+        "points >= LANES_MIN_POINTS",
+        "points > LANES_MIN_POINTS",
+        (GF3_ROUTE,),
+    ),
+    Mutant(
+        "gate-drops-gf3",
+        "src/fqidtest/idtest.py",
+        "A.field.p == 2 or A.field.q == 3",
+        "A.field.p == 2",
         (GF3_ROUTE,),
     ),
     Mutant(

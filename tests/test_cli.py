@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqidtest import algebra, bound, cli, idtest, lanes
+from fqidtest import algebra, bound, cli, idtest
 from fqidtest.algebra import (
     BUILDERS,
     STRUCTURE_CAP,
@@ -205,7 +205,7 @@ def test_dixon_witness_replays_through_the_cli(
     if route != "lanes":
         # GF(2^k) and GF(3) count these on lanes; the witness of a count on
         # the point or slice route replays on whichever route the CLI takes
-        monkeypatch.setattr(lanes, "RATIO", 1 << 64)
+        monkeypatch.setattr(idtest, "LANES_MIN_POINTS", 1 << 64)
     # forced disagreement: the coordinate route claims e_Q is an identity
     monkeypatch.setattr(idtest, "reduced_degrees", all_zero_degrees)
     with pytest.raises(TheoremViolation) as info:

@@ -311,11 +311,11 @@ def test_zero_ideal_on_lanes_matches_the_kernel_walk_and_the_reference(monkeypat
         A = builtin(spec)
         Q = parse(text, flavor, A.field)
         points = A.order() ** Q.n
-        assert idtest._count_route(Q, A, commutator, points)[0] == "lanes", spec
+        assert idtest._count_route(Q, A, points)[0] == "lanes", spec
         on_lanes = coset_identity_search(Q, A, A.dim, commutator=commutator)
         with monkeypatch.context() as m:
-            m.setattr(lanes, "MIN_POINTS", points + 1)  # lanes closed
-            assert idtest._count_route(Q, A, commutator, points)[0] != "lanes"
+            m.setattr(idtest, "LANES_MIN_POINTS", points + 1)  # lanes closed
+            assert idtest._count_route(Q, A, points)[0] != "lanes"
             on_the_kernel = coset_identity_search(Q, A, A.dim, commutator=commutator)
         assert on_lanes == on_the_kernel == reference_search(Q, A, A.dim, commutator), spec
         zeros = [w for w in on_lanes if w.ideal.rank == 0]
@@ -789,7 +789,7 @@ def test_tables_are_shared_between_calls():
     # term, the count walks every point and fills the whole product table
     H = heisenberg(5)
     Q = parse("[[x1,x2],x1] + [[x2,x1],x2]", Flavor.LIE, H.field)
-    assert idtest._count_route(Q, H, False, H.order() ** 2) == ("points", None)
+    assert idtest._count_route(Q, H, H.order() ** 2) == ("points", None)
     zero_probability(Q, H)
     tables = H._memo[idtest._Tables]
     filled = len(tables.products[False])
@@ -980,27 +980,31 @@ def test_pickling_drops_every_memo():
 
 
 def test_one_memo_holds_every_owners_entry():
-    # every kind of entry: a lanes count, a kernel count, coset search and
-    # descent, reduced_degrees, a completed ideal walk and both cost
-    # readings, each under its owner's key in the one memo
+    # every kind of entry: lanes counts of both readings, kernel counts on
+    # either side of the 32-point gate, coset search and descent,
+    # reduced_degrees and a completed ideal walk, each under its owner's
+    # key in the one memo
     assert Algebra.__slots__ == ("field", "dim", "table", "bracket", "name", "basis_names", "_memo")
     M = matrix_algebra(2, 2)
     pair, square = (parse(text, Flavor.FREE, M.field) for text in ("x1*x2", "x1*x1"))
-    assert [idtest._count_route(Q, M, False, M.order() ** Q.n)[0] for Q in (pair, square)] == ["lanes", "points"]
+    bracket = parse("[x1,x2]", Flavor.LIE, M.field)
+    assert [idtest._count_route(Q, M, M.order() ** Q.n)[0] for Q in (pair, square)] == ["lanes", "points"]
+    assert [idtest._count_route(pair, M, s)[0] for s in (31, 32)] == ["slice", "lanes"]
 
     def answers(A):
         return (
             [zero_probability(Q, A).zero_count for Q in (pair, square)],
+            [zero_probability(pair, A, samples=s, seed=s).zero_count for s in (31, 32)],
             [(w, multilinear_descent(pair, A, w)) for w in coset_identity_search(pair, A, A.dim)],
             commpoly.reduced_degrees(pair, A),
             enumerate_ideals(A),
-            [lanes.cost(A, False), lanes.cost(A, True)],
+            zero_probability(bracket, A, commutator=True).zero_count,
         )
 
     want = answers(M)
     owners = [algebra._walk_ideals, idtest._Tables, lanes._Tables, commpoly._cells]
     assert len(set(owners)) == 4 and set(M._memo) == set(owners)
-    assert set(M._memo[lanes._Tables].costs) == {False, True}
+    assert set(M._memo[lanes._Tables].products) == {False, True}
     copy = pickle.loads(pickle.dumps(M))
     assert copy == M and copy._memo == {}
     assert answers(copy) == want

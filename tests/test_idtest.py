@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import splitmix_reference
 from splitmix_reference import ScalarSplitMix64
 
-from fqidtest import bound, cli, idtest, lanes
+from fqidtest import bound, cli, idtest
 from fqidtest.bound import floor_fraction
 from fqidtest.commpoly import reduced_coordinates
 from fqidtest.algebra import (
@@ -505,7 +505,7 @@ def reference_dixon(Q, A, *, cap=idtest.EXACT_CAP, workers=1, commutator=False):
             "algebra": idtest.to_json_dict(A),
             "zero_count": report.zero_count,
             "total": report.total,
-            "route": idtest._count_route(Q, A, commutator, report.total)[0],
+            "route": idtest._count_route(Q, A, report.total)[0],
             "probability": str(report.probability),
             "threshold": str(report.threshold),
         })
@@ -871,10 +871,8 @@ def test_lean_path_matches_the_references_on_random_tables(case):
 @settings(max_examples=12, deadline=None)
 @given(lean_cases())
 def test_lean_path_matches_the_references_on_the_pool(case):
-    # two workers, FORK_POINTS at 0 and lanes out of reach (by the floor: a
-    # zero table costs nothing on lanes, so no RATIO closes the gate):
-    # every count of one argument or more forks, and walks its chunks on
-    # the pool
+    # two workers, FORK_POINTS at 0 and lanes out of reach: every count
+    # of one argument or more forks, and walks its chunks on the pool
     Q, A, commutator, cap = case
     pooled = []
     pool = idtest.pool_map
@@ -886,7 +884,7 @@ def test_lean_path_matches_the_references_on_the_pool(case):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(os, "cpu_count", lambda: 2)
         m.setattr(bound, "FORK_POINTS", 0)
-        m.setattr(lanes, "MIN_POINTS", 1 << 64)
+        m.setattr(idtest, "LANES_MIN_POINTS", 1 << 64)
         m.setattr(idtest, "pool_map", recording)
         assert_lean_path_matches(Q, A, commutator, cap, workers=2)
     if Q.n and A.order() ** Q.n <= cap:

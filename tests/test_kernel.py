@@ -533,7 +533,7 @@ def test_slice_verdicts_keep_two_scale_tables():
     for q, peak_bytes in ((251, 1 << 20), (1021, None)):
         A = field_as_algebra(q)
         Q = parse("x1*x2", Flavor.FREE, A.field)
-        assert idtest._count_route(Q, A, False, q * q) == ("slice", 1)
+        assert idtest._count_route(Q, A, q * q) == ("slice", 1)
         if peak_bytes:
             tracemalloc.start()
         try:
@@ -591,10 +591,10 @@ def test_slice_route_evaluates_probes_only(monkeypatch):
 def test_workers_give_the_serial_count_on_the_slice_route(pooled_counts, monkeypatch, A, flavor, text):
     # counts of these sizes over GF(2^k) and GF(3) run on lanes, so the gate
     # is closed to reach the slice route
-    monkeypatch.setattr(lanes, "MIN_POINTS", 1 << 64)
+    monkeypatch.setattr(idtest, "LANES_MIN_POINTS", 1 << 64)
     Q = parse(text, flavor, A.field)
     assert _slice_variable(Q, A) is not None
-    assert idtest._count_route(Q, A, False, A.order() ** Q.n)[0] == "slice"
+    assert idtest._count_route(Q, A, A.order() ** Q.n)[0] == "slice"
     serial = zero_probability(Q, A, workers=1).zero_count
     assert zero_probability(Q, A, workers=3).zero_count == serial
     assert serial == sum(
@@ -625,7 +625,7 @@ def block_edges(n):
 
 # the block edges at the ceiling, and at a ceiling of 256 indices (128
 # two-argument points a block, 85 three-argument ones), which also span
-# lanes.MIN_POINTS (31-33) and heisenberg(3)'s crossover of 48 points
+# idtest.LANES_MIN_POINTS (31-33)
 BLOCK_EDGE_CASES = [
     *[("[x1,x2] + [[x1,x2],x2]", s) for s in sorted(
         {31, 32, 33, 127, 128, 129, 159, 160, 161, 255, 256, 257, *block_edges(2)}
@@ -636,10 +636,11 @@ BLOCK_EDGE_CASES = [
 
 @pytest.mark.parametrize("text, samples", BLOCK_EDGE_CASES)
 def test_sampled_mode_matches_the_recount_at_block_edges(text, samples):
-    # heisenberg(3) counts on lanes from 48 samples, on the kernel below
+    # heisenberg(3) counts on lanes from 32 samples, on the kernel below
     H = heisenberg(3)
     Q = parse(text, Flavor.LIE, H.field)
-    assert (idtest._count_route(Q, H, False, samples)[0] == "lanes") == (samples >= 48)
+    assert idtest.LANES_MIN_POINTS == 32
+    assert (idtest._count_route(Q, H, samples)[0] == "lanes") == (samples >= 32)
     rep = zero_probability(Q, H, samples=samples, seed=-(1 << 64) - 9)
     assert rep.zero_count == sampled_recount(Q, H, samples, -(1 << 64) - 9)
 
@@ -650,7 +651,7 @@ def test_sampled_kernel_route_matches_the_recount_at_block_edges(text, samples):
     # the kernel
     H = heisenberg(5)
     Q = parse(text, Flavor.LIE, H.field)
-    assert idtest._count_route(Q, H, False, samples)[0] != "lanes"
+    assert idtest._count_route(Q, H, samples)[0] != "lanes"
     rep = zero_probability(Q, H, samples=samples, seed=-(1 << 64) - 9)
     assert rep.zero_count == sampled_recount(Q, H, samples, -(1 << 64) - 9)
 
@@ -665,7 +666,7 @@ def test_sampled_mode_is_capped_before_any_draw(monkeypatch):
     for q in (3, 5):
         H = heisenberg(q)
         Q = parse("[x1,x2] + [[x1,x3],x2]", Flavor.LIE, H.field)
-        assert (idtest._count_route(Q, H, False, 64)[0] == "lanes") == (q == 3)
+        assert (idtest._count_route(Q, H, 64)[0] == "lanes") == (q == 3)
         rep = zero_probability(Q, H, samples=64, seed=5, cap=64)
         assert rep.zero_count == sampled_recount(Q, H, 64, 5)
         with monkeypatch.context() as m:
@@ -782,7 +783,7 @@ def test_a_serial_count_is_one_walker_call_on_the_whole_range(monkeypatch):
     # the first walked argument's whole range, and never reaches
     # chunk_ranges or pool_map; at FORK_POINTS and more workers it does
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(lanes, "RATIO", 1 << 64)
+    monkeypatch.setattr(idtest, "LANES_MIN_POINTS", 1 << 64)
     walks, pools = [], []
     walker = idtest._count_range
 
@@ -844,7 +845,7 @@ def test_counts_fork_once_the_points_walked_reach_fork_points(monkeypatch):
         (T, Flavor.FREE, "x1*x1*x2*x2", 25**2),  # no affine variable
     ]:
         Q = parse(text, flavor, A.field)
-        assert idtest._count_route(Q, A, False, A.order() ** Q.n)[0] != "lanes"
+        assert idtest._count_route(Q, A, A.order() ** Q.n)[0] != "lanes"
         serial = zero_probability(Q, A).zero_count
         monkeypatch.setattr(bound, "FORK_POINTS", walked + 1)
         assert zero_probability(Q, A, workers=2).zero_count == serial
@@ -857,7 +858,7 @@ def test_counts_fork_once_the_points_walked_reach_fork_points(monkeypatch):
     # walk, is a lanes count, and stays in process in 16 blocks of 16 points
     M = matrix_algebra(2, 2)
     Q = parse("x1*x1*x2*x2", Flavor.FREE, M.field)
-    assert idtest._count_route(Q, M, False, M.order() ** 2)[0] == "lanes"
+    assert idtest._count_route(Q, M, M.order() ** 2)[0] == "lanes"
     serial = zero_probability(Q, M).zero_count
     monkeypatch.setattr(lanes, "BLOCK_BITS", 4)
     monkeypatch.setattr(bound, "FORK_POINTS", 0)
