@@ -30,7 +30,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, compress, islice, product, repeat
 from operator import and_, xor
 
-from .commpoly import CommPoly, _bit_masks
+from .commpoly import CommPoly, _digit_planes
 from .errors import (
     BudgetExceeded,
     NotEnoughVariables,
@@ -256,7 +256,7 @@ def _vectors(field, n: int, monomials):
     """
     q, points = field.q, field.q**n
     if q == 2:
-        full, masks = (1 << points) - 1, _bit_masks(n)
+        full, masks = (1 << points) - 1, [ones for ones, in _digit_planes(2, n)]
         basis = [reduce(and_, compress(masks, exps), full) for exps in monomials]
         return basis, 0, xor, None, None, lambda u: (u ^ full).__xor__
     add, neg = field.add, field.neg

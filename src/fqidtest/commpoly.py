@@ -45,10 +45,21 @@ F^n.  Over GF(2) it is bit-sliced: variable i is an int with bit k set
 when x_i = 1 at point k, a monomial is an AND of those masks, a
 polynomial the XOR of its monomials, and a point is a common zero when
 its bit is clear in the OR of the polynomials.  The masks take n * 2^n
-bits, 48 MB at the 2^24-point cap.  Other fields walk the points with the
-powers of every element for each reduced exponent that occurs
-(_count_points): over a prime field on plain ints, reduced mod p once per
-polynomial per point, and over GF(p^k), k > 1, through field calls.
+bits, 48 MB at the 2^24-point cap.  Over GF(3) it is bit-sliced on two
+planes per value (_count_gf3): a value's plane P has bit k
+set where it is 1 at point k, and its plane M where it is 2.  x^e is
+(P, M) for odd e and (P|M, 0) for even e > 0; a product is
+(P1&P2 | M1&M2, P1&M2 | M1&P2), the coefficient 2 swaps the planes, and
+a sum is ((P1^P2) & ~(M1|M2) | M1&M2) on P and the same with the planes
+swapped on M.  A point is a common zero when its bit is clear in the OR
+of P|M over the polynomials.  The planes take 2 * n * 3^n bits, 54 MB at
+the 3^15 points under the cap.  One builder, _digit_planes, makes the
+GF(2) masks and the GF(3) planes.  The formulas are commpoly's own, not
+lanes', which counts the other side of the same cross-check.  Other
+fields walk the points with the powers of every element for each reduced
+exponent that occurs (_count_points): over GF(p), p >= 5, on plain ints,
+reduced mod p once per polynomial per point, and over GF(p^k), k > 1,
+through field calls.
 
 parse_comm reads text with the walker the free flavors use,
 freepoly._Parser; only the atoms (powers allowed, brackets refused) and
@@ -274,35 +285,42 @@ def zero_counter(field: Field, nvars: int, cap: int):
     """A function from a list of {exps: coeff} dicts in nvars variables to
     the number of points of F^nvars where all of them vanish.
 
-    The bit masks (GF(2)) are built here, once for every call of the
-    returned function; other fields build, on each call, the powers of
-    every element for the reduced exponents its polynomials use, and walk
-    the points (_count_points).  Raises SearchSpaceTooLarge when q^nvars
-    exceeds cap.
+    The bit masks (GF(2)) and the bit planes (GF(3)) are built here, once
+    for every call of the returned function, after the cap check; other
+    fields build, on each call, the powers of every element for the
+    reduced exponents its polynomials use, and walk the points
+    (_count_points).  Raises SearchSpaceTooLarge when q^nvars exceeds cap.
     """
     q = field.q
     total = q**nvars
     if total > cap:
         raise SearchSpaceTooLarge(total, cap)
     if q == 2:
-        return partial(_count_gf2, _bit_masks(nvars), (1 << total) - 1, total)
+        masks = [ones for ones, in _digit_planes(2, nvars)]
+        return partial(_count_gf2, masks, (1 << total) - 1, total)
+    if q == 3:
+        return partial(_count_gf3, _digit_planes(3, nvars), (1 << total) - 1, total)
     return partial(_count_points, field, nvars)
 
 
-def _bit_masks(nvars: int) -> list[int]:
-    """Mask i has bit k set when x_i = 1 at point k of the canonical order,
-    where the first variable is the most significant digit of k."""
-    total = 1 << nvars
-    masks = []
+def _digit_planes(q: int, nvars: int) -> list[tuple[int, ...]]:
+    """The q - 1 planes of each variable: plane d - 1 of variable i has
+    bit k set when x_i = d at point k of the canonical order, where the
+    first variable is the most significant base-q digit of k.  One plane
+    (the bit masks) over GF(2), the planes (P, M) over GF(3)."""
+    total = q**nvars
+    planes = []
     for i in range(nvars):
-        run = 1 << (nvars - 1 - i)
-        mask = ((1 << run) - 1) << run  # one period: run zeros, then run ones
-        period = 2 * run
+        run = q ** (nvars - 1 - i)
+        ones = ((1 << run) - 1) << run  # the first period: run zeros, then run ones
+        period = q * run
         while period < total:
-            mask |= mask << period
+            ones |= ones << period
             period *= 2
-        masks.append(mask)
-    return masks
+        ones &= (1 << total) - 1
+        # the run of each digit d follows the run of d - 1
+        planes.append(tuple(ones << d * run for d in range(q - 1)))
+    return planes
 
 
 def _count_gf2(masks, full, total, polys) -> int:
@@ -318,14 +336,40 @@ def _count_gf2(masks, full, total, polys) -> int:
     return total - nonzero.bit_count()
 
 
+def _count_gf3(planes, full, total, polys) -> int:
+    """The common zeros of polys over GF(3), on the planes of
+    _digit_planes: every coefficient is 1 or 2."""
+    nonzero = 0
+    for monomials in polys:
+        vp = vm = 0
+        for exps, c in monomials.items():
+            p, m = full, 0
+            for (ones, twos), e in zip(planes, exps):
+                if not e:
+                    continue
+                if e & 1:  # x^e = x
+                    p, m = p & ones | m & twos, p & twos | m & ones
+                else:  # x^e = x^2, which is 1 where x is not 0
+                    either = ones | twos
+                    p &= either
+                    m &= either
+            if c == 2:
+                p, m = m, p
+            vp, vm = (vp ^ p) & ~(vm | m) | vm & m, (vm ^ m) & ~(vp | p) | vp & p
+        nonzero |= vp | vm
+    return total - nonzero.bit_count()
+
+
 def _count_points(field, nvars, polys) -> int:
     """The common zeros of polys, point by point, with the powers of every
     element for each reduced exponent that occurs read from columns.
 
-    Over a prime field an element is its int mod p, so a monomial's value
-    is a plain int product and a polynomial's a plain int sum, reduced mod
-    p once per polynomial per point, with no field call per term.  Over
-    GF(p^k) with k > 1 every product and sum is a field call.
+    zero_counter calls it over GF(p), p >= 5, and GF(p^k), k > 1; it
+    counts any field.  Over a prime field an element is its int mod p, so
+    a monomial's value is a plain int product and a polynomial's a plain
+    int sum, reduced mod p once per polynomial per point, with no field
+    call per term.  Over GF(p^k) with k > 1 every product and sum is a
+    field call.
     """
     span = field.q - 1
     used = {(e - 1) % span + 1 for monomials in polys for exps in monomials for e in exps if e}

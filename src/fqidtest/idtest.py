@@ -873,7 +873,8 @@ def functional_zero_fraction(
 
     e_Q vanishes at a point exactly when all dim coordinate polynomials
     do, so this must agree with zero_probability on the nose.  The count is
-    commpoly.zero_counter's: bit-sliced over GF(2), a point walk otherwise.
+    commpoly.zero_counter's: bit-sliced over GF(2), on two bit planes per
+    value over GF(3), and a point walk otherwise.
     """
     _product_fn(Q, A, commutator)
     width = Q.n * A.dim

@@ -472,6 +472,47 @@ MUTANTS = (
             COORDS + "::test_point_counter_reduces_sums_past_p",
         ),
     ),
+    # the GF(3) counter on bit planes
+    Mutant(
+        "gf3-even-power-read-as-odd",
+        "src/fqidtest/commpoly.py",
+        "                if e & 1:  # x^e = x",
+        "                if e:  # x^e = x",
+        (
+            COORDS + "::test_point_counter_matches_the_field_call_reference",
+            COORDS + "::test_gf3_planes_on_edge_cases",
+        ),
+    ),
+    Mutant(
+        "gf3-coefficient-two-not-swapped",
+        "src/fqidtest/commpoly.py",
+        "            if c == 2:\n                p, m = m, p\n",
+        "",
+        (
+            COORDS + "::test_point_counter_matches_the_field_call_reference",
+            COORDS + "::test_gf3_planes_on_edge_cases",
+        ),
+    ),
+    Mutant(
+        "gf3-sum-twos-plane-unswapped",
+        "src/fqidtest/commpoly.py",
+        "(vm ^ m) & ~(vp | p) | vp & p",
+        "(vp ^ p) & ~(vm | m) | vm & m",
+        (
+            COORDS + "::test_point_counter_matches_the_field_call_reference",
+            COORDS + "::test_gf3_planes_on_edge_cases",
+        ),
+    ),
+    Mutant(
+        "gf3-twos-run-at-ones-offset",
+        "src/fqidtest/commpoly.py",
+        "tuple(ones << d * run for d in range(q - 1))",
+        "tuple(ones for d in range(q - 1))",
+        (
+            COORDS + "::test_point_counter_matches_the_field_call_reference",
+            COORDS + "::test_gf3_planes_on_edge_cases",
+        ),
+    ),
     Mutant(
         "coords-disjoint-flag-forced",
         "src/fqidtest/commpoly.py",

@@ -5,11 +5,12 @@ must give the dicts of the tuple-keyed core they ran on before, restated
 here as reference_coordinates, which folds exponents through a table as
 monomials multiply.  reduced_degrees, which reads the degrees off the
 packed monomials, must give the degrees of the reference's reduced
-coordinates.  zero_counter (bit-sliced over GF(2)) must give the
-zero count of the point loop over CommPoly.eval that
+coordinates.  zero_counter (bit-sliced over GF(2) and GF(3)) must give
+the zero count of the point loop over CommPoly.eval that
 functional_zero_fraction and the exhaustive scan ran before, restated
-here, and over other fields, where prime fields now sum plain ints, the
-count of the field-call counter it ran before (reference_count_points).
+here, and over fields other than GF(2), where GF(3) now counts on bit
+planes and other prime fields sum plain ints, the count of the
+field-call counter it ran before (reference_count_points).
 The nonzero structure constants the coordinate builds kept on the
 algebra must be the ones they read out of A.table on every call before.
 The step plan the builds run is checked on its own, and on polynomials
@@ -22,6 +23,7 @@ import pickle
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +46,7 @@ from fqidtest.commpoly import (
     symbolic_coordinates,
     zero_counter,
 )
+from fqidtest.errors import SearchSpaceTooLarge
 from fqidtest.freepoly import Flavor, FreePoly, engel, parse
 from fqidtest.gf import field_of_order
 
@@ -442,7 +445,7 @@ def test_zero_count_matches_the_point_loop(case):
 def reference_count_points(field, nvars, polys) -> int:
     """commpoly._count_points as it was before prime fields summed plain
     ints: every product and sum a field call, on every field.  The
-    reference for the prime-field counter."""
+    reference for the GF(3) planes and the other prime-field counter."""
     add, mul = field.add, field.mul
     span = field.q - 1
     used = {(e - 1) % span + 1 for monomials in polys for exps in monomials for e in exps if e}
@@ -476,10 +479,11 @@ def reference_count_points(field, nvars, polys) -> int:
 def odd_field_polys(draw):
     """Lists of polynomials over GF(3), GF(5), GF(7), GF(4) and GF(9), with
     exponents past q - 1, so that the fold runs, and enough terms that
-    their int sums pass p."""
+    their int sums pass p.  GF(3) reaches 6 variables, the 729 points of
+    the two-argument coordinates of heisenberg(3)."""
     q = draw(st.sampled_from([3, 5, 7, 4, 9]))
     F = field_of_order(q)
-    nvars = draw(st.integers(0, {3: 4, 5: 3, 7: 2, 4: 3, 9: 2}[q]))  # at most 625 points
+    nvars = draw(st.integers(0, {3: 6, 5: 3, 7: 2, 4: 3, 9: 2}[q]))  # at most 729 points
     exps = st.tuples(*[st.integers(0, 2 * q)] * nvars)
     polys = draw(st.lists(st.dictionaries(exps, st.integers(1, q - 1), max_size=6), max_size=3))
     return F, nvars, [CommPoly(F, nvars, m) for m in polys]
@@ -509,6 +513,62 @@ def test_point_counter_reduces_sums_past_p():
             want = reference_count_points(F, 2, [m])
             assert zero_counter(F, 2, q**2)([m]) == want == point_loop_zeros(F, 2, [CommPoly(F, 2, m)])
         assert zero_counter(F, 2, q**2)([polys[0]]) == q
+
+
+def test_gf3_planes_on_edge_cases():
+    # (nvars, polys, zeros): no variable, no polynomial, constants with
+    # coefficient 1 and 2, the even folds x^2 and x^4 (1 where x is not
+    # 0), the odd fold x^3 (x itself), and 2 swapping a term's planes
+    F = field_of_order(3)
+    cases = [
+        (0, [], 1),
+        (0, [{}], 1),
+        (0, [{(): 1}], 0),
+        (0, [{(): 2}], 0),
+        (2, [], 9),
+        (2, [{}], 9),
+        (2, [{(0, 0): 1}], 0),
+        (2, [{(0, 0): 2}], 0),
+        (1, [{(1,): 1}], 1),
+        (1, [{(1,): 2}], 1),
+        (1, [{(2,): 1}], 1),
+        (1, [{(2,): 1, (0,): 1}], 0),  # x^2 + 1
+        (1, [{(2,): 1, (0,): 2}], 2),  # x^2 + 2
+        (1, [{(4,): 1, (0,): 2}], 2),  # x^4 + 2
+        (1, [{(2,): 2, (0,): 1}], 2),  # 2x^2 + 1
+        (1, [{(3,): 1, (0,): 2}], 1),  # x^3 + 2
+        (1, [{(3,): 2, (0,): 1}], 1),  # 2x^3 + 1
+        (2, [{(1, 0): 1, (0, 1): 1}], 3),  # x1 + x2
+        (2, [{(1, 1): 1, (0, 0): 2}], 2),  # x1*x2 + 2
+        (2, [{(2, 2): 1, (0, 0): 2}], 4),  # x1^2*x2^2 + 2
+        (2, [{(1, 3): 2, (0, 0): 2}], 2),  # 2*x1*x2^3 + 2
+        (3, [{(0, 1, 0): 1}, {(0, 0, 2): 1, (0, 0, 0): 2}], 6),  # x2 and x3^2 + 2
+    ]
+    for nvars, polys, zeros in cases:
+        count = zero_counter(F, nvars, 3**nvars)
+        want = reference_count_points(F, nvars, polys)
+        assert count(polys) == want == zeros, (nvars, polys)
+
+
+def test_gf3_counter_checks_the_cap_before_building_planes(monkeypatch):
+    def refuse(q, nvars):
+        raise AssertionError("planes built")
+
+    monkeypatch.setattr(commpoly, "_digit_planes", refuse)
+    with pytest.raises(SearchSpaceTooLarge):
+        zero_counter(field_of_order(3), 16, 1 << 24)
+
+
+def test_gf3_counter_builds_its_planes_once(monkeypatch):
+    built = []
+    build = commpoly._digit_planes
+    monkeypatch.setattr(commpoly, "_digit_planes", lambda q, nvars: built.append(nvars) or build(q, nvars))
+    F = field_of_order(3)
+    count = zero_counter(F, 3, 27)
+    polys = [{(1, 0, 0): 1, (0, 2, 1): 2}, {(0, 0, 1): 1}]
+    for subset in (polys, polys[:1], polys[1:], []):
+        assert count(subset) == reference_count_points(F, 3, subset)
+    assert built == [3]
 
 
 def test_dixon_floor_is_the_largest_coordinate_floor():

@@ -697,7 +697,10 @@ def test_lanes_and_coordinate_routes_share_no_helper(monkeypatch):
         return call
 
     coordinate_side = {
-        commpoly: ("_cells", "_plan", "_bit_masks", "_count_gf2", "_count_points", "zero_counter"),
+        commpoly: (
+            "_cells", "_plan", "_digit_planes", "_count_gf2", "_count_gf3", "_count_points",
+            "zero_counter",
+        ),
         idtest: (
             "_kernel", "_compile", "_evaluate_raw", "_count_range",
             "reduced_coordinates", "reduced_degrees", "zero_counter",
