@@ -54,12 +54,13 @@ a sum is ((P1^P2) & ~(M1|M2) | M1&M2) on P and the same with the planes
 swapped on M.  A point is a common zero when its bit is clear in the OR
 of P|M over the polynomials.  The planes take 2 * n * 3^n bits, 54 MB at
 the 3^15 points under the cap.  One builder, _digit_planes, makes the
-GF(2) masks and the GF(3) planes.  The formulas are commpoly's own, not
-lanes', which counts the other side of the same cross-check.  Other
-fields walk the points with the powers of every element for each reduced
-exponent that occurs (_count_points): over GF(p), p >= 5, on plain ints,
-reduced mod p once per polynomial per point, and over GF(p^k), k > 1,
-through field calls.
+GF(2) masks and the GF(3) planes, and keeps those of at most 4,096
+points, which zero_counter and bound's scan ask for again and again.
+The formulas are commpoly's own, not lanes', which counts the other side
+of the same cross-check.  Other fields walk the points with the powers
+of every element for each reduced exponent that occurs (_count_points):
+over GF(p), p >= 5, on plain ints, reduced mod p once per polynomial per
+point, and over GF(p^k), k > 1, through field calls.
 
 parse_comm reads text with the walker the free flavors use,
 freepoly._Parser; only the atoms (powers allowed, brackets refused) and
@@ -285,8 +286,9 @@ def zero_counter(field: Field, nvars: int, cap: int):
     """A function from a list of {exps: coeff} dicts in nvars variables to
     the number of points of F^nvars where all of them vanish.
 
-    The bit masks (GF(2)) and the bit planes (GF(3)) are built here, once
-    for every call of the returned function, after the cap check; other
+    The bit masks (GF(2)) and the bit planes (GF(3)) are taken here, once
+    for every call of the returned function, after the cap check, from
+    _digit_planes, which keeps those of few points; other
     fields build, on each call, the powers of every element for the
     reduced exponents its polynomials use, and walk the points
     (_count_points).  Raises SearchSpaceTooLarge when q^nvars exceeds cap.
@@ -303,11 +305,23 @@ def zero_counter(field: Field, nvars: int, cap: int):
     return partial(_count_points, field, nvars)
 
 
-def _digit_planes(q: int, nvars: int) -> list[tuple[int, ...]]:
+# _digit_planes keeps the planes of up to this many points: 21 keys
+# (q, nvars), at most 12 * 4096 bits each and about 17 KB in all
+_PLANES_MEMO_POINTS = 4096
+
+
+def _digit_planes(q: int, nvars: int) -> tuple[tuple[int, ...], ...]:
     """The q - 1 planes of each variable: plane d - 1 of variable i has
     bit k set when x_i = d at point k of the canonical order, where the
     first variable is the most significant base-q digit of k.  One plane
-    (the bit masks) over GF(2), the planes (P, M) over GF(3)."""
+    (the bit masks) over GF(2), the planes (P, M) over GF(3).  The planes
+    of at most _PLANES_MEMO_POINTS points are built once per (q, nvars),
+    as zero_counter and bound's scan ask for them on every call."""
+    build = _kept_planes if q**nvars <= _PLANES_MEMO_POINTS else _build_planes
+    return build(q, nvars)
+
+
+def _build_planes(q: int, nvars: int) -> tuple[tuple[int, ...], ...]:
     total = q**nvars
     planes = []
     for i in range(nvars):
@@ -320,7 +334,11 @@ def _digit_planes(q: int, nvars: int) -> list[tuple[int, ...]]:
         ones &= (1 << total) - 1
         # the run of each digit d follows the run of d - 1
         planes.append(tuple(ones << d * run for d in range(q - 1)))
-    return planes
+    return tuple(planes)
+
+
+# only the 21 keys within _PLANES_MEMO_POINTS reach it, each built once
+_kept_planes = lru_cache(maxsize=None)(_build_planes)
 
 
 def _count_gf2(masks, full, total, polys) -> int:

@@ -54,11 +54,13 @@ checks it is unchanged.  A sampled count streams its points from
 SplitMix64(seed) in blocks of whole points, and the same gate, read at
 the number of samples, sends it to lanes (lanes.sampled, on
 SplitMix64.digits) or to the kernel (SplitMix64.points); both read the
-one stream.  Coset search lists the
-zero ideal's witnesses, the zeros of e_Q, by the same gate at order**n
-points: off lanes.zero_flags, one byte per point from the blocks of a
-lanes count, or off the kernel's point walk; its other ideals, and
-descent's coset re-check, stay on the kernel.
+one stream.  The kernel's points take each digit mod q exactly, while
+the lanes feed carries it at the cost of at most one multiply a block
+and hands lanes its reader (_digit_lanes, _digit_reader).  Coset search
+lists the zero ideal's witnesses, the zeros of e_Q, by the same gate at
+order**n points: off lanes.zero_flags, one byte per point from the
+blocks of a lanes count, or off the kernel's point walk; its other
+ideals, and descent's coset re-check, stay on the kernel.
 
 The kernel is one generated function per (Q, commutator): its body
 unpacks the argument indices into locals and gives each distinct product
@@ -140,6 +142,13 @@ _MIX2 = 0x94D049BB133111EB
 # at 1,024, whose blocks took 2.3 times the memory
 _BLOCK_CEILING = 512
 
+# the lanes feed over GF(3) (_digit_lanes): ceil(2**72 / 3), the mask of
+# a lane's 72-bit fraction, and the digit that a fraction's top byte reads
+_THIRD = ((1 << 72) + 2) // 3
+_MASK72 = (1 << 72) - 1
+_THIRDS = bytes(0 if v < 64 else 1 if v < 128 else 2 for v in range(256))
+_BYTES = bytes(range(256))
+
 # the fold leaves each lane below (2**32 - 1) * q < 2**_FOLD_BITS for every
 # q <= gf.MAX_ORDER (2**16)
 _FOLD_BITS = 49
@@ -164,26 +173,25 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
-    def digits(self, q: int, dim: int, n: int, samples: int):
-        """samples points of A^n, |A| = q**dim, drawn in blocks: each block
-        a pair (count, buffer) of its points and its draws.
+    def _outputs(self, dim: int, n: int, samples: int):
+        """samples points of A^n, A of dimension dim, drawn in blocks of
+        whole points: each block a triple (count, draws, z) of its points,
+        its count * n * dim draws and its outputs, or (count, 0, None)
+        where a point draws nothing.
 
-        Each coordinate is the next 64-bit output mod q, drawn per point,
-        per argument, most significant coordinate first (elements() order),
-        so the stream is the one drawn one output at a time.  A block holds
-        whole points, up to _BLOCK_CEILING element indices, and the last
-        block only the points left; self.state is stored once per block,
-        before it is yielded.  A block is one Python int with each draw in
-        a 128-bit lane: the Weyl states are state * R + k * gamma, and a
-        full block after a full block moves each of them on by one add of
-        (draws * gamma mod 2**64) * R, which stays in its lane; the three
-        mixing rounds run on the whole int, each lane masked to 64 bits
-        before each multiply so that no product reaches the next lane, and
-        _lane_mod reduces every lane mod q at once.  buffer is
-        that int's little-endian bytes: draw (i * n + a) * dim + s,
-        coordinate s of argument a of point i, is 16 of them.  A
-        zero-dimensional algebra or a polynomial without variables draws
-        nothing, and buffer is empty.
+        A block holds whole points, up to _BLOCK_CEILING element indices,
+        and the last block only the points left; self.state is stored once
+        per block, before it is yielded.  Draw (i * n + a) * dim + s,
+        coordinate s of argument a of point i, is the next 64-bit output of
+        the stream, most significant coordinate first (elements() order),
+        so the stream is the one drawn one output at a time.  z is one
+        Python int with each draw in a 128-bit lane: the Weyl states are
+        state * R + k * gamma, and a full block after a full block moves
+        each of them on by one add of (draws * gamma mod 2**64) * R, which
+        stays in its lane; the three mixing rounds run on the whole int,
+        each lane masked to 64 bits before each multiply so that no
+        product reaches the next lane.  Each lane's low 64 bits are its
+        output; the last round leaves bits of the next lane above them.
         """
         state = self.state
         per_block = max(1, _BLOCK_CEILING // n) if n else samples
@@ -192,10 +200,10 @@ class SplitMix64:
             count = min(per_block, samples - start)
             if not (n and dim):
                 self.state = state
-                yield count, b""
+                yield count, 0, None
                 continue
             draws = count * n * dim
-            ones, R, steps, low32 = _lanes(draws)
+            ones, R, steps = _lanes(draws)[:3]
             if start and count == per_block:
                 # only the last block is short, so the one before was full
                 if advance is None:
@@ -205,14 +213,25 @@ class SplitMix64:
                 s = (state * R + steps) & ones
             z = ((s ^ (s >> 30)) & ones) * _MIX1 & ones
             z = ((z ^ (z >> 27)) & ones) * _MIX2 & ones
-            digits = _lane_mod(z ^ (z >> 31), q, low32)
             state = self.state = (state + draws * _GAMMA) & _MASK64
-            yield count, digits.to_bytes(16 * draws, "little")
+            yield count, draws, z ^ (z >> 31)
+
+    def digits(self, q: int, dim: int, n: int, samples: int):
+        """The draws of _outputs(dim, n, samples) as lanes read them, block
+        by block: each block a pair (count, buffer) of its points and the
+        little-endian bytes of _digit_lanes(z, q, draws), 16 of them per
+        draw, in draw order; _digit_reader(q) reads each draw's digit, its
+        output mod q, off its 16 bytes.  A zero-dimensional algebra or a
+        polynomial without variables draws nothing, and buffer is empty.
+        """
+        for count, draws, z in self._outputs(dim, n, samples):
+            yield count, b"" if z is None else _digit_lanes(z, q, draws).to_bytes(16 * draws, "little")
 
     def points(self, q: int, dim: int, n: int, samples: int):
-        """The points of digits(q, dim, n, samples), block by block: each
+        """The points of _outputs(dim, n, samples), block by block: each
         block an iterator of n-tuples of element indices.
 
+        Each draw's digit is its output mod q, for every q (_lane_mod).
         The indices are Horner steps on packed ints: digit j of every index
         is gathered into one int of 64-bit lanes, and acc * q + digits_j
         runs on all indices at once, in groups of digits whose value fits
@@ -220,12 +239,13 @@ class SplitMix64:
         per index.
         """
         group = _reduction(q)[3]
-        for count, buffer in self.digits(q, dim, n, samples):
-            if not buffer:
+        for count, draws, z in self._outputs(dim, n, samples):
+            if z is None:
                 yield repeat((0,) * n, count)
                 continue
             # 64-bit words, little-endian: word 2 * (i * dim + j) is digit j of index i
-            low = memoryview(buffer).cast("Q")
+            digits = _lane_mod(z, q, _lanes(draws)[3]).to_bytes(16 * draws, "little")
+            low = memoryview(digits).cast("Q")
             index = None
             for first in range(0, dim, group):
                 last = min(first + group, dim)
@@ -241,11 +261,50 @@ class SplitMix64:
 def _lanes(draws: int):
     """The lane constants of a block of draws: the 64-bit mask of every
     lane, R with 1 in every lane, k * gamma mod 2**64 in lane k - 1, and
-    the 32-bit mask of every lane.  A run's last block may be shorter than
-    the others, so the cache is bounded."""
+    the 32-bit and 72-bit masks of every lane.  A run's last block may be
+    shorter than the others, so the cache is bounded."""
     R = ((1 << (128 * draws)) - 1) // ((1 << 128) - 1)
     steps = b"".join((k * _GAMMA & _MASK64).to_bytes(16, "little") for k in range(1, draws + 1))
-    return R * _MASK64, R, int.from_bytes(steps, "little"), R * 0xFFFFFFFF
+    return R * _MASK64, R, int.from_bytes(steps, "little"), R * 0xFFFFFFFF, R * _MASK72
+
+
+def _digit_lanes(z: int, q: int, draws: int) -> int:
+    """The lanes feed of a block's outputs z (SplitMix64._outputs), as
+    _digit_reader(q) reads it: each draw's digit, its output mod q, is
+    carried in the draw's 128-bit lane at the cost of at most one multiply.
+
+    - q = 2**k: z itself.  The digit is the output's low k bits, and the
+      bit planes read only those.
+    - q = 3: each output x, masked to 64 bits, times _THIRD =
+      ceil(2**72 / 3), so that a lane's low 72 bits are the fraction of
+      x / 3 to 72 bits, exact as 72 >= 64 + log2 3 (Lemire, Kaser and
+      Kurz, "Faster Remainder by Direct Computation", 2019).  Writing
+      x = 3a + r, they are r * (2**72 + 2) / 3 + 2a, so the fraction lies
+      in [r/3, r/3 + 1/384) and its top byte, byte 8 of the lane, is 0,
+      85, or 170 or 171.  A lane's product reaches 135 bits, and the 7
+      above the lane carry less than 2**7 into the next lane's fraction:
+      byte 8 then reads at most 86 for r = 1 and at most 171 for r = 2,
+      far from the thresholds 64 and 128 that _digit_reader's table
+      reads.  The 72-bit mask of every lane keeps the last lane's carry
+      out of the buffer's 16 * draws bytes.
+    - any other q: _lane_mod's exact digit.
+    """
+    if q == 3:
+        ones, _, _, _, low72 = _lanes(draws)
+        return (z & ones) * _THIRD & low72
+    if q & (q - 1) == 0:
+        return z
+    return _lane_mod(z, q, _lanes(draws)[3])
+
+
+def _digit_reader(q: int):
+    """(offset, decode): each draw's digit in the lanes of _digit_lanes(z,
+    q, draws) starts at byte offset of its 16 bytes, and decode
+    translates each byte of it into the digit's byte, in every bit that
+    a plane reads.  Over GF(3) that is byte 8, read as 0 below 64, 1 from
+    64 and 2 from 128; otherwise the digit is the lane's low bytes as
+    they are, and over GF(2^k) the bits from k on are not read."""
+    return (8, _THIRDS) if q == 3 else (0, _BYTES)
 
 
 @cache
@@ -851,7 +910,8 @@ def zero_probability(
         raise SearchSpaceTooLarge(samples, cap)
     stream, q = SplitMix64(seed), A.field.q
     if _count_route(Q, A, samples)[0] == "lanes":
-        zero_count = lanes.sampled(Q, A, commutator, stream.digits(q, A.dim, n, samples))
+        blocks = stream.digits(q, A.dim, n, samples)
+        zero_count = lanes.sampled(Q, A, commutator, blocks, _digit_reader(q))
     else:
         e = _kernel(Q, A, commutator)
         blocks = stream.points(q, A.dim, n, samples)

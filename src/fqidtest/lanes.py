@@ -36,11 +36,15 @@ that reads it, so a block keeps only the nodes still to be read:
 - zero flags (zero_flags): the same blocks, one after another, each
   nonzero mask written out as one byte per point, 1 where e_Q is zero;
   idtest's coset search lists the zero ideal's witnesses off them.
-- sampled counts (sampled): the sampler's digit buffer of each block
-  (idtest.SplitMix64.digits) holds one byte lane per point in each
-  (argument, coordinate) column, and bytes.translate turns the column into
-  planes, one per nonzero value over GF(3) and one per digit bit over
-  GF(2^k); such planes keep one bit per byte.
+- sampled counts (sampled): the sampler's buffer of each block
+  (idtest.SplitMix64.digits) holds one run of bytes per draw, and a
+  reader that idtest gives with it says which byte of a run starts its
+  digit and how to translate that byte into the digit's.  So each
+  (argument, coordinate) column is one strided slice, one byte per
+  point, and one bytes.translate per plane turns it into planes, one per
+  nonzero value over GF(3) and one per digit bit over GF(2^k); such
+  planes keep one bit per byte.  How the sampler carries a digit in its
+  run is idtest's alone.
 
 The structure constants and each coefficient's map are built once per
 algebra, when a count first reads them, and kept in its memo under the
@@ -151,8 +155,9 @@ class _GF3:
         )
 
 
-# translate tables of a byte's planes: bit i of it, for i < 8, and over
-# GF(3) where it is 1 and where it is 2
+# translate tables from a digit's byte to its planes: bit i of it, for
+# i < 8, and over GF(3) where it is 1 and where it is 2; sampled puts the
+# sampler's decode table in front of each
 _BIT_PLANES = tuple(bytes(v >> i & 1 for v in range(256)) for i in range(8))
 _VALUE_PLANES = tuple(bytes(v == d for v in range(256)) for d in (1, 2))
 
@@ -170,7 +175,8 @@ class _Tables:
     constants of (a, b) less those of (b, a).  A coefficient c is the
     linear map whose plane t is the sum of the planes in srcs[t], or None
     for c = 1.  reads holds, lane by lane, the sampled feed's coordinate,
-    byte within a draw, and translate tables of its planes.
+    byte within the coordinate's digit, and translate tables from that
+    byte to the lane's planes.
     """
 
     __slots__ = ("field", "arith", "width", "constants", "products", "scales", "reads")
@@ -424,19 +430,24 @@ def _block_digits(p: int, bits: int) -> int:
     return digits
 
 
-def sampled(Q, A, commutator: bool, blocks) -> int:
+def sampled(Q, A, commutator: bool, blocks, reader) -> int:
     """Zeros of e_Q at sampled points of A^n, for A over GF(2^k) or GF(3).
 
     blocks yields (count, buffer) as SplitMix64.digits does: buffer holds
-    count points' draws, each a digit in an equal run of little-endian
-    bytes, point by point, argument by argument, coordinate by coordinate,
-    and is empty where a point has no coordinates.  Each (argument, lane)
-    column is read off with one slice, one byte per point, and translated
-    into the lane's planes.
+    count points' draws in equal runs of bytes, point by point, argument
+    by argument, coordinate by coordinate, and is empty where a point has
+    no coordinates.  reader is (offset, decode): a draw's digit starts at
+    byte offset of its run, and decode translates each of its bytes into
+    the digit's byte, in every bit that a plane reads.  Each (argument,
+    lane) column is read off with one slice, one byte per point, and
+    translated into the lane's planes by one table, decode followed by
+    the plane's.
     """
     tables, rows, steps, terms = _program(Q, A, commutator)
     arith = tables.arith
     n, dim, span = Q.n, A.dim, tables.width * arith.planes
+    offset, decode = reader
+    reads = [(s, offset + byte, [decode.translate(m) for m in maps]) for s, byte, maps in tables.reads]
     zeros = 0
     for count, buffer in blocks:
         variables = []
@@ -444,7 +455,7 @@ def sampled(Q, A, commutator: bool, blocks) -> int:
             stride = len(buffer) // count  # the bytes of one point's draws
             draw = stride // (n * dim)
             for a in range(n):
-                for s, byte, maps in tables.reads:
+                for s, byte, maps in reads:
                     column = buffer[(a * dim + s) * draw + byte :: stride]
                     variables += [int.from_bytes(column.translate(m), "little") for m in maps]
         values = [variables[a * span : (a + 1) * span] for a in range(n)]

@@ -45,6 +45,8 @@ BOUND = "tests/test_bound.py"
 LANES = "tests/test_lanes.py"
 SAMPLER = "tests/test_idtest.py"
 SAMPLED = "tests/test_kernel.py::test_sampled_mode_matches_the_recount_at_block_edges"
+FEED_EDGES = SAMPLER + "::test_digit_lanes_at_the_edge_values"
+FEED_DRAWS = SAMPLER + "::test_digits_are_the_scalar_draws_mod_q"
 COORDS = "tests/test_coordinates.py"
 SLICES = "tests/test_kernel.py::test_slices_match_points_on_random_tables"
 ZERO_FLAGS = LANES + "::test_zero_flags_match_the_kernel_on_every_dimension_two_table"
@@ -53,6 +55,7 @@ GF3_ROUTE = LANES + "::test_gf3_route_takes_lanes_from_the_floor_on"
 DENSE = LANES + "::test_counts_on_dense_tables_match_the_point_walk"
 GF3_LIBRARY = LANES + "::test_gf3_lanes_match_points_on_the_library"
 GF3_RANDOM = LANES + "::test_gf3_lanes_match_points_on_random_tables"
+SAMPLED_LANES = LANES + "::test_sampled_lanes_match_the_kernel_at_block_edges"
 
 MUTANTS = (
     # block statistics: the tally, its keys and its checks
@@ -640,6 +643,50 @@ MUTANTS = (
         "while q ** (group + 1) <= 1 << 64:",
         "while q ** (group + 1) <= 1 << 65:",
         (SAMPLER + "::test_packed_indices_match_the_scalar_loop_over_several_digit_groups",),
+    ),
+    # the lanes feed: GF(3) digits off a fixed-point third, GF(2^k) off the raw low bits
+    Mutant(
+        "feed-third-rounded-down",
+        "src/fqidtest/idtest.py",
+        "_THIRD = ((1 << 72) + 2) // 3",
+        "_THIRD = (1 << 72) // 3",
+        (FEED_EDGES, FEED_DRAWS, SAMPLED_LANES),
+    ),
+    Mutant(
+        "feed-third-64-bit-mask-dropped",
+        "src/fqidtest/idtest.py",
+        "return (z & ones) * _THIRD",
+        "return z * _THIRD",
+        (FEED_EDGES, FEED_DRAWS, SAMPLED_LANES),
+    ),
+    Mutant(
+        "feed-third-top-lane-mask-dropped",
+        "src/fqidtest/idtest.py",
+        " * _THIRD & low72",
+        " * _THIRD",
+        (FEED_EDGES, FEED_DRAWS, SAMPLED_LANES),
+    ),
+    Mutant(
+        "feed-third-byte-7",
+        "src/fqidtest/idtest.py",
+        "return (8, _THIRDS)",
+        "return (7, _THIRDS)",
+        (FEED_EDGES, FEED_DRAWS, SAMPLED_LANES),
+    ),
+    Mutant(
+        # byte 86 reads digit 1 only after the most carry from the lane below
+        "feed-third-one-below-86",
+        "src/fqidtest/idtest.py",
+        "1 if v < 128 else 2",
+        "1 if v < 86 else 2",
+        (FEED_EDGES,),
+    ),
+    Mutant(
+        "feed-raw-from-bit-1",
+        "src/fqidtest/idtest.py",
+        "        return z\n",
+        "        return z >> 1\n",
+        (FEED_EDGES, FEED_DRAWS, SAMPLED_LANES),
     ),
 )
 

@@ -161,18 +161,28 @@ DIGIT_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def read_digits(buffer, q):
+    """The digit of every 16-byte lane of a digits() buffer over q, read as
+    its reader says: the digit's bytes from offset on, translated by
+    decode, and the bits from q's on dropped."""
+    offset, decode = idtest._digit_reader(q)
+    size = ((q - 1).bit_length() + 7) // 8
+    runs = (buffer[i + offset:i + offset + size] for i in range(0, len(buffer), 16))
+    return [int.from_bytes(run.translate(decode), "little") % q for run in runs]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 256, 65536])
 def test_digits_are_the_scalar_draws_mod_q(q):
-    # every 16-byte lane of every buffer is the next scalar draw mod q, and
-    # the state after each block is the scalar state
+    # every 16-byte lane of every buffer reads as the next scalar draw mod
+    # q, and the state after each block is the scalar state
     for seed in (0, -7, (1 << 64) + 3):
         for n, dim, samples in DIGIT_RUNS:
             stream, reference = SplitMix64(seed), ScalarSplitMix64(seed)
             counts = []
             for count, buffer in stream.digits(q, dim, n, samples):
                 assert len(buffer) == 16 * count * n * dim
-                lanes = [int.from_bytes(buffer[i:i + 16], "little") for i in range(0, len(buffer), 16)]
-                assert lanes == [reference.below(q) for _ in lanes], (seed, n, dim, len(counts))
+                digits = read_digits(buffer, q)
+                assert digits == [reference.below(q) for _ in digits], (seed, n, dim, len(counts))
                 assert stream.state == reference.state
                 counts.append(count)
             per_block = points_per_block(n)
@@ -264,6 +274,47 @@ def test_lane_mod_at_the_edge_values(q):
     # one Horner group reaches every order up to 2**64
     group = idtest._reduction(q)[3]
     assert q**group <= 1 << 64 < q ** (group + 1)
+
+
+MAX64 = (1 << 64) - 1
+
+
+def _feed_words():
+    """64-bit words at the edges of the lanes feed: 0, 1, 2, 2**64 - 2 and
+    2**64 - 1, the largest words 3a + r for each r and the two below each,
+    the words near k * 2**64 / 3, and 2**j - 1, 2**j and 2**j + 1 for each
+    digit width j up to 17."""
+    words = {0, 1, 2, MAX64 - 1, MAX64}
+    for r in range(3):
+        top = MAX64 - (MAX64 - r) % 3
+        words |= {top, top - 3, top - 6}
+    for k in (1, 2):
+        near = k * (1 << 64) // 3
+        words |= set(range(near - 2, near + 3))
+    for j in range(1, 18):
+        words |= {(1 << j) - 1, 1 << j, (1 << j) + 1}
+    return sorted(words)
+
+
+@pytest.mark.parametrize("q", [3] + [1 << k for k in range(1, 17)])
+def test_digit_lanes_at_the_edge_values(q):
+    # each word after a lane of 2**64 - 1, whose product carries the most
+    # into the next lane over GF(3), and after a lane of 0; then each word
+    # as the last lane of a block, after 2**64 - 1 and alone
+    words = _feed_words()
+    blocks = [[x for w in words for x in (MAX64, w, 0, w)]]
+    blocks += [[MAX64, w] for w in words] + [[w] for w in words]
+    garbage = random.Random(q)
+    for block in blocks:
+        # garbage above each word, as the last mixing round leaves there
+        z = sum((w | garbage.getrandbits(64) << 64) << 128 * i for i, w in enumerate(block))
+        buffer = idtest._digit_lanes(z, q, len(block)).to_bytes(16 * len(block), "little")
+        assert read_digits(buffer, q) == [w % q for w in block]
+        if q == 3:
+            # the fraction's top byte, far from the thresholds 64 and 128
+            # even after the most carry
+            tops = {0: {0}, 1: {85, 86}, 2: {170, 171}}
+            assert all(buffer[16 * i + 8] in tops[w % 3] for i, w in enumerate(block))
 
 
 # ---------------------------------------------------------------------------

@@ -658,8 +658,8 @@ def test_sampled_kernel_route_matches_the_recount_at_block_edges(text, samples):
 
 def test_sampled_mode_is_capped_before_any_draw(monkeypatch):
     # both sampled routes, lanes over GF(3) and the kernel over GF(5), read
-    # their draws from SplitMix64.digits, and neither reads it over the cap
-    def no_draws(self, q, dim, n, samples):
+    # their draws from SplitMix64._outputs, and neither reads it over the cap
+    def no_draws(self, dim, n, samples):
         raise AssertionError("drew before the cap check")
         yield
 
@@ -670,7 +670,7 @@ def test_sampled_mode_is_capped_before_any_draw(monkeypatch):
         rep = zero_probability(Q, H, samples=64, seed=5, cap=64)
         assert rep.zero_count == sampled_recount(Q, H, 64, 5)
         with monkeypatch.context() as m:
-            m.setattr(SplitMix64, "digits", no_draws)
+            m.setattr(SplitMix64, "_outputs", no_draws)
             with pytest.raises(AssertionError, match="drew before the cap check"):
                 zero_probability(Q, H, samples=64, seed=5, cap=64)
             with pytest.raises(SearchSpaceTooLarge) as info:

@@ -255,7 +255,9 @@ def kernel_sampled(Q, A, commutator, seed, samples):
 
 def lanes_sampled(Q, A, commutator, seed, samples):
     stream = SplitMix64(seed)
-    return lanes.sampled(Q, A, commutator, stream.digits(A.field.q, A.dim, Q.n, samples))
+    return lanes.sampled(
+        Q, A, commutator, stream.digits(A.field.q, A.dim, Q.n, samples), idtest._digit_reader(A.field.q)
+    )
 
 
 @st.composite
