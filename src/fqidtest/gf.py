@@ -17,7 +17,6 @@ orders (q <= 2^16).
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import product
 
 from .errors import DivisionByZero, NoDefaultModulus, NotPrime, ReducibleModulus
@@ -288,22 +287,6 @@ def field_of_order(q: int) -> Field:
         f = Field(p, k)
         _FIELD_CACHE[key] = f
     return f
-
-
-@cache
-def primitive_element(f: Field) -> int:
-    """The least g whose powers are all of GF(q)*: g**((q-1)/r) != 1 for
-    each prime r dividing q - 1."""
-    primes, rest, r = [], f.q - 1, 2
-    while r * r <= rest:
-        if rest % r == 0:
-            primes.append(r)
-            while rest % r == 0:
-                rest //= r
-        r += 1
-    if rest > 1:
-        primes.append(rest)
-    return next(g for g in range(1, f.q) if all(f.pow(g, (f.q - 1) // r) != 1 for r in primes))
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:

@@ -152,15 +152,22 @@ MUTANTS = (
     Mutant(
         "slice-zeros-offset-dropped",
         "src/fqidtest/idtest.py",
-        "v = add[r * order + minus_c] if c else r",
-        "v = r",
+        "vec(add[r * order + minus_c] if c else r)",
+        "vec(r)",
         (SLICES,),
     ),
     Mutant(
-        "slice-multiples-one-power-short",
+        "slice-rank-exponent-off-by-one",
         "src/fqidtest/idtest.py",
-        "for _ in range(f.q - 2):",
-        "for _ in range(f.q - 3):",
+        "return f.q ** (dim - len(rows))",
+        "return f.q ** (dim + 1 - len(rows))",
+        (SLICES,),
+    ),
+    Mutant(
+        "slice-membership-skipped",
+        "src/fqidtest/idtest.py",
+        "if any(reduce_against(f, rows, pivots, vec(c))):",
+        "if False:",
         (SLICES,),
     ),
     Mutant(

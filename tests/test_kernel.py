@@ -23,6 +23,9 @@ from fqidtest.algebra import (
     ideal_generated,
     matrix_algebra,
     truncated,
+    vec_add,
+    vec_scale,
+    vec_sub,
 )
 from fqidtest.cli import battery_for, descent_library
 from fqidtest.commpoly import reduced_coordinates, reduced_degrees
@@ -455,13 +458,87 @@ def affine_variables(Q):
     return [j for j, d in enumerate(Q.analyze().multidegree) if d <= 1]
 
 
+def reference_slice_zeros(tables, key):
+    """The zero count of the slice whose probe values are key = (c,
+    L(b_1) + c, ...), found by spanning the image of L element by element
+    on coordinate tuples: a second route for idtest._slice_zeros, which
+    reads rank L off one rref and uses no span."""
+    f, vec = tables.field, tables.vec
+    c = vec(key[0])
+    image = {(0,) * tables.dim}
+    for r in key[1:]:
+        v = vec_sub(f, vec(r), c)  # L(b_i)
+        multiples = [vec_scale(f, s, v) for s in range(1, f.q)]
+        image |= {vec_add(f, a, m) for a in image for m in multiples}
+    return tables.order // len(image) if c in image else 0
+
+
+def record_slice_verdicts(mp):
+    """Patch idtest._slice_zeros to keep each memo it builds, and return the
+    list they go to: after a count, each memo holds every key it met."""
+    verdicts, slice_zeros = [], idtest._slice_zeros
+
+    def recording(tables):
+        verdicts.append(slice_zeros(tables))
+        return verdicts[-1]
+
+    mp.setattr(idtest, "_slice_zeros", recording)
+    return verdicts
+
+
 def assert_slices_match_points(Q, A, commutator=False):
-    """Counting along each affine variable gives the point walk's count."""
+    """Counting along each affine variable gives the point walk's count, and
+    each slice verdict the count meets gives the reference's."""
     points = _count_range((Q, A, commutator, None, 0, A.order()))
     first = A.order() if Q.n > 1 else 1
-    for j in affine_variables(Q):
-        assert _count_range((Q, A, commutator, j, 0, first)) == points, (Q.to_text(), j)
+    with pytest.MonkeyPatch.context() as mp:
+        verdicts = record_slice_verdicts(mp)
+        for j in affine_variables(Q):
+            assert _count_range((Q, A, commutator, j, 0, first)) == points, (Q.to_text(), j)
+    tables = _tables(A)
+    for verdict in verdicts:
+        for key, zeros in verdict.items():
+            assert zeros == reference_slice_zeros(tables, key), (Q.to_text(), key)
     return points
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 251, 1021, 65521])
+def test_slice_verdicts_match_the_span_reference_over_every_field(q):
+    # a verdict reads only the add and scale tables, never a product, so
+    # keys built from chosen L(b_i) and c reach ranks and fields that no
+    # count under the cap meets: rank 0, c in and out of a rank-1 image,
+    # and random keys, on dimensions 1 to 3 while order stays at most 1,000;
+    # the reference spans up to order elements a key, so large fields draw few
+    F =field_of_order(q)
+    rng = random.Random(q)
+    outcomes = set()
+    for dim in [d for d in (1, 2, 3) if d == 1 or q**d <= 1000]:
+        A = Algebra(F, dim, [[(0,) * dim] * dim] * dim)
+        tables = idtest._Tables(A)
+        verdict = idtest._slice_zeros(tables)
+        order, vec, index = tables.order, tables.vec, tables.index
+
+        def key(images, c):
+            return (c, *(index(vec_add(F, vec(m), vec(c))) for m in images))
+
+        nonzero = rng.randrange(1, order)
+        v = vec(rng.randrange(1, order))
+        line = [index(vec_scale(F, rng.randrange(q), v)) for _ in range(dim)]
+        expected = {
+            key([0] * dim, 0): order,  # rank 0, c = 0: every point is a zero
+            key([0] * dim, nonzero): 0,  # rank 0, c != 0
+            key([*line[:-1], index(v)], index(vec_scale(F, rng.randrange(q), v))): order // q,
+        }
+        if dim > 1:
+            on_line = {vec_scale(F, s, v) for s in range(q)}
+            off_line = next(c for c in range(1, order) if vec(c) not in on_line)
+            expected[key([*line[:-1], index(v)], off_line)] = 0  # c outside a rank-1 image
+        keys = list(expected) + [tuple(rng.randrange(order) for _ in range(dim + 1)) for _ in range(20 if order <= 1000 else 4)]
+        for k in keys:
+            zeros = verdict[k]
+            assert zeros == expected.get(k, zeros) == reference_slice_zeros(tables, k), (dim, k)
+            outcomes.add(zeros == 0)
+    assert outcomes == {True, False}
 
 
 def test_slices_match_points_on_every_dimension_two_table():
@@ -481,31 +558,46 @@ def test_slices_match_points_on_every_dimension_two_table():
 
 
 # affine in the first, a middle or the last variable, with c != 0 on some
-# slices, and a variable that no term uses
+# slices, and a variable that no term uses; the brackets are read as
+# commutators
 AFFINE_TEXTS = (
-    "x1*x2*x2", "x2*x1*x2 + x1", "x2*x2*x1 + x2*x2",
+    "x1*x2*x2", "x2*x1*x2 + x1", "x2*x2*x1 + x2*x2", "x1*x2*x1 + x2", "x1*x2 + x1",
     "x1*x1*x2 + x1", "x2*x1 + x1*x1 + x3", "x1*x2*x1 + x3*x3*x2", "x2*x1*x2 + x3*x3",
 )
+AFFINE_BRACKETS = ("[x1,x2]", "[[x1,x2],x1] + x2", "[[x1,x3],x2] + 2*[x2,x1]")
+# the point walk that each case is checked against stays at most this long,
+# so GF(7) stops at dimension 2: x1*x2 on a dimension-3 table walks 343**2
+# points, about a second cold
+AFFINE_WALK = 30_000
+# the dimensions drawn over each field
+AFFINE_DIMS = {2: (1, 3), 3: (1, 3), 4: (1, 2), 5: (2, 3), 7: (2, 2), 9: (1, 1), 11: (1, 2), 13: (1, 2)}
 
 
 @st.composite
 def affine_cases(draw):
-    q = draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
+    q = draw(st.sampled_from(sorted(AFFINE_DIMS)))
     F = field_of_order(q)
-    dim = draw(st.integers(1, {2: 3, 3: 3, 4: 2}.get(q, 1)))
+    dim = draw(st.integers(*AFFINE_DIMS[q]))
     cell = st.tuples(*[st.integers(0, q - 1)] * dim)
-    A = Algebra(F, dim, [[draw(cell) for _ in range(dim)] for _ in range(dim)])
-    text = draw(st.sampled_from(AFFINE_TEXTS))
-    n = draw(st.sampled_from([None, 3 if text.count("x3") else 2, 4]))
-    return parse(text, Flavor.FREE, F, n=n), A
+    if draw(st.integers(0, 4)):
+        table = [[draw(cell) for _ in range(dim)] for _ in range(dim)]
+    else:
+        table = [[(0,) * dim] * dim] * dim  # the zero product: rank L is 0 on every slice
+    A = Algebra(F, dim, table)
+    order = A.order()
+    commutator = draw(st.booleans())
+    texts = AFFINE_BRACKETS if commutator else AFFINE_TEXTS
+    text = draw(st.sampled_from([t for t in texts if order ** (3 if "x3" in t else 2) <= AFFINE_WALK]))
+    n = draw(st.sampled_from([None, 4] if order**4 <= AFFINE_WALK else [None]))
+    return parse(text, Flavor.LIE if commutator else Flavor.FREE, F, n=n), A, commutator
 
 
 @settings(max_examples=60, deadline=None)
 @given(affine_cases())
 def test_slices_match_points_on_random_tables(case):
-    Q, A = case
+    Q, A, commutator = case
     assert affine_variables(Q)
-    assert_slices_match_points(Q, A)
+    assert_slices_match_points(Q, A, commutator)
 
 
 F4 = field_of_order(4)
@@ -525,15 +617,25 @@ def test_slice_route_counts_nonhomogeneous_polynomials_over_gf4():
         assert zero_probability(Q, A).zero_count == brute, text
 
 
-def test_slice_verdicts_keep_two_scale_tables():
-    # a verdict spans each L(b_i)'s nonzero multiples by powers of one
-    # generator of GF(q)*, so a slice count keeps the scale tables of -1
-    # and of the generator, where it kept one per nonzero scalar: on
-    # field(1021), 1,019 of them and 64 MB
-    for q, peak_bytes in ((251, 1 << 20), (1021, None)):
+def test_slice_verdicts_make_one_rref_a_distinct_slice(monkeypatch):
+    # a verdict reads rank L off one rref of the L(b_i), so its cost does
+    # not grow with |im L| and it keeps no scale table but that of -1:
+    # x1*x2 on field(4093), 16.75 M points and just under the cap, is
+    # 4,093 slices of 4,093 points each, with one rref apiece
+    rrefs, rref = [], idtest.rref
+
+    def counting(*args):
+        rrefs.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(idtest, "rref", counting)
+    verdicts = record_slice_verdicts(monkeypatch)
+    for q, peak_bytes in ((251, 1 << 20), (4093, None)):
         A = field_as_algebra(q)
         Q = parse("x1*x2", Flavor.FREE, A.field)
-        assert idtest._count_route(Q, A, q * q) == ("slice", 1)
+        assert q * q <= EXACT_CAP and idtest._count_route(Q, A, q * q) == ("slice", 1)
+        rrefs.clear()
+        verdicts.clear()
         if peak_bytes:
             tracemalloc.start()
         try:
@@ -542,7 +644,8 @@ def test_slice_verdicts_keep_two_scale_tables():
                 assert tracemalloc.get_traced_memory()[1] < peak_bytes
         finally:
             tracemalloc.stop()
-        assert len(A._memo[idtest._Tables].scales) <= 2
+        assert len(verdicts) == 1 and len(rrefs) == len(verdicts[0]) <= q
+        assert set(A._memo[idtest._Tables].scales) <= {A.field.neg(1)}
 
 
 def test_route_choice():

@@ -477,7 +477,7 @@ def test_counts_on_dense_tables_match_the_point_walk(q, dim):
 
 
 def test_no_exact_count_over_gf2k_or_gf3_slices():
-    # idtest._slice_zeros spans on the tables over every field, but a slice
+    # idtest._slice_zeros reads rank L over every field, but a slice
     # needs two arguments and order > 3 * (dim + 1), so order**n >= 49
     # points, and over GF(2^k) and GF(3) lanes take every count of 32 points
     # or more, dense tables included
@@ -515,9 +515,9 @@ def test_no_exact_count_over_gf2k_or_gf3_slices():
 
 
 def test_one_argument_counts_never_slice():
-    # the one affine polynomial of one argument is c*x1, whose one verdict
-    # spans all of A and built a scale table per nonzero scalar: 4,091 of
-    # them on field(4093), where the point walk needs one
+    # the one affine polynomial of one argument is c*x1, and a count of one
+    # argument walks its points, keeping at most the kernel's scale table
+    # of c
     for A in [*cli.library(), builtin("field(4093)")]:
         flavor = Flavor.LIE if A.bracket else Flavor.FREE
         for c in sorted({1, A.field.q - 1}):
