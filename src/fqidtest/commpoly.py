@@ -25,20 +25,26 @@ step records whether its factors share an argument.  Over GF(2), reduced,
 a monomial is the bit set of its variables, a product an OR (x^2 = x)
 and a sum a parity, with no field calls; a product of factors with no
 argument in common is a plain set of ORs, as no two pairs of monomials
-give the same one, and only overlapping factors count parities.  The
-plan is commpoly's own: it shares nothing with lanes' plan or idtest's
-compiled kernel, the other sides of the cross-checks.  Otherwise each
-variable owns a lane of bits and a product adds the ints; reduced, a
-lane is q.bit_length() + 1 bits and a product folds every lane that
-reaches q back by q - 1 (x^q = x) at once, through a bias that sets the
-lane's guard bit; symbolic, a lane holds Q's degree and nothing folds.
-Only the final coordinates are unpacked to {exps: coeff} dicts.  The
-nonzero structure constants these builds walk depend only on A.table, so
-the algebra keeps them in its memo (_cells).
+give the same one; a product by one variable {b} drops the pairs a,
+a ^ b that meet; and only other overlapping factors count parities.
+The plan is commpoly's own: it shares nothing with lanes' plan or
+idtest's compiled kernel, the other sides of the cross-checks.
+Otherwise each variable owns a lane of bits and a product adds the ints;
+reduced, a lane is q.bit_length() + 1 bits and a product folds every
+lane that reaches q back by q - 1 (x^q = x) at once, through a bias that
+sets the lane's guard bit; symbolic, a lane holds Q's degree and nothing
+folds.  Only the final coordinates are unpacked to {exps: coeff} dicts.
+The nonzero structure constants these builds walk depend only on
+A.table, so the algebra keeps them in its memo (_cells).  Nothing else
+is kept per algebra or per polynomial: the lane constants and the
+generic arguments depend only on (q, width, degree) and (bits, n, dim),
+values that recur across algebras, and come from bounded caches keyed
+by them.
 reduced_degrees unpacks nothing: it reads each reduced coordinate's
 total degree off the packed ints, the greatest bit count over GF(2),
-read inline, and the greatest sum of lanes otherwise, and builds no
-exponent tuple and no CommPoly.
+read inline, and otherwise the greatest sum over the digit bits b of a
+lane of 2^b times the bit count of the monomial's bits b (two bit
+counts over GF(3)), and builds no exponent tuple and no CommPoly.
 
 zero_counter counts the common zeros of a list of polynomials over all of
 F^n.  Over GF(2) it is bit-sliced: variable i is an int with bit k set
@@ -510,8 +516,9 @@ def reduced_degrees(Q: FreePoly, A, commutator: bool = False) -> list[int | None
 
     The degrees are read off the packed monomials, so no coordinate is
     unpacked: over GF(2) a monomial's degree is its bit count, read inline
-    with no method call, and otherwise _LaneMonomials.degree sums its
-    lanes.  Like reduced_coordinates it reads only A.table.
+    with no method call, and otherwise _LaneMonomials.degree reads it with
+    one bit count per digit bit of a lane (two over GF(3)).  Like
+    reduced_coordinates it reads only A.table.
     """
     ring, coords = _packed_coordinates(Q, A, commutator, reduced=True)
     if A.field.q == 2:  # the ring is _BitMonomials
@@ -574,7 +581,10 @@ def _packed_coordinates(Q: FreePoly, A, commutator: bool, reduced: bool):
     reversed product.  The coordinates start as the entries of the first
     term's vector when its coefficient is 1, and the other terms are added
     to them; a sum may change those entries in place, as no step runs
-    after the terms and no two terms are one node."""
+    after the terms and no two terms are one node.  The generic arguments
+    are the ring's cached ones, so when the first term is a bare variable
+    its entries are copied first (ring.zero copies a dict and returns a
+    frozenset, which no sum changes, as it is)."""
     f = A.field
     if not (Q.field is f or Q.field == f):
         raise FieldMismatch(f"{Q.field!r} vs {f!r}")
@@ -602,7 +612,7 @@ def _packed_coordinates(Q: FreePoly, A, commutator: bool, reduced: bool):
             values.append(mul(values[left], values[right], disjoint))
     if terms and terms[0][1] == 1:
         (node, _), *terms = terms
-        coords = list(values[node])
+        coords = list(map(ring.zero, values[node])) if node < Q.n else list(values[node])
     else:
         coords = [ring.zero() for _ in range(dim)]
     for node, coeff in terms:
@@ -641,9 +651,10 @@ class _BitMonomials:
     coefficient is 1, so a polynomial is the set of its monomials and a sum
     keeps the monomials that occur an odd number of times: sets are added
     by XOR.  Factors that share no argument have disjoint bits, so their
-    products are distinct and need no parity count.  No set is changed
-    once built: a sum replaces the entries of its vector, so vectors, and
-    the kept generic arguments, may share sets.
+    products are distinct and need no parity count, and a product by one
+    variable reads its parity off each monomial's partner (mul).  No set
+    is changed once built: a sum replaces the entries of its vector, so
+    vectors, and the kept generic arguments, may share sets.
     """
 
     zero = frozenset
@@ -668,10 +679,17 @@ class _BitMonomials:
         Each nonzero cell's product is one set, XORed into its output
         coordinates.  Two factors of one monomial each give the one set
         of their OR, built directly, with no comprehension (which runs in
-        a frame of its own).  When the factors share no argument, every
-        pair of monomials gives a different product, so the set is built
-        as it is; otherwise the products that occur an even number of
-        times cancel, as in x1 * x1."""
+        a frame of its own; put behind the rule below, this case cost
+        about 1 us a verdict on dimension-2 GF(2) tables).  When the
+        factors share no argument, every pair of monomials gives a
+        different product, so the set is built as it is.  Otherwise, as
+        monomials commute, a factor that is one variable {b}, on either
+        side, keeps a | b for each monomial a of the other factor whose
+        partner a ^ b is not in it: a and a ^ b, if both occur, are the
+        only two monomials with that product and cancel, which is the
+        parity _odd_terms counts, with no Counter.  Any other products
+        that occur an even number of times cancel through _odd_terms, as
+        in x1*x2 times x1*x2 + x1."""
         out = [frozenset()] * len(u)
         for ui, row in zip(u, self.cells):
             if ui:
@@ -685,7 +703,11 @@ class _BitMonomials:
                         elif disjoint:
                             terms = {a | b for a in ui for b in vj}
                         else:
-                            terms = _odd_terms([a | b for a in ui for b in vj])
+                            x, y = (vj, ui) if single else (ui, vj)
+                            if len(y) == 1 and not (b := min(y)) & b - 1:  # y is {b}, one variable
+                                terms = {a | b for a in x if a ^ b not in x}
+                            else:
+                                terms = _odd_terms([a | b for a in x for b in y])
                         for k in ks:
                             acc = out[k]
                             out[k] = acc ^ terms if acc else terms
@@ -712,6 +734,38 @@ def _odd_terms(terms: list) -> set:
     return {m for m, count in Counter(terms).items() if count & 1}
 
 
+@lru_cache(maxsize=64)
+def _lane_layout(q: int, width: int, degree: int | None) -> tuple:
+    """(bits, guard, bias, top, digits) of width lanes over GF(q), as
+    _LaneMonomials sets them out: reduced when degree is None, else wide
+    enough for degree.  digits holds (b, B_b) for each bit b an exponent
+    can set, B_b with bit b of every lane set.  They depend on these values
+    alone, so every build of this shape reads them from the cache."""
+    if degree is None:
+        top = q.bit_length()
+        bits = top + 1
+        lanes = range(0, width * bits, bits)
+        guard = sum(1 << (s + top) for s in lanes)
+        bias = sum(((1 << top) - q) << s for s in lanes)
+        used = (q - 1).bit_length()  # a reduced exponent is at most q - 1
+    else:
+        bits = used = degree.bit_length()
+        lanes = range(0, width * bits, bits)
+        guard = bias = top = 0
+    digits = tuple((b, sum(1 << (s + b) for s in lanes)) for b in range(used))
+    return bits, guard, bias, top, digits
+
+
+@lru_cache(maxsize=64)
+def _lane_arguments(bits: int, n: int, dim: int) -> tuple:
+    """The n generic arguments on lanes of bits bits: coordinate s of
+    argument i is the variable x_{i*dim+s+1}.  The cache hands the same
+    dicts to every build of this shape, so no build may change them."""
+    return tuple(
+        tuple({1 << (k * bits): 1} for k in range(i * dim, (i + 1) * dim)) for i in range(n)
+    )
+
+
 class _LaneMonomials:
     """Coordinates over any field, with monomials packed in lanes.
 
@@ -722,7 +776,10 @@ class _LaneMonomials:
     L = q.bit_length(), to every lane sets the lane's guard bit L exactly
     when it holds q or more, and those lanes lose q - 1, since x^q = x.
     Unreduced, a lane holds Q's degree, which no exponent passes, and the
-    guard is 0, so nothing folds.
+    guard is 0, so nothing folds.  These constants, the digit masks that
+    degree reads and the generic arguments depend only on (q, width,
+    degree) and (bits, n, dim), and come from caches keyed by those values
+    (_lane_layout, _lane_arguments).
     """
 
     zero = dict
@@ -733,22 +790,11 @@ class _LaneMonomials:
         self.field = field
         self.cells = cells
         self.width = width
-        if degree is None:
-            top = field.q.bit_length()
-            self.bits = top + 1
-            lanes = range(0, width * self.bits, self.bits)
-            self.guard = sum(1 << (s + top) for s in lanes)
-            self.bias = sum(((1 << top) - field.q) << s for s in lanes)
-            self.top = top
-        else:
-            self.bits = degree.bit_length()
-            self.guard = self.bias = self.top = 0
+        self.bits, self.guard, self.bias, self.top, self.digits = _lane_layout(field.q, width, degree)
 
-    def arguments(self, n: int, dim: int) -> list:
-        """The n generic arguments: coordinate s of argument i is the
-        variable x_{i*dim+s+1}."""
-        bits = self.bits
-        return [[{1 << (k * bits): 1} for k in range(i * dim, (i + 1) * dim)] for i in range(n)]
+    def arguments(self, n: int, dim: int) -> tuple:
+        """The n generic arguments, kept per (bits, n, dim)."""
+        return _lane_arguments(self.bits, n, dim)
 
     def mul(self, u: list, v: list, disjoint: bool) -> list:
         """u * v for vectors of coordinate dicts, by the structure constants.
@@ -788,7 +834,17 @@ class _LaneMonomials:
         return {tuple([m >> s & mask for s in shifts]): c for m, c in poly.items()}
 
     def degree(self, poly: dict) -> int:
-        """The total degree of a nonzero polynomial: its greatest sum of lanes."""
-        shifts = range(0, self.width * self.bits, self.bits)
-        mask = (1 << self.bits) - 1
-        return max(sum([m >> s & mask for s in shifts]) for m in poly)
+        """The total degree of a nonzero polynomial: its greatest sum of
+        lanes, read for monomial m as the sum over digit bits b of
+        2^b * popcount(m & B_b), one popcount per digit bit (two over
+        GF(3)).  A plain loop: coordinates hold a few monomials, and a
+        comprehension's frame costs more than the loop over them."""
+        digits = self.digits
+        most = 0
+        for m in poly:
+            total = 0
+            for b, mask in digits:
+                total += (m & mask).bit_count() << b
+            if total > most:
+                most = total
+        return most

@@ -939,12 +939,15 @@ def functional_zero_fraction(
 # ---------------------------------------------------------------------------
 # the threshold verdict
 
-def _witness(Q: FreePoly, A: Algebra, commutator: bool, **found) -> dict:
-    """A TheoremViolation witness that rebuilds the (Q, A) pair: the
-    polynomial text, its variable count n (the text drops unused trailing
-    variables), flavor and commutator flag and the algebra document, then
-    what failed.  --out human prints the keys in this order."""
+def _witness(check: str, Q: FreePoly, A: Algebra, commutator: bool, **found) -> dict:
+    """A TheoremViolation witness that rebuilds the (Q, A) pair: the check
+    that failed ("dixon", "descent-stage", "descent-final" or "blocks"),
+    the polynomial text, its variable count n (the text drops unused
+    trailing variables), flavor and commutator flag and the algebra
+    document, then what failed.  --out human prints the keys in this
+    order."""
     return {
+        "check": check,
         "poly": Q.to_text(),
         "n": Q.n,
         "flavor": Q.flavor.value,
@@ -1013,7 +1016,7 @@ def _violation(
     """dixon_verdict's TheoremViolation: _witness's fields, then the count,
     its route, and the count's probability and threshold as text."""
     return TheoremViolation(message, witness=_witness(
-        Q, A, commutator,
+        "dixon", Q, A, commutator,
         zero_count=report.zero_count,
         total=report.total,
         route=_count_route(Q, A, report.total)[0],
@@ -1236,14 +1239,14 @@ def _rep_index(tables: _Tables, r) -> int:
     raise WitnessInvalid(f"representative {r!r} is not a coordinate vector of length {dim}")
 
 
-def _descent_violation(message, Q, A, witness, commutator, **found) -> TheoremViolation:
+def _descent_violation(check, message, Q, A, witness, commutator, **found) -> TheoremViolation:
     """A failed descent, with a witness that rebuilds it: _witness's
-    fields, the ideal's basis and the representatives, plus what failed
-    (the stage and its arguments, or the first nonzero coordinate on the
-    restricted algebra).
+    fields, check "descent-stage" or "descent-final" first, the ideal's
+    basis and the representatives, plus what failed (the stage and its
+    arguments, or the first nonzero coordinate on the restricted algebra).
     """
     return TheoremViolation(message, witness=_witness(
-        Q, A, commutator,
+        check, Q, A, commutator,
         ideal=witness.ideal.basis,
         representatives=witness.representatives,
         **found,
@@ -1320,14 +1323,16 @@ def multilinear_descent(
         if not stage:
             raise WitnessInvalid(f"e_Q does not vanish on the coset product at {args!r}")
         message = f"descent stage {stage} failed at {args!r}"
-        raise _descent_violation(message, Q, A, witness, commutator, stage=stage, args=args)
+        raise _descent_violation(
+            "descent-stage", message, Q, A, witness, commutator, stage=stage, args=args
+        )
 
     if not known:
         sub, _ = restrict(A, ideal)
         nonzero = [c for c in reduced_coordinates(Q, sub, commutator=commutator) if not c.is_zero]
         if nonzero:
             raise _descent_violation(
-                "identity on the ideal fails in the restricted algebra",
+                "descent-final", "identity on the ideal fails in the restricted algebra",
                 Q, A, witness, commutator, coordinate=nonzero[0].to_text(),
             )
         verified.add(ideal)
@@ -1403,7 +1408,7 @@ def block_statistics(
 
     def violation(message, **found):
         return TheoremViolation(message, witness=_witness(
-            Q, A, commutator, ideal_i=ideal_i.basis, ideal_j=ideal_j.basis, **found,
+            "blocks", Q, A, commutator, ideal_i=ideal_i.basis, ideal_j=ideal_j.basis, **found,
         ))
 
     e = _kernel(Q, inner_alg, commutator)
@@ -1539,6 +1544,7 @@ def nagata_higman_check(
             f"x^{d} is an identity in characteristic {char} > {d} "
             "but no finite nilpotency index was found",
             witness={
+                "check": "nagata",
                 "algebra": to_json_dict(A),
                 "d": d,
                 "char": char,

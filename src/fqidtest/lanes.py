@@ -57,7 +57,7 @@ arithmetic only: never the element-index kernel, Algebra.mul or any of
 commpoly's helpers.
 """
 
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import or_, xor
 
 from .freepoly import Flavor
@@ -172,11 +172,10 @@ class _Tables:
     list.  A product is kept as rows (a, ((b, outs), ...)) on those plane
     indices: lane a of the left factor times lane b of the right one adds
     into each output in outs, and the commutator reading takes the
-    constants of (a, b) less those of (b, a).  A coefficient c is the
-    linear map whose plane t is the sum of the planes in srcs[t], or None
-    for c = 1.  reads holds, lane by lane, the sampled feed's coordinate,
-    byte within the coordinate's digit, and translate tables from that
-    byte to the lane's planes.
+    constants of (a, b) less those of (b, a).  A coefficient c is its map
+    on an element's planes (scale), or None for c = 1.  reads holds, lane
+    by lane, the sampled feed's coordinate, byte within the coordinate's
+    digit, and translate tables from that byte to the lane's planes.
     """
 
     __slots__ = ("field", "arith", "width", "constants", "products", "scales", "reads")
@@ -212,7 +211,7 @@ class _Tables:
             self.reads = tuple((dim - 1 - b, 0, _VALUE_PLANES) for b in range(dim))
         self.constants = constants
         self.products = {}  # commutator flag -> rows
-        self.scales = {}  # coefficient -> srcs
+        self.scales = {}  # coefficient -> its map on planes
 
     def rows(self, commutator: bool):
         """The product's rows."""
@@ -232,12 +231,17 @@ class _Tables:
         return rows
 
     def scale(self, c: int):
+        """The map that multiplies an element's planes by c, or None for
+        c = 1.  Over GF(3), c = 2 swaps each lane's two planes: a plane
+        permutation (_permuted), with no reduce per plane.  Over GF(2^k)
+        it is the linear map whose plane t is the XOR of the planes in
+        srcs[t] (_linear_map)."""
         if c == 1:
             return None
-        srcs = self.scales.get(c)
-        if srcs is None:
-            if self.arith is _GF3:  # c = 2 swaps each lane's planes
-                srcs = tuple((t ^ 1,) for t in range(2 * self.width))
+        scale = self.scales.get(c)
+        if scale is None:
+            if self.arith is _GF3:
+                scale = partial(_permuted, tuple(t ^ 1 for t in range(2 * self.width)))
             else:
                 f, k = self.field, self.field.k
                 srcs = [[] for _ in range(self.width)]
@@ -247,9 +251,20 @@ class _Tables:
                         for m in range(k):
                             if v >> m & 1:
                                 srcs[base + m].append(base + i)
-                srcs = tuple(map(tuple, srcs))
-            self.scales[c] = srcs
-        return srcs
+                scale = partial(_linear_map, tuple(map(tuple, srcs)))
+            self.scales[c] = scale
+        return scale
+
+
+def _permuted(perm, value):
+    """value with plane t read from plane perm[t]."""
+    return [value[t] for t in perm]
+
+
+def _linear_map(srcs, value):
+    """value under the GF(2)-linear map whose plane t is the XOR of the
+    planes in srcs[t]."""
+    return [reduce(xor, map(value.__getitem__, planes), 0) for planes in srcs]
 
 
 def _tables(A) -> _Tables:
@@ -324,12 +339,12 @@ def _nonzeros(arith, rows, steps, terms, values) -> int:
         for node in dead:
             values[node] = None
     acc = None
-    for node, srcs, dead in terms:
+    for node, scale, dead in terms:
         value = values[node]
         for node in dead:
             values[node] = None
-        if srcs is not None:  # the coefficient's linear map
-            value = [reduce(xor, map(value.__getitem__, planes), 0) for planes in srcs]
+        if scale is not None:  # the coefficient's map on planes
+            value = scale(value)
         acc = value if acc is None else add(acc, value)
     return reduce(or_, acc or (), 0)
 

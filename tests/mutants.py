@@ -423,9 +423,9 @@ MUTANTS = (
     Mutant(
         "gf3-scale-by-two-not-swapped",
         "src/fqidtest/lanes.py",
-        "srcs = tuple((t ^ 1,) for t in range(2 * self.width))",
-        "srcs = tuple((t,) for t in range(2 * self.width))",
-        (GF3_LIBRARY, GF3_RANDOM),
+        "tuple(t ^ 1 for t in range(2 * self.width))",
+        "tuple(t for t in range(2 * self.width))",
+        (GF3_LIBRARY, GF3_RANDOM, LANES + "::test_gf3_coefficient_two_is_a_plane_permutation"),
     ),
     Mutant(
         "gf3-commutator-read-as-sum",
@@ -470,6 +470,33 @@ MUTANTS = (
         "max(map(int.bit_count, c))",
         "len(c)",
         (COORDS + "::test_route_on_every_dimension_two_table",),
+    ),
+    # the packed builds' fast paths: the one-variable parity, the popcount
+    # degree and the cached generic arguments
+    Mutant(
+        "coords-one-variable-partner-flipped",
+        "src/fqidtest/commpoly.py",
+        "terms = {a | b for a in x if a ^ b not in x}",
+        "terms = {a | b for a in x if a ^ b in x}",
+        (
+            COORDS + "::test_one_variable_products_keep_the_odd_parity",
+            COORDS + "::test_one_variable_products_on_colliding_monomials",
+        ),
+    ),
+    Mutant(
+        # bit 1 of a lane, of weight 2, counted with weight 1
+        "coords-popcount-weight-two-read-as-one",
+        "src/fqidtest/commpoly.py",
+        "total += (m & mask).bit_count() << b",
+        "total += (m & mask).bit_count() << (b >> 1)",
+        (COORDS + "::test_popcount_degree_is_the_greatest_lane_sum", COORDS + "::test_route_on_explicit_plans"),
+    ),
+    Mutant(
+        "coords-cached-argument-not-copied",
+        "src/fqidtest/commpoly.py",
+        "coords = list(map(ring.zero, values[node])) if node < Q.n else list(values[node])",
+        "coords = list(values[node])",
+        (COORDS + "::test_cached_arguments_are_unchanged_by_the_builds",),
     ),
     # the prime-field point counter sums plain ints
     Mutant(

@@ -391,8 +391,9 @@ def test_forced_violation_replays_from_its_witness(check, monkeypatch, capsys):
     assert str(failure) == message
     witness = failure.witness
     assert list(witness) == [
-        "poly", "n", "flavor", "commutator", "algebra", "ideal_i", "ideal_j", *found,
+        "check", "poly", "n", "flavor", "commutator", "algebra", "ideal_i", "ideal_j", *found,
     ]
+    assert witness["check"] == "blocks"
     assert (witness["poly"], witness["n"], witness["commutator"]) == ("x1*x1", 1, False)
     assert witness["algebra"] == to_json_dict(T)
     assert (witness["ideal_i"], witness["ideal_j"]) == (I.basis, J.basis)

@@ -212,6 +212,7 @@ def test_dixon_witness_replays_through_the_cli(
         idtest.dixon_verdict(Q, A, commutator=commutator)
     monkeypatch.undo()
     witness = info.value.witness
+    assert next(iter(witness.items())) == ("check", "dixon")
     assert witness["route"] == route
     assert (witness["flavor"], witness["commutator"]) == (flavor, commutator)
     path = tmp_path / "witness_algebra.json"

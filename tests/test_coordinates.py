@@ -20,6 +20,8 @@ start from a first term whose coefficient is not 1.
 
 import operator
 import pickle
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -420,6 +422,85 @@ def route_cases(draw):
 def test_route_on_random_tables(case):
     Q, A, commutator = case
     assert_route_matches(Q, A, commutator)
+
+
+# ---------------------------------------------------------------------------
+# the packed builds' fast paths against the forms they replace
+
+# a dimension-1 GF(2) table whose one constant is 1, so that u * v is the
+# one product u[0] * v[0] of two coordinate sets
+ONE_CELL = (((0, (0,), (1,)),),)
+
+
+@st.composite
+def one_variable_products(draw):
+    """(x, b): a set of GF(2) monomials in six variables and the variable
+    b, with the partner a ^ b of some monomials a added, so that products
+    meet."""
+    x = draw(st.sets(st.integers(1, 63), min_size=1, max_size=10))
+    b = 1 << draw(st.integers(0, 5))
+    partners = draw(st.sets(st.sampled_from(sorted(x))))
+    return x | {a ^ b for a in partners if a ^ b}, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_variable_products())
+def test_one_variable_products_keep_the_odd_parity(case):
+    # x times the one variable {b}, on either side, keeps the products that
+    # occur an odd number of times, as _odd_terms counts them
+    x, b = case
+    want = {m for m, count in Counter(a | b for a in x).items() if count & 1}
+    assert commpoly._odd_terms([a | b for a in x]) == want
+    ring = commpoly._BitMonomials(ONE_CELL, 6)
+    for ui in (x, frozenset(x)):
+        assert ring.mul([ui], [{b}], False) == [want]
+        assert ring.mul([{b}], [ui], False) == [want]
+
+
+def test_one_variable_products_on_colliding_monomials():
+    ring = commpoly._BitMonomials(ONE_CELL, 3)
+    # x1 and x1*x2 both times x2 give x1*x2, which cancels; x3 gives x2*x3
+    assert ring.mul([{0b001, 0b011, 0b100}], [{0b010}], False) == [{0b110}]
+    assert ring.mul([{0b010}], [{0b001, 0b011, 0b100}], False) == [{0b110}]
+    # x2 times x2 is x2, and x1*x2 alone keeps its product
+    assert ring.mul([{0b010}], [{0b010}], False) == [{0b010}]
+    assert ring.mul([{0b011}], [{0b010}], False) == [{0b011}]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 251, 65521])
+def test_popcount_degree_is_the_greatest_lane_sum(q):
+    F = field_of_order(q)
+    rng = random.Random(q)
+    for width in range(1, 6):
+        for degree in (None, 7):  # reduced, and symbolic with lanes up to 7
+            ring = commpoly._LaneMonomials(F, (), width, degree)
+            top = q - 1 if degree is None else degree
+            for _ in range(25):
+                monomials = [[rng.randint(0, top) for _ in range(width)] for _ in range(rng.randint(1, 5))]
+                if rng.random() < 0.2:
+                    monomials.append([top] * width)  # every digit bit of every lane set
+                poly = {sum(e << (k * ring.bits) for k, e in enumerate(m)): 1 for m in monomials}
+                assert ring.degree(poly) == max(map(sum, monomials)), (q, width, monomials)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_cached_arguments_are_unchanged_by_the_builds(q):
+    # a first term that is a bare variable starts the coordinates from the
+    # cached generic argument, which the sums after it must not change
+    F = field_of_order(q)
+    A = Algebra(F, 2, [[(1, 0), (0, q - 1)], [(1, 1), (0, 0)]])
+    for text in ("x1", "x1 + x2", "x1 + 2*x2", "2*x1 + x1*x2"):
+        Q = parse(text, Flavor.FREE, F)
+        for commutator in (False, True):
+            for _ in range(2):
+                assert_coordinates_match(Q, A, commutator)
+            for reduced in (True, False):
+                ring, _ = commpoly._packed_coordinates(Q, A, commutator, reduced)
+                generic = tuple(
+                    tuple({1 << (k * ring.bits): 1} for k in range(i * A.dim, (i + 1) * A.dim))
+                    for i in range(Q.n)
+                )
+                assert commpoly._lane_arguments(ring.bits, Q.n, A.dim) == generic, (text, commutator)
 
 
 @st.composite

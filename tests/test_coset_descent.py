@@ -1154,6 +1154,7 @@ def test_stage_failure_witness_replays(monkeypatch):
     monkeypatch.setattr(Q, "_analysis", replace(Q.analyze(), multilinear=True))
     w, failure = first_stage_failure(Q)
     witness = failure.witness
+    assert next(iter(witness.items())) == ("check", "descent-stage")
     assert (witness["poly"], witness["n"], witness["stage"]) == (Q.to_text(), 2, 1)
     assert str(failure) == f"descent stage 1 failed at {witness['args']!r}"
     assert witness["representatives"] == w.representatives
@@ -1186,6 +1187,7 @@ def test_final_check_failure_witness_replays(monkeypatch, commutator):
     failure = info.value
     witness = failure.witness
     assert str(failure) == "identity on the ideal fails in the restricted algebra"
+    assert next(iter(witness.items())) == ("check", "descent-final")
     assert (witness["n"], witness["flavor"], witness["commutator"]) == (2, flavor.value, commutator)
     assert witness["coordinate"] not in ("", "0")
     assert "stage" not in witness and witness["algebra"] == to_json_dict(T)

@@ -549,6 +549,7 @@ def reference_dixon(Q, A, *, cap=idtest.EXACT_CAP, workers=1, commutator=False):
 
     def violation(message):
         return TheoremViolation(message, witness={
+            "check": "dixon",
             "poly": Q.to_text(),
             "n": Q.n,
             "flavor": Q.flavor.value,
@@ -961,6 +962,7 @@ def test_forced_violations_keep_their_messages_and_witnesses(monkeypatch):
     for P, A, zeros, floor, message, probability in cases:
         got, want = forced_verdicts(monkeypatch, P, A, zeros, floor)
         witness = {
+            "check": "dixon",
             "poly": P.to_text(),
             "n": 2,
             "flavor": "free",
@@ -1207,6 +1209,7 @@ def test_nagata_witness_replays(monkeypatch):
         nagata_higman_check(T, 3)
     monkeypatch.undo()
     witness = json.loads(json.dumps(cli._jsonable(info.value.witness)))
+    assert next(iter(witness.items())) == ("check", "nagata")
     assert (witness["d"], witness["char"], witness["nilpotency_index"]) == (3, 5, None)
     A = from_json_dict(witness["algebra"])
     assert A == T

@@ -9,8 +9,9 @@ the kernel's sampled route on the same draws, count for count.
 import pickle
 import random
 import tracemalloc
+from functools import reduce
 from itertools import product
-from operator import not_
+from operator import not_, xor
 
 import pytest
 from hypothesis import given, settings
@@ -435,6 +436,26 @@ def sweep_gf3_table(rng):
     for k in rng.sample(range(8), 4):
         slots[k] = rng.randrange(1, 3)
     return Algebra(F3, 2, [[slots[4 * s + 2 * r:4 * s + 2 * r + 2] for r in range(2)] for s in range(2)])
+
+
+def test_gf3_coefficient_two_is_a_plane_permutation():
+    # the coefficient 2 swaps each lane's planes in one permutation: the
+    # per-plane reduce form it replaced, and the point walk, agree
+    rng = random.Random(38)
+    algebras = [builtin("heisenberg(3)"), builtin("truncated(3,3)"), Algebra(F3, 1, [[(2,)]])]
+    algebras += [sweep_gf3_table(rng) for _ in range(3)]
+    for A in algebras:
+        tables = lanes._tables(A)
+        planes = [rng.getrandbits(81) for _ in range(2 * tables.width)]
+        want = [reduce(xor, map(planes.__getitem__, (t ^ 1,)), 0) for t in range(2 * tables.width)]
+        assert list(tables.scale(2)(planes)) == want
+        if A.bracket:
+            cases = [parse(t, Flavor.LIE, F3) for t in ("2*[x1,x2]", "[x1,x2] + 2*[[x1,x2],x1]")]
+        else:
+            texts = ("2*x1*x2 + x2*x1", "x1*x2 + 2*x2*x1", "2*x1", "2*x1*x1*x2 + 2*x2")
+            cases = [parse(t, Flavor.FREE, F3) for t in texts]
+        for Q in cases:
+            assert lanes_count(Q, A) == points_count(Q, A), (Q.to_text(), A.table)
 
 
 WORDS = ("x1*x1", "x1*x1*x1", "x1*x1*x1*x1", "x1*x2", "x1*x2*x1")
