@@ -24,13 +24,15 @@ FreePoly's own + and * use.  A field literal, as in an algebra file's
 table, is this language without variables and reads through the same
 parser.  Term trees nest at most MAX_DEPTH products deep and text at most
 MAX_DEPTH groups deep, so that every recursive walk over a tree or the
-text stays far inside Python's recursion limit.
+text stays far inside Python's recursion limit.  A polynomial's product
+plan (plan) is the one program that idtest's kernel and the lanes run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import (
     ConstantTermForbidden,
@@ -328,6 +330,59 @@ def power_word(d: int, field: Field) -> FreePoly:
     if d < 1:
         raise ValueError("power must be >= 1")
     return FreePoly(field, Flavor.ASSOC, 1, {(1,) * d: 1})
+
+
+# ---------------------------------------------------------------------------
+# the product plan
+
+# an assoc word's letters past the first UNROLLED are one tail step of its plan
+UNROLLED = 64
+
+
+@lru_cache(maxsize=256)
+def plan(Q: FreePoly):
+    """e_Q as straight-line steps on nodes, which idtest's kernel compiles
+    and the lanes run: nodes 0..n-1 are the arguments, each (left, right,
+    dead) step appends the product of two nodes, and e_Q is the sum of
+    (node, coefficient, dead) over its terms.  dead holds the nodes that
+    step or term reads last.  A product node that several terms share is
+    one step.  An assoc word is folded left, and its letters past UNROLLED
+    are one tail step, whose right is the tuple of their nodes, multiplied
+    in one after another.  The plan reads Q alone; the cache keeps 256."""
+    steps, nodes = [], {}
+
+    def node(left, right):
+        key = nodes.get((left, right))
+        if key is None:
+            key = nodes[left, right] = Q.n + len(steps)
+            steps.append((left, right))
+        return key
+
+    def tree(t):
+        return t - 1 if isinstance(t, int) else node(tree(t[0]), tree(t[1]))
+
+    def word(term):
+        acc = term[0] - 1
+        for i in term[1:UNROLLED]:
+            acc = node(acc, i - 1)
+        if len(term) > UNROLLED:
+            acc = node(acc, tuple(i - 1 for i in term[UNROLLED:]))
+        return acc
+
+    compile_term = word if Q.flavor is Flavor.ASSOC else tree
+    terms = [(compile_term(term), coeff) for term, coeff in Q.terms.items()]
+    last = {}  # node -> the last step or term (numbered after the steps) to read it
+    for i, (left, right) in enumerate(steps):
+        last.update(dict.fromkeys((left, *right) if isinstance(right, tuple) else (left, right), i))
+    for i, (node, _) in enumerate(terms, len(steps)):
+        last[node] = i
+    dead = [[] for _ in range(len(steps) + len(terms))]
+    for node, i in last.items():
+        dead[i].append(node)
+    return (
+        tuple((left, right, tuple(dead[i])) for i, (left, right) in enumerate(steps)),
+        tuple((node, coeff, tuple(dead[i])) for i, (node, coeff) in enumerate(terms, len(steps))),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -62,15 +62,17 @@ order**n points: off lanes.zero_flags, one byte per point from the
 blocks of a lanes count, or off the kernel's point walk; its other
 ideals, and descent's coset re-check, stay on the kernel.
 
-The kernel is one generated function per (Q, commutator): its body
-unpacks the argument indices into locals and gives each distinct product
-node one table lookup, so a subterm that several terms share costs one
-lookup per point, and the terms are summed one statement each.  Its
-source holds fixed names, locals and ints only, never text from Q, and
-equal sources share one compiled code object.  The function depends only
-on (Q, A, commutator), so the algebra keeps it: the field and flavor gate
-runs and the function is built on the first call for each
-(Q, commutator), and a later call with an equal Q finds it.  Descent's
+The kernel is one generated function per (Q, commutator), compiled from
+freepoly.plan, the plan the lanes run: its body unpacks the argument
+indices into locals and gives each step one table lookup, so a subterm
+that several terms share costs one lookup per point, and the terms are
+summed one statement each.  _evaluate_raw and the coordinate route never
+read that plan.  Its source holds fixed names, locals and ints only,
+never text from Q, and equal sources share one compiled code object.
+The function depends only on (Q, A, commutator), so the algebra keeps
+it: the field and flavor gate runs and the function is built on the
+first call for each (Q, commutator), and a later call with an equal Q
+finds it.  Descent's
 claim that e_Q vanishes on I^n depends only on (Q, I) and the product
 flavor, so the same entry also keeps the ideals verified for it: the
 stage-n check and the restricted-algebra check run once per ideal per
@@ -93,7 +95,7 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import compress, count, product, repeat
+from itertools import compress, product, repeat
 from operator import add, itemgetter, mul, not_
 
 from .algebra import (
@@ -128,7 +130,7 @@ from .errors import (
     TheoremViolation,
     WitnessInvalid,
 )
-from .freepoly import Flavor, FreePoly, engel, power_word
+from .freepoly import Flavor, FreePoly, engel, plan, power_word
 
 EXACT_CAP = 1 << 24
 
@@ -565,25 +567,19 @@ def _entry(tables: _Tables, Q: FreePoly, A: Algebra, commutator: bool):
     return entry
 
 
-# letters of an assoc word compiled one statement each; the rest of a longer
-# word is folded by a loop, so a word's source stays this long at most
-_UNROLLED = 64
-
-
 def _compile(Q: FreePoly, tables: _Tables, mul):
-    """Compile Q into one straight-line function of the n element indices.
+    """Compile Q's plan (freepoly.plan) into one straight-line function of
+    the n element indices.
 
-    The body unpacks args into locals a0, a1, ... and gives each distinct
-    product node one assignment tK = mul[left * order + right]: a product
-    is keyed by the locals of its two factors, so a subterm that several
-    terms share is looked up once per point.  An assoc word is folded
-    left, as _eval_term reads it, one distinct prefix per assignment up to
-    _UNROLLED letters; the rest of it runs as a loop over a tuple of
-    argument slots.  The terms are then summed one statement each, never
-    as one nested expression: acc ^= v in characteristic 2, where
-    coordinates add as bit fields and vectors as their indices' XOR, and
-    acc = add[acc * order + v] otherwise, with a coefficient's multiple
-    read as sK[v].
+    The body unpacks args into locals a0, a1, ... and gives each step of
+    the plan one assignment tK = mul[left * order + right], so a subterm
+    that several terms share is looked up once per point; a tail step, an
+    assoc word's letters past freepoly.UNROLLED, runs as a loop over the
+    tuple wK of their argument slots.  The terms are then summed one
+    statement each, never as one nested expression: acc ^= v in
+    characteristic 2, where coordinates add as bit fields and vectors as
+    their indices' XOR, and acc = add[acc * order + v] otherwise, with a
+    coefficient's multiple read as sK[v].
 
     The tables (mul, add, sK, and the word tails wK) are the globals of
     the function's namespace, and the source holds only those fixed
@@ -593,39 +589,19 @@ def _compile(Q: FreePoly, tables: _Tables, mul):
     order = tables.order
     env = {"__builtins__": {}, "mul": mul}
     lines = [f"    {', '.join(f'a{i}' for i in range(Q.n))}, = args"] if Q.n else []
-    products = {}  # (left, right) -> the local holding their product
-    temps = count()
-
-    def node(left, right):
-        name = products.get((left, right))
-        if name is None:
-            name = products[left, right] = f"t{next(temps)}"
-            lines.append(f"    {name} = mul[{left} * {order} + {right}]")
-        return name
-
-    def tree(t):
-        if isinstance(t, int):
-            return f"a{t - 1}"
-        return node(tree(t[0]), tree(t[1]))
-
-    def word(term):
-        acc = f"a{term[0] - 1}"
-        for i in term[1:_UNROLLED]:
-            acc = node(acc, f"a{i - 1}")
-        if len(term) > _UNROLLED:
-            k = next(temps)
-            tail, name = f"w{k}", f"t{k}"
-            env[tail] = tuple(i - 1 for i in term[_UNROLLED:])
-            lines.append(f"    {name} = {acc}")
-            lines.append(f"    for i in {tail}:")
-            lines.append(f"        {name} = mul[{name} * {order} + args[i]]")
-            acc = name
-        return acc
-
-    compile_term = word if Q.flavor is Flavor.ASSOC else tree
+    steps, terms = plan(Q)
+    names = [f"a{i}" for i in range(Q.n)] + [f"t{k}" for k in range(len(steps))]
+    for k, (left, right, _) in enumerate(steps):
+        if isinstance(right, tuple):
+            env[f"w{k}"] = right
+            lines.append(f"    t{k} = {names[left]}")
+            lines.append(f"    for i in w{k}:")
+            lines.append(f"        t{k} = mul[t{k} * {order} + args[i]]")
+        else:
+            lines.append(f"    t{k} = mul[{names[left]} * {order} + {names[right]}]")
     values = []
-    for term, coeff in Q.terms.items():
-        value = compile_term(term)
+    for node, coeff, _ in terms:
+        value = names[node]
         if coeff != 1:
             env[f"s{coeff}"] = tables.scale(coeff)
             value = f"s{coeff}[{value}]"

@@ -22,8 +22,9 @@ The commutator reading [a,b] = ab - ba takes the constants of (a, b) less
 those of (b, a), in the field's arithmetic on planes.  A block's zeros are
 its points less the bit count of the OR of the value's planes, its
 nonzero mask.  One function (_nonzeros) runs e_Q on a block, whichever
-feed built its planes, and drops each node after the last step or term
-that reads it, so a block keeps only the nodes still to be read:
+feed built its planes, one product per step and per letter of a tail
+step, and drops each node after the last step or term that reads it, so
+a block keeps only the nodes still to be read:
 
 - exact counts (count): point i of A^n is bit i of a block of p**L
   points, the points whose index shares its high base-p digits, with L the
@@ -48,8 +49,8 @@ that reads it, so a block keeps only the nodes still to be read:
 
 The structure constants and each coefficient's map are built once per
 algebra, when a count first reads them, and kept in its memo under the
-key _Tables, never pickled; e_Q's plan reads Q alone and is shared by all
-algebras.
+key _Tables, never pickled; e_Q's plan is freepoly.plan, the one the
+element-index kernel compiles, shared by all algebras.
 
 This is the enumeration side of the cross-checks that idtest runs against
 the coordinate polynomials, so it reads A.table and the field's
@@ -60,7 +61,7 @@ commpoly's helpers.
 from functools import lru_cache, partial, reduce
 from operator import or_, xor
 
-from .freepoly import Flavor
+from .freepoly import plan
 
 # Points per block: at most 2**BLOCK_BITS, so a plane holds at most 128 KiB
 BLOCK_BITS = 20
@@ -275,54 +276,11 @@ def _tables(A) -> _Tables:
         return tables
 
 
-@lru_cache(maxsize=256)
-def _plan(Q):
-    """e_Q as straight-line steps on nodes: nodes 0..n-1 are the arguments,
-    each (left, right, dead) step appends the product of two nodes, and e_Q
-    is the sum of (node, coefficient, dead) over its terms.  dead holds the
-    nodes that step or term reads last.  A product node that several terms
-    share is one step, as in idtest's kernel; an assoc word is folded
-    left.  The plan reads Q alone, so algebras share it; the cache keeps
-    the last 256."""
-    steps, nodes = [], {}
-
-    def node(left, right):
-        key = nodes.get((left, right))
-        if key is None:
-            key = nodes[left, right] = Q.n + len(steps)
-            steps.append((left, right))
-        return key
-
-    def tree(t):
-        return t - 1 if isinstance(t, int) else node(tree(t[0]), tree(t[1]))
-
-    def word(term):
-        acc = term[0] - 1
-        for i in term[1:]:
-            acc = node(acc, i - 1)
-        return acc
-
-    compile_term = word if Q.flavor is Flavor.ASSOC else tree
-    terms = [(compile_term(term), coeff) for term, coeff in Q.terms.items()]
-    last = {}  # node -> the last step or term (numbered after the steps) to read it
-    for i, (left, right) in enumerate(steps):
-        last[left] = last[right] = i
-    for i, (node, _) in enumerate(terms, len(steps)):
-        last[node] = i
-    dead = [[] for _ in range(len(steps) + len(terms))]
-    for node, i in last.items():
-        dead[i].append(node)
-    return (
-        tuple((left, right, tuple(dead[i])) for i, (left, right) in enumerate(steps)),
-        tuple((node, coeff, tuple(dead[i])) for i, (node, coeff) in enumerate(terms, len(steps))),
-    )
-
-
 def _program(Q, A, commutator: bool):
     """(tables, rows, steps, terms) of e_Q on A's lanes, each term's
     coefficient read as its linear map."""
     tables = _tables(A)
-    steps, terms = _plan(Q)
+    steps, terms = plan(Q)
     terms = [(node, tables.scale(c), dead) for node, c, dead in terms]
     return tables, tables.rows(commutator), steps, terms
 
@@ -335,7 +293,11 @@ def _nonzeros(arith, rows, steps, terms, values) -> int:
     product, add = arith.product, arith.add
     size = len(values[0]) if values else 0
     for left, right, dead in steps:
-        values.append(product(rows, size, values[left], values[right]))
+        value = values[left]
+        # a tail step multiplies in its letters one after another
+        for node in right if isinstance(right, tuple) else (right,):
+            value = product(rows, size, value, values[node])
+        values.append(value)
         for node in dead:
             values[node] = None
     acc = None

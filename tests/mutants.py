@@ -56,6 +56,8 @@ DENSE = LANES + "::test_counts_on_dense_tables_match_the_point_walk"
 GF3_LIBRARY = LANES + "::test_gf3_lanes_match_points_on_the_library"
 GF3_RANDOM = LANES + "::test_gf3_lanes_match_points_on_random_tables"
 SAMPLED_LANES = LANES + "::test_sampled_lanes_match_the_kernel_at_block_edges"
+LONG_WORDS = LANES + "::test_lanes_on_long_words_match_the_reference_evaluator"
+LONG_KERNEL = "tests/test_kernel.py::test_kernel_on_a_5000_letter_word"
 
 MUTANTS = (
     # block statistics: the tally, its keys and its checks
@@ -384,6 +386,28 @@ MUTANTS = (
         "            values[node] = None\n    acc = None",
         "            pass\n    acc = None",
         (LANES + "::test_a_block_keeps_only_the_nodes_still_to_be_read",),
+    ),
+    # the shared plan: an assoc word's letters past UNROLLED are one tail step
+    Mutant(
+        "plan-tail-skips-first-letter",
+        "src/fqidtest/freepoly.py",
+        "for i in term[UNROLLED:]",
+        "for i in term[UNROLLED + 1:]",
+        (LONG_WORDS, LONG_KERNEL),
+    ),
+    Mutant(
+        "plan-tail-dead-omits-arguments",
+        "src/fqidtest/freepoly.py",
+        "(left, *right) if isinstance(right, tuple)",
+        "(left,) if isinstance(right, tuple)",
+        (LANES + "::test_a_block_keeps_only_the_nodes_still_to_be_read",),
+    ),
+    Mutant(
+        "kernel-tail-one-letter-short",
+        "src/fqidtest/idtest.py",
+        'lines.append(f"    for i in w{k}:")',
+        'lines.append(f"    for i in w{k}[1:]:")',
+        (LONG_KERNEL, LONG_WORDS),
     ),
     Mutant(
         "lanes-floor-strict",

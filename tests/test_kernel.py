@@ -312,12 +312,12 @@ def test_kernel_on_lie_trees_at_max_depth(pooled_counts, monkeypatch, left):
 def test_kernel_on_a_5000_letter_word(pooled_counts, monkeypatch, capsys):
     M = matrix_algebra(2, 2)
     assert_kernel_robust(power_word(5000, M.field), M, monkeypatch)
-    # a word in two letters runs past _UNROLLED: over GF(4) its value is
+    # a word in two letters runs past UNROLLED: over GF(4) its value is
     # x1^a x2^b at every point, and over 2x2 matrices the order counts too
     rng = random.Random(5000)
     word = tuple(rng.choice((1, 2)) for _ in range(5000))
     for A, limit in ((field_as_algebra(4), 256), (M, 16)):
-        terms = {word: 1, word[:idtest._UNROLLED + 1]: 1, (2, 1): 1}
+        terms = {word: 1, word[:freepoly.UNROLLED + 1]: 1, (2, 1): 1}
         mixed = FreePoly(A.field, Flavor.ASSOC, 2, terms)
         assert_kernel_robust(mixed, A, monkeypatch, limit=limit)
     assert cli.main(["nagata", "--algebra", "builtin:matrix(2,2)", "--d", "5000"]) == 0

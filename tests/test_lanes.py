@@ -3,13 +3,15 @@
 The lanes route counts e_Q's zeros with each point one bit of a plane int.
 Its exact counts are checked against the kernel's point walk
 (_count_range with no slice variable), and its sampled counts against
-the kernel's sampled route on the same draws, count for count.
+the kernel's sampled route on the same draws, count for count.  Words
+longer than freepoly.UNROLLED letters are also checked against the
+reference evaluator, which reads no plan.
 """
 
 import pickle
 import random
 import tracemalloc
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from operator import not_, xor
 
@@ -17,13 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqidtest import cli, commpoly, idtest, lanes
+from fqidtest import cli, commpoly, freepoly, idtest, lanes
 from fqidtest.algebra import Algebra, builtin, matrix_algebra
 from fqidtest.cli import battery_for, two_path_pairs
 from fqidtest.commpoly import reduced_degrees
-from fqidtest.freepoly import Flavor, FreePoly, engel, parse
+from fqidtest.freepoly import Flavor, FreePoly, engel, parse, power_word
 from fqidtest.gf import Field, field_of_order
-from fqidtest.idtest import SplitMix64, _count_range, _count_route, _kernel, zero_probability
+from fqidtest.idtest import (
+    SplitMix64,
+    _count_range,
+    _count_route,
+    _evaluate_raw,
+    _kernel,
+    zero_probability,
+)
 from fqidtest.lanes import _count_blocks
 
 F2 = field_of_order(2)
@@ -592,19 +601,31 @@ def test_a_block_keeps_only_the_nodes_still_to_be_read():
         tracemalloc.stop()
     assert peak < 4 * M.dim * (1 << 20) // 8
     # each node is dropped by the step or term that reads it last, where a
-    # term may read a node that a step reads too
-    for flavor, text in [
-        (Flavor.FREE, "x1*x1*x2*x2*x3*x3*x4*x4*x5*x5"),
-        (Flavor.FREE, "x1*x2 + x1*x2*x3 + x3*x2*x1"),
-        (Flavor.ASSOC, "x1*x2 + x1*x2*x1 + x2"),
-        (Flavor.LIE, "[[x1,x2],x3] + [x3,x1] + [x1,x2]"),
-    ]:
-        steps, terms = lanes._plan(parse(text, flavor, F2))
-        reads = [(left, right) for left, right, _ in steps] + [(node,) for node, _, _ in terms]
+    # term may read a node that a step reads too, and a tail step reads
+    # every argument of its letters
+    polys = [
+        parse(text, flavor, F2)
+        for flavor, text in [
+            (Flavor.FREE, "x1*x1*x2*x2*x3*x3*x4*x4*x5*x5"),
+            (Flavor.FREE, "x1*x2 + x1*x2*x3 + x3*x2*x1"),
+            (Flavor.ASSOC, "x1*x2 + x1*x2*x1 + x2"),
+            (Flavor.LIE, "[[x1,x2],x3] + [x3,x1] + [x1,x2]"),
+        ]
+    ]
+    head = (1, 2) * 32
+    polys += [
+        FreePoly(F2, Flavor.ASSOC, 3, {head + (3, 1): 1, head + (2,): 1, (3, 1): 1}),
+        FreePoly(F2, Flavor.ASSOC, 3, {head + (3,): 1, (2,) * 70: 1, (1,): 1}),
+    ]
+    for Q in polys:
+        steps, terms = freepoly.plan(Q)
+        reads = [
+            (left, *right) if isinstance(right, tuple) else (left, right) for left, right, _ in steps
+        ] + [(node,) for node, _, _ in terms]
         deads = [dead for *_, dead in steps] + [dead for *_, dead in terms]
         for node in {x for read in reads for x in read}:
             last = max(i for i, read in enumerate(reads) if node in read)
-            assert [i for i, dead in enumerate(deads) if node in dead] == [last], (text, node)
+            assert [i for i, dead in enumerate(deads) if node in dead] == [last], (Q.to_text()[:80], node)
 
 
 @pytest.mark.parametrize(
@@ -672,6 +693,70 @@ def test_lane_masks_are_the_bits_of_the_point_index():
 
 
 # ---------------------------------------------------------------------------
+# long words: the plan's tail step
+
+def reference_zeros(Q, A):
+    """Zeros of e_Q over A^n by the reference evaluator, which walks each
+    term letter by letter and reads no plan; products are memoised by
+    value, so a word of thousands of letters stays cheap."""
+    prod = cache(A.mul)
+    return sum(not any(_evaluate_raw(Q, A, args, prod)) for args in product(A.elements(), repeat=Q.n))
+
+
+def long_word_cases():
+    """Power words on truncated(2,6) (one argument, 32 points) and on
+    matrix(2,2), seeded two-letter words on matrix(2,2) (two arguments,
+    256 points), each of 63, 64, 65, 129 and 5,000 letters, and a sum of
+    two long words that share their first UNROLLED letters."""
+    T, M = builtin("truncated(2,6)"), matrix_algebra(2, 2)
+    for length in (63, 64, 65, 129, 5000):
+        yield power_word(length, T.field), T
+        yield power_word(length, M.field), M
+        rng = random.Random(length)
+        word = tuple(rng.choice((1, 2)) for _ in range(length))
+        yield FreePoly(M.field, Flavor.ASSOC, 2, {word: 1}), M
+    rng = random.Random(2)
+    head = tuple(rng.choice((1, 2)) for _ in range(freepoly.UNROLLED))
+    tails = [tuple(rng.choice((1, 2)) for _ in range(k)) for k in (65, 4936)]
+    yield FreePoly(M.field, Flavor.ASSOC, 2, {head + tail: 1 for tail in tails}), M
+
+
+def test_lanes_on_long_words_match_the_reference_evaluator():
+    for Q, A in long_word_cases():
+        longest = max(map(len, Q.terms))
+        steps, _ = freepoly.plan(Q)
+        tails = [right for _, right, _ in steps if isinstance(right, tuple)]
+        assert len(tails) == sum(len(term) > freepoly.UNROLLED for term in Q.terms)
+        assert len(steps) <= len(Q.terms) * freepoly.UNROLLED
+        zeros = reference_zeros(Q, A)
+        assert lanes.count(Q, A, False) == zeros, (longest, A.dim)
+        points = A.order() ** Q.n
+        if points >= idtest.LANES_MIN_POINTS:
+            assert _count_route(Q, A, points)[0] == "lanes"
+            assert zero_probability(Q, A).zero_count == zeros
+        # sampled: lanes on the gate's route, the kernel on the same draws
+        assert _count_route(Q, A, 300)[0] == "lanes"
+        sampled = zero_probability(Q, A, samples=300, seed=longest).zero_count
+        assert sampled == kernel_sampled(Q, A, False, longest, 300), (longest, A.dim)
+
+
+def test_a_long_power_word_plans_in_bounded_memory():
+    # a lanes count of 32 points: the plan holds UNROLLED steps however
+    # long the word, where one step per letter traced over 9 MB
+    T = builtin("truncated(2,6)")
+    Q = power_word(20_000, T.field)
+    freepoly.plan.cache_clear()  # so that the trace covers building the plan
+    tracemalloc.start()
+    try:
+        assert zero_probability(Q, T).zero_count == T.order()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _count_route(Q, T, T.order())[0] == "lanes"
+    assert peak < 4_000_000
+
+
+# ---------------------------------------------------------------------------
 # memos and independence
 
 def test_lane_tables_are_kept_and_not_pickled():
@@ -697,7 +782,7 @@ def test_lanes_and_coordinate_routes_share_no_helper(monkeypatch):
         (parse("2*[x1,x2] + [[x1,x2],x1]", Flavor.LIE, F3), builtin("matrix(2,3)"), True),
     ]
     assert {
-        "_tables", "_plan", "_product2", "_product3", "_add3", "_program", "_nonzeros",
+        "_tables", "_product2", "_product3", "_add3", "_program", "_nonzeros",
         "_masks", "_count_blocks", "_block_masks", "count", "zero_flags", "sampled",
     } <= set(LANE_HELPERS)
     # the coordinates, cells and masks of the other side are built first,
@@ -740,9 +825,17 @@ def test_lanes_and_coordinate_routes_share_no_helper(monkeypatch):
             assert sum(lanes.zero_flags(Q, A, commutator)) == zeros
             A._memo.pop(lanes._Tables)
             assert zero_probability(Q, A, samples=500, seed=-7, commutator=commutator).zero_count == sampled
-    # and the coordinate routes call no lane helper
+    # and the coordinate routes call no lane helper, nor the enumeration
+    # side's plan under any module's name for it
     for name in LANE_HELPERS:
         monkeypatch.setattr(lanes, name, refuse(f"lanes.{name}"))
+    shared, refused = freepoly.plan, set()
+    for module in (freepoly, idtest, lanes, commpoly):
+        for name, obj in list(vars(module).items()):
+            if obj is shared:
+                monkeypatch.setattr(module, name, refuse(f"{module.__name__}.{name}"))
+                refused.add(module)
+    assert {freepoly, idtest, lanes} <= refused
     for (Q, A, commutator), (zeros, _) in zip(cases, want):
         A._memo.pop(commpoly._cells)
         reduced_degrees(Q, A, commutator=commutator)
