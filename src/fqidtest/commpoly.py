@@ -820,8 +820,12 @@ class _LaneMonomials:
                 for k, c in zip(ks, cs):
                     acc = out[k]
                     for e, x in prod.items():
-                        acc[e] = add(acc.get(e, 0), x if c == 1 else mul(c, x))
-        return [{e: c for e, c in acc.items() if c} for acc in out]
+                        x = add(acc.get(e, 0), x if c == 1 else mul(c, x))
+                        if x:
+                            acc[e] = x
+                        elif e in acc:  # a zero coefficient is dropped as it arises
+                            del acc[e]
+        return out
 
     def combine(self, acc: list, part: list, c: int):
         """acc += c * part, in place."""

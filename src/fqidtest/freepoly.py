@@ -215,10 +215,11 @@ class FreePoly:
         )
 
     def __hash__(self):
-        # terms never change after construction, so the first hash is kept
+        # terms never change after construction, so the first hash is kept;
+        # a frozenset of the items hashes them in any order, as __eq__
+        # compares them, with no sort and no sort keys
         if self._hash is None:
-            terms = tuple(sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0])))
-            self._hash = hash((self.field, self.flavor, self.n, terms))
+            self._hash = hash((self.field, self.flavor, self.n, frozenset(self.terms.items())))
         return self._hash
 
     def __getstate__(self):

@@ -22,31 +22,35 @@ off the same packed monomials without unpacking them
 _kernel, _evaluate_raw, Algebra.mul or the lanes module, and the lanes
 route calls none of them and no coordinate helper.
 
-zero_probability's exact count takes one of three routes (_count_route).
-Over GF(2^k) and GF(3), a count of at least LANES_MIN_POINTS points runs
-on lanes (fqidtest.lanes): each point of A^n is one bit of a Python int,
-and e_Q runs once on all the points of a block.  A lanes count runs in
-the calling process whatever the workers, as it is already faster than a
-forked point walk.  Otherwise one walker (_count_range) counts on the
-kernel, slice by slice where it can.  If
+zero_probability's and dixon_verdict's exact counts take one of three
+routes (_count_route).  Over GF(2^k) and GF(3), a count of at least
+LANES_MIN_POINTS points runs on lanes (fqidtest.lanes): each point of
+A^n is one bit of a Python int, and e_Q runs once on all the points of a
+block.  A lanes count runs in the calling process whatever the workers,
+as it is already faster than a forked point walk.  Otherwise one walker
+(_count_range) counts on the kernel, slice by slice where it can.  If
 some variable occurs at most once in every term, e_Q is affine in it, so
 with the other arguments fixed it is v -> L(v) + c: the kernel runs at
 v = 0 and at the dim basis vectors only, one rref of the L(b_i) gives
 rank L, and the slice has q**(dim - rank L) zeros when c reduces to zero
 against its rows, none otherwise.  That evaluates (dim + 1) *
-order**(n-1) points instead of order**n, and one rref per distinct slice,
-memoised for one count call only.  A slice pays only when it holds more
-than three times as many points as probes, and a count of one argument
-never slices.  For the zero polynomial, with no affine variable and where
-slices do not pay, the walker calls the kernel at every point, and this
-point walk is the reference the slices and the lanes are tested against.
-A count forks only once the points it walks reach bound.FORK_POINTS and
+order**(n-1) points instead of order**n, and one rref per distinct
+slice, memoised for one count call only.  A slice pays only when it
+holds more than three times as many points as probes, and a count of one
+argument never slices.  For the zero polynomial, with no affine variable
+and where slices do not pay, the walker makes one call of the kernel
+entry's zero counter, a loop nest over A^n compiled beside e_Q that
+looks each product up once per point of the arguments it reads; the
+counter is tested against a walk that calls e_Q once per point and
+against evaluate, and the slices and the lanes against the counter.  A
+count forks only once the points it walks reach bound.FORK_POINTS and
 more than one worker is asked for; any other count is serial, and a
 serial count is one walker call on the whole range (the one-chunk case
 of the forked walk), with no chunk list and no pool_map.  The exact
-report is built once, in zero_probability; its probability comes from a
-bounded cache keyed by the zero count and the total, since counts of a
-few points repeat their values across algebras as well as across calls.
+report is built once, in zero_probability or, with its functional
+fields, in dixon_verdict; its probability comes from a bounded cache
+keyed by the zero count and the total, since counts of a few points
+repeat their values across algebras as well as across calls.
 Over GF(2^k) and GF(3) no exact count slices: a slice needs two
 arguments and order > 3 * (dim + 1), so order**n >= 49 points, which
 lanes take.  Each route's count is exact, and the coordinate route that
@@ -66,13 +70,15 @@ The kernel is one generated function per (Q, commutator), compiled from
 freepoly.plan, the plan the lanes run: its body unpacks the argument
 indices into locals and gives each step one table lookup, so a subterm
 that several terms share costs one lookup per point, and the terms are
-summed one statement each.  _evaluate_raw and the coordinate route never
-read that plan.  Its source holds fixed names, locals and ints only,
+summed one statement each.  Its zero counter runs the same lines in a
+loop nest, one loop per argument up to _NEST loops, each step in the
+loop of the deepest argument it reads.  _evaluate_raw and the coordinate route never read
+that plan.  The source of both holds fixed names, locals and ints only,
 never text from Q, and equal sources share one compiled code object.
-The function depends only on (Q, A, commutator), so the algebra keeps
-it: the field and flavor gate runs and the function is built on the
-first call for each (Q, commutator), and a later call with an equal Q
-finds it.  Descent's
+The functions depend only on (Q, A, commutator), so the algebra keeps
+them: the field and flavor gate runs and they are built on the first
+call for each (Q, commutator), and a later call with an equal Q finds
+them.  Descent's
 claim that e_Q vanishes on I^n depends only on (Q, I) and the product
 flavor, so the same entry also keeps the ideals verified for it: the
 stage-n check and the restricted-algebra check run once per ideal per
@@ -445,9 +451,9 @@ class _Tables:
     entries some run meets are ever computed, and each only once: the
     tables live on the algebra as long as it does.  Pairs are keyed
     a * order + b.  Beside them sit the kernel entry of each
-    (Q, commutator): the compiled e_Q and the ideals whose descent is
-    verified for it; each ideal's member indices; the element tuples, in
-    canonical order, from which every search picks its representatives
+    (Q, commutator): the compiled e_Q, its zero counter and the ideals
+    whose descent is verified for it; each ideal's member indices; the
+    element tuples, in canonical order, from which every search picks its representatives
     (order tuples, built on the first search; the zero ideal's
     representatives are all of them); and the representative tuples
     _rep_indices has checked.
@@ -467,7 +473,7 @@ class _Tables:
         self.products = {}  # commutator flag -> product table
         self.sums = None
         self.scales = {}  # coefficient -> table of its multiples
-        self.kernels = {}  # (Q, commutator) -> (e_Q on element indices, verified ideals)
+        self.kernels = {}  # (Q, commutator) -> (e_Q, its zero counter, verified ideals)
         self.ideal_members = {}  # ideal -> its members' indices, in elements() order
         self.elements = None  # element index -> its coordinate tuple, once a search ran
         self.checked = {}  # representative tuple -> (that tuple, its index), once checked
@@ -549,56 +555,112 @@ def _kernel(Q: FreePoly, A: Algebra, commutator: bool):
 
 def _entry(tables: _Tables, Q: FreePoly, A: Algebra, commutator: bool):
     """The kernel entry of (Q, commutator) on A's tables: e_Q on element
-    indices, and the set of ideals descent has verified for it.
+    indices, its zero counter, and the set of ideals descent has verified
+    for it.
 
     Per call: one lookup.  Per compile, on a miss: the field and flavor
-    gate (_product_fn), then the function, compiled and kept with an empty
-    set, so a coset search and all its descents compile e_Q once.  The
-    gate need not run again on a hit: the key's Q equals this one, and
-    FreePoly.__eq__ compares field and flavor, so this Q passes the gate
-    the stored one passed on the same algebra with the same commutator
-    flag.  A refused Q is never stored.
+    gate (_product_fn), then the two functions, compiled together
+    (_compile) and kept with an empty set, so a coset search and all its
+    descents compile e_Q once.  The gate need not run again on a hit: the
+    key's Q equals this one, and FreePoly.__eq__ compares field and
+    flavor, so this Q passes the gate the stored one passed on the same
+    algebra with the same commutator flag.  A refused Q is never stored.
     """
     key = (Q, commutator)
     entry = tables.kernels.get(key)
     if entry is None:
         prod = _product_fn(Q, A, commutator)
-        entry = tables.kernels[key] = (_compile(Q, tables, tables.product(commutator, prod)), set())
+        entry = tables.kernels[key] = (*_compile(Q, tables, tables.product(commutator, prod)), set())
     return entry
 
 
 def _compile(Q: FreePoly, tables: _Tables, mul):
-    """Compile Q's plan (freepoly.plan) into one straight-line function of
-    the n element indices.
+    """Compile Q's plan (freepoly.plan) into (e, zeros): e is one
+    straight-line function of the n element indices, and zeros(start,
+    stop) counts the points of A^n, the first index in range(start, stop),
+    at which e is zero.
 
-    The body unpacks args into locals a0, a1, ... and gives each step of
-    the plan one assignment tK = mul[left * order + right], so a subterm
-    that several terms share is looked up once per point; a tail step, an
-    assoc word's letters past freepoly.UNROLLED, runs as a loop over the
-    tuple wK of their argument slots.  The terms are then summed one
-    statement each, never as one nested expression: acc ^= v in
-    characteristic 2, where coordinates add as bit fields and vectors as
-    their indices' XOR, and acc = add[acc * order + v] otherwise, with a
-    coefficient's multiple read as sK[v].
+    e unpacks args into locals a0, a1, ... and runs _plan_lines: each step
+    of the plan one assignment tK = mul[left * order + right], so a
+    subterm that several terms share is looked up once per point, then
+    the sum of the terms; it returns the sum's value.  zeros is a loop
+    nest over the same lines: a0 runs over range(start, stop) and a1, ...
+    over range(order), and each line sits in the loop of the deepest
+    argument it reads, so a step of outer arguments only is looked up once
+    per outer point, not once per point.  The sum sits in the innermost
+    loop, which adds 1 to the count where the value is 0.  CPython
+    compiles at most 20 statically nested blocks, a tail step's loop
+    included, so the nest holds at most _NEST loops: past _NEST arguments
+    the first loop walks the leading ones as one product, and their lines
+    sit in it.  With no arguments the nest is one guard, start < stop,
+    around the one empty point.
 
     The tables (mul, add, sK, and the word tails wK) are the globals of
-    the function's namespace, and the source holds only those fixed
-    names, locals and ints, so no text from Q reaches exec.  Equal sources
-    share one code object (_code).
+    the functions' one namespace, whose builtins are range and product
+    alone, and the source holds only those fixed names, locals and ints,
+    so no text from Q reaches exec.  Equal sources share one code object
+    (_code).
     """
-    order = tables.order
-    env = {"__builtins__": {}, "mul": mul}
-    lines = [f"    {', '.join(f'a{i}' for i in range(Q.n))}, = args"] if Q.n else []
+    n, order = Q.n, tables.order
+    env = {"__builtins__": _BUILTINS, "mul": mul}
+    lines, value = _plan_lines(Q, tables, env)
+    source = ["def e(args):"]
+    if n:
+        source.append(f"    {', '.join(f'a{i}' for i in range(n))}, = args")
+    source.extend(f"    {line}" for _, line in lines)
+    source += [f"    return {value}", "def zeros(start, stop):", "    z = 0"]
+    head = max(n - _NEST, 0)  # the arguments after a0 that the first loop walks
+    if head:
+        names = ", ".join(f"a{i}" for i in range(head + 1))
+        loops = [f"for {names} in product(range(start, stop){f', range({order})' * head})"]
+    elif n:
+        loops = ["for a0 in range(start, stop)"]
+    else:
+        loops = ["if start < stop"]
+    loops += [f"for a{i} in range({order})" for i in range(head + 1, n)]
+    for depth, loop in enumerate(loops):
+        indent = "    " * (depth + 2)
+        source.append(f"{indent[4:]}{loop}:")
+        source.extend(indent + line for at, line in lines if max(at - head, 0) == depth)
+    source += [f"{indent}if not {value}:", f"{indent}    z += 1", "    return z"]
+    exec(_code("\n".join(source)), env)
+    return env["e"], env["zeros"]
+
+
+def _plan_lines(Q: FreePoly, tables: _Tables, env):
+    """(lines, value): the lines that compute e_Q from the argument locals
+    a0, a1, ..., each as (depth, text) with depth the index of the
+    deepest argument it reads, and the expression of e_Q's value.
+
+    A step is tK = mul[left * order + right].  A tail step, an assoc
+    word's letters past freepoly.UNROLLED, is a loop over the tuple wK of
+    their argument slots, read from args, which a line args = a0, ...
+    binds to the arguments up to the deepest.  The terms are then summed
+    one line each, never as one nested expression, at the innermost
+    depth: acc ^= v in characteristic 2, where coordinates add as bit
+    fields and vectors as their indices' XOR, and
+    acc = add[acc * order + v] otherwise, with a coefficient's multiple
+    read as sK[v].
+    """
+    n, order = Q.n, tables.order
     steps, terms = plan(Q)
-    names = [f"a{i}" for i in range(Q.n)] + [f"t{k}" for k in range(len(steps))]
+    names = [f"a{i}" for i in range(n)] + [f"t{k}" for k in range(len(steps))]
+    depths = list(range(n))  # node -> the deepest argument it reads
+    lines = []
     for k, (left, right, _) in enumerate(steps):
         if isinstance(right, tuple):
             env[f"w{k}"] = right
-            lines.append(f"    t{k} = {names[left]}")
-            lines.append(f"    for i in w{k}:")
-            lines.append(f"        t{k} = mul[t{k} * {order} + args[i]]")
+            depth = max(depths[left], *right)
+            lines += [
+                (depth, f"args = {', '.join(names[:depth + 1])},"),
+                (depth, f"t{k} = {names[left]}"),
+                (depth, f"for i in w{k}:"),
+                (depth, f"    t{k} = mul[t{k} * {order} + args[i]]"),
+            ]
         else:
-            lines.append(f"    t{k} = mul[{names[left]} * {order} + {names[right]}]")
+            depth = max(depths[left], depths[right])
+            lines.append((depth, f"t{k} = mul[{names[left]} * {order} + {names[right]}]"))
+        depths.append(depth)
     values = []
     for node, coeff, _ in terms:
         value = names[node]
@@ -607,20 +669,23 @@ def _compile(Q: FreePoly, tables: _Tables, mul):
             value = f"s{coeff}[{value}]"
         values.append(value)
 
-    if not values:
-        lines.append("    return 0")
-    elif len(values) == 1:
-        lines.append(f"    return {values[0]}")  # 0 + v = v
+    if len(values) < 2:
+        return lines, values[0] if values else "0"  # 0 + v = v
+    innermost = max(n - 1, 0)
+    lines.append((innermost, f"acc = {values[0]}"))
+    if tables.field.p == 2:
+        lines.extend((innermost, f"acc ^= {value}") for value in values[1:])
     else:
-        lines.append(f"    acc = {values[0]}")
-        if tables.field.p == 2:
-            lines.extend(f"    acc ^= {value}" for value in values[1:])
-        else:
-            env["add"] = tables.add()
-            lines.extend(f"    acc = add[acc * {order} + {value}]" for value in values[1:])
-        lines.append("    return acc")
-    exec(_code("def e(args):\n" + "\n".join(lines)), env)
-    return env["e"]
+        env["add"] = tables.add()
+        lines.extend((innermost, f"acc = add[acc * {order} + {value}]") for value in values[1:])
+    return lines, "acc"
+
+
+# the only builtins a generated function can reach, shared by every kernel
+_BUILTINS = {"range": range, "product": product}
+# the most loops in a zero counter's nest, under CPython's limit of 20
+# statically nested blocks with room for a tail step's loop
+_NEST = 16
 
 
 @lru_cache(maxsize=256)
@@ -642,7 +707,7 @@ class EvalReport:
     functional_floor / functional_consistent are filled in by
     dixon_verdict only.  idtest builds reports through _new_report, which
     names every field: a new field goes there too.  dixon_verdict's report
-    is a copy of its count's with the two functional fields set.
+    is zero_probability's exact report with the two functional fields set.
     """
 
     zero_count: int
@@ -726,23 +791,25 @@ def _count_range(payload):
     """Count zeros of e_Q over A^n with the first walked argument's index in
     range(start, stop) (worker-safe).
 
-    Every argument but x_{j+1} is walked in canonical order, the first of
-    them over range(start, stop); with none to walk, the walk is the one
-    empty point.  With j None the kernel runs once per point.  Otherwise
-    x_{j+1} runs innermost over the probes 0 and the basis vectors
-    b_1..b_dim: on a slice e_Q is v -> L(v) + c for a linear map L, so the
-    probes give c and L(b_i) + c, and the slice has q**(dim - rank L)
-    zeros if c is in the image of L and none otherwise.
+    With j None every argument is walked, in canonical order: one call of
+    the entry's counter, zeros(start, stop), whose loop nest looks each
+    step up once per point of the arguments it reads (_compile); with no
+    arguments it counts the one empty point when start < stop.
+    Otherwise every argument but x_{j+1} is walked by the kernel, the
+    first of them over range(start, stop), and x_{j+1} runs innermost over
+    the probes 0 and the basis vectors b_1..b_dim: on a slice e_Q is
+    v -> L(v) + c for a linear map L, so the probes give c and L(b_i) + c,
+    and the slice has q**(dim - rank L) zeros if c is in the image of L
+    and none otherwise.
     """
     Q, A, commutator, j, start, stop = payload
-    e = _kernel(Q, A, commutator)
     tables = _tables(A)
-    order, dim, n = tables.order, tables.dim, Q.n
-    walked = [range(order)] * (n if j is None else n - 1)
-    if walked:
-        walked[0] = range(start, stop)
+    e, zeros, _ = _entry(tables, Q, A, commutator)
     if j is None:
-        return sum(map(not_, map(e, product(*walked))))
+        return zeros(start, stop)
+    order, dim, n = tables.order, tables.dim, Q.n
+    walked = [range(order)] * (n - 1)
+    walked[0] = range(start, stop)
     probes = [0] + [order // tables.field.q ** i for i in range(1, dim + 1)]
     points = product(*walked, probes)
     if j != n - 1:
@@ -776,17 +843,18 @@ def _slice_zeros(tables: _Tables) -> _Memo:
     return _Memo(zeros)
 
 
-# Points from which a count over GF(2^k) or GF(3) runs on lanes: on the
-# 1,024 verdicts of the sweep benchmark (the 256 dimension-2 GF(2) tables
-# times the battery, counts of 4 and 16 points), counting on lanes took
-# 8.5 us a count against 7.3 on the kernel walker, and 24.1 us a verdict
-# against 18.7; from 64 points lanes save more: two 64-point words on the
-# same tables took 24 us a count on lanes against 49 on the walker.  On
-# 126 one-argument counts of 32 to 256 points on random tables with nine
-# in ten constants nonzero, lanes took 0.71 to 2.8 times the walker's time
-# a count, 1.4 times in total (5.2 ms against 3.7; 2-vCPU Intel Xeon,
-# Python 3.11.7), and 0.79 times on the sweep benchmark's 81-point GF(3)
-# counts: no benchmark workload counts where the walker is faster
+# Points from which a count over GF(2^k) or GF(3) runs on lanes, timed
+# warm, best of several runs (2-vCPU Intel Xeon, Python 3.11.7) with the
+# walker's zero counter: on the 1,024 verdicts of the sweep benchmark (the
+# 256 dimension-2 GF(2) tables times the battery, counts of 4 and 16
+# points), counting on lanes took 7.1 us a count against 3.3 on the
+# walker, and 21 us a verdict against 15; two 64-point words on the same
+# tables took 8 us a count on lanes against 15 on the walker, and the
+# sweep benchmark's ten 81-point GF(3) counts 16 us on lanes against 16
+# to 26 on the walker.  On 132 one-argument counts of 32 to 256 points on
+# random tables with nine in ten constants nonzero, lanes took 0.5 to 4.4
+# times the walker's time a count, 1.6 to 1.7 times in total (6.3 ms
+# against 3.6): no benchmark workload makes such counts
 LANES_MIN_POINTS = 32
 
 
@@ -846,7 +914,7 @@ def zero_probability(
     """The exact (or sampled) fraction of A^n mapped to zero by e_Q.
 
     An exact count checks the cap, then takes the route _count_route
-    gives (_count_exact; a serial count is one walker call), and its
+    gives (_exact_count; a serial count is one walker call), and its
     report is built here, once: the probability from the bounded cache
     _fraction, the verdict compared on the integers.  A sampled count
     checks the cap before any draw, then streams its points from
@@ -854,15 +922,8 @@ def zero_probability(
     lanes or on the kernel, as the module docstring sets out, so its
     memory stays bounded whatever the samples.
     """
-    _product_fn(Q, A, commutator)  # fail fast on flavor problems
-    degree = _poly_degree(Q)
-    n = Q.n
-
     if samples is None:
-        total = A.order() ** n
-        if total > cap:
-            raise SearchSpaceTooLarge(total, cap)
-        zeros = _count_exact(Q, A, commutator, workers)
+        zeros, total, degree = _exact_count(Q, A, cap, workers, commutator)
         is_identity = zeros == total
         return _new_report(
             zeros, total, _fraction(zeros, total), degree, _threshold(degree), is_identity,
@@ -871,6 +932,9 @@ def zero_probability(
             "exact", None, None, None, None,
         )
 
+    _product_fn(Q, A, commutator)  # fail fast on flavor problems
+    degree = _poly_degree(Q)
+    n = Q.n
     if samples < 1:
         raise ValueError("samples must be a positive integer")
     if seed is None:
@@ -889,6 +953,17 @@ def zero_probability(
         zero_count, samples, Fraction(zero_count, samples), degree, _threshold(degree), None,
         None, "sampled", samples, seed, None, None,
     )
+
+
+def _exact_count(Q: FreePoly, A: Algebra, cap: int, workers: int, commutator: bool):
+    """(zeros, total, degree) of the exact count of zero_probability and
+    dixon_verdict: the field and flavor gate, the cap check, then the
+    count by the route _count_route gives (_count_exact)."""
+    _product_fn(Q, A, commutator)  # fail fast on flavor problems
+    total = A.order() ** Q.n
+    if total > cap:
+        raise SearchSpaceTooLarge(total, cap)
+    return _count_exact(Q, A, commutator, workers), total, _poly_degree(Q)
 
 
 def functional_zero_fraction(
@@ -943,72 +1018,69 @@ def dixon_verdict(
 ) -> EvalReport:
     """Exact verdict with a dual-route cross-check.
 
-    Route one counts the zeros of e_Q on A^n (zero_probability, by the
-    route _count_route gives; a serial count is one walker call).
-    Route two reads the degree of each reduced coordinate polynomial off
-    its packed monomials (commpoly.reduced_degrees): all zero iff e_Q is
-    an identity, and otherwise each nonzero coordinate forces the nonzero
-    fraction up to its density floor.  The floor does not increase with
+    Route one counts the zeros of e_Q on A^n as zero_probability does,
+    through the same gate and cap check (_exact_count; a serial count is
+    one walker call).  Route two reads the degree of each reduced
+    coordinate polynomial off its packed monomials
+    (commpoly.reduced_degrees): all zero iff e_Q is an identity, and
+    otherwise each nonzero coordinate forces the nonzero fraction up to
+    its density floor.  The floor does not increase with
     the degree, so the strongest one is taken at the least degree.  Both
     bounds are compared on the integer counts.  Disagreement on either
     route is an implementation bug and raises TheoremViolation, whose
     witness holds _witness's fields, the zero count and the count route,
     so that the count can be replayed; it is built only then
-    (_violation).
+    (_violation).  The report is built once, with the functional fields:
+    zero_probability's exact report with the floor and a consistent second
+    route, as the threshold check passed.
     """
-    report = zero_probability(Q, A, cap=cap, workers=workers, commutator=commutator)
+    zeros, total, degree = _exact_count(Q, A, cap, workers, commutator)
     degrees = reduced_degrees(Q, A, commutator)
     if None in degrees:  # zero coordinates have no degree
         degrees = [d for d in degrees if d is not None]
-    if (not degrees) != report.is_identity:
+    is_identity = zeros == total
+    if (not degrees) != is_identity:
         raise _violation(
             "enumeration and coordinate reduction disagree on identity-ness",
-            Q, A, commutator, report,
+            Q, A, commutator, zeros, total, degree,
         )
-    if not degrees:
-        return _verdict_report(report, None)
-    floor = floor_fraction(A.field.q, min(degrees)).value
-    zeros, total, degree = report.zero_count, report.total, report.degree
-    # the nonzero fraction 1 - zeros/total under the floor
-    if (total - zeros) * floor.denominator < floor.numerator * total:
-        raise _violation(
-            f"nonzero fraction {1 - report.probability} under the "
-            f"coordinate density floor {floor}",
-            Q, A, commutator, report,
-        )
-    # the zero fraction zeros/total above 1 - 2^-degree
-    if zeros << degree > ((1 << degree) - 1) * total:
-        raise _violation(
-            f"non-identity with zero probability {report.probability} "
-            f"above 1 - 2^-{degree}",
-            Q, A, commutator, report,
-        )
-    return _verdict_report(report, floor)
+    floor = None
+    if degrees:
+        floor = floor_fraction(A.field.q, min(degrees)).value
+        # the nonzero fraction 1 - zeros/total under the floor
+        if (total - zeros) * floor.denominator < floor.numerator * total:
+            raise _violation(
+                f"nonzero fraction {1 - Fraction(zeros, total)} under the "
+                f"coordinate density floor {floor}",
+                Q, A, commutator, zeros, total, degree,
+            )
+        # the zero fraction zeros/total above 1 - 2^-degree
+        if zeros << degree > ((1 << degree) - 1) * total:
+            raise _violation(
+                f"non-identity with zero probability {Fraction(zeros, total)} "
+                f"above 1 - 2^-{degree}",
+                Q, A, commutator, zeros, total, degree,
+            )
+    # the checks above passed, so the verdict is consistent
+    return _new_report(
+        zeros, total, _fraction(zeros, total), degree, _threshold(degree), is_identity, True,
+        "exact", None, None, floor, True,
+    )
 
 
 def _violation(
-    message: str, Q: FreePoly, A: Algebra, commutator: bool, report: EvalReport
+    message: str, Q: FreePoly, A: Algebra, commutator: bool, zeros: int, total: int, degree: int
 ) -> TheoremViolation:
     """dixon_verdict's TheoremViolation: _witness's fields, then the count,
     its route, and the count's probability and threshold as text."""
     return TheoremViolation(message, witness=_witness(
         "dixon", Q, A, commutator,
-        zero_count=report.zero_count,
-        total=report.total,
-        route=_count_route(Q, A, report.total)[0],
-        probability=str(report.probability),
-        threshold=str(report.threshold),
+        zero_count=zeros,
+        total=total,
+        route=_count_route(Q, A, total)[0],
+        probability=str(Fraction(zeros, total)),
+        threshold=str(_threshold(degree)),
     ))
-
-
-def _verdict_report(report: EvalReport, floor) -> EvalReport:
-    """zero_probability's exact report with dixon_verdict's functional
-    fields: the floor and a consistent second route.  The count's fields
-    are copied as they are, its probability and threshold included, so no
-    second Fraction is built, and the keys keep the declared order."""
-    verdict = object.__new__(EvalReport)
-    verdict.__dict__.update(report.__dict__, functional_floor=floor, functional_consistent=True)
-    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -1263,7 +1335,7 @@ def multilinear_descent(
     - per n: the certificate, one shared frozen object.
     """
     tables = _tables(A)
-    e, verified = _entry(tables, Q, A, commutator)
+    e, _, verified = _entry(tables, Q, A, commutator)
     if not Q.analyze().multilinear:
         raise NotMultilinear(Q.to_text())
     ideal = witness.ideal

@@ -58,6 +58,8 @@ GF3_RANDOM = LANES + "::test_gf3_lanes_match_points_on_random_tables"
 SAMPLED_LANES = LANES + "::test_sampled_lanes_match_the_kernel_at_block_edges"
 LONG_WORDS = LANES + "::test_lanes_on_long_words_match_the_reference_evaluator"
 LONG_KERNEL = "tests/test_kernel.py::test_kernel_on_a_5000_letter_word"
+COUNTER = "tests/test_kernel.py::test_counter_matches_the_references_on_every_dimension_two_table"
+COUNTER_RANDOM = "tests/test_kernel.py::test_counter_matches_the_references_on_random_tables"
 
 MUTANTS = (
     # block statistics: the tally, its keys and its checks
@@ -135,7 +137,60 @@ MUTANTS = (
             "::test_exhaustive_scans_fork_once_candidates_times_points_reach_fork_points",
         ),
     ),
+    # the zero counter's loop nest
+    Mutant(
+        "counter-step-hoisted-one-loop-out",
+        "src/fqidtest/idtest.py",
+        "            depth = max(depths[left], depths[right])\n",
+        "            depth = max(depths[left], depths[right]) - 1\n",
+        (COUNTER,),
+    ),
+    Mutant(
+        "counter-first-loop-over-every-index",
+        "src/fqidtest/idtest.py",
+        'loops = ["for a0 in range(start, stop)"]',
+        'loops = [f"for a0 in range({order})"]',
+        (COUNTER,),
+    ),
+    Mutant(
+        "counter-empty-point-unguarded",
+        "src/fqidtest/idtest.py",
+        'loops = ["if start < stop"]',
+        'loops = ["if True"]',
+        (COUNTER,),
+    ),
+    Mutant(
+        "counter-nest-past-the-block-limit",
+        "src/fqidtest/idtest.py",
+        "head = max(n - _NEST, 0)",
+        "head = 0",
+        (
+            "tests/test_kernel.py::test_kernels_of_many_variables_compile_on_every_route",
+            "tests/test_kernel.py::test_counter_past_the_loop_limit_matches_the_point_walk",
+        ),
+    ),
+    Mutant(
+        "counter-sums-by-xor-in-odd-characteristic",
+        "src/fqidtest/idtest.py",
+        "    if tables.field.p == 2:\n        lines.extend(",
+        "    if True:\n        lines.extend(",
+        (COUNTER_RANDOM, "tests/test_kernel.py::test_kernel_on_a_gf3_sum_of_400_terms"),
+    ),
     # the cross-checks
+    Mutant(
+        "exact-count-cap-check-dropped",
+        "src/fqidtest/idtest.py",
+        "    if total > cap:\n        raise SearchSpaceTooLarge(total, cap)\n    return _count_exact(",
+        "    if False:\n        raise SearchSpaceTooLarge(total, cap)\n    return _count_exact(",
+        (SAMPLER + "::test_exact_cap_is_enforced",),
+    ),
+    Mutant(
+        "dixon-floor-comparison-flipped",
+        "src/fqidtest/idtest.py",
+        "    if (total - zeros) * floor.denominator < floor.numerator * total:",
+        "    if (total - zeros) * floor.denominator > floor.numerator * total:",
+        (SAMPLER + "::test_dixon_floor_boundary",),
+    ),
     Mutant(
         "dixon-floor-one-off",
         "src/fqidtest/idtest.py",
@@ -177,7 +232,9 @@ MUTANTS = (
         "src/fqidtest/idtest.py",
         "    if j != n - 1:",
         "    if False:",
-        (SLICES,),
+        # the seeded slice count: the random tables need not draw a slice
+        # variable other than the last
+        (SLICES, "tests/test_kernel.py::test_workers_give_the_serial_count_on_the_slice_route"),
     ),
     Mutant(
         "walker-chunk-range-ignored",
@@ -226,7 +283,7 @@ MUTANTS = (
         "verified-ideals-shared-between-entries",
         "src/fqidtest/idtest.py",
         "tables.product(commutator, prod)), set())",
-        "tables.product(commutator, prod)), next(iter(tables.kernels.values()), (0, set()))[1])",
+        "tables.product(commutator, prod)), next(iter(tables.kernels.values()), (0, 0, set()))[2])",
         (COSETS + "::test_verification_is_kept_per_polynomial",),
     ),
     Mutant(
@@ -405,8 +462,8 @@ MUTANTS = (
     Mutant(
         "kernel-tail-one-letter-short",
         "src/fqidtest/idtest.py",
-        'lines.append(f"    for i in w{k}:")',
-        'lines.append(f"    for i in w{k}[1:]:")',
+        '(depth, f"for i in w{k}:"),',
+        '(depth, f"for i in w{k}[1:]:"),',
         (LONG_KERNEL, LONG_WORDS),
     ),
     Mutant(

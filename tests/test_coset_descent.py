@@ -610,23 +610,23 @@ def test_field_and_flavor_gates_run_on_a_warm_kernel():
 
 def verified_ideals(Q, A, commutator=False):
     """The ideals descent has verified for (Q, commutator) on A, kept in
-    the kernel entry beside e_Q."""
-    return A._memo[idtest._Tables].kernels[Q, commutator][1]
+    the kernel entry beside e_Q and its zero counter."""
+    return A._memo[idtest._Tables].kernels[Q, commutator][2]
 
 
 def counted_kernel(Q, A):
     """Wrap the compiled kernel of (Q, False) on A in a counter: the list
-    of the points it is called on, in order.  The entry keeps its
-    verified ideals."""
+    of the points it is called on, in order.  The entry keeps its zero
+    counter and its verified ideals."""
     tables = A._memo[idtest._Tables]
-    e, verified = tables.kernels[Q, False]
+    e, zeros, verified = tables.kernels[Q, False]
     calls = []
 
     def counting(args):
         calls.append(tuple(args))
         return e(args)
 
-    tables.kernels[Q, False] = counting, verified
+    tables.kernels[Q, False] = counting, zeros, verified
     return calls
 
 
@@ -834,7 +834,7 @@ def test_warm_algebras_match_fresh_copies_on_every_dimension_two_table():
         for Q in battery_for(A):
             if Q.analyze().multilinear:
                 descents += len(assert_warm_matches_fresh(Q, A))
-        assert any(verified for _, verified in A._memo[idtest._Tables].kernels.values())
+        assert any(verified for _, _, verified in A._memo[idtest._Tables].kernels.values())
     assert descents > 0
 
 
@@ -853,7 +853,7 @@ def test_warm_commutator_reading_matches_a_fresh_copy():
     # only the commutator reading's entry holds verified ideals
     kernels = U._memo[idtest._Tables].kernels
     assert verified_ideals(Q, U, True)
-    assert all(commutator for (_, commutator), (_, verified) in kernels.items() if verified)
+    assert all(commutator for (_, commutator), (_, _, verified) in kernels.items() if verified)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -359,3 +360,46 @@ def test_equal_polynomials_hash_equal_whatever_their_term_order():
     assert copy._hash is None
     assert copy == a and hash(copy) == hash(a)
     assert copy.analyze() == a.analyze()
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_shuffled_terms_hash_equal_and_other_terms_differ(flavor):
+    # every term of degree 1 to 4 in two variables, inserted in two orders
+    rng = random.Random(7)
+    leaves = [1, 2]
+    terms = {}
+    for _ in range(60):
+        if flavor is Flavor.ASSOC:
+            term = tuple(rng.choice(leaves) for _ in range(rng.randint(1, 4)))
+        else:
+            term = rng.choice(leaves)
+            for _ in range(rng.randint(0, 3)):
+                term = (term, rng.choice(leaves)) if rng.random() < 0.5 else (rng.choice(leaves), term)
+        terms[term] = rng.randint(1, 2)
+    items = list(terms.items())
+    rng.shuffle(items)
+    a = FreePoly(F3, flavor, 2, terms)
+    b = FreePoly(F3, flavor, 2, dict(items))
+    assert a == b and hash(a) == hash(b)
+    # a changed coefficient, a dropped term or another n is another key
+    term = next(iter(terms))
+    others = [
+        FreePoly(F3, flavor, 2, {**terms, term: 3 - terms[term]}),
+        FreePoly(F3, flavor, 2, {t: c for t, c in terms.items() if t != term}),
+        FreePoly(F3, flavor, 3, terms),
+    ]
+    assert len({a, *others}) == 4
+
+
+def test_hashing_a_long_word_allocates_no_sorted_copy():
+    # the first hash of a 200,000-letter word hashes its one term in place:
+    # sorting by term_sort_key built a key per letter, a 13.7 MB peak
+    word = power_word(200_000, F2)
+    tracemalloc.start()
+    try:
+        first = hash(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert first == hash(word) == hash(power_word(200_000, F2))

@@ -443,6 +443,14 @@ def test_exact_cap_is_enforced():
     Q = free("x1*x2")
     with pytest.raises(SearchSpaceTooLarge):
         zero_probability(Q, matrix_algebra(2, 2), cap=100)
+    # the verdict checks the same cap before it counts
+    for cap, refused in ((255, True), (256, False)):
+        try:
+            dixon_verdict(Q, matrix_algebra(2, 2), cap=cap)
+        except SearchSpaceTooLarge as exc:
+            assert refused and (exc.size, exc.cap) == (256, cap)
+        else:
+            assert not refused
 
 
 # ---------------------------------------------------------------------------
@@ -593,33 +601,39 @@ def assert_matches_reference(Q, A, commutator=False):
 
 
 def test_dixon_report_is_the_count_report_with_the_functional_fields(monkeypatch):
-    # the verdict's report is its count's with the functional fields: the
-    # count's own probability and threshold, no second Fraction, and field
-    # for field the exact report with those fields
+    # the verdict counts once, with the arguments zero_probability passes,
+    # and its report is zero_probability's exact report with the
+    # functional fields: the same cached probability and threshold, no
+    # second Fraction, and field for field the exact report with those
+    # fields, on every dimension-2 GF(2) table times the battery and on
+    # the library
     counted = []
 
-    def recording(*args, **kwargs):
-        counted.append(count(*args, **kwargs))
-        return counted[-1]
+    def recording(*args):
+        counted.append(args)
+        return count(*args)
 
-    count = idtest.zero_probability
-    monkeypatch.setattr(idtest, "zero_probability", recording)
+    count = idtest._count_exact
+    monkeypatch.setattr(idtest, "_count_exact", recording)
     cells = list(product(range(2), repeat=2))
-    for tbl in product(cells, repeat=4):
-        A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
-        for Q in cli.battery_for(A):
-            got = dixon_verdict(Q, A)
-            (report,) = counted
-            assert got.probability is report.probability and got.threshold is report.threshold
-            degrees = [c.degree for c in reduced_coordinates(Q, A) if not c.is_zero]
-            floor = floor_fraction(2, min(degrees)).value if degrees else None
-            want = replace(report, functional_floor=floor, functional_consistent=True)
-            assert got == want == reference_dixon(Q, A), (tbl, Q.to_text())
-            counted.clear()
-            assert_same_report(got, constructor_report(
-                got.zero_count, got.total, Q.degree,
-                functional_floor=floor, functional_consistent=True,
-            ))
+    tables = [Algebra(F2, 2, [[t[0], t[1]], [t[2], t[3]]]) for t in product(cells, repeat=4)]
+    pairs = [(Q, A) for A in tables for Q in cli.battery_for(A)]
+    for Q, A in pairs + list(cli.two_path_pairs(1 << 16)):
+        counted.clear()  # reference_dixon counts too
+        got = dixon_verdict(Q, A)
+        (verdict_count,) = counted
+        counted.clear()
+        report = zero_probability(Q, A)
+        assert counted == [verdict_count], (A.table, Q.to_text())
+        assert got.probability is report.probability and got.threshold is report.threshold
+        degrees = [c.degree for c in reduced_coordinates(Q, A) if not c.is_zero]
+        floor = floor_fraction(A.field.q, min(degrees)).value if degrees else None
+        want = replace(report, functional_floor=floor, functional_consistent=True)
+        assert got == want == reference_dixon(Q, A), (A.table, Q.to_text())
+        assert_same_report(got, constructor_report(
+            got.zero_count, got.total, Q.degree,
+            functional_floor=floor, functional_consistent=True,
+        ))
     assert idtest._threshold(3) is idtest._threshold(3) == Fraction(7, 8)
 
 

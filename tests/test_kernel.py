@@ -7,7 +7,7 @@ import re
 import tracemalloc
 from collections import Counter
 from itertools import product
-from operator import itemgetter
+from operator import itemgetter, not_
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,9 @@ from fqidtest.algebra import (
     ideal_generated,
     matrix_algebra,
     truncated,
+    upper_triangular,
     vec_add,
+    vec_is_zero,
     vec_scale,
     vec_sub,
 )
@@ -387,7 +389,10 @@ def test_each_distinct_product_is_looked_up_once_per_point(flavor, text, distinc
     commutator = flavor is Flavor.LIE
     tables = _tables(A)
     counting = CountingTable(tables.product(commutator, _product_fn(Q, A, commutator)))
-    e = idtest._compile(Q, tables, counting)
+    e, zeros = idtest._compile(Q, tables, counting)
+    # one namespace for both, whose only builtins are range and product
+    assert e.__globals__ is zeros.__globals__
+    assert e.__globals__["__builtins__"] == {"range": range, "product": product}
     closures = closure_kernel(Q, tables, counting)
     kernel = _kernel(Q, A, commutator)
     for point in product(range(A.order()), repeat=Q.n):
@@ -397,10 +402,52 @@ def test_each_distinct_product_is_looked_up_once_per_point(flavor, text, distinc
         counting.lookups = 0
         closures(point)
         assert counting.lookups == occurrences
+    # the counter looks each product up once per point of the arguments
+    # it reads, up to the deepest: order**(k + 1) times for x_{k+1}
+    counting.lookups = 0
+    count = zeros(0, A.order())
+    assert counting.lookups == sum(A.order() ** (k + 1) for k in product_depths(Q))
+    assert count == point_walk(e, A.order(), Q.n, 0, A.order())
+
+
+def product_depths(Q):
+    """For each distinct product of Q's terms, the index k of the deepest
+    argument x_{k+1} it reads, read off the terms themselves."""
+    depths = {}
+
+    def walk(t):
+        if isinstance(t, int):
+            return t - 1
+        depth = max(walk(t[0]), walk(t[1]))
+        depths[t] = depth
+        return depth
+
+    for term in Q.terms:
+        if Q.flavor is Flavor.ASSOC:
+            # folded left: each prefix of two letters or more is a product
+            for end in range(2, len(term) + 1):
+                depths[term[:end]] = max(term[:end]) - 1
+        else:
+            walk(term)
+    return list(depths.values())
+
+
+def point_walk(e, order, n, start, stop):
+    """Zeros of e over the points whose first index is in range(start,
+    stop), the others in range(order), with one call of e per point: the
+    walk the counter replaced, kept as its reference.  With no arguments
+    the walk is the one empty point, when start < stop."""
+    if not n:
+        return int(start < stop and not e(()))
+    return sum(map(not_, map(e, product(range(start, stop), *[range(order)] * (n - 1)))))
 
 
 # the generated source: its fixed names, locals, ints and operators only
 SOURCE_BODY = re.compile(r"(?:\s|\b(?:[atsw]\d+|acc|mul|add|args|i|for|in|return)\b|\d+|[,=*+^\[\]:])*")
+COUNTER_BODY = re.compile(
+    r"(?:\s|\b(?:[atsw]\d+|acc|mul|add|args|i|z|start|stop|range|product|for|in|if|not|return)\b"
+    r"|\d+|[,=*+^<()\[\]:])*"
+)
 
 
 def test_generated_sources_hold_only_fixed_names_and_ints(monkeypatch):
@@ -438,9 +485,11 @@ def test_generated_sources_hold_only_fixed_names_and_ints(monkeypatch):
         _kernel(Q, A, False)
     assert len(sources) == 256 * 6 + 7
     for source in sources:
-        head, body = source.split("\n", 1)
+        head, rest = source.split("\n", 1)
         assert head == "def e(args):"
+        body, counter = rest.split("\ndef zeros(start, stop):\n")
         assert SOURCE_BODY.fullmatch(body), source
+        assert COUNTER_BODY.fullmatch(counter), source
 
 
 def test_code_cache_is_bounded():
@@ -449,6 +498,144 @@ def test_code_cache_is_bounded():
     for k in range(maxsize + 1):
         idtest._code(f"def e(args):\n    return {k}")
     assert idtest._code.cache_info().currsize == maxsize
+
+
+# ---------------------------------------------------------------------------
+# the zero counter against the per-point walk and the reference evaluator
+
+def assert_counter_matches(Q, A, commutator=False, seed=0):
+    """The entry's counter gives the reference count of evaluate on the
+    whole range, and the per-point walk's count on every chunk of a few
+    (start, stop) splits, empty chunks included, which sum to the whole."""
+    e, zeros, _ = idtest._entry(_tables(A), Q, A, commutator)
+    order, n = A.order(), Q.n
+    first = order if n else 1
+    whole = zeros(0, first)
+    elements = list(A.elements())
+    assert whole == sum(
+        vec_is_zero(evaluate(Q, A, args, commutator=commutator))
+        for args in product(elements, repeat=n)
+    ), (Q.to_text()[:80], A.table)
+    rng = random.Random(seed)
+    for cuts in ([], [0], [first], [first // 2] * 2, [rng.randrange(first + 1) for _ in range(3)]):
+        bounds = [0, *sorted(cuts), first]
+        chunks = [zeros(a, b) for a, b in zip(bounds, bounds[1:])]
+        assert chunks == [point_walk(e, order, n, a, b) for a, b in zip(bounds, bounds[1:])]
+        assert sum(chunks) == whole, (Q.to_text()[:80], bounds)
+    return whole
+
+
+def counter_cases(F):
+    """Polynomials over F for the counter: the zero polynomial on n = 0
+    and n = 1, a product of outer arguments under an inner loop and a
+    whole term that sits outside the innermost loop, and two words past
+    freepoly.UNROLLED, one with a tail of x1 alone under the loop of x2."""
+    long = freepoly.UNROLLED + 6
+    return [
+        zero(F, Flavor.FREE),
+        FreePoly(F, Flavor.FREE, 1, {}),
+        parse("x1*x2*x3 + x2*x1", Flavor.FREE, F),
+        parse("x1*x2", Flavor.FREE, F, n=3),
+        FreePoly(F, Flavor.ASSOC, 2, {(1, 2) * (long // 2) + (2,): 1}),
+        FreePoly(F, Flavor.ASSOC, 2, {(1,) * long: 1, (2, 1): 1}),
+    ]
+
+
+def test_counter_matches_the_references_on_every_dimension_two_table():
+    brackets = [parse(text, Flavor.LIE, F2) for text in ("[x1,x2]", "[[x1,x2],x1]")]
+    cells = list(product(range(2), repeat=2))
+    for k, tbl in enumerate(product(cells, repeat=4)):
+        A = Algebra(F2, 2, [[tbl[0], tbl[1]], [tbl[2], tbl[3]]])
+        for Q in battery_for(A):
+            assert_counter_matches(Q, A, seed=k)
+        for Q in brackets:
+            assert_counter_matches(Q, A, commutator=True, seed=k)
+        for Q in counter_cases(F2)[: 6 if k % 16 == 0 else 4]:
+            assert_counter_matches(Q, A, seed=k)
+
+
+@st.composite
+def counter_tables(draw):
+    """Random tables over GF(2), GF(3), GF(4), GF(5) and GF(7) with
+    polynomials in 0 to 3 variables whose terms carry any nonzero
+    coefficient, read through the commutator in the lie flavor, and now
+    and then a word past freepoly.UNROLLED."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    F = field_of_order(q)
+    dim = draw(st.integers(1, 2 if q <= 5 else 1))
+    cell = st.tuples(*[st.integers(0, q - 1)] * dim)
+    A = Algebra(F, dim, [[draw(cell) for _ in range(dim)] for _ in range(dim)])
+    flavor = draw(st.sampled_from(list(Flavor)))
+    n = draw(st.sampled_from([k for k in range(4) if A.order() ** k <= 729]))
+    terms = {}
+    if n:
+        leaf = st.integers(1, n)
+        if flavor is Flavor.ASSOC:
+            term = st.lists(leaf, min_size=1, max_size=4).map(tuple)
+            if draw(st.booleans()):
+                terms[tuple(draw(st.lists(leaf, min_size=freepoly.UNROLLED + 1, max_size=80)))] = 1
+        else:
+            term = st.recursive(leaf, lambda t: st.tuples(t, t), max_leaves=4)
+        terms.update(draw(st.dictionaries(term, st.integers(1, q - 1), max_size=4)))
+    return FreePoly(F, flavor, n, terms), A, flavor is Flavor.LIE
+
+
+@settings(max_examples=80, deadline=None)
+@given(counter_tables(), st.integers(0, 1 << 16))
+def test_counter_matches_the_references_on_random_tables(case, seed):
+    Q, A, commutator = case
+    assert_counter_matches(Q, A, commutator, seed)
+
+
+def test_counter_on_the_largest_walk_forks_to_the_serial_count(monkeypatch):
+    # 1,953,125 points with no slice variable and no lanes: the serial
+    # count is one counter call, and two workers split it into chunks
+    U = upper_triangular(2, 5)
+    Q = parse("x1*x1*x2*x2*x3*x3", Flavor.FREE, U.field)
+    assert idtest._count_route(Q, U, U.order() ** 3) == ("points", None)
+    assert U.order() ** 3 >= bound.FORK_POINTS
+    serial = zero_probability(Q, U).zero_count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert zero_probability(Q, U, workers=2).zero_count == serial == 375525
+
+
+def test_counter_past_the_loop_limit_matches_the_point_walk():
+    # past idtest._NEST arguments the first loop walks the leading ones as
+    # one product: steps of those arguments sit in it, a tail step on the
+    # last argument sits innermost, and every chunk split sums to the whole
+    n = idtest._NEST + 2
+    A = field_as_algebra(2)
+    word = (1,) * 2 + tuple(range(1, n + 1)) + (n,) * (freepoly.UNROLLED + 2)
+    for Q in (
+        parse(f"x1*x2*x3 + x1*x2*x{n} + x{n - 1}*x{n}", Flavor.FREE, F2, n=n),
+        FreePoly(F2, Flavor.ASSOC, n, {word: 1, (2, 3): 1, (n - 1, 1): 1}),
+    ):
+        e, zeros, _ = idtest._entry(_tables(A), Q, A, False)
+        whole = point_walk(e, 2, n, 0, 2)
+        assert zeros(0, 2) == whole == zeros(0, 1) + zeros(1, 2) > 0
+        assert zeros(1, 1) == 0
+
+
+@pytest.mark.parametrize("n", [21, 24])
+def test_kernels_of_many_variables_compile_on_every_route(n):
+    # a counter nest of one loop per argument would pass CPython's limit
+    # of 20 statically nested blocks, and _entry compiles the counter with
+    # e_Q, so these routes would all fail: a sampled count on the kernel,
+    # an exact count and a verdict on a dimension-0 algebra
+    F5 = field_of_order(5)
+    text = "*".join(f"x{i}" for i in range(1, n + 1)) + f"*x{n}" * freepoly.UNROLLED
+    Q = parse(text, Flavor.FREE, F5)
+    K = field_as_algebra(5)  # GF(5) has no lanes
+    assert idtest._count_route(Q, K, 400)[0] == "points"
+    rep = zero_probability(Q, K, samples=400, seed=n)
+    blocks = SplitMix64(n).points(5, 1, n, 400)
+    assert rep.zero_count == sum(0 in point for block in blocks for point in block) > 0
+    Z = Algebra(F5, 0, [])
+    for P in (Q, FreePoly(F5, Flavor.FREE, n, {})):
+        assert zero_probability(P, Z).zero_count == 1
+        assert idtest.dixon_verdict(P, Z).is_identity
+        _, zeros, _ = idtest._entry(_tables(Z), P, Z, False)
+        assert (zeros(0, 1), zeros(1, 1)) == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -665,21 +852,25 @@ def test_slice_route_evaluates_probes_only(monkeypatch):
     H = heisenberg(5)  # over GF(5), which has no lanes
     Q = parse("[x1,x2,x3]", Flavor.LIE, H.field)
     calls = Counter()
-    kernel = idtest._kernel
+    entry = idtest._entry
 
     def counting(*args):
-        e = kernel(*args)
+        e, zeros, verified = entry(*args)
 
         def counted(point):
             calls["points"] += 1
             return e(point)
 
-        return counted
+        def counted_zeros(start, stop):
+            calls["counter"] += 1
+            return zeros(start, stop)
 
-    monkeypatch.setattr(idtest, "_kernel", counting)
+        return counted, counted_zeros, verified
+
+    monkeypatch.setattr(idtest, "_entry", counting)
     rep = zero_probability(Q, H)
     assert (rep.zero_count, rep.total) == (125**3, 125**3)
-    assert calls["points"] == (H.dim + 1) * H.order() ** 2 == 62500
+    assert calls == {"points": (H.dim + 1) * H.order() ** 2} and calls["points"] == 62500
 
 
 @pytest.mark.parametrize(
